@@ -9,7 +9,7 @@ import warnings
 from pattern_entropy import (
     CoderModel,
     ParamVector,
-    build_grid,
+    SourceAnalysis,
     exact_entropies,
     iid_entropy,
     lb_theorem2,
@@ -26,7 +26,8 @@ n, eps = 6, 0.2
 
 print(f"source: {[float(p) for p in theta.probs]}   n={n}   H(X)={iid_entropy(theta):.4f} bits/symbol")
 
-grid = build_grid("eta", n, eps)
+analysis = SourceAnalysis(theta, n, eps)
+grid = analysis.eta_grid
 exact = exact_entropies(theta, grid, n, model=CoderModel.from_source(theta, grid, n))
 print(f"\nexact oracle (enumerating {theta.k}^{n} sequences):")
 print(f"  block entropy nH(X)      = {exact.h_x_block:8.4f} bits")
@@ -39,13 +40,13 @@ print(f"\nsimple sandwich: {lo.value:.4f} <= {exact.h_pattern:.4f} <= {hi.value:
 
 print("\nclosed-form bounds (asymptotic residuals are flagged, not added):")
 rows = [
-    ub_theorem1(theta, n, eps),
-    *lb_theorem2(theta, n, eps),
-    ub_theorem3_family(theta, n, eps, "ub3"),
-    ub_theorem3_family(theta, n, eps, "c1"),
-    ub_theorem3_family(theta, n, eps, "c21"),
-    ub_theorem3_family(theta, n, eps, "c2_loosened"),
-    lb_theorem4(theta, n, eps),
+    ub_theorem1(analysis),
+    *lb_theorem2(analysis),
+    ub_theorem3_family(analysis, "ub3"),
+    ub_theorem3_family(analysis, "c1"),
+    ub_theorem3_family(analysis, "c21"),
+    ub_theorem3_family(analysis, "c2_loosened"),
+    lb_theorem4(analysis),
 ]
 for rep in rows:
     gap = rep.value - exact.h_pattern

@@ -9,7 +9,7 @@ uniform family.
 
 import warnings
 
-from pattern_entropy import SourceSpec, build_grid, make_distribution, ub_theorem3_family
+from pattern_entropy import SourceAnalysis, SourceSpec, make_distribution, ub_theorem3_family
 
 warnings.filterwarnings("ignore")
 
@@ -29,12 +29,8 @@ FAMILIES = [
 
 for label, eps, spec in FAMILIES:
     theta = make_distribution(spec)
-    eta = build_grid("eta", n, eps)
-    tau = build_grid("tau", n, eps)
-    values = {
-        v: ub_theorem3_family(theta, n, eps, v, eta_grid=eta, tau_grid=tau).value
-        for v in VARIANTS
-    }
+    analysis = SourceAnalysis(theta, n, eps)
+    values = {v: ub_theorem3_family(analysis, v).value for v in VARIANTS}
     order = sorted(values, key=values.get)
     print(f"{label}  (k = {theta.k:,}, eps = {eps})")
     for v in VARIANTS:

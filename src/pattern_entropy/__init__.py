@@ -40,6 +40,7 @@ from .oracle import (
     brute_force_permutation_count,
     exact_distinct_count_pmf,
     exact_entropies,
+    exact_pattern_entropy,
     expected_codelength_stepwise,
     joint_pattern_bin_probability,
     mc_pattern_entropy,
@@ -48,6 +49,7 @@ from .bounds import (
     BoundReport,
     PackedEntropies,
     RangeBounds,
+    SourceAnalysis,
     contribution_limits,
     distinct_count_pmf,
     epsilon_n,
@@ -84,9 +86,10 @@ __all__ = [
     "BinSeq", "Pattern", "bin_sequence", "count_patterns",
     "enumerate_patterns", "extract_pattern", "pattern_probability",
     "ExactEntropies", "MCEstimate", "brute_force_permutation_count",
-    "exact_distinct_count_pmf", "exact_entropies", "expected_codelength_stepwise",
+    "exact_distinct_count_pmf", "exact_entropies", "exact_pattern_entropy",
+    "expected_codelength_stepwise",
     "joint_pattern_bin_probability", "mc_pattern_entropy",
-    "BoundReport", "PackedEntropies", "RangeBounds", "contribution_limits",
+    "BoundReport", "PackedEntropies", "RangeBounds", "SourceAnalysis", "contribution_limits",
     "distinct_count_pmf", "epsilon_n", "gamma_fixed_point", "lb_theorem2",
     "lb_theorem4", "packed_entropies", "range_decreases", "range_theorem5",
     "simple_bounds", "stirling_bounds", "ub_theorem1", "ub_theorem3_family",

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import binom as _binom
 
 from ._common import LOG2E, ResourceCapError, log2_binomial, log2_factorial, xlog2x
 from .distributions import ParamVector, binary_entropy, iid_entropy
-from .grids import Grid, absent_probability, bin_stats, build_grid, low_thresholds
+from .grids import (BinStats, Grid, absent_probability, bin_index, bin_stats, build_grid,
+                    low_thresholds)
 
 DEFAULT_VARTHETA_MINUS = math.exp(-5.5)
 DEFAULT_VARTHETA_PLUS = math.exp(1.4)
@@ -27,13 +29,20 @@ UB3_VARIANTS = ("ub3", "c1", "c21", "c2_exact", "c2_loosened")
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound value with its additive term breakdown."""
+    """A named bound value with its additive term breakdown.
+
+    Zero terms are stored as +0.0, so a deduction of nothing never prints ``-0``.
+    """
 
     name: str
     terms: tuple[tuple[str, float], ...]
     residual_flags: tuple[str, ...] = ()
     valid: bool = True
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        terms = tuple((key, 0.0 if val == 0.0 else val) for key, val in self.terms)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def value(self) -> float:
@@ -63,8 +72,6 @@ class PackedEntropies:
 class _LowStats:
     """Grouped statistics of the two low-probability regions."""
 
-    n: int
-    epsilon: float
     thr1: float
     thr2: float
     k0: int
@@ -84,50 +91,93 @@ class _LowStats:
     low_counts: np.ndarray
 
 
-def _low_split(theta: ParamVector, n: int, epsilon: float) -> _LowStats:
-    thr1, thr2 = low_thresholds(n, epsilon)
-    v, c = theta.values, theta.counts
-    m0 = v <= thr1
-    m1 = (v > thr1) & (v <= thr2)
-    mlow = v <= thr2
-    k0 = int(c[m0].sum())
-    k1 = int(c[m1].sum())
-    phi0 = float(np.sum(c[m0] * v[m0]))
-    phi1 = float(np.sum(c[m1] * v[m1]))
+@dataclass(frozen=True, eq=False)
+class SourceAnalysis:
+    """The per-source quantities every bound evaluator reads, for one (theta, n, eps).
 
-    def occ_sum(mask) -> float:
-        return math.fsum(
-            cc * (1.0 - absent_probability(float(vv), n))
-            for vv, cc in zip(v[mask], c[mask])
+    Each field is built on first read and kept for the life of the object, so
+    a bound that never reads a grid never builds it, and a table of bounds
+    builds each grid, its bin statistics, the low split and the packed
+    entropies once.
+    """
+
+    theta: ParamVector
+    n: int
+    epsilon: float
+
+    @cached_property
+    def h_x(self) -> float:
+        """Source entropy H(X) in bits per symbol."""
+        return iid_entropy(self.theta)
+
+    @cached_property
+    def occupancy(self) -> np.ndarray:
+        """Per-group probability 1 - (1 - theta)^n that a letter occurs in n draws."""
+        n = self.n
+        return np.array([1.0 - absent_probability(float(v), n) for v in self.theta.values])
+
+    @cached_property
+    def eta_grid(self) -> Grid:
+        return build_grid("eta", self.n, self.epsilon)
+
+    @cached_property
+    def eta_stats(self) -> BinStats:
+        return bin_stats(self.eta_grid, self.theta, occupancy=self.occupancy)
+
+    @cached_property
+    def xi_grid(self) -> Grid:
+        return build_grid("xi", self.n, self.epsilon)
+
+    @cached_property
+    def xi_stats(self) -> BinStats:
+        return bin_stats(self.xi_grid, self.theta, occupancy=self.occupancy)
+
+    @cached_property
+    def tau_grid(self) -> Grid:
+        return build_grid("tau", self.n, self.epsilon)
+
+    @cached_property
+    def tau_stats(self) -> BinStats:
+        return bin_stats(self.tau_grid, self.theta, occupancy=self.occupancy)
+
+    @cached_property
+    def low(self) -> _LowStats:
+        """The two low regions: at most 1/n^(1+eps), and up to 1/n^(1-eps)."""
+        n = self.n
+        thr1, thr2 = low_thresholds(n, self.epsilon)
+        v, c, occ = self.theta.values, self.theta.counts, self.occupancy
+        m0 = v <= thr1
+        m1 = (v > thr1) & (v <= thr2)
+        mlow = v <= thr2
+        k0 = int(c[m0].sum())
+        k1 = int(c[m1].sum())
+        phi0 = float(np.sum(c[m0] * v[m0]))
+        phi1 = float(np.sum(c[m1] * v[m1]))
+        L0 = math.fsum(c[m0] * occ[m0])
+        L1 = math.fsum(c[m1] * occ[m1])
+        return _LowStats(
+            thr1=thr1, thr2=thr2,
+            k0=k0, k1=k1, k01=k0 + k1,
+            phi0=phi0, phi1=phi1, phi01=phi0 + phi1,
+            L0=L0, L1=L1, L01=L0 + L1,
+            ell0=min(k0, n), ell1=min(k1, n), ell01=min(k0 + k1, n),
+            sq0=float(np.sum(c[m0] * v[m0] ** 2)),
+            low_values=v[mlow], low_counts=c[mlow],
         )
 
-    L0 = occ_sum(m0)
-    L1 = occ_sum(m1)
-    sq0 = float(np.sum(c[m0] * v[m0] ** 2))
-    return _LowStats(
-        n=n, epsilon=epsilon, thr1=thr1, thr2=thr2,
-        k0=k0, k1=k1, k01=k0 + k1,
-        phi0=phi0, phi1=phi1, phi01=phi0 + phi1,
-        L0=L0, L1=L1, L01=L0 + L1,
-        ell0=min(k0, n), ell1=min(k1, n), ell01=min(k0 + k1, n),
-        sq0=sq0,
-        low_values=v[mlow], low_counts=c[mlow],
-    )
+    @cached_property
+    def packed(self) -> PackedEntropies:
+        return packed_entropies(self)
 
 
-def packed_entropies(theta: ParamVector, grid_eta: Grid, n: int | None = None) -> PackedEntropies:
+def packed_entropies(analysis: SourceAnalysis) -> PackedEntropies:
     """The three packed per-symbol entropies for the eta grid's low bins.
 
-    Uses the canonical low thresholds 1/n^(1+eps) and 1/n^(1-eps) so the
-    values stay well defined even when the eta grid construction degenerates.
+    Uses the canonical low thresholds 1/n^(1+eps) and 1/n^(1-eps), so no grid
+    is read and the values stay well defined where the eta grid degenerates.
     """
-    if grid_eta.kind != "eta":
-        raise ValueError("packed entropies are defined against an eta grid")
-    n = grid_eta.n if n is None else n
-    if n != grid_eta.n:
-        raise ValueError(f"grid was built for n={grid_eta.n}, not {n}")
-    low = _low_split(theta, n, grid_eta.epsilon)
-    v, c = theta.values, theta.counts
+    low = analysis.low
+    v, c = analysis.theta.values, analysis.theta.counts
     tail_high = -math.fsum(
         cc * vv * math.log2(vv) for vv, cc in zip(v, c) if vv > low.thr2
     )
@@ -170,14 +220,11 @@ def _perm_deduction_sum(counts: np.ndarray, lo: int, hi: int) -> float:
     return float(math.fsum(log2_factorial(int(m)) for m in nz))
 
 
-def ub_theorem1(theta: ParamVector, n: int, epsilon: float, tighten: bool = False,
-                grid: Grid | None = None) -> BoundReport:
+def ub_theorem1(analysis: SourceAnalysis, tighten: bool = False) -> BoundReport:
     """Upper bound for bounded-away probabilities: block entropy minus the
     discounted log permutation count within eta bins 2..A."""
-    if grid is None:
-        grid = build_grid("eta", n, epsilon)
-    stats = bin_stats(grid, theta)
-    perm = _perm_deduction_sum(stats.counts, 2, grid.A)
+    theta, n, epsilon = analysis.theta, analysis.n, analysis.epsilon
+    perm = _perm_deduction_sum(analysis.eta_stats.counts, 2, analysis.eta_grid.A)
     notes: list[str] = []
     eps_used = epsilon
     if tighten:
@@ -190,7 +237,7 @@ def ub_theorem1(theta: ParamVector, n: int, epsilon: float, tighten: bool = Fals
     return BoundReport(
         name="ub_theorem1_tightened" if tighten else "ub_theorem1",
         terms=(
-            ("block_entropy", n * iid_entropy(theta)),
+            ("block_entropy", n * analysis.h_x),
             ("permutation_deduction", -(1.0 - eps_used) * perm),
         ),
         residual_flags=("o(k)",),
@@ -199,20 +246,18 @@ def ub_theorem1(theta: ParamVector, n: int, epsilon: float, tighten: bool = Fals
     )
 
 
-def lb_theorem2(theta: ParamVector, n: int, epsilon: float,
-                grid: Grid | None = None) -> tuple[BoundReport, BoundReport]:
+def lb_theorem2(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
     """Lower bounds for bounded-away probabilities over xi bins 1..A.
 
     Variant A deducts the in-bin permutation count plus k*log2(3); variant B
     deducts the overlap-counter permutation count instead.
     """
-    if grid is None:
-        grid = build_grid("xi", n, epsilon)
-    stats = bin_stats(grid, theta)
-    h_block = n * iid_entropy(theta)
-    sum_a = _perm_deduction_sum(stats.counts, 1, grid.A)
-    sum_b = _perm_deduction_sum(stats.kappa_prime, 1, grid.A)
-    _, thr2 = low_thresholds(n, epsilon)
+    theta, n = analysis.theta, analysis.n
+    stats, A = analysis.xi_stats, analysis.xi_grid.A
+    h_block = n * analysis.h_x
+    sum_a = _perm_deduction_sum(stats.counts, 1, A)
+    sum_b = _perm_deduction_sum(stats.kappa_prime, 1, A)
+    _, thr2 = low_thresholds(n, analysis.epsilon)
     valid = bool(theta.values[0] > thr2)
     rep_a = BoundReport(
         name="lb_theorem2_a",
@@ -247,8 +292,7 @@ def distinct_count_pmf(theta: ParamVector, grid: Grid, b: int, cap: int = PMF_CA
     """
     n = grid.n
     v, c = theta.values, theta.counts
-    bins = np.searchsorted(grid.points, v, side="left") - 1
-    sel = bins == b
+    sel = bin_index(grid, v) == b
     total = int(c[sel].sum())
     if total + 1 > cap:
         raise ResourceCapError(f"bin {b} holds {total} letters; pmf cap is {cap}")
@@ -275,10 +319,8 @@ def _bin1_packing_terms(phi: float, L: float, ell: int, n: int,
     return (n * phi - L) * math.log2(ell), n * phi * binary_entropy(ratio), []
 
 
-def ub_theorem3_family(theta: ParamVector, n: int, epsilon: float, variant: str,
-                       pmf_cap: int = PMF_CAP,
-                       eta_grid: Grid | None = None,
-                       tau_grid: Grid | None = None) -> BoundReport:
+def ub_theorem3_family(analysis: SourceAnalysis, variant: str,
+                       pmf_cap: int = PMF_CAP) -> BoundReport:
     """General upper bounds built from the sequential-assignment description length.
 
     Variants: ``ub3`` packs eta bins 0 and 1 separately; ``c1`` packs them as
@@ -289,17 +331,14 @@ def ub_theorem3_family(theta: ParamVector, n: int, epsilon: float, variant: str,
     """
     if variant not in UB3_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {UB3_VARIANTS}")
-    low = _low_split(theta, n, epsilon)
+    theta, n, epsilon = analysis.theta, analysis.n, analysis.epsilon
+    low, packed = analysis.low, analysis.packed
     notes: list[str] = []
     terms: list[tuple[str, float]] = []
     flags: tuple[str, ...] = ()
 
     if variant in ("ub3", "c1"):
-        if eta_grid is None:
-            eta_grid = build_grid("eta", n, epsilon)
-        packed = packed_entropies(theta, eta_grid)
-        stats = bin_stats(eta_grid, theta)
-        perm = _perm_deduction_sum(stats.counts, 2, eta_grid.A)
+        perm = _perm_deduction_sum(analysis.eta_stats.counts, 2, analysis.eta_grid.A)
         flags = ("o-terms absorbed by the epsilon discount",)
         if variant == "ub3":
             t_reocc, t_h2, note1 = _bin1_packing_terms(low.phi1, low.L1, low.ell1, n, "bin1")
@@ -322,9 +361,6 @@ def ub_theorem3_family(theta: ParamVector, n: int, epsilon: float, variant: str,
                 ("bin01_occupancy_cost", t_h2),
             ]
     else:
-        if eta_grid is None:
-            eta_grid = build_grid("eta", n, epsilon)
-        packed = packed_entropies(theta, eta_grid)
         t_bin0, note0 = _bin0_packing_term(low, n)
         notes += note0
         if variant == "c21":
@@ -333,9 +369,7 @@ def ub_theorem3_family(theta: ParamVector, n: int, epsilon: float, variant: str,
                 ("bin0_packing_cost", t_bin0),
             ]
         else:
-            if tau_grid is None:
-                tau_grid = build_grid("tau", n, epsilon)
-            tstats = bin_stats(tau_grid, theta)
+            tau_grid, tstats = analysis.tau_grid, analysis.tau_stats
             gain = 0.0
             for b in range(1, min(tau_grid.A, tau_grid.num_bins - 1) + 1):
                 cb = int(tstats.counts[b])
@@ -377,13 +411,11 @@ def _s2_factor(theta_i: float, n: int) -> float:
     return n * theta_i - 1.0 + math.exp(-n * (theta_i + theta_i * theta_i))
 
 
-def lb_theorem4(theta: ParamVector, n: int, epsilon: float,
+def lb_theorem4(analysis: SourceAnalysis,
                 s1_variant: str = "b1", s2_variant: str = "b1",
                 vartheta_minus: float = DEFAULT_VARTHETA_MINUS,
                 vartheta_plus: float = DEFAULT_VARTHETA_PLUS,
-                s3_from_origin: bool = False,
-                xi_grid: Grid | None = None,
-                eta_grid: Grid | None = None) -> BoundReport:
+                s3_from_origin: bool = False) -> BoundReport:
     """General lower bound: packed block entropy with four correction terms.
 
     S1 deducts in-bin permutations of the larger letters (variant ``b1`` uses
@@ -396,20 +428,16 @@ def lb_theorem4(theta: ParamVector, n: int, epsilon: float,
         raise ValueError("need vartheta_plus > 1 > vartheta_minus > 0")
     if s1_variant not in ("b1", "b2") or s2_variant not in ("b1", "b2"):
         raise ValueError("variants must be 'b1' or 'b2'")
-    if xi_grid is None:
-        xi_grid = build_grid("xi", n, epsilon)
-    if eta_grid is None:
-        eta_grid = build_grid("eta", n, epsilon)
-    low = _low_split(theta, n, epsilon)
-    packed = packed_entropies(theta, eta_grid)
-    xstats = bin_stats(xi_grid, theta)
+    theta, n, epsilon = analysis.theta, analysis.n, analysis.epsilon
+    low = analysis.low
+    xstats, A = analysis.xi_stats, analysis.xi_grid.A
 
     if s1_variant == "b1":
         kappa0 = int(xstats.counts[0])
-        s1 = (_perm_deduction_sum(xstats.counts, 1, xi_grid.A)
+        s1 = (_perm_deduction_sum(xstats.counts, 1, A)
               + (theta.k - kappa0) * math.log2(3.0))
     else:
-        s1 = _perm_deduction_sum(xstats.kappa_prime, 1, xi_grid.A)
+        s1 = _perm_deduction_sum(xstats.kappa_prime, 1, A)
 
     s2 = 0.0
     s3 = 0.0
@@ -480,7 +508,7 @@ def lb_theorem4(theta: ParamVector, n: int, epsilon: float,
     return BoundReport(
         name=f"lb_theorem4_{s1_variant}_{s2_variant}",
         terms=(
-            ("packed01merged_block_entropy", n * packed.h01),
+            ("packed01merged_block_entropy", n * analysis.packed.h01),
             ("first_occurrence_deduction_S1", -s1),
             ("low_reoccurrence_gain_S2", s2),
             ("low_first_occurrence_gain_S3", s3),
@@ -492,7 +520,7 @@ def lb_theorem4(theta: ParamVector, n: int, epsilon: float,
     )
 
 
-def contribution_limits(theta: ParamVector, n: int, epsilon: float,
+def contribution_limits(analysis: SourceAnalysis,
                         mu: float = 1.0) -> tuple[BoundReport, BoundReport]:
     """Upper limits on what low letters can add beyond their point mass.
 
@@ -502,7 +530,7 @@ def contribution_limits(theta: ParamVector, n: int, epsilon: float,
     """
     if mu < 1.0:
         raise ValueError("mu must be >= 1")
-    low = _low_split(theta, n, epsilon)
+    n, epsilon, low = analysis.n, analysis.epsilon, analysis.low
     nf = float(n)
     if low.ell01 >= 1:
         part1_val = (n * low.phi01 * math.log2(low.ell01)

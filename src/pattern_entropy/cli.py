@@ -23,6 +23,7 @@ import numpy as np
 from ._common import ResourceCapError
 from .bounds import (
     BoundReport,
+    SourceAnalysis,
     contribution_limits,
     lb_theorem2,
     lb_theorem4,
@@ -33,7 +34,7 @@ from .bounds import (
     ub_theorem3_family,
 )
 from .coder import CoderModel, decode, encode, sequence_codelength
-from .distributions import ParamVector, SourceSpec, make_distribution
+from .distributions import SourceSpec, make_distribution
 from .grids import build_grid
 from .oracle import exact_entropies, mc_pattern_entropy
 from .patterns import bin_sequence, extract_pattern
@@ -52,7 +53,6 @@ class RunConfig:
     source: SourceSpec | None
     n: int | None
     epsilon: float
-    delta: float
     epsilon1: float | None
     bounds: tuple[str, ...]
     oracle: bool
@@ -78,7 +78,7 @@ def _expect_type(doc, path, types, what):
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document and normalize it."""
     _expect_type(doc, "", dict, "an object")
-    known = {"source", "n", "epsilon", "delta", "epsilon1", "bounds", "oracle",
+    known = {"source", "n", "epsilon", "epsilon1", "bounds", "oracle",
              "mc", "output", "region", "code", "verify", "lb4"}
     for key in doc:
         if key not in known:
@@ -103,7 +103,6 @@ def parse_config(doc: dict) -> RunConfig:
         if n < 1:
             _fail(".n", "must be >= 1")
     epsilon = float(doc.get("epsilon", 0.25))
-    delta = float(doc.get("delta", 0.0))
     epsilon1 = doc.get("epsilon1")
     if epsilon1 is None and "region" in doc and "n_pow_eps1" in doc["region"]:
         epsilon1 = math.log(float(doc["region"]["n_pow_eps1"])) / math.log(float(n))
@@ -148,7 +147,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     lb4 = dict(doc.get("lb4", {}))
     return RunConfig(
-        source=source, n=n, epsilon=epsilon, delta=delta, epsilon1=epsilon1,
+        source=source, n=n, epsilon=epsilon, epsilon1=epsilon1,
         bounds=bounds, oracle=bool(doc.get("oracle", False)), mc=mc,
         out_format=out_format, out_path=output.get("path"),
         region=region, code=code, verify=verify_cfg, lb4=lb4,
@@ -194,27 +193,27 @@ def _report_row(rep: BoundReport) -> dict:
     return row
 
 
-def _evaluate_bound(name: str, theta: ParamVector, cfg: RunConfig) -> list[BoundReport]:
-    n, eps = cfg.n, cfg.epsilon
+def _evaluate_bound(name: str, analysis: SourceAnalysis, cfg: RunConfig) -> list[BoundReport]:
+    theta, n = analysis.theta, analysis.n
     if name == "simple":
         return list(simple_bounds(theta, n))
     if name == "ub1":
-        return [ub_theorem1(theta, n, eps)]
+        return [ub_theorem1(analysis)]
     if name == "ub1_tightened":
-        return [ub_theorem1(theta, n, eps, tighten=True)]
+        return [ub_theorem1(analysis, tighten=True)]
     if name in ("lb2a", "lb2b"):
-        a, b = lb_theorem2(theta, n, eps)
+        a, b = lb_theorem2(analysis)
         return [a if name == "lb2a" else b]
     if name in ("ub3", "c1", "c21", "c2_exact", "c2_loosened"):
-        return [ub_theorem3_family(theta, n, eps, name)]
+        return [ub_theorem3_family(analysis, name)]
     if name == "lb4":
-        return [lb_theorem4(theta, n, eps, **cfg.lb4)]
+        return [lb_theorem4(analysis, **cfg.lb4)]
     if name == "contribution":
-        return list(contribution_limits(theta, n, eps))
+        return list(contribution_limits(analysis))
     if name == "range":
         if cfg.epsilon1 is None:
             raise ValueError("the range bound needs 'epsilon1' in the config")
-        rb = range_theorem5(theta, n, eps, cfg.epsilon1)
+        rb = range_theorem5(theta, n, cfg.epsilon, cfg.epsilon1)
         return [rb.lower, rb.upper]
     raise ValueError(f"unknown bound {name!r}")
 
@@ -226,11 +225,12 @@ def run_bounds(cfg: RunConfig) -> list[dict]:
     if not isinstance(cfg.n, int):
         raise ValueError("the bounds command needs an integer horizon n")
     theta = make_distribution(cfg.source)
+    analysis = SourceAnalysis(theta, cfg.n, cfg.epsilon)
     oracle_cols: dict = {}
     if cfg.oracle or cfg.mc:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            grid = build_grid("eta", cfg.n, cfg.epsilon)
+            grid = analysis.eta_grid
             if cfg.oracle:
                 try:
                     ee = exact_entropies(theta, grid, cfg.n)
@@ -253,7 +253,7 @@ def run_bounds(cfg: RunConfig) -> list[dict]:
         warnings.simplefilter("ignore")
         for name in cfg.bounds:
             try:
-                for rep in _evaluate_bound(name, theta, cfg):
+                for rep in _evaluate_bound(name, analysis, cfg):
                     row = _report_row(rep)
                     for key, val in oracle_cols.items():
                         if key == "error":
@@ -334,32 +334,6 @@ def run_code(cfg: RunConfig, seed_override: int | None = None) -> tuple[list[dic
                 "roundtrip_ok": ok, "within_two_bits": within, "error": "",
             })
     return rows, all_ok
-
-
-def grid_dump_rows(grid, stats=None) -> list[dict]:
-    """Serialize a grid (and optionally its bin statistics) for debugging dumps.
-
-    One row per bin, preceded by a header row carrying the construction
-    internals (including both index-shift quantities, whose definitions differ
-    between the spacing analysis and the point construction).
-    """
-    info = grid.debug_info()
-    head = {"row": "grid", "bin": None,
-            "lo": None, "hi": None, "count": None, "phi": None, "ell": None, "L": None,
-            **{f"info:{k}": (";".join(v) if isinstance(v, list) else v)
-               for k, v in info.items()}}
-    rows = [head]
-    for b in range(grid.num_bins):
-        row = {"row": "bin", "bin": b,
-               "lo": float(grid.points[b]), "hi": float(grid.points[b + 1]),
-               "count": None, "phi": None, "ell": None, "L": None}
-        if stats is not None:
-            row.update(count=int(stats.counts[b]), phi=float(stats.phi[b]),
-                       ell=int(stats.ell[b]), L=float(stats.L[b]))
-            if stats.kappa_prime is not None:
-                row["kappa_prime"] = int(stats.kappa_prime[b])
-        rows.append(row)
-    return rows
 
 
 def run_oracle(cfg: RunConfig) -> list[dict]:

@@ -43,19 +43,6 @@ class Grid:
     def num_bins(self) -> int:
         return len(self.points) - 1
 
-    def debug_info(self) -> dict:
-        """Construction internals, including both index-shift quantities."""
-        n, eps = float(self.n), self.epsilon
-        return {
-            "kind": self.kind,
-            "B": self.B,
-            "A": self.A,
-            "num_bins": self.num_bins,
-            "flags": list(self.flags),
-            "eta_index_shift": math.floor(n ** (1.5 * eps)) - 2,
-            "spacing_proof_shift": math.floor(n ** (0.5 * eps)) - 1,
-        }
-
 
 def low_thresholds(n: int, epsilon: float) -> tuple[float, float]:
     """The two low-probability boundaries 1/n^(1+eps) and 1/n^(1-eps).
@@ -161,11 +148,16 @@ def build_grid(kind: str, n: int, epsilon: float, max_points: int = GRID_POINT_C
     return Grid(kind=kind, n=n, epsilon=epsilon, points=pts, B=B, A=A, flags=tuple(flags))
 
 
-def bin_index(grid: Grid, theta: float) -> int:
-    """Bin b with theta in (points[b], points[b+1]]; left-open on purpose."""
-    if not 0.0 < theta <= 1.0:
+def bin_index(grid: Grid, theta):
+    """Bin b with theta in (points[b], points[b+1]]; left-open on purpose.
+
+    A scalar gives an int, an array of probabilities an array of bins.
+    """
+    t = np.asarray(theta, dtype=float)
+    if not np.all((t > 0.0) & (t <= 1.0)):
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    return int(np.searchsorted(grid.points, theta, side="left") - 1)
+    bins = np.searchsorted(grid.points, t, side="left") - 1
+    return int(bins) if bins.ndim == 0 else bins
 
 
 @dataclass(frozen=True)
@@ -199,16 +191,22 @@ def absent_probability(theta: float, n: int) -> float:
     return math.exp(n * math.log1p(-theta))
 
 
-def bin_stats(grid: Grid, theta: ParamVector) -> BinStats:
-    """Aggregate counts / masses / occupancy means of ``theta`` over ``grid``."""
+def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = None) -> BinStats:
+    """Aggregate counts / masses / occupancy means of ``theta`` over ``grid``.
+
+    ``occupancy`` is the per-group 1 - (1 - theta)^n for n = grid.n; pass it
+    when it is already at hand so several grids share one evaluation.
+    """
     nbins = grid.num_bins
     n = grid.n
     values, mult = theta.values, theta.counts
-    bins = np.searchsorted(grid.points, values, side="left") - 1
+    bins = bin_index(grid, values)
     counts = np.zeros(nbins, dtype=np.int64)
     phi = np.zeros(nbins, dtype=float)
     L = np.zeros(nbins, dtype=float)
-    occ = np.array([1.0 - absent_probability(float(v), n) for v in values])
+    occ = occupancy
+    if occ is None:
+        occ = np.array([1.0 - absent_probability(float(v), n) for v in values])
     np.add.at(counts, bins, mult)
     np.add.at(phi, bins, mult * values)
     np.add.at(L, bins, mult * occ)
@@ -302,7 +300,7 @@ def mean_bin_occupancy_bounds(grid: Grid, theta: ParamVector) -> tuple[np.ndarra
     nbins = grid.num_bins
     n = grid.n
     values, mult = theta.values, theta.counts
-    bins = np.searchsorted(grid.points, values, side="left") - 1
+    bins = bin_index(grid, values)
     lo = np.zeros(nbins, dtype=float)
     hi = np.zeros(nbins, dtype=float)
     for v, c, b in zip(values, mult, bins):

@@ -16,7 +16,7 @@ import numpy as np
 from ._common import ResourceCapError
 from .coder import CoderModel, CoderState, next_symbol_prob, sequence_codelength
 from .distributions import ParamVector
-from .grids import Grid
+from .grids import Grid, bin_index
 from .patterns import Pattern, bin_sequence, enumerate_patterns, extract_pattern, pattern_probability
 
 ENUMERATION_CAP = 10_000_000
@@ -39,6 +39,13 @@ def _entropy_of(masses) -> float:
     return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
 
 
+def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
+    """H(pattern) in bits, from every length-n pattern's injection-sum probability."""
+    return _entropy_of(
+        pattern_probability(theta, psi) for psi in enumerate_patterns(n, min(theta.k, n))
+    )
+
+
 def exact_entropies(theta: ParamVector, grid: Grid, n: int,
                     cap: int = ENUMERATION_CAP,
                     model: CoderModel | None = None) -> ExactEntropies:
@@ -55,9 +62,7 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     from .distributions import iid_entropy
 
     h_x_block = n * iid_entropy(theta)
-    h_pattern = _entropy_of(
-        pattern_probability(theta, psi) for psi in enumerate_patterns(n, min(k, n))
-    )
+    h_pattern = exact_pattern_entropy(theta, n)
     probs = theta.probs
     joint: dict[tuple, float] = {}
     for seq in itertools.product(range(1, k + 1), repeat=n):
@@ -170,7 +175,7 @@ def expected_codelength_stepwise(theta: ParamVector, grid: Grid, n: int,
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
     probs = [float(p) for p in theta.probs]
-    letter_bin = [int(np.searchsorted(grid.points, p, side="left") - 1) for p in probs]
+    letter_bin = bin_index(grid, probs).tolist()
 
     # node: (state, injections) where injections maps a tuple of assigned
     # letters (one per index, in index order) to its weight sum
@@ -237,7 +242,7 @@ def joint_pattern_bin_probability(theta: ParamVector, grid: Grid, psi, beta) -> 
             return 0.0
         occ[p] += 1
     probs = [float(x) for x in theta.probs]
-    letter_bin = [int(np.searchsorted(grid.points, p, side="left") - 1) for p in probs]
+    letter_bin = bin_index(grid, probs).tolist()
 
     def assign(j: int, used: int) -> float:
         if j > m:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._common import ResourceCapError
 from .distributions import ParamVector
-from .grids import Grid
+from .grids import Grid, bin_index
 
 ENUMERATION_CAP = 10_000_000
 INJECTION_K_CAP = 12
@@ -165,12 +165,12 @@ def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> flo
 
 def bin_sequence(theta: ParamVector, grid: Grid, x: Sequence[int]) -> BinSeq:
     """Per-symbol bin indices: entry j is the grid bin of the j-th symbol's probability."""
-    probs = theta.probs
-    k = theta.k
+    letter_bin = bin_index(grid, theta.probs).tolist()
+    k = len(letter_bin)
     out = []
     for sym in x:
         s = int(sym)
         if not 1 <= s <= k:
             raise ValueError(f"symbol {s} outside the alphabet 1..{k}")
-        out.append(int(np.searchsorted(grid.points, probs[s - 1], side="left") - 1))
+        out.append(letter_bin[s - 1])
     return tuple(out)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._common import LOG2E, log2_factorial
 from .bounds import (
+    SourceAnalysis,
     epsilon_n,
     lb_theorem2,
     lb_theorem4,
@@ -38,6 +39,7 @@ from .grids import (
 from .oracle import (
     brute_force_permutation_count,
     exact_entropies,
+    exact_pattern_entropy,
     expected_codelength_stepwise,
     mc_pattern_entropy,
 )
@@ -105,11 +107,7 @@ def check_sandwich(seed: int = DEFAULT_SEED) -> CheckResult:
     for n, k, theta in instance_matrix(seed):
         h_block = n * iid_entropy(theta)
         deduct = log2_factorial(k) - log2_factorial(max(0, k - n))
-        h_pat = -math.fsum(
-            p * math.log2(p)
-            for psi in enumerate_patterns(n, min(k, n))
-            if (p := pattern_probability(theta, psi)) > 0.0
-        )
+        h_pat = exact_pattern_entropy(theta, n)
         col.expect(h_block - deduct - tol <= h_pat,
                    f"lower violated at n={n} k={k}: {h_block - deduct} > {h_pat}")
         col.expect(h_pat <= h_block + tol,
@@ -250,11 +248,7 @@ def check_mc_estimator(seed: int = DEFAULT_SEED) -> CheckResult:
     col = _Collector()
     theta = ParamVector.from_probs([1.0 / 3.0] * 3)
     n = 10
-    exact = -math.fsum(
-        p * math.log2(p)
-        for psi in enumerate_patterns(n, 3)
-        if (p := pattern_probability(theta, psi)) > 0.0
-    )
+    exact = exact_pattern_entropy(theta, n)
     mc = mc_pattern_entropy(theta, n, samples=100_000, seed=seed)
     col.expect(abs(mc.estimate - exact) <= 3.0 * mc.stderr,
                f"|{mc.estimate} - {exact}| > 3*{mc.stderr}")
@@ -300,19 +294,20 @@ def check_degenerate_collapse() -> CheckResult:
             theta = ParamVector.from_probs(probs)
             thr2 = float(n) ** -(1.0 - eps)
             col.expect(min(probs) > thr2, f"case n={n} is not degenerate")
-            ub3 = ub_theorem3_family(theta, n, eps, "ub3")
-            ub1 = ub_theorem1(theta, n, eps)
+            analysis = SourceAnalysis(theta, n, eps)
+            ub3 = ub_theorem3_family(analysis, "ub3")
+            ub1 = ub_theorem1(analysis)
             col.expect(abs(ub3.terms[0][1] - ub1.terms[0][1]) <= 1e-12,
                        f"entropy terms differ at n={n}")
             col.expect(abs(ub3.terms[1][1] - ub1.terms[1][1]) <= 1e-12,
                        f"permutation terms differ at n={n}")
             col.expect(all(t == 0.0 for _, t in ub3.terms[2:]),
                        f"packing terms non-zero at n={n}")
-            lb4 = lb_theorem4(theta, n, eps)
+            lb4 = lb_theorem4(analysis)
             col.expect(lb4.term("low_reoccurrence_gain_S2") == 0.0, f"S2 != 0 at n={n}")
             col.expect(lb4.term("low_first_occurrence_gain_S3") == 0.0, f"S3 != 0 at n={n}")
             col.expect(lb4.term("boundary_separation_S4") == 0.0, f"S4 != 0 at n={n}")
-            lb2a, _ = lb_theorem2(theta, n, eps)
+            lb2a, _ = lb_theorem2(analysis)
             col.expect(abs(lb4.value - lb2a.value) <= 1e-9,
                        f"lb4 does not reduce to lb2 variant A at n={n}")
     return col.result("degenerate_collapse", t0, extra=f"{len(cases)} bounded-away sources")
@@ -340,12 +335,9 @@ def check_example_reproduction(n: int = 10**6, rel_tol: float = 0.05) -> CheckRe
     e = math.e
 
     def family_bounds(theta, eps):
-        eta = build_grid("eta", n, eps)
-        tau = build_grid("tau", n, eps)
-        return {
-            v: ub_theorem3_family(theta, n, eps, v, eta_grid=eta, tau_grid=tau).value
-            for v in ("ub3", "c1", "c21", "c2_loosened")
-        }
+        analysis = SourceAnalysis(theta, n, eps)
+        return {v: ub_theorem3_family(analysis, v).value
+                for v in ("ub3", "c1", "c21", "c2_loosened")}
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -566,13 +558,10 @@ def check_theorem12_bracket(seed: int = DEFAULT_SEED, epsilon: float = 0.1) -> C
                         d = rng.dirichlet(np.ones(k))
                         theta = ParamVector.from_probs(thr + d * (1.0 - k * thr))
                     tested += 1
-                    h_pat = -math.fsum(
-                        p * math.log2(p)
-                        for psi in enumerate_patterns(n, min(k, n))
-                        if (p := pattern_probability(theta, psi)) > 0.0
-                    )
-                    ub = ub_theorem1(theta, n, epsilon)
-                    lb_a, lb_b = lb_theorem2(theta, n, epsilon)
+                    h_pat = exact_pattern_entropy(theta, n)
+                    analysis = SourceAnalysis(theta, n, epsilon)
+                    ub = ub_theorem1(analysis)
+                    lb_a, lb_b = lb_theorem2(analysis)
                     en = epsilon_n(n, epsilon)
                     # o(k) budget: the typical-set divergence plus atypical mass cost
                     budget_ub = (6.0 * k / float(n) ** (epsilon / 2.0)) * LOG2E \

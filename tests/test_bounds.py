@@ -5,6 +5,7 @@ import pytest
 
 from pattern_entropy._common import LOG2E, log2_factorial
 from pattern_entropy.bounds import (
+    SourceAnalysis,
     contribution_limits,
     distinct_count_pmf,
     gamma_fixed_point,
@@ -55,16 +56,14 @@ class TestSimpleBounds:
 class TestPackedEntropies:
     def test_no_low_letters_collapse(self):
         pv = ParamVector.from_probs([0.2, 0.3, 0.5])
-        grid = build_grid("eta", 50, 0.2)
-        pk = packed_entropies(pv, grid)
+        pk = packed_entropies(SourceAnalysis(pv, 50, 0.2))
         h = iid_entropy(pv)
         assert pk.h0 == h and pk.h01 == h and pk.h0_1 == h
 
     def test_merged_low_bin(self):
         # thresholds at n=16, eps=0.2 capture {0.05, 0.1} as low letters
         pv = ParamVector.from_probs([0.05, 0.1, 0.35, 0.5])
-        grid = build_grid("eta", 16, 0.2)
-        pk = packed_entropies(pv, grid)
+        pk = packed_entropies(SourceAnalysis(pv, 16, 0.2))
         want = (-0.15 * math.log2(0.15) - 0.35 * math.log2(0.35) - 0.5 * math.log2(0.5))
         assert abs(pk.h01 - want) <= 1e-12
         assert abs(want - 1.4406454496153462) <= 1e-12
@@ -72,8 +71,7 @@ class TestPackedEntropies:
     def test_singleton_packs_change_nothing(self):
         # at n=8, eps=0.2 the bins are 0={0.05}, 1={0.1}: split packing is free
         pv = ParamVector.from_probs([0.05, 0.1, 0.35, 0.5])
-        grid = build_grid("eta", 8, 0.2)
-        pk = packed_entropies(pv, grid)
+        pk = packed_entropies(SourceAnalysis(pv, 8, 0.2))
         assert pk.k0 == 1 and pk.k1 == 1
         assert abs(pk.h0_1 - iid_entropy(pv)) <= 1e-12
 
@@ -81,14 +79,14 @@ class TestPackedEntropies:
 class TestUbTheorem1:
     def test_all_singleton_bins(self):
         pv = ParamVector.from_probs([0.2, 0.35, 0.45])
-        rep = ub_theorem1(pv, 60, 0.25)
+        rep = ub_theorem1(SourceAnalysis(pv, 60, 0.25))
         assert rep.valid
         assert rep.value == rep.term("block_entropy")
 
     def test_three_letter_bin_deduction(self):
         # three letters share one eta bin at n=100, eps=0.1: deduction 0.9 log2(6)
         pv = ParamVector.from_probs([0.2, 0.201, 0.202, 0.397])
-        rep = ub_theorem1(pv, 100, 0.1)
+        rep = ub_theorem1(SourceAnalysis(pv, 100, 0.1))
         assert abs(rep.term("permutation_deduction") + 0.9 * math.log2(6)) <= 1e-12
         assert "o(k)" in rep.residual_flags
 
@@ -97,7 +95,7 @@ class TestUbTheorem1:
         n, nu, eps = 10**6, 0.2, 0.1
         k = round(float(n) ** (1 - nu))
         pv = ParamVector.from_groups([1.0 / k], [k])
-        rep = ub_theorem1(pv, n, eps)
+        rep = ub_theorem1(SourceAnalysis(pv, n, eps))
         assert rep.valid
         want = -(1 - eps) * log2_factorial(k)
         assert abs(rep.term("permutation_deduction") - want) <= 1e-9 * abs(want)
@@ -106,13 +104,13 @@ class TestUbTheorem1:
 
     def test_tightened_substitution_reported(self):
         pv = ParamVector.from_probs([0.2, 0.35, 0.45])
-        rep = ub_theorem1(pv, 60, 0.25, tighten=True)
+        rep = ub_theorem1(SourceAnalysis(pv, 60, 0.25), tighten=True)
         assert rep.name == "ub_theorem1_tightened"
         assert any("substituted" in note for note in rep.notes)
 
     def test_validity_flag_for_low_letters(self):
         pv = ParamVector.from_probs([0.001, 0.999])
-        rep = ub_theorem1(pv, 100, 0.2)
+        rep = ub_theorem1(SourceAnalysis(pv, 100, 0.2))
         assert not rep.valid
 
 
@@ -120,7 +118,7 @@ class TestLbTheorem2:
     def test_singletons_empty_flanks(self):
         pv = ParamVector.from_probs([0.02, 0.2, 0.78])
         n, eps = 100, 0.0
-        a, b = lb_theorem2(pv, n, eps)
+        a, b = lb_theorem2(SourceAnalysis(pv, n, eps))
         h_block = n * iid_entropy(pv)
         assert abs(a.value - (h_block - 3 * math.log2(3))) <= 1e-9
         assert abs(b.value - h_block) <= 1e-9
@@ -129,7 +127,7 @@ class TestLbTheorem2:
         # kappa = (2, 2) in adjacent bins: variant B deducts 2 log2(24)
         pv = ParamVector.from_probs([0.05, 0.06, 0.1, 0.11, 0.68])
         n, eps = 100, 0.0
-        a, b = lb_theorem2(pv, n, eps)
+        a, b = lb_theorem2(SourceAnalysis(pv, n, eps))
         h_block = n * iid_entropy(pv)
         assert abs(b.value - (h_block - 2 * math.log2(24))) <= 1e-9
         assert abs(a.value - (h_block - 2 * math.log2(2) - 5 * math.log2(3))) <= 1e-9
@@ -139,7 +137,7 @@ class TestLbTheorem2:
         g = build_grid("xi", 50, 0.1)
         st = bin_stats(g, pv)
         assert np.sum(st.counts > 0) == 1
-        a, _ = lb_theorem2(pv, 50, 0.1)
+        a, _ = lb_theorem2(SourceAnalysis(pv, 50, 0.1))
         h_block = 50 * iid_entropy(pv)
         assert abs(a.value - (h_block - log2_factorial(4) - 4 * math.log2(3))) <= 1e-9
 
@@ -148,13 +146,13 @@ class TestUbTheorem3Family:
     def test_unknown_variant(self):
         pv = ParamVector.from_probs([0.5, 0.5])
         with pytest.raises(ValueError):
-            ub_theorem3_family(pv, 10, 0.2, "c99")
+            ub_theorem3_family(SourceAnalysis(pv, 10, 0.2), "c99")
 
     def test_degenerate_equals_theorem1(self):
         pv = ParamVector.from_probs([0.2, 0.3, 0.5])
         n, eps = 50, 0.2
-        ub3 = ub_theorem3_family(pv, n, eps, "ub3")
-        ub1 = ub_theorem1(pv, n, eps)
+        ub3 = ub_theorem3_family(SourceAnalysis(pv, n, eps), "ub3")
+        ub1 = ub_theorem1(SourceAnalysis(pv, n, eps))
         assert abs(ub3.value - ub1.value) <= 1e-12
         for name in ("bin1_reoccurrence_cost", "bin1_occupancy_cost", "bin0_packing_cost"):
             assert ub3.term(name) == 0.0
@@ -174,20 +172,20 @@ class TestUbTheorem3Family:
                 h = _h_pattern(pv, n)
                 checked += 1
                 for variant in ("c2_exact", "c2_loosened"):
-                    rep = ub_theorem3_family(pv, n, eps, variant)
+                    rep = ub_theorem3_family(SourceAnalysis(pv, n, eps), variant)
                     assert rep.value >= h - slack(k, n, eps)
         assert checked >= 4
 
     def test_c2_exact_notes_surrogate(self):
         pv = ParamVector.from_probs([0.4, 0.6])
-        rep = ub_theorem3_family(pv, 8, 0.2, "c2_exact")
+        rep = ub_theorem3_family(SourceAnalysis(pv, 8, 0.2), "c2_exact")
         assert any("surrogate" in note for note in rep.notes)
 
     def test_term_budget_orders(self):
         # with low letters present, packing terms are positive and flagged terms sum
         pv = ParamVector.from_groups([1e-4, 0.4995], [10, 2])
         n, eps = 100, 0.25
-        rep = ub_theorem3_family(pv, n, eps, "ub3")
+        rep = ub_theorem3_family(SourceAnalysis(pv, n, eps), "ub3")
         assert rep.term("bin0_packing_cost") > 0.0
         assert rep.value == math.fsum(t for _, t in rep.terms)
 
@@ -228,56 +226,56 @@ class TestLbTheorem4:
     def test_invalid_window(self):
         pv = ParamVector.from_probs([0.5, 0.5])
         with pytest.raises(ValueError):
-            lb_theorem4(pv, 10, 0.2, vartheta_minus=1.5)
+            lb_theorem4(SourceAnalysis(pv, 10, 0.2), vartheta_minus=1.5)
 
     def test_no_low_letters(self):
         pv = ParamVector.from_probs([0.2, 0.3, 0.5])
-        rep = lb_theorem4(pv, 50, 0.2)
+        rep = lb_theorem4(SourceAnalysis(pv, 50, 0.2))
         assert rep.term("low_reoccurrence_gain_S2") == 0.0
         assert rep.term("low_first_occurrence_gain_S3") == 0.0
         assert rep.term("boundary_separation_S4") == 0.0
-        a, _ = lb_theorem2(pv, 50, 0.2)
+        a, _ = lb_theorem2(SourceAnalysis(pv, 50, 0.2))
         assert abs(rep.value - a.value) <= 1e-9
 
     def test_single_low_letter_zero_s2(self):
         # theta_1 = 1/n = phi01: log(phi01/theta) = 0 wipes the S2 contribution
         n = 50
         pv = ParamVector.from_probs([1.0 / n, 1.0 - 1.0 / n])
-        rep = lb_theorem4(pv, n, 0.35)
+        rep = lb_theorem4(SourceAnalysis(pv, n, 0.35))
         assert abs(rep.term("low_reoccurrence_gain_S2")) <= 1e-12
 
     def test_s2_variants_close(self):
         pv = ParamVector.from_groups([2e-4, 5e-3, 0.493, 0.5], [10, 1, 1, 1])
         n, eps = 100, 0.25
-        r1 = lb_theorem4(pv, n, eps, s2_variant="b1")
-        r2 = lb_theorem4(pv, n, eps, s2_variant="b2")
+        r1 = lb_theorem4(SourceAnalysis(pv, n, eps), s2_variant="b1")
+        r2 = lb_theorem4(SourceAnalysis(pv, n, eps), s2_variant="b2")
         assert abs(r1.value - r2.value) <= 0.25 * max(1.0, abs(r1.value))
 
     def test_s3_origin_flag_adds_mass(self):
         pv = ParamVector.from_groups([1e-3, 0.979 / 2, 0.979 / 2], [21, 1, 1])
         n, eps = 100, 0.3
-        base = lb_theorem4(pv, n, eps)
-        origin = lb_theorem4(pv, n, eps, s3_from_origin=True)
+        base = lb_theorem4(SourceAnalysis(pv, n, eps))
+        origin = lb_theorem4(SourceAnalysis(pv, n, eps), s3_from_origin=True)
         assert origin.term("low_first_occurrence_gain_S3") >= base.term(
             "low_first_occurrence_gain_S3")
 
     def test_split_form_for_large_last_letter(self):
         # n=2, eps=0.55: the low threshold exceeds 3/5, so the last low letter splits
         pv = ParamVector.from_probs([0.35, 0.65])
-        rep = lb_theorem4(pv, 2, 0.55)
+        rep = lb_theorem4(SourceAnalysis(pv, 2, 0.55))
         assert any("split" in note for note in rep.notes)
 
 
 class TestContributionLimits:
     def test_no_low_letters(self):
         pv = ParamVector.from_probs([0.4, 0.6])
-        p1, p2 = contribution_limits(pv, 20, 0.2)
+        p1, p2 = contribution_limits(SourceAnalysis(pv, 20, 0.2))
         assert p1.value == 0.0 and p2.value == 0.0
 
     def test_part2_formula_value(self):
         # half the mass below 1/n^(1+eps) at n=100, eps=0.2
         pv = ParamVector.from_groups([5e-5, 0.5], [10000, 1])
-        _, p2 = contribution_limits(pv, 100, 0.2)
+        _, p2 = contribution_limits(SourceAnalysis(pv, 100, 0.2))
         want = 0.5 * 100 ** 0.8 / 2 * math.log2(2 * math.e * 100 ** 1.2)
         assert abs(p2.value - want) <= 1e-9
         assert abs(want - 103.66) <= 0.01
@@ -289,7 +287,7 @@ class TestContributionLimits:
         for n in (1000, 2000):
             k0 = 10 * n
             pv = ParamVector.from_groups([phi01 / k0, 1.0 - phi01], [k0, 1])
-            p1, _ = contribution_limits(pv, n, 0.2)
+            p1, _ = contribution_limits(SourceAnalysis(pv, n, 0.2))
             vals.append(p1.terms[0][1])
         n = 1000
         lead = lambda m: phi01 * m * math.log2(m)
@@ -300,7 +298,7 @@ class TestContributionLimits:
     def test_mu_precondition(self):
         pv = ParamVector.from_probs([0.5, 0.5])
         with pytest.raises(ValueError):
-            contribution_limits(pv, 10, 0.2, mu=0.5)
+            contribution_limits(SourceAnalysis(pv, 10, 0.2), mu=0.5)
 
 
 class TestStirling:

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 
-from pattern_entropy import cli
+from pattern_entropy import bounds, cli
+from pattern_entropy.grids import build_grid
 from pattern_entropy.verify import CheckResult
 
 
@@ -16,6 +18,13 @@ def write_config(tmp_path, doc, name="cfg.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+SINGLETON_ALPHABET = {
+    "source": {"family": "uniform", "params": {"k": 1}},
+    "n": 4, "epsilon": 0.3,
+    "bounds": ["simple", "ub1", "lb2b", "ub3", "c1", "c21", "c2_loosened"],
+}
 
 
 class TestBoundsCommand:
@@ -33,15 +42,19 @@ class TestBoundsCommand:
         assert float(by_name["simple_lower"]["exact_h_pattern"]) == 1.0
 
     def test_singleton_alphabet_all_zero(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "source": {"family": "uniform", "params": {"k": 1}},
-            "n": 4, "epsilon": 0.3,
-            "bounds": ["simple", "ub1", "lb2b", "ub3", "c1", "c21", "c2_loosened"],
-        })
+        cfg = write_config(tmp_path, SINGLETON_ALPHABET)
         out = str(tmp_path / "out.csv")
         assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
         for row in read_csv(out):
             assert float(row["value"]) == 0.0, row["bound"]
+
+    def test_zero_terms_print_without_sign(self, tmp_path):
+        # -(1 - eps) * 0.0 and n * -xlog2x(1) are negative zeros before BoundReport
+        cfg = write_config(tmp_path, SINGLETON_ALPHABET)
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        cells = [cell for row in read_csv(out) for cell in row.values()]
+        assert "0" in cells and "-0" not in cells
 
     def test_terms_reconstruct_value(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -85,6 +98,34 @@ class TestBoundsCommand:
     def test_unknown_key_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, {"sources": {}})
         assert cli.main(["bounds", "--config", cfg]) == 1
+
+    def test_removed_delta_key_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "source": {"family": "uniform", "params": {"k": 2}},
+            "n": 2, "bounds": ["simple"], "delta": 0.0,
+        })
+        assert cli.main(["bounds", "--config", cfg]) == 1
+
+    def test_each_grid_built_at_most_once(self, tmp_path, monkeypatch):
+        built = Counter()
+
+        def counting_build_grid(kind, *args, **kwargs):
+            built[kind] += 1
+            return build_grid(kind, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "build_grid", counting_build_grid)
+        source = {"family": "zipf", "params": {"k": 300, "exponent": 1.1}}
+        cfg = write_config(tmp_path, {"source": source, "n": 10**4, "epsilon": 0.4})
+        assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+        assert built == Counter(eta=1, xi=1, tau=1)
+
+        built.clear()
+        cfg = write_config(tmp_path, {
+            "source": source, "n": 10**4, "epsilon": 0.4,
+            "bounds": ["c21", "c2_loosened", "lb4", "contribution"],
+        })
+        assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        assert built == Counter(xi=1, tau=1)
 
     def test_per_row_cap_reported_run_continues(self, tmp_path):
         # the oracle breaches its cap; bounds still evaluate and exit is 0
@@ -207,19 +248,3 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, {"verify": {"suites": ["nonsense"]}})
         assert cli.main(["verify", "--config", cfg]) == 1
-
-
-class TestGridDump:
-    def test_serializes_grid_and_stats(self, tmp_path):
-        import io as _io
-        from pattern_entropy import ParamVector, bin_stats, build_grid
-        grid = build_grid("xi", 100, 0.2)
-        stats = bin_stats(grid, ParamVector.from_probs([0.05, 0.2, 0.75]))
-        rows = cli.grid_dump_rows(grid, stats)
-        assert rows[0]["row"] == "grid"
-        assert "info:eta_index_shift" in rows[0] and "info:spacing_proof_shift" in rows[0]
-        assert len(rows) == grid.num_bins + 1
-        assert sum(r["count"] for r in rows[1:]) == 3
-        buf = _io.StringIO()
-        cli._write_rows(rows, "csv", buf)
-        assert buf.getvalue().count("\n") == len(rows) + 1

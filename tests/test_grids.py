@@ -80,6 +80,14 @@ class TestBinIndex:
         with pytest.raises(ValueError):
             bin_index(self.g, 1.5)
 
+    def test_array_matches_scalars(self):
+        probs = np.array([1e-6, 0.04, 0.05, 0.5, 1.0])
+        bins = bin_index(self.g, probs)
+        assert bins.tolist() == [bin_index(self.g, float(p)) for p in probs]
+        assert np.array_equal(bins, np.searchsorted(self.g.points, probs, side="left") - 1)
+        with pytest.raises(ValueError):
+            bin_index(self.g, np.array([0.5, 0.0]))
+
     @given(st.floats(min_value=1e-12, max_value=1.0, exclude_min=False))
     def test_partition_total(self, theta):
         b = bin_index(self.g, theta)

@@ -4,14 +4,14 @@ import math
 
 
 def test_quickstart_block():
-    from pattern_entropy import (ParamVector, build_grid, exact_entropies,
+    from pattern_entropy import (ParamVector, SourceAnalysis, exact_entropies,
                                  simple_bounds, ub_theorem3_family)
 
     theta = ParamVector.from_probs([0.08, 0.17, 0.3, 0.45])
     n = 6
-    grid = build_grid("eta", n, 0.2)
-    exact = exact_entropies(theta, grid, n)
+    analysis = SourceAnalysis(theta, n, 0.2)
+    exact = exact_entropies(theta, analysis.eta_grid, n)
     lo, hi = simple_bounds(theta, n)
-    ub = ub_theorem3_family(theta, n, 0.2, "ub3")
+    ub = ub_theorem3_family(analysis, "ub3")
     assert lo.value <= exact.h_pattern <= hi.value
     assert ub.value == math.fsum(t for _, t in ub.terms)
