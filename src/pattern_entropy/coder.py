@@ -12,16 +12,30 @@ exactly what makes its expected codelength dominate the joint entropy.  The
 arithmetic coder in this module realizes the assignment exactly: interval
 arithmetic is done on integers (every float is a dyadic rational), so the
 emitted length is within 2 bits of -log2 Q on every sequence.
+
+Encode and decode share one per-stream event table (``_Steps``): an
+append-only prefix sum of the re-occurrence weights over the known indices,
+and the dyadic first-occurrence mass of each bin that still has one,
+refreshed only when that bin receives a new index.  A step costs O(B+) small
+integer operations for the B+ bins with phi_b > 0 (the re-occurrence part is
+one shift, plus an O(log m) bisection when decoding), plus a constant number
+of big-integer operations whose size grows linearly with the position, so a
+length-n stream costs O(n * B+) + O(n^2) bit operations; sequences longer
+than CODER_N_CAP raise ResourceCapError.  Decode tracks the code point's
+offset inside the current interval and accepts a stream only if it is the
+canonical dyadic encode would emit for what it decodes to.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._common import ResourceCapError
 from .distributions import ParamVector
 from .grids import Grid, bin_stats
 
@@ -29,6 +43,11 @@ __all__ = [
     "CoderModel", "CoderState", "Bitstring", "DecodeError",
     "next_symbol_prob", "sequence_codelength", "encode", "decode",
 ]
+
+# Longest sequence the exact coder accepts; a round trip at this length takes
+# seconds, and the cost grows quadratically with n (the interval's integers
+# grow linearly).
+CODER_N_CAP = 16_384
 
 
 class DecodeError(ValueError):
@@ -199,36 +218,116 @@ def _dyadic(x: float) -> tuple[int, int]:
     return num >> strip, shift - strip
 
 
-def _step_events(model: CoderModel, state: CoderState) -> list[tuple[int, int, float]]:
-    """Positive-probability events at a state: (psi, beta, prob), fixed order."""
-    events = []
-    for idx in range(1, state.max_index + 1):
-        b = state.index_to_bin[idx]
-        q = float(model.rho[b])
-        if q > 0.0:
-            events.append((idx, b, q))
-    new_index = state.max_index + 1
-    for b in range(model.num_bins):
-        seen = state.seen_per_bin.get(b, 0)
-        mass = float(model.phi[b]) - seen * float(model.rho[b])
-        if mass > 0.0:
-            events.append((new_index, b, mass))
-    return events
+def _shift(x: int, k: int) -> int:
+    """x * 2**k for k >= 0, floor(x / 2**-k) otherwise."""
+    return x << k if k >= 0 else x >> -k
 
 
-def _event_weights(events: list[tuple[int, int, float]]) -> tuple[list[int], int]:
-    """Integer event weights over a common denominator.
+class _Steps:
+    """Incremental event table of one stream, shared by encode and decode.
 
-    The denominator is 2**s for the common dyadic scale s, enlarged to the
-    exact weight total if float rounding pushed the total above 1; relative
-    widths then stay exact and the normalization cost is ~1 ulp per step.
+    At every state the positive-probability events are the re-occurrences of
+    the known indices (in index order, weight rho of the index's bin) followed
+    by one first occurrence per bin with positive remaining mass (in bin
+    order).  Each weight is a dyadic num / 2**shift; a step puts them all over
+    2**s with s the largest shift present, and its denominator is
+    max(2**s, weight total).  The table keeps:
+
+    - ``starts``: prefix sums of the re-occurrence weights over the indices,
+      at the fixed scale ``top`` (the largest rate shift), so one shift
+      rescales any of them to the step's scale; this is exact because every
+      summed weight has shift <= s;
+    - ``fresh``: the dyadic first-occurrence mass of each bin that still has
+      one, recomputed only when that bin's seen count changes.
     """
-    dy = [_dyadic(q) for _, _, q in events]
-    s = max(shift for _, shift in dy)
-    weights = [num << (s - shift) for num, shift in dy]
-    den = 1 << s
-    total = sum(weights)
-    return weights, max(den, total)
+
+    def __init__(self, model: CoderModel):
+        self.phi = [float(x) for x in model.phi]
+        self.rho = [float(x) for x in model.rho]
+        self.rate = [_dyadic(r) if r > 0.0 else None for r in self.rho]
+        self.top = max((shift for _, shift in filter(None, self.rate)), default=0)
+        self.rate_shift: int | None = None  # largest rate shift among known indices
+        self.starts = [0]
+        self.state = CoderState()
+        # a bin's mass never exceeds phi_b, so only bins with phi_b > 0 can hold one
+        self.fresh = {}
+        for b, x in enumerate(self.phi):
+            if x > 0.0:
+                self._weigh_fresh(b)
+
+    def _weigh_fresh(self, b: int) -> None:
+        mass = self.phi[b] - self.state.seen_per_bin.get(b, 0) * self.rho[b]
+        if mass > 0.0:
+            self.fresh[b] = _dyadic(mass)
+        else:
+            self.fresh.pop(b, None)
+
+    def begin(self, j: int) -> int:
+        """Weigh the events of step j at this state; returns the denominator."""
+        shifts = [shift for _, shift in self.fresh.values()]
+        if self.rate_shift is not None:
+            shifts.append(self.rate_shift)
+        if not shifts:
+            raise ValueError(f"no event has positive probability at position {j}")
+        s = self.s = max(shifts)
+        self.reoccur = _shift(self.starts[-1], s - self.top)
+        self.fresh_w = [(b, num << (s - shift)) for b, (num, shift) in self.fresh.items()]
+        total = self.reoccur + sum(w for _, w in self.fresh_w)
+        return max(1 << s, total)
+
+    def _rate_at(self, b: int) -> int:
+        num, shift = self.rate[b]
+        return num << (self.s - shift)
+
+    def locate(self, p: int, b: int) -> tuple[int, int] | None:
+        """(start, weight) of the event (p, b), or None if it has probability 0."""
+        m = self.state.max_index
+        if 1 <= p <= m:
+            if self.state.index_to_bin[p] != b or self.rate[b] is None:
+                return None
+            return _shift(self.starts[p - 1], self.s - self.top), self._rate_at(b)
+        if p == m + 1:
+            cum = self.reoccur
+            for fb, w in self.fresh_w:
+                if fb == b:
+                    return cum, w
+                cum += w
+        return None
+
+    def find(self, t: int) -> tuple[int, int, int, int] | None:
+        """(p, b, start, weight) of the event whose span holds t, or None if
+        t is at or beyond the weight total."""
+        if t < self.reoccur:
+            p = bisect_right(self.starts, _shift(t, self.top - self.s))
+            b = self.state.index_to_bin[p]
+            return p, b, _shift(self.starts[p - 1], self.s - self.top), self._rate_at(b)
+        cum = self.reoccur
+        for b, w in self.fresh_w:
+            if t < cum + w:
+                return self.state.max_index + 1, b, cum, w
+            cum += w
+        return None
+
+    def update(self, p: int, b: int) -> None:
+        """Record the step (p, b), which must be an event of this state."""
+        if p <= self.state.max_index:
+            return
+        self.state.update(p, b)
+        self._weigh_fresh(b)
+        rate = self.rate[b]
+        if rate is None:
+            self.starts.append(self.starts[-1])
+            return
+        num, shift = rate
+        if self.rate_shift is None or shift > self.rate_shift:
+            self.rate_shift = shift
+        self.starts.append(self.starts[-1] + (num << (self.top - shift)))
+
+
+def _check_cap(n: int) -> None:
+    if n > CODER_N_CAP:
+        raise ResourceCapError(
+            f"sequence length {n} exceeds the exact coder's cap CODER_N_CAP ({CODER_N_CAP})")
 
 
 def encode(model: CoderModel, psi, beta) -> Bitstring:
@@ -236,30 +335,25 @@ def encode(model: CoderModel, psi, beta) -> Bitstring:
 
     Every step must have strictly positive probability (true for sequences the
     source can emit).  The emitted length is at most -log2 Q + 2 bits.
+    Raises ResourceCapError above CODER_N_CAP symbols.
     """
     psi = tuple(int(p) for p in psi)
     beta = tuple(int(b) for b in beta)
     if len(psi) != len(beta) or not psi:
         raise ValueError("need non-empty (psi, beta) of equal length")
+    _check_cap(len(psi))
     low, width, P = 0, 1, 1
-    state = CoderState()
+    steps = _Steps(model)
     for j, (p, b) in enumerate(zip(psi, beta)):
-        events = _step_events(model, state)
-        weights, den = _event_weights(events)
-        cum = 0
-        target = None
-        for (ep, eb, _), w in zip(events, weights):
-            if ep == p and eb == b:
-                target = (cum, w)
-                break
-            cum += w
+        den = steps.begin(j)
+        target = steps.locate(p, b)
         if target is None:
             raise ValueError(f"zero-probability step at position {j}: ({p}, {b})")
         cum_lo, w = target
         low = low * den + cum_lo * width
         width = width * w
         P = P * den
-        state.update(p, b)
+        steps.update(p, b)
     # smallest L with width * 2**(L-1) >= P, then the canonical dyadic inside
     q = -(-P // width)
     L = (q - 1).bit_length() + 1
@@ -273,46 +367,38 @@ def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...],
     """Invert :func:`encode`; length n is conveyed out of band.
 
     Raises DecodeError when the stream is not the canonical encoding of any
-    length-n (psi, beta) under this model.
+    length-n (psi, beta) under this model, and ResourceCapError above
+    CODER_N_CAP symbols.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_cap(n)
     L = bits.nbits
     if L < 1:
         raise DecodeError("empty bitstream")
     c_num = bits._value()
-    low, width, P = 0, 1, 1
-    state = CoderState()
+    # With encode's (low, width, P), the code point c_num / 2**L sits
+    # D / (P * 2**L) above low / P, and the interval is scaled / (P * 2**L)
+    # wide: D = c_num * P - low * 2**L and scaled = width * 2**L.
+    D, scaled, P = c_num, 1 << L, 1
+    steps = _Steps(model)
     psi: list[int] = []
     beta: list[int] = []
-    for _ in range(n):
-        events = _step_events(model, state)
-        weights, den = _event_weights(events)
-        cums = [0]
-        for w in weights:
-            cums.append(cums[-1] + w)
-        lhs = c_num * P * den
-        scale = 1 << L
-        # largest event start not exceeding the code point
-        lo_idx, hi_idx = 0, len(events) - 1
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx + 1) // 2
-            if (low * den + cums[mid] * width) * scale <= lhs:
-                lo_idx = mid
-            else:
-                hi_idx = mid - 1
-        t = lo_idx
-        new_low = low * den + cums[t] * width
-        new_width = width * weights[t]
-        if (new_low + new_width) * scale <= lhs:
+    for j in range(n):
+        den = steps.begin(j)
+        D *= den
+        event = steps.find(D // scaled)
+        if event is None:
             raise DecodeError("code point escapes every event interval")
-        low, width, P = new_low, new_width, P * den
-        p, b, _ = events[t]
+        p, b, cum_lo, w = event
+        D -= cum_lo * scaled
+        scaled *= w
+        P *= den
         psi.append(p)
         beta.append(b)
-        state.update(p, b)
-    if (c_num + 1) * P > (low + width) * (1 << L) or c_num * P < low * (1 << L):
-        raise DecodeError("bitstream is not contained in the decoded interval")
-    if encode(model, psi, beta) != bits:
+        steps.update(p, b)
+    # encode's output: L is the smallest length with width * 2**(L-1) >= P,
+    # and c_num = ceil(low * 2**L / P), i.e. 0 <= D < P
+    if not (2 * P <= scaled and (L == 1 or scaled < 4 * P) and D < P):
         raise DecodeError("bitstream is not the canonical encoding of its decode")
     return tuple(psi), tuple(beta)

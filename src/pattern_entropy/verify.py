@@ -128,7 +128,9 @@ def check_coder_dominance(seed: int = DEFAULT_SEED, epsilon: float = 0.3) -> Che
             if n > 6:
                 continue
             count += 1
-            grid = grids.setdefault(n, build_grid("eta", n, epsilon))
+            if n not in grids:
+                grids[n] = build_grid("eta", n, epsilon)
+            grid = grids[n]
             model = CoderModel.from_source(theta, grid, n)
             ee = exact_entropies(theta, grid, n, model=model)
             col.expect(ee.expected_codelength >= ee.h_joint - tol,
@@ -475,7 +477,9 @@ def check_coder_roundtrip(seed: int = DEFAULT_SEED, trials: int = 1000) -> Check
                 while probs.min() <= 1e-6:
                     probs = rng.dirichlet(np.ones(k))
                 theta = ParamVector.from_probs(probs)
-            grid = grids.setdefault(n, build_grid("eta", n, eps))
+            if n not in grids:
+                grids[n] = build_grid("eta", n, eps)
+            grid = grids[n]
             model = CoderModel.from_source(theta, grid, n)
             x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
             psi = extract_pattern(x)

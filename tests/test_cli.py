@@ -5,6 +5,7 @@ import math
 from collections import Counter
 
 from pattern_entropy import bounds, cli
+from pattern_entropy.coder import CODER_N_CAP
 from pattern_entropy.grids import build_grid
 from pattern_entropy.verify import CheckResult
 
@@ -203,6 +204,14 @@ class TestCodeCommand:
         assert len(rows) == 10
         assert all(r["roundtrip_ok"] == "True" for r in rows)
         assert all(r["within_two_bits"] == "True" for r in rows)
+
+    def test_cap_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "source": {"family": "explicit", "params": {"probs": [0.5, 0.5]}},
+            "n": CODER_N_CAP + 1, "epsilon": 0.3, "code": {"count": 1, "seed": 0},
+        })
+        assert cli.main(["code", "--config", cfg]) == 3
+        assert "resource cap:" in capsys.readouterr().err
 
 
 class TestOracleCommand:

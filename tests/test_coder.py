@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from pattern_entropy import verify
+from pattern_entropy._common import ResourceCapError
 from pattern_entropy.coder import (
+    CODER_N_CAP,
     Bitstring,
     CoderModel,
     CoderState,
@@ -225,6 +228,30 @@ class TestArithmeticCoder:
         psi, beta = extract_pattern(x), bin_sequence(pv, grid, x)
         bits = encode(model, psi, beta)
         assert decode(model, bits, n) == decode(model, bits, n)
+
+
+class TestResourceCap:
+    def test_decode_refuses_n_above_cap_before_any_work(self):
+        with pytest.raises(ResourceCapError, match=f"CODER_N_CAP \\({CODER_N_CAP}\\)"):
+            decode(three_letter_single_bin_model(), Bitstring.from01("1"), CODER_N_CAP + 1)
+
+    def test_encode_refuses_sequences_above_cap(self):
+        n = CODER_N_CAP + 1
+        with pytest.raises(ResourceCapError, match="CODER_N_CAP"):
+            encode(three_letter_single_bin_model(), (1,) * n, (2,) * n)
+
+
+def test_roundtrip_check_builds_each_grid_once(monkeypatch):
+    built = []
+    real = verify.build_grid
+
+    def counting(kind, n, epsilon):
+        built.append(n)
+        return real(kind, n, epsilon)
+
+    monkeypatch.setattr(verify, "build_grid", counting)
+    assert verify.check_coder_roundtrip(trials=40).passed
+    assert sorted(built) == sorted(set(built))
 
 
 class TestBitstring:
