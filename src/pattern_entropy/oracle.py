@@ -1,7 +1,7 @@
 """Ground-truth entropy computations: exact at small scale, Monte Carlo beyond.
 
 Everything here is an independent oracle: exhaustive enumeration over raw
-sequences, injection sums over patterns, and inclusion-exclusion over letter
+sequences, exact pattern probabilities, and inclusion-exclusion over letter
 subsets.  Bound evaluations are validated against these values.
 """
 
@@ -17,7 +17,7 @@ from ._common import ResourceCapError
 from .coder import CoderModel, CoderState, next_symbol_prob, sequence_codelength
 from .distributions import ParamVector
 from .grids import Grid, bin_index
-from .patterns import Pattern, bin_sequence, enumerate_patterns, extract_pattern, pattern_probability
+from .patterns import Pattern, enumerate_patterns, extract_pattern, pattern_probability
 
 ENUMERATION_CAP = 10_000_000
 MC_K_CAP = 10
@@ -40,7 +40,7 @@ def _entropy_of(masses) -> float:
 
 
 def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
-    """H(pattern) in bits, from every length-n pattern's injection-sum probability."""
+    """H(pattern) in bits, from every length-n pattern's exact probability."""
     return _entropy_of(
         pattern_probability(theta, psi) for psi in enumerate_patterns(n, min(theta.k, n))
     )
@@ -52,7 +52,7 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     """Exact pattern / joint / codelength quantities by exhaustive enumeration.
 
     The pattern entropy is computed from the pattern side (enumeration of
-    restricted growth strings with injection-sum probabilities); the joint
+    restricted growth strings with their exact probabilities); the joint
     entropy and expected codelength enumerate all k^n raw sequences, since the
     bin string is a function of the sequence rather than of its pattern.
     """
@@ -63,13 +63,14 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
 
     h_x_block = n * iid_entropy(theta)
     h_pattern = exact_pattern_entropy(theta, n)
-    probs = theta.probs
+    probs = theta.probs.tolist()
+    letter_bin = bin_index(grid, probs).tolist()
     joint: dict[tuple, float] = {}
     for seq in itertools.product(range(1, k + 1), repeat=n):
         p = 1.0
         for s in seq:
             p *= probs[s - 1]
-        key = (extract_pattern(seq).indices, bin_sequence(theta, grid, seq))
+        key = (extract_pattern(seq).indices, tuple(letter_bin[s - 1] for s in seq))
         joint[key] = joint.get(key, 0.0) + p
     h_joint = _entropy_of(joint.values())
     if model is None:
@@ -101,13 +102,13 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
         raise ValueError("need at least 2 samples for a standard error")
     rng = np.random.default_rng(seed)
     draws = rng.choice(np.arange(1, k + 1), size=(samples, n), p=theta.probs)
-    counts: dict[tuple[int, ...], int] = {}
-    for row in draws:
-        key = extract_pattern(row).indices
-        counts[key] = counts.get(key, 0) + 1
-    values = {key: -math.log2(pattern_probability(theta, Pattern(key))) for key in counts}
-    mean = math.fsum(c * values[key] for key, c in counts.items()) / samples
-    ss = math.fsum(c * (values[key] - mean) ** 2 for key, c in counts.items())
+    counts: dict[Pattern, int] = {}
+    for row in draws.tolist():
+        psi = extract_pattern(row)
+        counts[psi] = counts.get(psi, 0) + 1
+    values = {psi: -math.log2(pattern_probability(theta, psi)) for psi in counts}
+    mean = math.fsum(c * values[psi] for psi, c in counts.items()) / samples
+    ss = math.fsum(c * (values[psi] - mean) ** 2 for psi, c in counts.items())
     stderr = math.sqrt(ss / (samples - 1) / samples)
     return MCEstimate(estimate=mean, stderr=stderr, samples=samples)
 

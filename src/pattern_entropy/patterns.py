@@ -122,10 +122,18 @@ def enumerate_patterns(n: int, k: int, cap: int = ENUMERATION_CAP) -> Iterator[P
 def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> float:
     """Probability that n i.i.d. draws from ``theta`` produce pattern ``psi``.
 
-    Sums, over every injection of the pattern's indices into the alphabet,
-    the product of letter probabilities raised to the index occurrence counts.
-    Partial sums use compensated accumulation (fsum): the injection terms mix
-    magnitudes badly.
+    P(psi) is a sum over injections of the pattern's indices into the
+    alphabet, and it depends only on how many indices land in each
+    (value, count) group of ``theta``.  A DP places the indices one at a time;
+    its state is the number of letters of each group already used.  Placing
+    an index that occurs n_j times in group g, with c_g of its k_g letters
+    taken, multiplies by (k_g - c_g) * v_g**n_j.  Each layer's merged states
+    are summed with compensated accumulation (fsum): the terms mix magnitudes
+    badly.
+
+    There are at most prod_g(min(k_g, m) + 1) <= 2**k states, so a pattern
+    costs O(m * states * G): O(m) for a uniform source, where the DP yields
+    k!/(k-m)! * k**-n.  Only ``theta.values`` and ``theta.counts`` are read.
     """
     if not isinstance(psi, Pattern):
         psi = Pattern(tuple(psi))
@@ -136,31 +144,22 @@ def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> flo
         return 0.0
     if k > INJECTION_K_CAP:
         raise ResourceCapError(f"injection sum is guarded to k <= {INJECTION_K_CAP}, got {k}")
-    probs = [float(p) for p in theta.probs]
-    occ = [0] * (m + 1)
+    groups = list(theta.groups())
+    occ = [0] * m
     for j in psi:
-        occ[j] += 1
-    # powers[i][j] = probs[i] ** occ[j+1]
-    powers = [[p ** occ[j] for j in range(1, m + 1)] for p in probs]
-
-    memo: dict[tuple[int, int], float] = {}
-
-    def assign(j: int, used: int) -> float:
-        if j == m:
-            return 1.0
-        key = (j, used)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        val = math.fsum(
-            powers[i][j] * assign(j + 1, used | (1 << i))
-            for i in range(k)
-            if not used & (1 << i)
-        )
-        memo[key] = val
-        return val
-
-    return assign(0, 0)
+        occ[j - 1] += 1
+    layer: dict[tuple[int, ...], float] = {(0,) * len(groups): 1.0}
+    for n_j in occ:
+        powers = [v ** n_j for v, _ in groups]
+        terms: dict[tuple[int, ...], list[float]] = {}
+        for used, w in layer.items():
+            for g, (_, k_g) in enumerate(groups):
+                free = k_g - used[g]
+                if free:
+                    nxt = used[:g] + (used[g] + 1,) + used[g + 1:]
+                    terms.setdefault(nxt, []).append(w * free * powers[g])
+        layer = {state: math.fsum(ts) for state, ts in terms.items()}
+    return math.fsum(layer.values())
 
 
 def bin_sequence(theta: ParamVector, grid: Grid, x: Sequence[int]) -> BinSeq:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import LOG2E, log2_factorial
+from ._common import LOG2E, ResourceCapError, log2_factorial
 from .bounds import (
     SourceAnalysis,
     epsilon_n,
@@ -43,7 +43,14 @@ from .oracle import (
     expected_codelength_stepwise,
     mc_pattern_entropy,
 )
-from .patterns import bin_sequence, enumerate_patterns, extract_pattern, pattern_probability
+from .patterns import (
+    INJECTION_K_CAP,
+    Pattern,
+    bin_sequence,
+    enumerate_patterns,
+    extract_pattern,
+    pattern_probability,
+)
 
 DEFAULT_SEED = 20240801
 
@@ -499,6 +506,7 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
     t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
+    grids: dict[int, Grid] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(60):
@@ -508,7 +516,9 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
             while probs.min() <= 1e-6:
                 probs = rng.dirichlet(np.ones(k))
             theta = ParamVector.from_probs(probs)
-            grid = build_grid("eta", n, 0.3)
+            if n not in grids:
+                grids[n] = build_grid("eta", n, 0.3)
+            grid = grids[n]
             model = CoderModel.from_source(theta, grid, n)
             stats = bin_stats(grid, theta)
             x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
@@ -586,8 +596,54 @@ def check_theorem12_bracket(seed: int = DEFAULT_SEED, epsilon: float = 0.1) -> C
               f"desk-scale o(k)/o(1) allowances)")
 
 
+def _injection_sum_probability(theta: ParamVector, psi: Pattern) -> float:
+    """P(psi) as the memoised sum over injections of indices into letter subsets.
+
+    The independent slow route for :func:`pattern_probability`: it reads the
+    per-letter probabilities and visits up to 2**k letter subsets.
+    """
+    k = theta.k
+    m = psi.m
+    if k > INJECTION_K_CAP:
+        raise ResourceCapError(f"injection sum is guarded to k <= {INJECTION_K_CAP}, got {k}")
+    probs = [float(p) for p in theta.probs]
+    occ = [0] * (m + 1)
+    for j in psi:
+        occ[j] += 1
+    # powers[i][j] = probs[i] ** occ[j+1]
+    powers = [[p ** occ[j] for j in range(1, m + 1)] for p in probs]
+
+    memo: dict[tuple[int, int], float] = {}
+
+    def assign(j: int, used: int) -> float:
+        if j == m:
+            return 1.0
+        key = (j, used)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        val = math.fsum(
+            powers[i][j] * assign(j + 1, used | (1 << i))
+            for i in range(k)
+            if not used & (1 << i)
+        )
+        memo[key] = val
+        return val
+
+    return assign(0, 0)
+
+
+# Sources with tied probabilities, so that groups with count > 1 are exercised.
+_TIED_SOURCES = {
+    2: [ParamVector.from_groups([0.5], [2])],
+    3: [ParamVector.from_groups([1.0 / 3.0], [3]), ParamVector.from_groups([0.2, 0.6], [2, 1])],
+    4: [ParamVector.from_groups([0.25], [4]), ParamVector.from_groups([0.1, 0.4], [2, 2])],
+}
+
+
 def check_pattern_properties(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Pattern laws: total probability 1, idempotence, prefix consistency."""
+    """Pattern laws: total probability 1, agreement with the injection sum,
+    idempotence, prefix consistency."""
     t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
@@ -596,10 +652,18 @@ def check_pattern_properties(seed: int = DEFAULT_SEED) -> CheckResult:
             probs = rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
             while probs.min() < 1e-6:
                 probs = rng.dirichlet(np.ones(k))
-            theta = ParamVector.from_probs(probs)
-            total = math.fsum(pattern_probability(theta, psi)
-                              for psi in enumerate_patterns(n, min(k, n)))
-            col.expect(abs(total - 1.0) <= 1e-10, f"pattern law fails at n={n} k={k}: {total}")
+            for theta in [ParamVector.from_probs(probs), *_TIED_SOURCES.get(k, [])]:
+                masses = []
+                for psi in enumerate_patterns(n, min(k, n)):
+                    got = pattern_probability(theta, psi)
+                    want = _injection_sum_probability(theta, psi)
+                    col.expect(abs(got - want) <= 1e-12 * want,
+                               f"P({psi}) = {got} but the injection sum gives {want} "
+                               f"at n={n} k={k}")
+                    masses.append(got)
+                total = math.fsum(masses)
+                col.expect(abs(total - 1.0) <= 1e-10,
+                           f"pattern law fails at n={n} k={k}: {total}")
     for _ in range(50):
         n = int(rng.integers(1, 20))
         x = rng.integers(0, 6, size=n)
@@ -610,7 +674,9 @@ def check_pattern_properties(seed: int = DEFAULT_SEED) -> CheckResult:
         relabel = rng.permutation(6)
         col.expect(extract_pattern([int(relabel[v]) for v in x]).indices == psi.indices,
                    "not relabeling-invariant")
-    return col.result("pattern_properties", t0, extra="total-mass law n<=8 k<=4 plus structure laws")
+    return col.result("pattern_properties", t0,
+                      extra="total-mass law and injection-sum agreement n<=8 k<=4 "
+                            "(random, uniform and two-level sources) plus structure laws")
 
 
 CHECKS = {
@@ -631,6 +697,20 @@ CHECKS = {
 }
 
 
+# The suites that take a ``seed``; the others are fully fixed.
+SEEDED_CHECKS = frozenset({
+    "sandwich",
+    "coder_dominance",
+    "permutation_count",
+    "occurrence_formulas",
+    "mc_estimator",
+    "coder_roundtrip",
+    "coder_normalization",
+    "theorem12_bracket",
+    "pattern_properties",
+})
+
+
 def run_suites(selection=None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run the named suites (all when selection is None) with a shared seed."""
     names = list(CHECKS) if not selection else list(selection)
@@ -639,8 +719,5 @@ def run_suites(selection=None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
         fn = CHECKS.get(name)
         if fn is None:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(CHECKS)}")
-        kwargs = {}
-        if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            kwargs["seed"] = seed
-        results.append(fn(**kwargs))
+        results.append(fn(seed=seed) if name in SEEDED_CHECKS else fn())
     return results

@@ -4,6 +4,8 @@ Every criterion runs at its stated tolerance through the verification suites
 in :mod:`pattern_entropy.verify`; stated runtime budgets are asserted too.
 """
 
+import inspect
+
 import pytest
 
 from pattern_entropy import verify
@@ -83,3 +85,19 @@ def test_supporting_invariants(suite):
     print(f"\n[{'PASS' if result.passed else 'FAIL'}] supporting suite {suite}: "
           f"{result.checks} checks, {result.elapsed:.2f}s")
     assert result.passed, result.details
+
+
+def test_seeded_suites_are_those_taking_a_seed():
+    takes_seed = {name for name, fn in verify.CHECKS.items()
+                  if "seed" in inspect.signature(fn).parameters}
+    assert verify.SEEDED_CHECKS == takes_seed
+
+
+def test_run_suites_passes_the_seed_to_seeded_suites_only(monkeypatch):
+    calls = {}
+    for name in list(verify.CHECKS):
+        monkeypatch.setitem(verify.CHECKS, name,
+                            lambda name=name, **kwargs: calls.setdefault(name, kwargs))
+    verify.run_suites(seed=7)
+    assert calls == {name: {"seed": 7} if name in verify.SEEDED_CHECKS else {}
+                     for name in verify.CHECKS}

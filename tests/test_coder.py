@@ -254,6 +254,19 @@ def test_roundtrip_check_builds_each_grid_once(monkeypatch):
     assert sorted(built) == sorted(set(built))
 
 
+def test_normalization_check_builds_each_grid_once(monkeypatch):
+    built = []
+    real = verify.build_grid
+
+    def counting(kind, n, epsilon):
+        built.append(n)
+        return real(kind, n, epsilon)
+
+    monkeypatch.setattr(verify, "build_grid", counting)
+    assert verify.check_coder_normalization().passed
+    assert sorted(built) == sorted(set(built))
+
+
 class TestBitstring:
     def test_roundtrip_01(self):
         for s in ("1", "0101", "111000111000111", "0" * 17):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pattern_entropy import oracle, patterns
 from pattern_entropy._common import ResourceCapError
 from pattern_entropy.coder import CoderModel
 from pattern_entropy.distributions import ParamVector
@@ -70,6 +71,29 @@ class TestExactEntropies:
         pv = ParamVector.from_probs([0.25] * 4)
         with pytest.raises(ResourceCapError):
             exact_entropies(pv, _grid(30), 30)
+
+    def test_bins_the_alphabet_once(self, monkeypatch):
+        calls = {"bin_index": 0, "bin_sequence": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (oracle, patterns):
+            for name in calls:
+                if hasattr(module, name):
+                    counting(module, name)
+        pv = ParamVector.from_probs([0.1, 0.2, 0.3, 0.4])
+        n = 5
+        grid = _grid(n)
+        ee = exact_entropies(pv, grid, n, model=CoderModel.from_source(pv, grid, n))
+        assert calls == {"bin_index": 1, "bin_sequence": 0}
+        assert ee.h_pattern <= ee.h_joint + 1e-9
 
     def test_pattern_side_matches_joint_marginal(self):
         pv = ParamVector.from_probs([0.15, 0.35, 0.5])

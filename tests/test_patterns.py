@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pattern_entropy import verify
 from pattern_entropy._common import ResourceCapError
 from pattern_entropy.distributions import ParamVector
 from pattern_entropy.grids import build_grid
 from pattern_entropy.patterns import (
+    INJECTION_K_CAP,
     Pattern,
     bin_sequence,
     count_patterns,
@@ -144,6 +146,57 @@ class TestPatternProbability:
         pv = ParamVector.from_groups([1.0 / 16] * 16, [1] * 16)
         with pytest.raises(ResourceCapError):
             pattern_probability(pv, [1, 2])
+
+    def test_guard_holds_for_one_group_above_cap(self):
+        k = INJECTION_K_CAP + 1
+        with pytest.raises(ResourceCapError, match=str(INJECTION_K_CAP)):
+            pattern_probability(ParamVector.from_groups([1.0 / k], [k]), [1, 2])
+        k = INJECTION_K_CAP
+        want = k * (k - 1) / k ** 2
+        got = pattern_probability(ParamVector.from_groups([1.0 / k], [k]), [1, 2])
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_too_many_indices_warns_before_cap(self):
+        # m > k returns 0 with a warning, even where k is above the cap
+        k = INJECTION_K_CAP + 1
+        pv = ParamVector.from_groups([1.0 / k], [k])
+        with pytest.warns(UserWarning, match="probability 0"):
+            assert pattern_probability(pv, range(1, k + 2)) == 0.0
+        pv = ParamVector.from_groups([0.1, 0.4], [2, 2])
+        with pytest.warns(UserWarning):
+            assert pattern_probability(pv, [1, 2, 3, 4, 5]) == 0.0
+
+    def test_uniform_closed_form(self):
+        # k!/(k-m)! * k**-n: the falling factorial counts the injections
+        for k in range(1, INJECTION_K_CAP + 1):
+            pv = ParamVector.from_groups([1.0 / k], [k])
+            for psi in [(1,), (1, 1, 2, 1), (1, 2, 3, 1, 2), tuple(range(1, min(k, 9) + 1)),
+                        (1, 2, 2, 3, 4, 4, 4, 5, 1, 6)]:
+                m = max(psi)
+                if m > k:
+                    continue
+                n = len(psi)
+                want = math.perm(k, m) / k ** n
+                got = pattern_probability(pv, psi)
+                assert abs(got - want) <= 1e-13 * want, (k, psi)
+
+    def test_matches_injection_sum_on_tied_sources(self):
+        # the grouped DP against the bitmask injection sum kept in verify
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(200):
+            k = int(rng.integers(2, 8))
+            n = int(rng.integers(1, 8))
+            G = int(rng.integers(1, k))
+            counts = rng.multinomial(k - G, np.ones(G) / G) + 1
+            values = rng.dirichlet(np.ones(G)) / counts
+            values /= float(np.dot(values, counts))
+            pv = ParamVector.from_groups(values, counts)
+            for psi in enumerate_patterns(n, min(k, n)):
+                got = pattern_probability(pv, psi)
+                want = verify._injection_sum_probability(pv, psi)
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-12
 
 
 class TestBinSequence:
