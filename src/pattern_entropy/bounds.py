@@ -17,8 +17,7 @@ from scipy.stats import binom as _binom
 
 from ._common import LOG2E, ResourceCapError, log2_binomial, log2_factorial, xlog2x
 from .distributions import ParamVector, binary_entropy, iid_entropy
-from .grids import (BinStats, Grid, absent_probability, bin_index, bin_stats, build_grid,
-                    low_thresholds)
+from .grids import BinStats, Grid, absent_probability, bin_stats, build_grid, low_thresholds
 
 DEFAULT_VARTHETA_MINUS = math.exp(-5.5)
 DEFAULT_VARTHETA_PLUS = math.exp(1.4)
@@ -62,10 +61,6 @@ class PackedEntropies:
     h0: float
     h01: float
     h0_1: float
-    k0: int
-    k1: int
-    phi0: float
-    phi1: float
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,6 @@ def packed_entropies(analysis: SourceAnalysis) -> PackedEntropies:
         h0=-xlog2x(low.phi0) + tail_1_high,
         h01=-xlog2x(low.phi01) + tail_high,
         h0_1=-xlog2x(low.phi0) - xlog2x(low.phi1) + tail_high,
-        k0=low.k0, k1=low.k1, phi0=low.phi0, phi1=low.phi1,
     )
 
 
@@ -210,21 +204,21 @@ def epsilon_n(n: int, epsilon: float) -> float:
     return math.exp(-0.1 * float(n) ** epsilon + (2.0 - epsilon) * math.log(n))
 
 
-def _perm_deduction_sum(counts: np.ndarray, lo: int, hi: int) -> float:
-    """Sum of log2(count_b!) over bins lo..hi inclusive."""
-    hi = min(hi, len(counts) - 1)
-    if hi < lo:
-        return 0.0
-    window = counts[lo:hi + 1]
-    nz = window[window > 1]
-    return float(math.fsum(log2_factorial(int(m)) for m in nz))
+def _perm_deduction_sum(bins: np.ndarray, counts: np.ndarray, lo: int, hi: int) -> float:
+    """Sum of log2(count!) over the occupied bins lo..hi inclusive.
+
+    ``counts`` is aligned with ``bins``, the ascending occupied-bin indices.
+    """
+    window = counts[(bins >= lo) & (bins <= hi)]
+    return float(math.fsum(log2_factorial(int(m)) for m in window[window > 1]))
 
 
 def ub_theorem1(analysis: SourceAnalysis, tighten: bool = False) -> BoundReport:
     """Upper bound for bounded-away probabilities: block entropy minus the
     discounted log permutation count within eta bins 2..A."""
     theta, n, epsilon = analysis.theta, analysis.n, analysis.epsilon
-    perm = _perm_deduction_sum(analysis.eta_stats.counts, 2, analysis.eta_grid.A)
+    stats = analysis.eta_stats
+    perm = _perm_deduction_sum(stats.bins, stats.counts, 2, analysis.eta_grid.A)
     notes: list[str] = []
     eps_used = epsilon
     if tighten:
@@ -255,8 +249,8 @@ def lb_theorem2(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
     theta, n = analysis.theta, analysis.n
     stats, A = analysis.xi_stats, analysis.xi_grid.A
     h_block = n * analysis.h_x
-    sum_a = _perm_deduction_sum(stats.counts, 1, A)
-    sum_b = _perm_deduction_sum(stats.kappa_prime, 1, A)
+    sum_a = _perm_deduction_sum(stats.bins, stats.counts, 1, A)
+    sum_b = _perm_deduction_sum(stats.bins, stats.kappa_prime, 1, A)
     _, thr2 = low_thresholds(n, analysis.epsilon)
     valid = bool(theta.values[0] > thr2)
     rep_a = BoundReport(
@@ -281,24 +275,24 @@ def lb_theorem2(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
     return rep_a, rep_b
 
 
-def distinct_count_pmf(theta: ParamVector, grid: Grid, b: int, cap: int = PMF_CAP) -> np.ndarray:
-    """Distribution of the number of distinct bin-b letters seen in n draws.
+def distinct_count_pmf(analysis: SourceAnalysis, b: int, cap: int = PMF_CAP) -> np.ndarray:
+    """Distribution of the number of distinct letters of tau bin b seen in n draws.
 
     Uses the independent-occurrence surrogate: each letter appears with its own
     probability 1 - (1-theta)^n, independently; groups of equal-probability
     letters contribute binomial blocks convolved together.  This is a
     documented approximation (true occurrence indicators are weakly dependent);
     see the verification suite for the Monte Carlo / exact cross-checks.
+    The bin's groups and their occupancy are read from ``analysis``
+    (``tau_stats.group_bin`` and ``occupancy``).
     """
-    n = grid.n
-    v, c = theta.values, theta.counts
-    sel = bin_index(grid, v) == b
-    total = int(c[sel].sum())
+    sel = analysis.tau_stats.group_bin == b
+    c = analysis.theta.counts[sel]
+    total = int(c.sum())
     if total + 1 > cap:
         raise ResourceCapError(f"bin {b} holds {total} letters; pmf cap is {cap}")
     pmf = np.array([1.0])
-    for vv, cc in zip(v[sel], c[sel]):
-        p_occ = 1.0 - absent_probability(float(vv), n)
+    for cc, p_occ in zip(c, analysis.occupancy[sel]):
         block = _binom.pmf(np.arange(int(cc) + 1), int(cc), p_occ)
         pmf = np.convolve(pmf, block)
     return pmf
@@ -331,14 +325,15 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str,
     """
     if variant not in UB3_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {UB3_VARIANTS}")
-    theta, n, epsilon = analysis.theta, analysis.n, analysis.epsilon
+    n, epsilon = analysis.n, analysis.epsilon
     low, packed = analysis.low, analysis.packed
     notes: list[str] = []
     terms: list[tuple[str, float]] = []
     flags: tuple[str, ...] = ()
 
     if variant in ("ub3", "c1"):
-        perm = _perm_deduction_sum(analysis.eta_stats.counts, 2, analysis.eta_grid.A)
+        stats = analysis.eta_stats
+        perm = _perm_deduction_sum(stats.bins, stats.counts, 2, analysis.eta_grid.A)
         flags = ("o-terms absorbed by the epsilon discount",)
         if variant == "ub3":
             t_reocc, t_h2, note1 = _bin1_packing_terms(low.phi1, low.L1, low.ell1, n, "bin1")
@@ -369,25 +364,23 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str,
                 ("bin0_packing_cost", t_bin0),
             ]
         else:
-            tau_grid, tstats = analysis.tau_grid, analysis.tau_stats
+            tstats, A = analysis.tau_stats, analysis.tau_grid.A
             gain = 0.0
-            for b in range(1, min(tau_grid.A, tau_grid.num_bins - 1) + 1):
-                cb = int(tstats.counts[b])
-                if cb == 0:
+            for b, cb, Lb in zip(tstats.bins.tolist(), tstats.counts.tolist(), tstats.L.tolist()):
+                if not 1 <= b <= A:
                     continue
                 if variant == "c2_loosened":
-                    Lb = float(tstats.L[b])
                     gain += Lb * math.log2(Lb / math.e)
                 else:
-                    pmf = distinct_count_pmf(theta, tau_grid, b, cap=pmf_cap)
+                    pmf = distinct_count_pmf(analysis, b, cap=pmf_cap)
                     lf_cb = log2_factorial(cb)
                     gain += math.fsum(
                         float(pmf[m]) * (lf_cb - log2_factorial(cb - m))
                         for m in range(len(pmf))
                         if pmf[m] > 0.0
                     )
-            big = tstats.counts[1:] > 1
-            crowd = float(np.sum(tstats.counts[1:][big]))
+            big = (tstats.bins >= 1) & (tstats.counts > 1)
+            crowd = float(np.sum(tstats.counts[big]))
             divergence = 9.0 * LOG2E / float(n) ** epsilon * crowd
             terms = [
                 ("packed0_block_entropy", n * packed.h0),
@@ -433,11 +426,11 @@ def lb_theorem4(analysis: SourceAnalysis,
     xstats, A = analysis.xi_stats, analysis.xi_grid.A
 
     if s1_variant == "b1":
-        kappa0 = int(xstats.counts[0])
-        s1 = (_perm_deduction_sum(xstats.counts, 1, A)
+        kappa0 = int(xstats.counts[xstats.bins == 0].sum())
+        s1 = (_perm_deduction_sum(xstats.bins, xstats.counts, 1, A)
               + (theta.k - kappa0) * math.log2(3.0))
     else:
-        s1 = _perm_deduction_sum(xstats.kappa_prime, 1, A)
+        s1 = _perm_deduction_sum(xstats.bins, xstats.kappa_prime, 1, A)
 
     s2 = 0.0
     s3 = 0.0

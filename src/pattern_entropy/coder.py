@@ -64,7 +64,6 @@ class CoderModel:
     kbins: np.ndarray
     ell: np.ndarray
     L: np.ndarray
-    grid: Grid | None = None
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -89,18 +88,17 @@ class CoderModel:
         if n != grid.n:
             raise ValueError(f"grid was built for n={grid.n}, not {n}")
         stats = bin_stats(grid, theta)
-        nbins = grid.num_bins
-        rho = np.zeros(nbins, dtype=float)
-        for b in range(nbins):
-            kb = int(stats.counts[b])
-            if kb == 0:
-                continue
-            if b <= 1:
-                rho[b] = (n * stats.phi[b] - stats.L[b]) / (n * stats.ell[b])
-            else:
-                rho[b] = stats.phi[b] / kb
-        return cls(n=n, phi=stats.phi.copy(), rho=rho, kbins=stats.counts.copy(),
-                   ell=stats.ell.copy(), L=stats.L.copy(), grid=grid)
+        occupied = stats.bins
+        phi = np.zeros(grid.num_bins, dtype=float)
+        kbins = np.zeros(grid.num_bins, dtype=np.int64)
+        L = np.zeros(grid.num_bins, dtype=float)
+        rho = np.zeros(grid.num_bins, dtype=float)
+        phi[occupied], kbins[occupied], L[occupied] = stats.phi, stats.counts, stats.L
+        ell = np.minimum(kbins, n)
+        rho[occupied] = np.where(occupied <= 1,
+                                 (n * stats.phi - stats.L) / (n * ell[occupied]),
+                                 stats.phi / stats.counts)
+        return cls(n=n, phi=phi, rho=rho, kbins=kbins, ell=ell, L=L)
 
     @property
     def num_bins(self) -> int:

@@ -162,26 +162,26 @@ def bin_index(grid: Grid, theta):
 
 @dataclass(frozen=True)
 class BinStats:
-    """Per-bin counts, masses and occupancy means for one grid.
+    """Counts, masses and occupancy means of one source over one grid,
+    one row per occupied bin.
 
-    ``counts`` are distinct-letter counts per bin (the c/k/kappa counters,
-    depending on the grid kind), ``phi`` the total probability mass,
-    ``ell`` = min(count, n), and ``L`` the expected number of distinct bin
-    letters appearing in n draws.  eta grids also carry the merged low-bin
-    scalars; xi grids carry the overlap counters ``kappa_prime``.
+    ``group_bin`` is the bin of each (value, count) group of the source, and
+    ``bins`` the ascending indices of the bins holding at least one group.
+    The rows are aligned with ``bins``: ``counts`` are distinct-letter counts
+    (the c/k/kappa counters, depending on the grid kind), ``phi`` the total
+    probability mass and ``L`` the expected number of distinct bin letters
+    appearing in n draws.  xi grids also carry the overlap counters
+    ``kappa_prime`` (0 on bin 0).
     """
 
     kind: str
     n: int
+    group_bin: np.ndarray
+    bins: np.ndarray
     counts: np.ndarray
     phi: np.ndarray
-    ell: np.ndarray
     L: np.ndarray
     kappa_prime: np.ndarray | None = None
-    k01: int | None = None
-    phi01: float | None = None
-    ell01: int | None = None
-    L01: float | None = None
 
 
 def absent_probability(theta: float, n: int) -> float:
@@ -192,44 +192,41 @@ def absent_probability(theta: float, n: int) -> float:
 
 
 def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = None) -> BinStats:
-    """Aggregate counts / masses / occupancy means of ``theta`` over ``grid``.
+    """Aggregate counts / masses / occupancy means of ``theta`` over the occupied
+    bins of ``grid``.
 
     ``occupancy`` is the per-group 1 - (1 - theta)^n for n = grid.n; pass it
-    when it is already at hand so several grids share one evaluation.
+    when it is already at hand so several grids share one evaluation.  Nothing
+    of the grid's length is allocated: a source of G groups gives at most G rows.
     """
-    nbins = grid.num_bins
     n = grid.n
     values, mult = theta.values, theta.counts
-    bins = bin_index(grid, values)
-    counts = np.zeros(nbins, dtype=np.int64)
-    phi = np.zeros(nbins, dtype=float)
-    L = np.zeros(nbins, dtype=float)
+    group_bin = bin_index(grid, values)
+    bins, row = np.unique(group_bin, return_inverse=True)
+    counts = np.zeros(len(bins), dtype=np.int64)
+    phi = np.zeros(len(bins), dtype=float)
+    L = np.zeros(len(bins), dtype=float)
     occ = occupancy
     if occ is None:
         occ = np.array([1.0 - absent_probability(float(v), n) for v in values])
-    np.add.at(counts, bins, mult)
-    np.add.at(phi, bins, mult * values)
-    np.add.at(L, bins, mult * occ)
-    ell = np.minimum(counts, n)
+    np.add.at(counts, row, mult)
+    np.add.at(phi, row, mult * values)
+    np.add.at(L, row, mult * occ)
 
-    kwargs: dict = {}
-    if grid.kind == "eta":
-        k01 = int(counts[0] + counts[1]) if nbins > 1 else int(counts[0])
-        phi01 = float(phi[0] + phi[1]) if nbins > 1 else float(phi[0])
-        L01 = float(L[0] + L[1]) if nbins > 1 else float(L[0])
-        kwargs.update(k01=k01, phi01=phi01, ell01=int(min(k01, n)), L01=L01)
-    elif grid.kind == "xi":
-        kp = np.zeros(nbins, dtype=np.int64)
-        last = len(grid.points) - 1
-        for b in range(1, nbins):
-            if counts[b] == 0:
-                continue
-            lo = grid.points[b - 1] if b >= 2 else grid.points[1]
-            hi = grid.points[min(b + 2, last)]
-            in_window = (values > lo) & (values <= hi)
-            kp[b] = int(mult[in_window].sum())
-        kwargs.update(kappa_prime=kp)
-    return BinStats(kind=grid.kind, n=n, counts=counts, phi=phi, ell=ell, L=L, **kwargs)
+    kappa_prime = None
+    if grid.kind == "xi":
+        # kappa'_b counts the letters in (points[b-1], points[b+2]] (from points[1]
+        # for bin 1, none for bin 0); values ascend, so each window is a
+        # difference of two cumulative letter counts
+        pts = grid.points
+        lo = pts[np.maximum(bins - 1, 1)]
+        hi = pts[np.minimum(bins + 2, len(pts) - 1)]
+        cum = np.concatenate([[0], np.cumsum(mult)])
+        window = (cum[np.searchsorted(values, hi, side="right")]
+                  - cum[np.searchsorted(values, lo, side="right")])
+        kappa_prime = np.where(bins >= 1, window, 0)
+    return BinStats(kind=grid.kind, n=n, group_bin=group_bin, bins=bins, counts=counts,
+                    phi=phi, L=L, kappa_prime=kappa_prime)
 
 
 @dataclass(frozen=True)
@@ -293,31 +290,3 @@ def occurrence_stats(theta_i: float, n: int) -> OccurrenceStats:
         mean_reoccur=mean_re, mean_reoccur_lo=re_lo, mean_reoccur_hi=re_hi,
         **refined,
     )
-
-
-def mean_bin_occupancy_bounds(grid: Grid, theta: ParamVector) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin lower/upper bounds on L_b from the exponential occurrence bounds."""
-    nbins = grid.num_bins
-    n = grid.n
-    values, mult = theta.values, theta.counts
-    bins = bin_index(grid, values)
-    lo = np.zeros(nbins, dtype=float)
-    hi = np.zeros(nbins, dtype=float)
-    for v, c, b in zip(values, mult, bins):
-        v = float(v)
-        c = float(c)
-        lo[b] += c * (1.0 - math.exp(-n * v))
-        hi[b] += c * (1.0 - (math.exp(-n * (v + v * v)) if v <= 0.6 else 0.0))
-    return lo, hi
-
-
-def low_bin_occupancy_bounds(theta: ParamVector, n: int, epsilon: float) -> tuple[float, float]:
-    """Binomial-expansion bounds on L_0 (letters with theta <= 1/n^(1+eps))."""
-    thr1, _ = low_thresholds(n, epsilon)
-    mask = theta.values <= thr1
-    phi0 = float(np.sum(theta.counts[mask] * theta.values[mask]))
-    s2 = float(np.sum(theta.counts[mask] * theta.values[mask] ** 2))
-    s3 = float(np.sum(theta.counts[mask] * theta.values[mask] ** 3))
-    lo = n * phi0 - math.comb(n, 2) * s2
-    hi = n * phi0 - math.comb(n, 2) * s2 + math.comb(n, 3) * s3
-    return lo, hi

@@ -21,7 +21,6 @@ from .bounds import (
     lb_theorem2,
     lb_theorem4,
     range_decreases,
-    simple_bounds,
     stirling_bounds,
     ub_theorem1,
     ub_theorem3_family,
@@ -30,7 +29,6 @@ from .coder import CoderModel, CoderState, decode, encode, next_symbol_prob, seq
 from .distributions import ParamVector, SourceSpec, binary_entropy, iid_entropy, make_distribution
 from .grids import (
     Grid,
-    bin_stats,
     build_grid,
     closed_form_A,
     closed_form_B,
@@ -520,7 +518,6 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
                 grids[n] = build_grid("eta", n, 0.3)
             grid = grids[n]
             model = CoderModel.from_source(theta, grid, n)
-            stats = bin_stats(grid, theta)
             x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
             psi = extract_pattern(x)
             beta = bin_sequence(theta, grid, x)
@@ -536,7 +533,7 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
                     if model.phi[bb] <= 0.0:
                         continue
                     seen = state.seen_per_bin.get(bb, 0)
-                    if seen >= stats.counts[bb]:
+                    if seen >= model.kbins[bb]:
                         all_unseen = False
                         continue
                     bins_total.append(next_symbol_prob(model, state, state.max_index + 1, bb))

@@ -71,8 +71,9 @@ class TestPackedEntropies:
     def test_singleton_packs_change_nothing(self):
         # at n=8, eps=0.2 the bins are 0={0.05}, 1={0.1}: split packing is free
         pv = ParamVector.from_probs([0.05, 0.1, 0.35, 0.5])
-        pk = packed_entropies(SourceAnalysis(pv, 8, 0.2))
-        assert pk.k0 == 1 and pk.k1 == 1
+        analysis = SourceAnalysis(pv, 8, 0.2)
+        pk = packed_entropies(analysis)
+        assert analysis.low.k0 == 1 and analysis.low.k1 == 1
         assert abs(pk.h0_1 - iid_entropy(pv)) <= 1e-12
 
 
@@ -136,7 +137,7 @@ class TestLbTheorem2:
         pv = ParamVector.from_probs([0.24, 0.245, 0.25, 0.265])
         g = build_grid("xi", 50, 0.1)
         st = bin_stats(g, pv)
-        assert np.sum(st.counts > 0) == 1
+        assert len(st.bins) == 1
         a, _ = lb_theorem2(SourceAnalysis(pv, 50, 0.1))
         h_block = 50 * iid_entropy(pv)
         assert abs(a.value - (h_block - log2_factorial(4) - 4 * math.log2(3))) <= 1e-9
@@ -194,27 +195,27 @@ class TestDistinctCountPmf:
     def test_surrogate_close_to_exact(self):
         pv = ParamVector.from_probs([0.1, 0.12, 0.38, 0.4])
         n = 12
-        grid = build_grid("tau", n, 0.0)
-        st = bin_stats(grid, pv)
-        for b in np.nonzero(st.counts)[0]:
+        analysis = SourceAnalysis(pv, n, 0.0)
+        grid = analysis.tau_grid
+        for b in analysis.tau_stats.bins:
             if b == 0:
                 continue
             sel = [v for v, c in pv.groups() for _ in range(c)
                    if grid.points[b] < v <= grid.points[b + 1]]
             exact = exact_distinct_count_pmf(sel, n)
-            sur = distinct_count_pmf(pv, grid, int(b))
+            sur = distinct_count_pmf(analysis, int(b))
             assert abs(sur.sum() - 1.0) <= 1e-9
             assert np.abs(sur - exact).sum() / 2 <= 0.05  # documented approximation gap
 
     def test_mean_matches_occupancy(self):
         pv = ParamVector.from_probs([0.3, 0.32, 0.38])
         n = 9
-        grid = build_grid("tau", n, 0.0)
-        st = bin_stats(grid, pv)
-        for b in np.nonzero(st.counts)[0]:
-            pmf = distinct_count_pmf(pv, grid, int(b))
+        analysis = SourceAnalysis(pv, n, 0.0)
+        st = analysis.tau_stats
+        for b, Lb in zip(st.bins, st.L):
+            pmf = distinct_count_pmf(analysis, int(b))
             mean = float(np.dot(np.arange(len(pmf)), pmf))
-            assert abs(mean - st.L[b]) <= 1e-9
+            assert abs(mean - Lb) <= 1e-9
 
 
 class TestLbTheorem4:
@@ -368,9 +369,11 @@ class TestRange:
         counts.append(1)
         pv = ParamVector.from_groups(values, counts)
         st = bin_stats(grid, pv)
-        assert all(st.counts[b] == d for b in range(1, beta + 1))
+        per_bin = dict(zip(st.bins.tolist(), st.counts.tolist()))
+        assert all(per_bin[b] == d for b in range(1, beta + 1))
         k = beta * d
-        deduction = math.fsum(log2_factorial(int(c)) for c in st.counts[1:grid.A + 1] if c > 1)
+        deduction = math.fsum(log2_factorial(c) for b, c in per_bin.items()
+                              if 1 <= b <= grid.A and c > 1)
         assert abs(deduction - beta * log2_factorial(d)) <= 1e-9
         frontier = 1.5 * k * math.log2(
             k / (math.e ** (2 / 3) * float(n) ** ((1 - eps) / 3) * 3 ** (1 / 3)))

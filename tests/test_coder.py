@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pattern_entropy import verify
+from pattern_entropy import coder, grids, verify
 from pattern_entropy._common import ResourceCapError
 from pattern_entropy.coder import (
     CODER_N_CAP,
@@ -254,6 +254,21 @@ def test_roundtrip_check_builds_each_grid_once(monkeypatch):
     assert sorted(built) == sorted(set(built))
 
 
+def test_normalization_check_bins_each_source_once(monkeypatch):
+    calls = []
+    real = grids.bin_stats
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (coder, verify):
+        if getattr(module, "bin_stats", None) is real:
+            monkeypatch.setattr(module, "bin_stats", counting)
+    assert verify.check_coder_normalization().passed
+    assert len(calls) == 60  # one per trial, inside CoderModel.from_source
+
+
 def test_normalization_check_builds_each_grid_once(monkeypatch):
     built = []
     real = verify.build_grid
@@ -302,11 +317,15 @@ class TestModelValidation:
         model = CoderModel.from_source(pv, grid, n)
         from pattern_entropy.grids import bin_stats
         st = bin_stats(grid, pv)
+        rows = dict(zip(st.bins.tolist(), zip(st.counts.tolist(), st.phi.tolist(), st.L.tolist())))
         for b in range(model.num_bins):
-            if st.counts[b] == 0:
-                assert model.rho[b] == 0.0
-            elif b >= 2:
-                assert model.rho[b] == pytest.approx(st.phi[b] / st.counts[b])
+            if b not in rows:
+                assert model.rho[b] == 0.0 and model.kbins[b] == 0
+                continue
+            kb, phi_b, L_b = rows[b]
+            assert model.kbins[b] == kb
+            if b >= 2:
+                assert model.rho[b] == pytest.approx(phi_b / kb)
             else:
-                assert model.rho[b] == pytest.approx(
-                    (n * st.phi[b] - st.L[b]) / (n * st.ell[b]))
+                assert model.rho[b] == pytest.approx((n * phi_b - L_b) / (n * min(kb, n)))
+        assert np.array_equal(model.ell, np.minimum(model.kbins, n))

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pattern_entropy.bounds import SourceAnalysis
 from pattern_entropy.distributions import ParamVector
 from pattern_entropy.grids import (
     bin_index,
     bin_stats,
     build_grid,
-    low_bin_occupancy_bounds,
     low_thresholds,
-    mean_bin_occupancy_bounds,
     occurrence_stats,
 )
 
@@ -101,7 +100,7 @@ class TestBinStats:
         g = build_grid("tau", 4, 0.0)
         pv = ParamVector.from_probs([0.25] * 4)
         st_ = bin_stats(g, pv)
-        assert st_.counts[0] == 4
+        assert list(st_.bins) == [0] and st_.counts[0] == 4
         assert abs(st_.L[0] - 2.734375) <= 1e-12
 
     def test_recount_matches(self):
@@ -115,63 +114,79 @@ class TestBinStats:
         recount = np.zeros(g.num_bins, dtype=int)
         for v, c in pv.groups():
             recount[bin_index(g, v)] += c
-        assert np.array_equal(recount, st_.counts)
-        assert np.array_equal(st_.ell, np.minimum(st_.counts, g.n))
+        assert np.array_equal(np.flatnonzero(recount), st_.bins)
+        assert np.array_equal(recount[st_.bins], st_.counts)
+        last = len(g.points) - 1
+        for b, kp in zip(st_.bins.tolist(), st_.kappa_prime.tolist()):
+            lo = g.points[b - 1] if b >= 2 else g.points[1]
+            hi = g.points[min(b + 2, last)]
+            assert kp == (sum(c for v, c in pv.groups() if lo < v <= hi) if b >= 1 else 0)
+
+    def test_rows_only_for_occupied_bins(self):
+        # 10^5 letters and three singletons over grids of up to ~10^5 bins
+        pv = ParamVector.from_groups([1e-6, 0.15, 0.35, 0.4], [10**5, 1, 1, 1])
+        for kind in ("tau", "eta", "xi"):
+            g = build_grid(kind, 10**5, 0.5)
+            st_ = bin_stats(g, pv)
+            rows = len(pv.values)
+            assert len(st_.bins) <= rows < g.num_bins
+            assert all(len(a) == len(st_.bins) for a in (st_.counts, st_.phi, st_.L))
+            assert np.all(np.diff(st_.bins) > 0)
+            assert set(st_.bins.tolist()) == {bin_index(g, v) for v, _ in pv.groups()}
+            assert [bin_index(g, v) for v, _ in pv.groups()] == st_.group_bin.tolist()
 
     def test_kappa_prime_singletons(self):
-        # singletons with empty flanking bins: kappa' == kappa
+        # singletons with empty flanking bins: kappa' == kappa on every occupied row
         g = build_grid("xi", 100, 0.0)
         pv = ParamVector.from_probs([0.02, 0.2, 0.78])
         st_ = bin_stats(g, pv)
-        nz = st_.counts > 0
-        assert np.array_equal(st_.kappa_prime[nz], st_.counts[nz])
-        assert np.all(st_.kappa_prime[~nz] == 0)
+        assert len(st_.bins) == 3
+        assert np.array_equal(st_.kappa_prime, st_.counts)
 
     def test_kappa_prime_overlap(self):
         # mass in xi bins 2 and 3 (plus a lone filler): each window picks up the other
         g = build_grid("xi", 100, 0.0)
         pv = ParamVector.from_probs([0.05, 0.06, 0.1, 0.79])
         st_ = bin_stats(g, pv)
-        assert st_.counts[2] == 2 and st_.counts[3] == 1
-        assert st_.kappa_prime[2] == 3 and st_.kappa_prime[3] == 3
-        assert st_.kappa_prime[8] == 1  # 0.79 in (0.64, 0.81]
+        counts = dict(zip(st_.bins.tolist(), st_.counts.tolist()))
+        kappa_prime = dict(zip(st_.bins.tolist(), st_.kappa_prime.tolist()))
+        assert counts[2] == 2 and counts[3] == 1
+        assert kappa_prime[2] == 3 and kappa_prime[3] == 3
+        assert kappa_prime[8] == 1  # 0.79 in (0.64, 0.81]
 
     def test_kappa_prime_bin1_window(self):
         # kappa'_1 counts (xi_1, xi_3] only: the bin-0 letter is excluded
         g = build_grid("xi", 100, 0.0)
         pv = ParamVector.from_probs([0.005, 0.02, 0.975])
         st_ = bin_stats(g, pv)
+        assert list(st_.bins[:2]) == [0, 1]
         assert st_.counts[0] == 1 and st_.counts[1] == 1
         assert st_.kappa_prime[1] == 1
 
     def test_eta_low_bin_scalars(self):
-        g = build_grid("eta", 100, 0.25)
         pv = ParamVector.from_probs([0.0001, 0.002, 0.01, 0.9879])
-        st_ = bin_stats(g, pv)
+        low = SourceAnalysis(pv, 100, 0.25).low
         thr1, thr2 = low_thresholds(100, 0.25)
         want_k01 = sum(c for v, c in pv.groups() if v <= thr2)
-        assert st_.k01 == want_k01
-        assert abs(st_.phi01 - sum(v * c for v, c in pv.groups() if v <= thr2)) <= 1e-15
-        assert st_.ell01 == min(want_k01, 100)
-        assert abs(st_.L01 - (st_.L[0] + st_.L[1])) <= 1e-15
+        assert low.k01 == want_k01
+        assert abs(low.phi01 - sum(v * c for v, c in pv.groups() if v <= thr2)) <= 1e-15
+        assert low.ell01 == min(want_k01, 100)
 
-    def test_occupancy_bounds_hold(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            probs = rng.dirichlet(np.ones(5))
-            if probs.min() <= 0:
-                continue
-            pv = ParamVector.from_probs(probs)
-            g = build_grid("eta", 40, 0.3)
-            st_ = bin_stats(g, pv)
-            lo, hi = mean_bin_occupancy_bounds(g, pv)
-            assert np.all(st_.L >= lo - 1e-9) and np.all(st_.L <= hi + 1e-9)
-
-    def test_low_bin_binomial_bounds(self):
-        pv = ParamVector.from_groups([1e-5, 0.9999 / 2, 0.9999 / 2], [10, 1, 1])
-        lo, hi = low_bin_occupancy_bounds(pv, 50, 0.3)
-        L0 = 10 * (1.0 - (1.0 - 1e-5) ** 50)
-        assert lo - 1e-12 <= L0 <= hi + 1e-12
+    def test_low_split_matches_eta_bins_0_and_1(self):
+        # outside the fallback, eta bins 0 and 1 are exactly the two low regions
+        for n, eps in ((100, 0.25), (1000, 0.3), (10**4, 0.2)):
+            thr1, thr2 = low_thresholds(n, eps)
+            low_values = [thr1 / 3, thr1, math.sqrt(thr1 * thr2), thr2]
+            low_counts = [5, 2, 3, 1]
+            rest = 1.0 - math.fsum(v * c for v, c in zip(low_values, low_counts))
+            pv = ParamVector.from_groups(low_values + [rest / 3, 2 * rest / 3], low_counts + [1, 1])
+            an = SourceAnalysis(pv, n, eps)
+            assert "eta_fallback" not in an.eta_grid.flags
+            st_ = an.eta_stats
+            first_two = st_.bins <= 1
+            assert an.low.k01 == st_.counts[first_two].sum() == 11
+            assert an.low.phi01 == pytest.approx(st_.phi[first_two].sum(), rel=1e-12)
+            assert an.low.L01 == pytest.approx(st_.L[first_two].sum(), rel=1e-12)
 
 
 class TestOccurrenceStats:
