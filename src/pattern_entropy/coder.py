@@ -84,9 +84,10 @@ class CoderModel:
 
     @classmethod
     def from_source(cls, theta: ParamVector, grid: Grid, n: int) -> "CoderModel":
-        """Build the model for a known source over an eta grid."""
+        """Build the model for a known source over an eta grid (n <= CODER_N_CAP)."""
         if n != grid.n:
             raise ValueError(f"grid was built for n={grid.n}, not {n}")
+        _check_cap(n)
         stats = bin_stats(grid, theta)
         occupied = stats.bins
         phi = np.zeros(grid.num_bins, dtype=float)

@@ -1,47 +1,70 @@
 """Probability-space grids, bin statistics, and per-letter occurrence formulas.
 
-Three square-law point sets partition (0, 1]: ``tau`` (spacing b^2/n^(1+eps)),
-``eta`` (an index-shifted b^2/n^(1+2*eps) ladder with two special low points),
-and ``xi`` (b^2/n^(1-eps), used for lower bounds).  Bins are left-open /
-right-closed, so a probability equal to a grid point belongs to the lower bin.
+Three square-law point sets partition (0, 1]: ``tau`` (point b is b^2/n^(1+eps)),
+``eta`` ((b+s)^2/n^(1+2*eps) above two low points, s = floor(n^(1.5*eps)) - 2) and
+``xi`` (b^2/n^(1-eps), for lower bounds), each point computed from (n, eps), none
+stored.  Bins are left-open / right-closed: a probability on a point is in the lower bin.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._common import ResourceCapError
 from .distributions import ParamVector
 
-GRID_POINT_CAP = 10_000_000
 
-_KINDS = ("tau", "eta", "xi")
+@dataclass(frozen=True)
+class _Points(Sequence):
+    """A grid's points 0..num_bins as a read-only sequence computed on access."""
+
+    grid: "Grid"
+
+    def __len__(self) -> int:
+        return self.grid.num_bins + 1
+
+    def __getitem__(self, i):
+        return self.grid.point(range(len(self))[i])
 
 
 @dataclass(frozen=True)
 class Grid:
     """One of the tau/eta/xi point sets, with the terminal point 1 appended.
 
-    ``B`` is the index of the last regular point; ``A`` the last index whose
-    point does not exceed 1/2.  ``flags`` records degenerate construction paths
-    (eta fallback or merged colliding points).
+    Point i is ``r*r/denom`` with ``r = float(i + shift)``, except eta's low
+    points ``low = (0, eta1, eta2)`` at 0-2 and the terminal 1.0 after the last
+    regular point ``B`` when that is below 1; the points run over 0..num_bins.
+    ``A`` is the last index whose point does not exceed 1/2.  ``flags`` records
+    degenerate construction paths (eta fallback or a merged colliding point).
     """
 
     kind: str
     n: int
     epsilon: float
-    points: np.ndarray
     B: int
     A: int
+    denom: float
+    shift: int
+    low: tuple[float, ...]
+    num_bins: int
     flags: tuple[str, ...] = ()
 
-    @property
-    def num_bins(self) -> int:
-        return len(self.points) - 1
+    def point(self, i):
+        """Point i of the grid (an int gives a float, an int array an array)."""
+        i = np.asarray(i)
+        p = np.asarray(i + float(self.shift))
+        p *= p
+        p /= self.denom
+        p[i > self.B] = 1.0
+        if self.low:
+            p[i < 3] = np.array(self.low)[i[i < 3]]
+        return float(p) if p.ndim == 0 else p
+
+    points = property(_Points)
 
 
 def low_thresholds(n: int, epsilon: float) -> tuple[float, float]:
@@ -55,36 +78,32 @@ def low_thresholds(n: int, epsilon: float) -> tuple[float, float]:
     return nf ** -(1.0 + epsilon), nf ** -(1.0 - epsilon)
 
 
-def closed_form_B(kind: str, n: int, epsilon: float, fallback: bool = False) -> int:
+def _exponent(kind: str, epsilon: float) -> float:
+    """The exponent e of the grid's denominator n^e."""
+    exponents = {"tau": 1.0 + epsilon, "eta": 1.0 + 2.0 * epsilon, "xi": 1.0 - epsilon}
+    if kind not in exponents:
+        raise ValueError(f"unknown grid kind {kind!r}; expected one of {tuple(exponents)}")
+    return exponents[kind]
+
+
+def _closed_form(kind: str, n: int, epsilon: float, fallback: bool, scale: float) -> int:
+    """floor(sqrt(n^e) / scale), less eta's index shift outside the fallback."""
     nf = float(n)
-    if kind == "tau":
-        return math.floor(nf ** ((1.0 + epsilon) / 2.0))
-    if kind == "xi":
-        return math.floor(nf ** ((1.0 - epsilon) / 2.0))
-    if kind == "eta":
-        if fallback:
-            return math.floor(nf ** ((1.0 + 2.0 * epsilon) / 2.0))
-        return (math.floor(nf ** ((1.0 + 2.0 * epsilon) / 2.0))
-                - math.floor(nf ** (1.5 * epsilon)) + 2)
-    raise ValueError(f"unknown grid kind {kind!r}")
+    top = math.floor(nf ** (_exponent(kind, epsilon) / 2.0) / scale)
+    if kind == "eta" and not fallback:
+        return top - math.floor(nf ** (1.5 * epsilon)) + 2
+    return top
+
+
+def closed_form_B(kind: str, n: int, epsilon: float, fallback: bool = False) -> int:
+    return _closed_form(kind, n, epsilon, fallback, 1.0)
 
 
 def closed_form_A(kind: str, n: int, epsilon: float, fallback: bool = False) -> int:
-    nf = float(n)
-    root2 = math.sqrt(2.0)
-    if kind == "tau":
-        return math.floor(nf ** ((1.0 + epsilon) / 2.0) / root2)
-    if kind == "xi":
-        return math.floor(nf ** ((1.0 - epsilon) / 2.0) / root2)
-    if kind == "eta":
-        if fallback:
-            return math.floor(nf ** ((1.0 + 2.0 * epsilon) / 2.0) / root2)
-        return (math.floor(nf ** ((1.0 + 2.0 * epsilon) / 2.0) / root2)
-                - math.floor(nf ** (1.5 * epsilon)) + 2)
-    raise ValueError(f"unknown grid kind {kind!r}")
+    return _closed_form(kind, n, epsilon, fallback, math.sqrt(2.0))
 
 
-def build_grid(kind: str, n: int, epsilon: float, max_points: int = GRID_POINT_CAP) -> Grid:
+def build_grid(kind: str, n: int, epsilon: float) -> Grid:
     """Construct a tau/eta/xi grid for horizon n.
 
     eps = 0 is allowed for tau and xi (where the point formulas remain valid);
@@ -92,8 +111,7 @@ def build_grid(kind: str, n: int, epsilon: float, max_points: int = GRID_POINT_C
     warning: the grids are still well defined, the asymptotic bound guarantees
     are not.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown grid kind {kind!r}; expected one of {_KINDS}")
+    exponent = _exponent(kind, epsilon)
     if n < 2:
         raise ValueError("grid horizon n must be >= 2")
     if epsilon < 0.0 or (kind == "eta" and epsilon == 0.0):
@@ -108,55 +126,36 @@ def build_grid(kind: str, n: int, epsilon: float, max_points: int = GRID_POINT_C
         )
 
     nf = float(n)
-    flags: list[str] = []
-    if kind in ("tau", "xi"):
-        denom = nf ** (1.0 + epsilon) if kind == "tau" else nf ** (1.0 - epsilon)
-        B = closed_form_B(kind, n, epsilon)
-        if B + 2 > max_points:
-            raise ResourceCapError(f"{kind} grid would need {B + 2} points (cap {max_points})")
-        pts = np.arange(B + 1, dtype=float) ** 2 / denom
-    else:
-        shift = math.floor(nf ** (1.5 * epsilon))
-        eta1, eta2 = low_thresholds(n, epsilon)
-        denom = nf ** (1.0 + 2.0 * epsilon)
-        if shift < 2:
-            flags.append("eta_fallback")
-            B = closed_form_B("eta", n, epsilon, fallback=True)
-            if B + 2 > max_points:
-                raise ResourceCapError(f"eta grid would need {B + 2} points (cap {max_points})")
-            pts = np.arange(B + 1, dtype=float) ** 2 / denom
-        else:
-            B = closed_form_B("eta", n, epsilon)
-            if B + 2 > max_points:
-                raise ResourceCapError(f"eta grid would need {B + 2} points (cap {max_points})")
-            idx = np.arange(3, B + 1, dtype=float) + (shift - 2)
-            pts = np.concatenate([[0.0, eta1, eta2], idx ** 2 / denom])
-            if np.any(np.diff(pts) <= 0.0):
-                # provably impossible in exact arithmetic; float-tie guard only
-                flags.append("eta_collision_merged")
-                keep = [0]
-                for i in range(1, len(pts)):
-                    if pts[i] > pts[keep[-1]]:
-                        keep.append(i)
-                pts = pts[keep]
-                B = len(pts) - 1
-
-    if pts[-1] < 1.0:
-        pts = np.append(pts, 1.0)
-    pts.setflags(write=False)
-    A = int(np.searchsorted(pts, 0.5, side="right") - 1)
-    return Grid(kind=kind, n=n, epsilon=epsilon, points=pts, B=B, A=A, flags=tuple(flags))
+    denom = nf ** exponent
+    fallback = kind == "eta" and math.floor(nf ** (1.5 * epsilon)) < 2
+    B = closed_form_B(kind, n, epsilon, fallback)
+    flags, shift, low = ("eta_fallback",) if fallback else (), 0, ()
+    if kind == "eta" and not fallback:
+        shift = math.floor(nf ** (1.5 * epsilon)) - 2
+        low = (0.0, *low_thresholds(n, epsilon))
+        # eta1 < eta2 < point 3 in exact arithmetic; a float tie drops that point
+        if B >= 3 and not low[2] < (3.0 + shift) * (3.0 + shift) / denom:
+            flags, shift, B = ("eta_collision_merged",), shift + 1, B - 1
+    last = max(B, len(low) - 1)
+    grid = Grid(kind, n, epsilon, B, A=0, denom=denom, shift=shift, low=low, num_bins=last, flags=flags)
+    grid = replace(grid, num_bins=last + (grid.point(last) < 1.0))
+    # the bin of the float just above 1/2 is the last index whose point is <= 1/2
+    return replace(grid, A=bin_index(grid, math.nextafter(0.5, 1.0)))
 
 
 def bin_index(grid: Grid, theta):
-    """Bin b with theta in (points[b], points[b+1]]; left-open on purpose.
+    """Bin b with theta in (point(b), point(b+1)]; left-open on purpose.
 
     A scalar gives an int, an array of probabilities an array of bins.
     """
     t = np.asarray(theta, dtype=float)
     if not np.all((t > 0.0) & (t <= 1.0)):
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    bins = np.searchsorted(grid.points, t, side="left") - 1
+    # the guess is within one bin, eta's low points and the clip included
+    guess = np.floor(np.sqrt(t * grid.denom)) - grid.shift
+    j = np.clip(guess, 0, grid.num_bins - 1).astype(np.int64)
+    bins = j - (grid.point(j) >= t)
+    bins += grid.point(j + 1) < t
     return int(bins) if bins.ndim == 0 else bins
 
 
@@ -215,12 +214,11 @@ def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = 
 
     kappa_prime = None
     if grid.kind == "xi":
-        # kappa'_b counts the letters in (points[b-1], points[b+2]] (from points[1]
+        # kappa'_b counts the letters in (point(b-1), point(b+2)] (from point(1)
         # for bin 1, none for bin 0); values ascend, so each window is a
         # difference of two cumulative letter counts
-        pts = grid.points
-        lo = pts[np.maximum(bins - 1, 1)]
-        hi = pts[np.minimum(bins + 2, len(pts) - 1)]
+        lo = grid.point(np.maximum(bins - 1, 1))
+        hi = grid.point(np.minimum(bins + 2, grid.num_bins))
         cum = np.concatenate([[0], np.cumsum(mult)])
         window = (cum[np.searchsorted(values, hi, side="right")]
                   - cum[np.searchsorted(values, lo, side="right")])

@@ -29,6 +29,7 @@ from .coder import CoderModel, CoderState, decode, encode, next_symbol_prob, seq
 from .distributions import ParamVector, SourceSpec, binary_entropy, iid_entropy, make_distribution
 from .grids import (
     Grid,
+    bin_index,
     build_grid,
     closed_form_A,
     closed_form_B,
@@ -203,7 +204,8 @@ def check_occurrence_formulas(seed: int = DEFAULT_SEED, trials: int = 10_000) ->
 
 
 def check_grid_laws() -> CheckResult:
-    """Criterion 5: spacing identity/inequalities and closed-form sizes."""
+    """Criterion 5: spacing identity/inequalities, closed-form sizes, and the
+    closed-form bin lookup against searchsorted over every point."""
     t0 = time.time()
     col = _Collector()
     for n in (10**2, 10**4, 10**6):
@@ -213,8 +215,8 @@ def check_grid_laws() -> CheckResult:
                 tau = build_grid("tau", n, eps)
                 xi = build_grid("xi", n, eps)
                 eta = build_grid("eta", n, eps)
+            pts, epts, xpts = (g.point(np.arange(g.num_bins + 1)) for g in (tau, eta, xi))
             # tau spacing identity and its sqrt bound
-            pts = tau.points
             for b in range(1, tau.B):
                 gap = pts[b + 1] - pts[b]
                 ident = (2 * b + 1) / float(n) ** (1.0 + eps)
@@ -223,29 +225,28 @@ def check_grid_laws() -> CheckResult:
                 col.expect(gap <= 3.0 * math.sqrt(pts[b]) / float(n) ** ((1.0 + eps) / 2.0) + 1e-18,
                            f"tau sqrt spacing fails at n={n} eps={eps} b={b}")
             # eta spacing inequality for b >= 2 (theta at the left edge is worst)
-            epts = eta.points
             for b in range(2, eta.B):
                 gap = epts[b + 1] - epts[b]
                 col.expect(
                     gap <= 3.0 * math.sqrt(epts[b]) / float(n) ** ((1.0 + 2.0 * eps) / 2.0) + 1e-18,
                     f"eta spacing fails at n={n} eps={eps} b={b}")
             # xi spacing lower bound
-            xpts = xi.points
             for b in range(1, xi.B):
                 gap = xpts[b + 1] - xpts[b]
                 col.expect(
                     gap >= 2.0 * math.sqrt(xpts[b]) / float(n) ** ((1.0 - eps) / 2.0) - 1e-18,
                     f"xi spacing fails at n={n} eps={eps} b={b}")
-            # closed forms (fallback forms where the construction degenerated)
-            fb = "eta_fallback" in eta.flags
-            col.expect(tau.B == closed_form_B("tau", n, eps), f"B_tau mismatch n={n} eps={eps}")
-            col.expect(tau.A == closed_form_A("tau", n, eps), f"A_tau mismatch n={n} eps={eps}")
-            col.expect(xi.B == closed_form_B("xi", n, eps), f"B_xi mismatch n={n} eps={eps}")
-            col.expect(xi.A == closed_form_A("xi", n, eps), f"A_xi mismatch n={n} eps={eps}")
-            col.expect(eta.B == closed_form_B("eta", n, eps, fallback=fb),
-                       f"B_eta mismatch n={n} eps={eps}")
-            col.expect(eta.A == closed_form_A("eta", n, eps, fallback=fb),
-                       f"A_eta mismatch n={n} eps={eps}")
+            for g, gpts in ((tau, pts), (xi, xpts), (eta, epts)):
+                # closed forms (fallback forms where the construction degenerated)
+                fb = "eta_fallback" in g.flags
+                col.expect(g.B == closed_form_B(g.kind, n, eps, fb), f"B_{g.kind} mismatch n={n} eps={eps}")
+                col.expect(g.A == closed_form_A(g.kind, n, eps, fb), f"A_{g.kind} mismatch n={n} eps={eps}")
+                # bin_index against searchsorted at every point and both its float neighbours
+                probes = np.concatenate([gpts, np.nextafter(gpts, 0.0), np.nextafter(gpts, 2.0)])
+                probes = probes[(probes > 0.0) & (probes <= 1.0)]
+                bad = np.count_nonzero(bin_index(g, probes) != np.searchsorted(gpts, probes) - 1)
+                col.expect(bad == 0, f"{g.kind} bin_index differs from searchsorted on {bad} of "
+                                     f"{probes.size} probes at n={n} eps={eps}")
     return col.result("grid_laws", t0, extra="n in {1e2,1e4,1e6} x eps in {0.1,0.25}")
 
 

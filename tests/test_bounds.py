@@ -201,7 +201,7 @@ class TestDistinctCountPmf:
             if b == 0:
                 continue
             sel = [v for v, c in pv.groups() for _ in range(c)
-                   if grid.points[b] < v <= grid.points[b + 1]]
+                   if grid.point(b) < v <= grid.point(b + 1)]
             exact = exact_distinct_count_pmf(sel, n)
             sur = distinct_count_pmf(analysis, int(b))
             assert abs(sur.sum() - 1.0) <= 1e-9
@@ -361,7 +361,7 @@ class TestRange:
         values, counts = [], []
         mass = 0.0
         for b in range(1, beta + 1):
-            mid = 0.5 * (grid.points[b] + grid.points[b + 1])
+            mid = 0.5 * (grid.point(b) + grid.point(b + 1))
             values.append(mid)
             counts.append(d)
             mass += d * mid

@@ -2,12 +2,16 @@ import csv
 import io
 import json
 import math
+import time
+import tracemalloc
 from collections import Counter
+
+import pytest
 
 from pattern_entropy import bounds, cli
 from pattern_entropy.coder import CODER_N_CAP
 from pattern_entropy.grids import build_grid
-from pattern_entropy.verify import CheckResult
+from pattern_entropy.verify import _EXAMPLE_PARAMS, CheckResult
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -161,6 +165,28 @@ class TestBoundsCommand:
         rows = json.loads(open(out).read())
         assert rows[0]["bound"] == "simple_lower"
 
+    @pytest.mark.parametrize("params,n,eps", [
+        ({"phi0": 0.5, "mu": 0.4, "nu": 0.3}, 10**9, 0.5),
+        ({k: _EXAMPLE_PARAMS["ex3"][k] for k in ("phi0", "mu", "nu")}, 10**7,
+         _EXAMPLE_PARAMS["ex3"]["eps"]),
+    ], ids=["above_n1e9", "ex3_n1e7"])
+    def test_paper_scale_default_table(self, params, n, eps):
+        # eta has about 10^9 bins at n = 10^9; no grid is materialised, so
+        # every row gets a value and the table fits in a few MiB
+        cfg = cli.parse_config({
+            "source": {"family": "two-level", "params": {**params, "level1": "above"}},
+            "n": n, "epsilon": eps,
+        })
+        tracemalloc.start()
+        try:
+            rows = cli.run_bounds(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 10
+        assert all(r["error"] == "" and math.isfinite(r["value"]) for r in rows)
+        assert peak < 5 * 2**20
+
 
 class TestRegionCommand:
     def test_branch_columns(self, tmp_path):
@@ -212,6 +238,16 @@ class TestCodeCommand:
         })
         assert cli.main(["code", "--config", cfg]) == 3
         assert "resource cap:" in capsys.readouterr().err
+
+    def test_paper_scale_n_exits_3_before_allocating(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "source": {"family": "explicit", "params": {"probs": [0.5, 0.5]}},
+            "n": 10**9, "epsilon": 0.3, "code": {"count": 1, "seed": 0},
+        })
+        t0 = time.perf_counter()
+        assert cli.main(["code", "--config", cfg]) == 3
+        assert time.perf_counter() - t0 < 10.0
+        assert "CODER_N_CAP" in capsys.readouterr().err
 
 
 class TestOracleCommand:

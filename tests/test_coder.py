@@ -108,7 +108,8 @@ class TestDescriptionLengthDecomposition:
             model = CoderModel.from_source(pv, grid, n)
             ee = exact_entropies(pv, grid, n, model=model)
 
-            bins = [int(np.searchsorted(grid.points, p, side="left") - 1) for p in pv.probs]
+            pts = grid.point(np.arange(grid.num_bins + 1))
+            bins = [int(np.searchsorted(pts, p, side="left") - 1) for p in pv.probs]
             total = 0.0
             # flat cost of letters outside bins 0/1
             for p, b in zip(pv.probs, bins):
@@ -234,6 +235,12 @@ class TestResourceCap:
     def test_decode_refuses_n_above_cap_before_any_work(self):
         with pytest.raises(ResourceCapError, match=f"CODER_N_CAP \\({CODER_N_CAP}\\)"):
             decode(three_letter_single_bin_model(), Bitstring.from01("1"), CODER_N_CAP + 1)
+
+    def test_model_refuses_n_above_cap_before_allocating(self):
+        # eta at n = 10^9 has about 1.6e7 bins; the model must not allocate them
+        grid = build_grid("eta", 10**9, 0.3)
+        with pytest.raises(ResourceCapError, match="CODER_N_CAP"):
+            CoderModel.from_source(ParamVector.from_probs([0.5, 0.5]), grid, 10**9)
 
     def test_encode_refuses_sequences_above_cap(self):
         n = CODER_N_CAP + 1

@@ -19,20 +19,23 @@ class TestBuildGrid:
     def test_tau_n100_eps0(self):
         g = build_grid("tau", 100, 0.0)
         assert g.B == 10 and g.A == 7
-        assert np.allclose(g.points[:4], [0.0, 0.01, 0.04, 0.09])
-        assert g.points[-1] == 1.0 and len(g.points) == 11  # tau_10 is already 1
+        assert np.allclose(g.point(np.arange(4)), [0.0, 0.01, 0.04, 0.09])
+        assert g.point(g.num_bins) == 1.0 and g.num_bins == 10  # tau_10 is already 1
+        assert len(g.points) == 11 and g.points[-1] == 1.0
 
     def test_xi_equals_tau_at_eps0(self):
         t = build_grid("tau", 100, 0.0)
         x = build_grid("xi", 100, 0.0)
-        assert np.array_equal(t.points, x.points) and (t.B, t.A) == (x.B, x.A)
+        every = np.arange(t.num_bins + 1)
+        assert t.num_bins == x.num_bins and np.array_equal(t.point(every), x.point(every))
+        assert (t.B, t.A) == (x.B, x.A)
 
     def test_eta_hand_evaluated_shift(self):
         # d-shift floor(1e4 ** 0.375) = 31: third point is (3+31-2)^2 / 1e6
         g = build_grid("eta", 10_000, 0.25)
-        assert g.points[1] == 1e-5
-        assert g.points[2] == 10_000.0 ** -0.75
-        assert g.points[3] == 1024.0 / 10.0 ** 6
+        assert g.point(1) == 1e-5
+        assert g.point(2) == 10_000.0 ** -0.75
+        assert g.point(3) == 1024.0 / 10.0 ** 6
         assert not g.flags
 
     def test_eta_fallback_small_shift(self):
@@ -42,8 +45,8 @@ class TestBuildGrid:
 
     def test_terminal_point_appended(self):
         g = build_grid("tau", 50, 0.1)
-        assert g.points[-1] == 1.0
-        assert np.all(np.diff(g.points) > 0)
+        assert g.point(g.num_bins) == 1.0 and g.num_bins == g.B + 1
+        assert np.all(np.diff(g.point(np.arange(g.num_bins + 1))) > 0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -83,7 +86,8 @@ class TestBinIndex:
         probs = np.array([1e-6, 0.04, 0.05, 0.5, 1.0])
         bins = bin_index(self.g, probs)
         assert bins.tolist() == [bin_index(self.g, float(p)) for p in probs]
-        assert np.array_equal(bins, np.searchsorted(self.g.points, probs, side="left") - 1)
+        pts = self.g.point(np.arange(self.g.num_bins + 1))
+        assert np.array_equal(bins, np.searchsorted(pts, probs, side="left") - 1)
         with pytest.raises(ValueError):
             bin_index(self.g, np.array([0.5, 0.0]))
 
@@ -91,7 +95,7 @@ class TestBinIndex:
     def test_partition_total(self, theta):
         b = bin_index(self.g, theta)
         assert 0 <= b < self.g.num_bins
-        assert self.g.points[b] < theta <= self.g.points[b + 1]
+        assert self.g.point(b) < theta <= self.g.point(b + 1)
 
 
 class TestBinStats:
@@ -116,10 +120,9 @@ class TestBinStats:
             recount[bin_index(g, v)] += c
         assert np.array_equal(np.flatnonzero(recount), st_.bins)
         assert np.array_equal(recount[st_.bins], st_.counts)
-        last = len(g.points) - 1
         for b, kp in zip(st_.bins.tolist(), st_.kappa_prime.tolist()):
-            lo = g.points[b - 1] if b >= 2 else g.points[1]
-            hi = g.points[min(b + 2, last)]
+            lo = g.point(b - 1) if b >= 2 else g.point(1)
+            hi = g.point(min(b + 2, g.num_bins))
             assert kp == (sum(c for v, c in pv.groups() if lo < v <= hi) if b >= 1 else 0)
 
     def test_rows_only_for_occupied_bins(self):
@@ -233,11 +236,11 @@ class TestSpacing:
     def test_tau_identity(self, n, eps):
         g = build_grid("tau", n, eps)
         for b in range(1, g.B):
-            gap = g.points[b + 1] - g.points[b]
+            gap = g.point(b + 1) - g.point(b)
             assert abs(gap - (2 * b + 1) / float(n) ** (1 + eps)) <= 1e-12 * gap
 
     def test_xi_lower_bound(self):
         g = build_grid("xi", 400, 0.2)
         for b in range(1, g.B):
-            gap = g.points[b + 1] - g.points[b]
-            assert gap >= 2 * math.sqrt(g.points[b]) / float(400) ** ((1 - 0.2) / 2) - 1e-18
+            gap = g.point(b + 1) - g.point(b)
+            assert gap >= 2 * math.sqrt(g.point(b)) / float(400) ** ((1 - 0.2) / 2) - 1e-18
