@@ -35,7 +35,7 @@ print(f"  pattern entropy          = {exact.h_pattern:8.4f} bits")
 print(f"  joint (pattern,bin)      = {exact.h_joint:8.4f} bits")
 print(f"  sequential codelength    = {exact.expected_codelength:8.4f} bits")
 
-lo, hi = simple_bounds(theta, n)
+lo, hi = simple_bounds(analysis)
 print(f"\nsimple sandwich: {lo.value:.4f} <= {exact.h_pattern:.4f} <= {hi.value:.4f}")
 
 print("\nclosed-form bounds (asymptotic residuals are flagged, not added):")

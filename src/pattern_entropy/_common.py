@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import gammaln
 
 LN2 = math.log(2.0)
@@ -33,3 +34,8 @@ def xlog2x(x: float) -> float:
     if x == 0.0:
         return 0.0
     return x * math.log2(x)
+
+
+def elementwise(f, x: np.ndarray) -> np.ndarray:
+    """``f`` (a ``math`` function) on every element of ``x``: libm's bits, not numpy's."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 from scipy.stats import binom as _binom
 
-from ._common import LOG2E, ResourceCapError, log2_binomial, log2_factorial, xlog2x
-from .distributions import ParamVector, binary_entropy, iid_entropy
+from ._common import LOG2E, ResourceCapError, elementwise, log2_binomial, log2_factorial, xlog2x
+from .distributions import ParamVector, binary_entropy, entropy_terms, iid_entropy
 from .grids import BinStats, Grid, absent_probability, bin_stats, build_grid, low_thresholds
 
 DEFAULT_VARTHETA_MINUS = math.exp(-5.5)
@@ -101,15 +101,19 @@ class SourceAnalysis:
     epsilon: float
 
     @cached_property
+    def plog2p(self) -> np.ndarray:
+        """Per-group c * v * log2(v), the summands of -H(X)."""
+        return entropy_terms(self.theta)
+
+    @cached_property
     def h_x(self) -> float:
         """Source entropy H(X) in bits per symbol."""
-        return iid_entropy(self.theta)
+        return -math.fsum(self.plog2p.tolist())
 
     @cached_property
     def occupancy(self) -> np.ndarray:
         """Per-group probability 1 - (1 - theta)^n that a letter occurs in n draws."""
-        n = self.n
-        return np.array([1.0 - absent_probability(float(v), n) for v in self.theta.values])
+        return 1.0 - absent_probability(self.theta.values, self.n)
 
     @cached_property
     def eta_grid(self) -> Grid:
@@ -171,14 +175,9 @@ def packed_entropies(analysis: SourceAnalysis) -> PackedEntropies:
     Uses the canonical low thresholds 1/n^(1+eps) and 1/n^(1-eps), so no grid
     is read and the values stay well defined where the eta grid degenerates.
     """
-    low = analysis.low
-    v, c = analysis.theta.values, analysis.theta.counts
-    tail_high = -math.fsum(
-        cc * vv * math.log2(vv) for vv, cc in zip(v, c) if vv > low.thr2
-    )
-    tail_1_high = -math.fsum(
-        cc * vv * math.log2(vv) for vv, cc in zip(v, c) if vv > low.thr1
-    )
+    low, v, terms = analysis.low, analysis.theta.values, analysis.plog2p
+    tail_high = -math.fsum(terms[v > low.thr2].tolist())
+    tail_1_high = -math.fsum(terms[v > low.thr1].tolist())
     return PackedEntropies(
         h0=-xlog2x(low.phi0) + tail_1_high,
         h01=-xlog2x(low.phi01) + tail_high,
@@ -186,10 +185,10 @@ def packed_entropies(analysis: SourceAnalysis) -> PackedEntropies:
     )
 
 
-def simple_bounds(theta: ParamVector, n: int) -> tuple[BoundReport, BoundReport]:
+def simple_bounds(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
     """The data-processing sandwich: nH(X) minus the log of index-to-letter mappings."""
-    k = theta.k
-    h_block = n * iid_entropy(theta)
+    k, n = analysis.theta.k, analysis.n
+    h_block = n * analysis.h_x
     mappings = log2_factorial(k) - log2_factorial(max(0, k - n))
     lower = BoundReport(
         name="simple_lower",
@@ -290,7 +289,8 @@ def distinct_count_pmf(analysis: SourceAnalysis, b: int, cap: int = PMF_CAP) -> 
     c = analysis.theta.counts[sel]
     total = int(c.sum())
     if total + 1 > cap:
-        raise ResourceCapError(f"bin {b} holds {total} letters; pmf cap is {cap}")
+        raise ResourceCapError(f"bin {b} holds {total} letters; its pmf of {total + 1} entries "
+                               f"exceeds PMF_CAP ({cap})")
     pmf = np.array([1.0])
     for cc, p_occ in zip(c, analysis.occupancy[sel]):
         block = _binom.pmf(np.arange(int(cc) + 1), int(cc), p_occ)
@@ -399,11 +399,6 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str,
     )
 
 
-def _s2_factor(theta_i: float, n: int) -> float:
-    """Lower bound on the mean re-occurrence count of one letter."""
-    return n * theta_i - 1.0 + math.exp(-n * (theta_i + theta_i * theta_i))
-
-
 def lb_theorem4(analysis: SourceAnalysis,
                 s1_variant: str = "b1", s2_variant: str = "b1",
                 vartheta_minus: float = DEFAULT_VARTHETA_MINUS,
@@ -437,59 +432,44 @@ def lb_theorem4(analysis: SourceAnalysis,
     notes: list[str] = []
     if low.k01 > 0 and low.phi01 > 0.0:
         lv, lc = low.low_values, low.low_counts
+        nf = float(n)
         last_val = float(lv[-1])
         split_last = last_val > 0.6
+        # per low group: log2(phi01 / v) and the lower bound n v - 1 + exp(-n (v + v^2))
+        # on one letter's mean re-occurrence count
+        gain = elementwise(math.log2, low.phi01 / lv)
+        reocc = nf * lv - 1.0 + elementwise(math.exp, -nf * (lv + lv * lv))
+        reocc_counts = lc.copy()
+        if split_last or s2_variant == "b2":
+            reocc_counts[-1] -= 1  # the last low letter leaves the sum
+        pieces = reocc_counts * reocc * gain
         if s2_variant == "b1":
-            pieces = []
-            for vv, cc in zip(lv, lc):
-                vv = float(vv)
-                cc = int(cc)
-                if split_last and vv == last_val:
-                    cc -= 1
-                if cc > 0:
-                    pieces.append(cc * _s2_factor(vv, n) * math.log2(low.phi01 / vv))
-            s2 = math.fsum(pieces)
+            s2 = math.fsum(pieces[reocc_counts > 0].tolist())
             if split_last:
                 s2 += (n * last_val - 1.0) * math.log2(low.phi01 / last_val)
                 notes.append("last low letter exceeds 3/5; split form applied")
         else:
             bin0 = lv <= low.thr1
-            head = (1.0 - float(n) ** -epsilon) * (n * n / 2.0) * math.fsum(
-                float(cc) * float(vv) ** 2 * math.log2(low.phi01 / float(vv))
-                for vv, cc in zip(lv[bin0], lc[bin0])
-            )
-            pieces = []
-            for vv, cc in zip(lv[~bin0], lc[~bin0]):
-                vv = float(vv)
-                cc = int(cc)
-                if vv == last_val:
-                    cc -= 1  # the sum stops one short of the last low letter
-                if cc > 0:
-                    pieces.append(cc * _s2_factor(vv, n) * math.log2(low.phi01 / vv))
-            s2 = head + math.fsum(pieces)
+            # v ** 2 through libm's pow, which differs from numpy's v * v in the last bit
+            head = (1.0 - nf ** -epsilon) * (n * n / 2.0) * math.fsum(
+                (lc[bin0] * elementwise(lambda x: x ** 2, lv[bin0]) * gain[bin0]).tolist())
+            s2 = head + math.fsum(pieces[~bin0 & (reocc_counts > 0)].tolist())
 
-        # S3: worst-case first-occurrence penalty over the smallest low letters
+        # S3: worst-case first-occurrence penalty over the smallest low letters,
+        # ranked from 1 upwards; group g holds the ranks first..last
         L01 = low.L01
         top_rank = math.floor(L01) - 1 if not s3_from_origin else math.floor(L01)
         if top_rank >= 1:
-            acc = []
-            rank = 1  # 1-based rank of the smallest low letter
-            for vv, cc in zip(lv, lc):
-                first, last = rank, rank + int(cc) - 1
-                rank = last + 1
-                a, b = first, min(last, top_rank)
-                if a > b:
-                    if a > top_rank:
-                        break
-                    continue
-                width = b - a + 1
-                if s3_from_origin:
-                    # sum of (L01 - (i-1)) for ranks i in [a, b]
-                    coeff = width * (L01 + 1.0) - (a + b) * width / 2.0
-                else:
-                    coeff = width * L01 - (a + b) * width / 2.0
-                acc.append(coeff * float(vv) / low.phi01)
-            s3 = LOG2E * math.fsum(acc)
+            last = np.cumsum(lc)
+            first = last - lc + 1
+            hit = first <= top_rank
+            a = first[hit].astype(float)
+            b = np.minimum(last[hit], top_rank).astype(float)
+            width = b - a + 1.0
+            # sum of (L01 - i) (from the origin: L01 - (i - 1)) over ranks i in [a, b]
+            origin = L01 + 1.0 if s3_from_origin else L01
+            coeff = width * origin - (a + b) * width / 2.0
+            s3 = LOG2E * math.fsum((coeff * lv[hit] / low.phi01).tolist())
 
     lo_minus = vartheta_minus * low.thr2
     hi_plus = vartheta_plus * low.thr2

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._common import ResourceCapError
 from .bounds import (
+    UB3_VARIANTS,
     BoundReport,
     SourceAnalysis,
     contribution_limits,
@@ -40,9 +41,15 @@ from .oracle import exact_entropies, mc_pattern_entropy
 from .patterns import bin_sequence, extract_pattern
 from .verify import CHECKS, run_suites
 
-BOUND_NAMES = ("simple", "ub1", "ub1_tightened", "lb2a", "lb2b",
-               "ub3", "c1", "c21", "c2_exact", "c2_loosened",
-               "lb4", "contribution", "range")
+# config key -> names of the reports it gives; lb4's name carries its variants
+BOUND_NAMES = {
+    "simple": ("simple_lower", "simple_upper"), "ub1": ("ub_theorem1",),
+    "ub1_tightened": ("ub_theorem1_tightened",), "lb2a": ("lb_theorem2_a",),
+    "lb2b": ("lb_theorem2_b",), **{v: (f"ub_theorem3_{v}",) for v in UB3_VARIANTS},
+    "lb4": ("lb_theorem4_{s1_variant}_{s2_variant}",),
+    "contribution": ("contribution_limit_low01", "contribution_limit_bin0"),
+    "range": ("range_lower", "range_upper_nonasymptotic"),
+}
 DEFAULT_BOUNDS = ("simple", "ub1", "lb2a", "lb2b", "ub3", "c1", "c21", "c2_loosened", "lb4")
 
 
@@ -112,7 +119,7 @@ def parse_config(doc: dict) -> RunConfig:
     bounds = tuple(doc.get("bounds", DEFAULT_BOUNDS))
     for b in bounds:
         if b not in BOUND_NAMES:
-            _fail(".bounds", f"unknown bound {b!r}; available: {BOUND_NAMES}")
+            _fail(".bounds", f"unknown bound {b!r}; available: {tuple(BOUND_NAMES)}")
 
     mc = doc.get("mc")
     if mc is not None:
@@ -196,7 +203,7 @@ def _report_row(rep: BoundReport) -> dict:
 def _evaluate_bound(name: str, analysis: SourceAnalysis, cfg: RunConfig) -> list[BoundReport]:
     theta, n = analysis.theta, analysis.n
     if name == "simple":
-        return list(simple_bounds(theta, n))
+        return list(simple_bounds(analysis))
     if name == "ub1":
         return [ub_theorem1(analysis)]
     if name == "ub1_tightened":
@@ -204,7 +211,7 @@ def _evaluate_bound(name: str, analysis: SourceAnalysis, cfg: RunConfig) -> list
     if name in ("lb2a", "lb2b"):
         a, b = lb_theorem2(analysis)
         return [a if name == "lb2a" else b]
-    if name in ("ub3", "c1", "c21", "c2_exact", "c2_loosened"):
+    if name in UB3_VARIANTS:
         return [ub_theorem3_family(analysis, name)]
     if name == "lb4":
         return [lb_theorem4(analysis, **cfg.lb4)]
@@ -262,8 +269,10 @@ def run_bounds(cfg: RunConfig) -> list[dict]:
                             row[key] = val
                     rows.append(row)
             except ResourceCapError as exc:
-                rows.append({"bound": name, "value": None, "valid": False,
-                             "residual_flags": "", "notes": "", "error": str(exc)})
+                variants = {"s1_variant": "b1", "s2_variant": "b1", **cfg.lb4}
+                rows += [{"bound": report.format(**variants), "value": None, "valid": False,
+                          "residual_flags": "", "notes": "", "error": str(exc)}
+                         for report in BOUND_NAMES[name]]
     return rows
 
 

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._common import ResourceCapError
+from ._common import ResourceCapError, elementwise
 
 SUM_TOL = 1e-12
 MATERIALIZE_CAP = 10_000_000
@@ -47,7 +47,7 @@ class ParamVector:
             raise ValueError("probabilities must lie in (0, 1]")
         if values.size > 1 and np.any(np.diff(values) <= 0.0):
             raise ValueError("values must be strictly ascending with duplicates merged")
-        total = math.fsum(float(c) * float(v) for c, v in zip(counts, values))
+        total = math.fsum((counts * values).tolist())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         values.setflags(write=False)
@@ -221,9 +221,14 @@ def _two_level(params: dict, n: int | None) -> ParamVector:
     return ParamVector.from_groups([theta0, v1], [k0, k1], build_info=info)
 
 
+def entropy_terms(theta: ParamVector) -> np.ndarray:
+    """Per-group c * v * log2(v); H(X) is minus their sum."""
+    return theta.counts * theta.values * elementwise(math.log2, theta.values)
+
+
 def iid_entropy(theta: ParamVector) -> float:
     """Per-symbol source entropy H(X) in bits; the block entropy is n * H(X)."""
-    return -math.fsum(c * v * math.log2(v) for v, c in theta.groups())
+    return -math.fsum(entropy_terms(theta).tolist())
 
 
 def binary_entropy(alpha: float) -> float:

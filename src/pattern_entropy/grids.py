@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._common import elementwise
 from .distributions import ParamVector
 
 
@@ -183,8 +184,14 @@ class BinStats:
     kappa_prime: np.ndarray | None = None
 
 
-def absent_probability(theta: float, n: int) -> float:
-    """(1 - theta)^n, evaluated stably as exp(n * log1p(-theta))."""
+def absent_probability(theta, n: int):
+    """(1 - theta)^n, evaluated stably as exp(n * log1p(-theta)), for a float or an array."""
+    if isinstance(theta, np.ndarray):
+        absent = np.zeros(theta.shape)
+        can_miss = theta < 1.0
+        log_absent = float(n) * elementwise(math.log1p, -theta[can_miss])
+        absent[can_miss] = elementwise(math.exp, log_absent)
+        return absent
     if theta >= 1.0:
         return 0.0
     return math.exp(n * math.log1p(-theta))
@@ -207,7 +214,7 @@ def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = 
     L = np.zeros(len(bins), dtype=float)
     occ = occupancy
     if occ is None:
-        occ = np.array([1.0 - absent_probability(float(v), n) for v in values])
+        occ = 1.0 - absent_probability(values, n)
     np.add.at(counts, row, mult)
     np.add.at(phi, row, mult * values)
     np.add.at(L, row, mult * occ)

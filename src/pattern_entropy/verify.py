@@ -28,7 +28,6 @@ from .bounds import (
 from .coder import CoderModel, CoderState, decode, encode, next_symbol_prob, sequence_codelength
 from .distributions import ParamVector, SourceSpec, binary_entropy, iid_entropy, make_distribution
 from .grids import (
-    Grid,
     bin_index,
     build_grid,
     closed_form_A,
@@ -126,7 +125,6 @@ def check_coder_dominance(seed: int = DEFAULT_SEED, epsilon: float = 0.3) -> Che
     t0 = time.time()
     col = _Collector()
     tol = 1e-9
-    grids: dict[int, Grid] = {}
     count = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -134,9 +132,7 @@ def check_coder_dominance(seed: int = DEFAULT_SEED, epsilon: float = 0.3) -> Che
             if n > 6:
                 continue
             count += 1
-            if n not in grids:
-                grids[n] = build_grid("eta", n, epsilon)
-            grid = grids[n]
+            grid = build_grid("eta", n, epsilon)
             model = CoderModel.from_source(theta, grid, n)
             ee = exact_entropies(theta, grid, n, model=model)
             col.expect(ee.expected_codelength >= ee.h_joint - tol,
@@ -470,7 +466,6 @@ def check_coder_roundtrip(seed: int = DEFAULT_SEED, trials: int = 1000) -> Check
     col = _Collector()
     rng = np.random.default_rng(seed)
     eps = 0.3
-    grids: dict[int, Grid] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(trials):
@@ -483,9 +478,7 @@ def check_coder_roundtrip(seed: int = DEFAULT_SEED, trials: int = 1000) -> Check
                 while probs.min() <= 1e-6:
                     probs = rng.dirichlet(np.ones(k))
                 theta = ParamVector.from_probs(probs)
-            if n not in grids:
-                grids[n] = build_grid("eta", n, eps)
-            grid = grids[n]
+            grid = build_grid("eta", n, eps)
             model = CoderModel.from_source(theta, grid, n)
             x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
             psi = extract_pattern(x)
@@ -505,7 +498,6 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
     t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
-    grids: dict[int, Grid] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(60):
@@ -515,9 +507,7 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
             while probs.min() <= 1e-6:
                 probs = rng.dirichlet(np.ones(k))
             theta = ParamVector.from_probs(probs)
-            if n not in grids:
-                grids[n] = build_grid("eta", n, 0.3)
-            grid = grids[n]
+            grid = build_grid("eta", n, 0.3)
             model = CoderModel.from_source(theta, grid, n)
             x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
             psi = extract_pattern(x)

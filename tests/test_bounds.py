@@ -35,21 +35,21 @@ def _h_pattern(theta, n):
 
 class TestSimpleBounds:
     def test_uniform_k2_n2(self):
-        lo, hi = simple_bounds(ParamVector.from_probs([0.5, 0.5]), 2)
+        lo, hi = simple_bounds(SourceAnalysis(ParamVector.from_probs([0.5, 0.5]), 2, 0.25))
         assert abs(lo.value - 1.0) <= 1e-12 and abs(hi.value - 2.0) <= 1e-12
 
     def test_singleton(self):
-        lo, hi = simple_bounds(ParamVector.from_probs([1.0]), 5)
+        lo, hi = simple_bounds(SourceAnalysis(ParamVector.from_probs([1.0]), 5, 0.25))
         assert lo.value == 0.0 and hi.value == 0.0
 
     def test_k_exceeds_n(self):
-        lo, hi = simple_bounds(ParamVector.from_probs([1 / 3] * 3), 2)
+        lo, hi = simple_bounds(SourceAnalysis(ParamVector.from_probs([1 / 3] * 3), 2, 0.25))
         want_lo = 2 * math.log2(3) - math.log2(6.0 / 1.0)
         assert abs(lo.value - want_lo) <= 1e-12
         assert abs(hi.value - 2 * math.log2(3)) <= 1e-12
 
     def test_terms_sum_to_value(self):
-        lo, _ = simple_bounds(ParamVector.from_probs([0.2, 0.8]), 7)
+        lo, _ = simple_bounds(SourceAnalysis(ParamVector.from_probs([0.2, 0.8]), 7, 0.25))
         assert lo.value == math.fsum(t for _, t in lo.terms)
 
 

@@ -144,6 +144,28 @@ class TestBoundsCommand:
         assert rows and all("oracle skipped" in r["error"] for r in rows)
         assert float(rows[0]["value"]) > 0
 
+    def test_cap_error_row_carries_the_report_name(self, tmp_path):
+        # one tau bin of 10^6 letters breaches PMF_CAP; the row keeps its report name
+        cfg = write_config(tmp_path, {
+            "source": {"family": "uniform", "params": {"k": 10**6}},
+            "n": 10**6, "epsilon": 0.4, "bounds": ["c2_exact", "simple"],
+        })
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        names = [r["bound"] for r in rows]
+        assert names == ["ub_theorem3_c2_exact", "simple_lower", "simple_upper"]
+        assert rows[0]["value"] == "" and "PMF_CAP" in rows[0]["error"]
+
+    def test_bound_names_are_the_report_names(self):
+        cfg = cli.parse_config({
+            "source": {"probs": [0.1, 0.2, 0.7]}, "n": 8, "epsilon": 0.3, "epsilon1": 0.2,
+            "bounds": list(cli.BOUND_NAMES), "lb4": {"s2_variant": "b2"},
+        })
+        want = [report.format(s1_variant="b1", s2_variant="b2")
+                for reports in cli.BOUND_NAMES.values() for report in reports]
+        assert [row["bound"] for row in cli.run_bounds(cfg)] == want
+
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path, {
             "source": {"family": "zipf", "params": {"k": 5, "exponent": 1.2}},

@@ -248,19 +248,6 @@ class TestResourceCap:
             encode(three_letter_single_bin_model(), (1,) * n, (2,) * n)
 
 
-def test_roundtrip_check_builds_each_grid_once(monkeypatch):
-    built = []
-    real = verify.build_grid
-
-    def counting(kind, n, epsilon):
-        built.append(n)
-        return real(kind, n, epsilon)
-
-    monkeypatch.setattr(verify, "build_grid", counting)
-    assert verify.check_coder_roundtrip(trials=40).passed
-    assert sorted(built) == sorted(set(built))
-
-
 def test_normalization_check_bins_each_source_once(monkeypatch):
     calls = []
     real = grids.bin_stats
@@ -274,19 +261,6 @@ def test_normalization_check_bins_each_source_once(monkeypatch):
             monkeypatch.setattr(module, "bin_stats", counting)
     assert verify.check_coder_normalization().passed
     assert len(calls) == 60  # one per trial, inside CoderModel.from_source
-
-
-def test_normalization_check_builds_each_grid_once(monkeypatch):
-    built = []
-    real = verify.build_grid
-
-    def counting(kind, n, epsilon):
-        built.append(n)
-        return real(kind, n, epsilon)
-
-    monkeypatch.setattr(verify, "build_grid", counting)
-    assert verify.check_coder_normalization().passed
-    assert sorted(built) == sorted(set(built))
 
 
 class TestBitstring:

@@ -33,7 +33,7 @@ def test_instrument_wraps_the_bound_path():
     names = {span[0] for span in recorder.spans}
     assert {"bounds.ub_theorem3_family", "bounds.packed_entropies",
             "grids.build_grid", "grids.bin_stats"} <= names
-    # one occupancy evaluation per probability group
-    assert recorder.counts["grids.absent_probability.calls"] == 3
+    # one occupancy evaluation per source, all groups at once
+    assert recorder.counts["grids.absent_probability.calls"] == 1
     # remove() put the package's own functions back
     assert bounds.build_grid.__module__ == "pattern_entropy.grids"

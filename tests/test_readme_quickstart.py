@@ -11,7 +11,7 @@ def test_quickstart_block():
     n = 6
     analysis = SourceAnalysis(theta, n, 0.2)
     exact = exact_entropies(theta, analysis.eta_grid, n)
-    lo, hi = simple_bounds(theta, n)
+    lo, hi = simple_bounds(analysis)
     ub = ub_theorem3_family(analysis, "ub3")
     assert lo.value <= exact.h_pattern <= hi.value
     assert ub.value == math.fsum(t for _, t in ub.terms)
