@@ -129,6 +129,14 @@ class CoderState:
             raise ValueError(f"pattern index {psi_j} skips ahead of {self.max_index + 1}")
         # re-occurrences change nothing
 
+    def pop_index(self) -> None:
+        """Undo the update that introduced the highest index."""
+        b = self.index_to_bin.pop(self.max_index)
+        if self.seen_per_bin[b] == 1:
+            del self.seen_per_bin[b]
+        else:
+            self.seen_per_bin[b] -= 1
+
 
 def next_symbol_prob(model: CoderModel, state: CoderState, psi_j: int, beta_j: int) -> float:
     """Probability assigned to the next (index, bin) pair given the state.

@@ -61,7 +61,6 @@ class ParamVector:
         arr = np.asarray(list(probs), dtype=float)
         if arr.size == 0:
             raise ValueError("probability list is empty")
-        arr = np.sort(arr)
         values, counts = np.unique(arr, return_counts=True)
         return cls(values, counts.astype(np.int64), build_info)
 

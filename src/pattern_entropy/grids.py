@@ -208,7 +208,13 @@ def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = 
     n = grid.n
     values, mult = theta.values, theta.counts
     group_bin = bin_index(grid, values)
-    bins, row = np.unique(group_bin, return_inverse=True)
+    # values ascend and bin_index is monotone, so group_bin is sorted: each
+    # run of equal bins is one occupied bin, and row is the run number
+    run_start = np.empty(len(group_bin), dtype=bool)
+    run_start[0] = True
+    np.not_equal(group_bin[1:], group_bin[:-1], out=run_start[1:])
+    bins = group_bin[run_start]
+    row = np.cumsum(run_start) - 1
     counts = np.zeros(len(bins), dtype=np.int64)
     phi = np.zeros(len(bins), dtype=float)
     L = np.zeros(len(bins), dtype=float)

@@ -3,18 +3,28 @@
 Everything here is an independent oracle: exhaustive enumeration over raw
 sequences, exact pattern probabilities, and inclusion-exclusion over letter
 subsets.  Bound evaluations are validated against these values.
+
+The raw-sequence enumeration of :func:`exact_entropies` is one depth-first
+walk of the k-ary prefix tree of sequences.  Each step extends the pattern
+and bin prefixes, the letter-to-index map, the prefix probability and one
+coder state (updated on the way down, undone on backtrack), so every edge
+costs one :func:`~pattern_entropy.coder.next_symbol_prob` call.  Pattern
+probabilities are memoised by the pattern's ordered occurrence counts, the
+only input their DP reads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._common import ResourceCapError
-from .coder import CoderModel, CoderState, next_symbol_prob, sequence_codelength
+from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector
 from .grids import Grid, bin_index
 from .patterns import Pattern, enumerate_patterns, extract_pattern, pattern_probability
@@ -40,10 +50,81 @@ def _entropy_of(masses) -> float:
 
 
 def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
-    """H(pattern) in bits, from every length-n pattern's exact probability."""
-    return _entropy_of(
-        pattern_probability(theta, psi) for psi in enumerate_patterns(n, min(theta.k, n))
-    )
+    """H(pattern) in bits, from every length-n pattern's exact probability.
+
+    Patterns with the same ordered occurrence counts (how often index 1, 2,
+    ... occurs) share one probability, so each count tuple runs the DP once.
+    """
+    by_counts: dict[tuple[int, ...], float] = {}
+    masses = []
+    for psi in enumerate_patterns(n, min(theta.k, n)):
+        occ = tuple(map(psi.indices.count, range(1, psi.m + 1)))
+        p = by_counts.get(occ)
+        if p is None:
+            p = by_counts[occ] = pattern_probability(theta, psi)
+        masses.append(p)
+    return _entropy_of(masses)
+
+
+def _walk_sequences(probs: list[float], letter_bin: list[int], n: int,
+                    model: CoderModel) -> tuple[dict, dict]:
+    """Probability and codelength of every (pattern, bin string) of length n.
+
+    Visits the k**n raw sequences depth first, in the lexicographic order of
+    itertools.product, so the returned ``joint`` holds each key's summed
+    sequence probability (each multiplied left to right) in first-visit
+    order.  ``codelength`` maps each key to -log2 of the coder's assigned
+    probability, accumulated one step at a time; a zero-probability step
+    makes the rest of its subtree inf.
+    """
+    k = len(probs)
+    joint: dict[tuple, float] = {}
+    codelength: dict[tuple, float] = {}
+    state = CoderState()
+    index_of = [0] * k  # letter -> its pattern index on the current path, 0 if unseen
+    # step d of the current path: its letter, pattern index, bin and whether
+    # it introduced its index; prob[d] and bits[d] are the prefix's
+    # probability and codelength before step d
+    path, psi, beta, fresh = [0] * n, [0] * n, [0] * n, [False] * n
+    prob, bits = [1.0] * (n + 1), [0.0] * (n + 1)
+    d = s = 0
+    while True:
+        idx = index_of[s]
+        new = idx == 0
+        if new:
+            idx = index_of[s] = state.max_index + 1
+        b = letter_bin[s]
+        cl = bits[d]
+        if cl != math.inf:
+            q = next_symbol_prob(model, state, idx, b)
+            if q > 0.0:
+                cl = cl - math.log2(q)
+            else:
+                warnings.warn(f"zero-probability step at position {d}")
+                cl = math.inf
+        if new:
+            state.update(idx, b)
+        path[d], psi[d], beta[d], fresh[d] = s, idx, b, new
+        prob[d + 1] = prob[d] * probs[s]
+        bits[d + 1] = cl
+        d += 1
+        if d < n:
+            s = 0
+            continue
+        key = (tuple(psi), tuple(beta))
+        joint[key] = joint.get(key, 0.0) + prob[n]
+        codelength[key] = cl
+        # backtrack to the deepest step with a next letter
+        s = k
+        while s == k:
+            if d == 0:
+                return joint, codelength
+            d -= 1
+            s = path[d]
+            if fresh[d]:
+                index_of[s] = 0
+                state.pop_index()
+            s += 1
 
 
 def exact_entropies(theta: ParamVector, grid: Grid, n: int,
@@ -52,9 +133,13 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     """Exact pattern / joint / codelength quantities by exhaustive enumeration.
 
     The pattern entropy is computed from the pattern side (enumeration of
-    restricted growth strings with their exact probabilities); the joint
-    entropy and expected codelength enumerate all k^n raw sequences, since the
-    bin string is a function of the sequence rather than of its pattern.
+    restricted growth strings with their exact probabilities, one DP per
+    ordered occurrence-count tuple); the joint entropy and expected
+    codelength enumerate all k^n raw sequences, since the bin string is a
+    function of the sequence rather than of its pattern.  That enumeration is
+    one depth-first walk of the sequence prefix tree: the k + k^2 + ... + k^n
+    edges each cost one coder step, and no pattern is extracted or coded
+    from scratch.
     """
     k = theta.k
     if k ** n > cap:
@@ -65,18 +150,12 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     h_pattern = exact_pattern_entropy(theta, n)
     probs = theta.probs.tolist()
     letter_bin = bin_index(grid, probs).tolist()
-    joint: dict[tuple, float] = {}
-    for seq in itertools.product(range(1, k + 1), repeat=n):
-        p = 1.0
-        for s in seq:
-            p *= probs[s - 1]
-        key = (extract_pattern(seq).indices, tuple(letter_bin[s - 1] for s in seq))
-        joint[key] = joint.get(key, 0.0) + p
-    h_joint = _entropy_of(joint.values())
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
+    joint, codelength = _walk_sequences(probs, letter_bin, n, model)
+    h_joint = _entropy_of(joint.values())
     expected_codelength = math.fsum(
-        p * sequence_codelength(model, psi, beta) for (psi, beta), p in joint.items() if p > 0.0
+        p * codelength[key] for key, p in joint.items() if p > 0.0
     )
     return ExactEntropies(h_x_block=h_x_block, h_pattern=h_pattern,
                           h_joint=h_joint, expected_codelength=expected_codelength)
@@ -93,7 +172,10 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
     """Monte Carlo estimate of the pattern entropy with its standard error.
 
     Averages -log2 P(pattern of X^n) over i.i.d. sampled sequences; each
-    per-sample probability is exact, so the estimator is unbiased.
+    per-sample probability is exact, so the estimator is unbiased.  Raises
+    ResourceCapError when a sampled pattern's probability falls below
+    float64's normal range, where the linear-scale DP underflows or loses
+    precision.
     """
     k = theta.k
     if k > MC_K_CAP:
@@ -106,7 +188,15 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
     for row in draws.tolist():
         psi = extract_pattern(row)
         counts[psi] = counts.get(psi, 0) + 1
-    values = {psi: -math.log2(pattern_probability(theta, psi)) for psi in counts}
+    values = {}
+    for psi in counts:
+        p = pattern_probability(theta, psi)
+        if p < sys.float_info.min:
+            raise ResourceCapError(
+                f"pattern probability {p!r} of a sampled length-{n} pattern is below "
+                f"float64's normal range (>= {sys.float_info.min!r}) of the "
+                "linear-scale injection DP")
+        values[psi] = -math.log2(p)
     mean = math.fsum(c * values[psi] for psi, c in counts.items()) / samples
     ss = math.fsum(c * (values[psi] - mean) ** 2 for psi, c in counts.items())
     stderr = math.sqrt(ss / (samples - 1) / samples)

@@ -11,6 +11,7 @@ import pytest
 from pattern_entropy import bounds, cli
 from pattern_entropy.coder import CODER_N_CAP
 from pattern_entropy.grids import build_grid
+from pattern_entropy.oracle import ExactEntropies
 from pattern_entropy.verify import _EXAMPLE_PARAMS, CheckResult
 
 
@@ -143,6 +144,20 @@ class TestBoundsCommand:
         rows = read_csv(out)
         assert rows and all("oracle skipped" in r["error"] for r in rows)
         assert float(rows[0]["value"]) > 0
+
+    def test_mc_underflow_reported_run_continues(self, tmp_path):
+        # uniform k=10 at n=400: every pattern probability underflows float64
+        cfg = write_config(tmp_path, {
+            "source": {"family": "uniform", "params": {"k": 10}},
+            "n": 400, "epsilon": 0.3, "bounds": ["simple"], "mc": {"samples": 10},
+        })
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        assert [r["bound"] for r in rows] == ["simple_lower", "simple_upper"]
+        assert all(r["error"].startswith("mc skipped:") and "normal range" in r["error"]
+                   for r in rows)
+        assert all(float(r["value"]) > 0 for r in rows)
 
     def test_cap_error_row_carries_the_report_name(self, tmp_path):
         # one tau bin of 10^6 letters breaches PMF_CAP; the row keeps its report name
@@ -292,6 +307,19 @@ class TestOracleCommand:
             "n": 30, "epsilon": 0.3,
         })
         assert cli.main(["oracle", "--config", cfg]) == 3
+
+
+    def test_mc_underflow_exit_3(self, tmp_path, monkeypatch, capsys):
+        # 10^400 sequences exceed the enumeration cap, so stand in for the exact
+        # part to reach the Monte Carlo one
+        monkeypatch.setattr(cli, "exact_entropies", lambda theta, grid, n: ExactEntropies(
+            h_x_block=0.0, h_pattern=0.0, h_joint=0.0, expected_codelength=0.0))
+        cfg = write_config(tmp_path, {
+            "source": {"family": "uniform", "params": {"k": 10}},
+            "n": 400, "epsilon": 0.3, "mc": {"samples": 10},
+        })
+        assert cli.main(["oracle", "--config", cfg]) == 3
+        assert "normal range" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from pattern_entropy.bounds import SourceAnalysis
 from pattern_entropy.distributions import ParamVector
 from pattern_entropy.grids import (
+    absent_probability,
     bin_index,
     bin_stats,
     build_grid,
@@ -137,6 +138,26 @@ class TestBinStats:
             assert np.all(np.diff(st_.bins) > 0)
             assert set(st_.bins.tolist()) == {bin_index(g, v) for v, _ in pv.groups()}
             assert [bin_index(g, v) for v, _ in pv.groups()] == st_.group_bin.tolist()
+
+    @pytest.mark.parametrize("kind", ["tau", "eta", "xi"])
+    def test_runs_match_unique(self, kind):
+        # bins and the group-to-row map equal np.unique's, and every sum keeps its bits
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            sizes = rng.integers(1, 50, size=int(rng.integers(1, 30)))
+            weights = rng.uniform(1e-3, 1.0, size=len(sizes)) ** 3
+            pv = ParamVector.from_groups(weights / (weights @ sizes), sizes)
+            n = int(rng.integers(2, 10**4))
+            g = build_grid(kind, n, float(rng.uniform(0.1, 0.6)))
+            st_ = bin_stats(g, pv)
+            bins, row = np.unique(st_.group_bin, return_inverse=True)
+            assert np.array_equal(st_.bins, bins)
+            occ = 1.0 - absent_probability(pv.values, n)
+            for got, weight in ((st_.counts, pv.counts), (st_.phi, pv.counts * pv.values),
+                                (st_.L, pv.counts * occ)):
+                want = np.zeros(len(bins), dtype=got.dtype)
+                np.add.at(want, row, weight)
+                assert np.array_equal(got, want)
 
     def test_kappa_prime_singletons(self):
         # singletons with empty flanking bins: kappa' == kappa on every occupied row

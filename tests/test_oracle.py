@@ -1,13 +1,17 @@
+import gc
+import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from pattern_entropy import oracle, patterns
 from pattern_entropy._common import ResourceCapError
-from pattern_entropy.coder import CoderModel
-from pattern_entropy.distributions import ParamVector
-from pattern_entropy.grids import build_grid
+from pattern_entropy.coder import CoderModel, sequence_codelength
+from pattern_entropy.distributions import ParamVector, SourceSpec, iid_entropy, make_distribution
+from pattern_entropy.grids import bin_index, build_grid
 from pattern_entropy.oracle import (
     brute_force_permutation_count,
     exact_distinct_count_pmf,
@@ -16,11 +20,54 @@ from pattern_entropy.oracle import (
     joint_pattern_bin_probability,
     mc_pattern_entropy,
 )
-from pattern_entropy.patterns import enumerate_patterns, pattern_probability
+from pattern_entropy.patterns import enumerate_patterns, extract_pattern, pattern_probability
 
 
 def _grid(n):
     return build_grid("eta", n, 0.3)
+
+
+def _geometric4():
+    return make_distribution(SourceSpec("geometric", {"k": 4, "decay": 0.6}))
+
+
+def _entropy_of(masses):
+    return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
+
+
+def reference_exact_entropies(theta, grid, n, model=None):
+    """Slow reference for exact_entropies: one DP per pattern, then every raw
+    sequence's pattern extracted and its (pattern, bin string) coded from scratch."""
+    k = theta.k
+    h_pattern = _entropy_of(
+        pattern_probability(theta, psi) for psi in enumerate_patterns(n, min(k, n)))
+    probs = theta.probs.tolist()
+    letter_bin = bin_index(grid, probs).tolist()
+    joint: dict[tuple, float] = {}
+    for seq in itertools.product(range(1, k + 1), repeat=n):
+        p = 1.0
+        for s in seq:
+            p *= probs[s - 1]
+        key = (extract_pattern(seq).indices, tuple(letter_bin[s - 1] for s in seq))
+        joint[key] = joint.get(key, 0.0) + p
+    if model is None:
+        model = CoderModel.from_source(theta, grid, n)
+    return oracle.ExactEntropies(
+        h_x_block=n * iid_entropy(theta),
+        h_pattern=h_pattern,
+        h_joint=_entropy_of(joint.values()),
+        expected_codelength=math.fsum(
+            p * sequence_codelength(model, psi, beta)
+            for (psi, beta), p in joint.items() if p > 0.0),
+    )
+
+
+def _random_source(rng, k):
+    """A k-letter source whose letters fall into 1..k tied groups."""
+    sizes = np.bincount(rng.integers(0, rng.integers(1, k + 1), size=k))
+    sizes = sizes[sizes > 0]
+    weights = rng.uniform(0.05, 1.0, size=len(sizes))
+    return ParamVector.from_groups(weights / (weights @ sizes), sizes)
 
 
 class TestExactEntropies:
@@ -95,6 +142,74 @@ class TestExactEntropies:
         assert calls == {"bin_index": 1, "bin_sequence": 0}
         assert ee.h_pattern <= ee.h_joint + 1e-9
 
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(8)
+        cases = {"tied": 0, "shared_bin": 0, "model": 0, "inf": 0}
+        sources = [(ParamVector.from_probs([1.0]), 3, None)]
+        for _ in range(320):
+            k, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+            theta = _random_source(rng, k)
+            model = None
+            if rng.random() < 0.25:
+                # the coder of another source on the same grid
+                other = _random_source(rng, int(rng.integers(1, 6)))
+                model = CoderModel.from_source(other, _grid(n), n)
+            sources.append((theta, n, model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for theta, n, model in sources:
+                grid = _grid(n)
+                got = exact_entropies(theta, grid, n, model=model)
+                assert got == reference_exact_entropies(theta, grid, n, model=model)
+                bins = bin_index(grid, theta.probs).tolist()
+                cases["tied"] += int(theta.counts.max() > 1)
+                cases["shared_bin"] += int(len(set(bins)) < len(bins))
+                cases["model"] += int(model is not None)
+                cases["inf"] += int(got.expected_codelength == math.inf)
+        assert min(cases.values()) >= 10, cases
+
+    def test_walks_the_prefix_tree_once(self, monkeypatch):
+        calls = {"next_symbol_prob": 0, "extract_pattern": 0}
+        for name in calls:
+            real = getattr(oracle, name)
+
+            def wrapper(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, wrapper)
+        k, n = 4, 7
+        exact_entropies(_geometric4(), _grid(n), n)
+        assert calls == {"next_symbol_prob": sum(k ** d for d in range(1, n + 1)),
+                         "extract_pattern": 0}
+
+    def test_one_dp_per_occurrence_count_tuple(self, monkeypatch):
+        seen = []
+        real = oracle.pattern_probability
+
+        def counting(theta, psi):
+            seen.append(tuple(psi.indices.count(j) for j in range(1, psi.m + 1)))
+            return real(theta, psi)
+
+        monkeypatch.setattr(oracle, "pattern_probability", counting)
+        theta = _geometric4()
+        h = oracle.exact_pattern_entropy(theta, 7)
+        assert len(seen) == len(set(seen)) == 42
+        assert h == _entropy_of(real(theta, psi) for psi in enumerate_patterns(7, 4))
+
+    def test_leaves_no_tables_behind(self):
+        theta, n = _geometric4(), 7
+        grid = _grid(n)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            exact_entropies(theta, grid, n)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert retained < 2 ** 20
+
     def test_pattern_side_matches_joint_marginal(self):
         pv = ParamVector.from_probs([0.15, 0.35, 0.5])
         n = 4
@@ -143,6 +258,12 @@ class TestMC:
         pv = ParamVector.from_groups([1.0 / 12] * 12, [1] * 12)
         with pytest.raises(ResourceCapError):
             mc_pattern_entropy(pv, 4, samples=10, seed=0)
+
+    def test_underflowing_pattern_probability(self):
+        # uniform k=10 at n=400: P(pattern) <= 10**-n * 10! is 0.0 in float64
+        pv = ParamVector.from_groups([0.1], [10])
+        with pytest.raises(ResourceCapError, match="normal range"):
+            mc_pattern_entropy(pv, 400, samples=10, seed=0)
 
 
 class TestPermutationCount:
