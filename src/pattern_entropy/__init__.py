@@ -48,7 +48,6 @@ from .oracle import (
 from .bounds import (
     BoundReport,
     PackedEntropies,
-    RangeBounds,
     SourceAnalysis,
     contribution_limits,
     distinct_count_pmf,
@@ -89,7 +88,7 @@ __all__ = [
     "exact_distinct_count_pmf", "exact_entropies", "exact_pattern_entropy",
     "expected_codelength_stepwise",
     "joint_pattern_bin_probability", "mc_pattern_entropy",
-    "BoundReport", "PackedEntropies", "RangeBounds", "SourceAnalysis", "contribution_limits",
+    "BoundReport", "PackedEntropies", "SourceAnalysis", "contribution_limits",
     "distinct_count_pmf", "epsilon_n", "gamma_fixed_point", "lb_theorem2",
     "lb_theorem4", "packed_entropies", "range_decreases", "range_theorem5",
     "simple_bounds", "stirling_bounds", "ub_theorem1", "ub_theorem3_family",

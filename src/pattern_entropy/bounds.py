@@ -9,7 +9,7 @@ numbers; acceptance checks budget for them explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -274,7 +274,7 @@ def lb_theorem2(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
     return rep_a, rep_b
 
 
-def distinct_count_pmf(analysis: SourceAnalysis, b: int, cap: int = PMF_CAP) -> np.ndarray:
+def distinct_count_pmf(analysis: SourceAnalysis, b: int) -> np.ndarray:
     """Distribution of the number of distinct letters of tau bin b seen in n draws.
 
     Uses the independent-occurrence surrogate: each letter appears with its own
@@ -288,9 +288,9 @@ def distinct_count_pmf(analysis: SourceAnalysis, b: int, cap: int = PMF_CAP) -> 
     sel = analysis.tau_stats.group_bin == b
     c = analysis.theta.counts[sel]
     total = int(c.sum())
-    if total + 1 > cap:
+    if total + 1 > PMF_CAP:
         raise ResourceCapError(f"bin {b} holds {total} letters; its pmf of {total + 1} entries "
-                               f"exceeds PMF_CAP ({cap})")
+                               f"exceeds PMF_CAP ({PMF_CAP})")
     pmf = np.array([1.0])
     for cc, p_occ in zip(c, analysis.occupancy[sel]):
         block = _binom.pmf(np.arange(int(cc) + 1), int(cc), p_occ)
@@ -313,8 +313,7 @@ def _bin1_packing_terms(phi: float, L: float, ell: int, n: int,
     return (n * phi - L) * math.log2(ell), n * phi * binary_entropy(ratio), []
 
 
-def ub_theorem3_family(analysis: SourceAnalysis, variant: str,
-                       pmf_cap: int = PMF_CAP) -> BoundReport:
+def ub_theorem3_family(analysis: SourceAnalysis, variant: str) -> BoundReport:
     """General upper bounds built from the sequential-assignment description length.
 
     Variants: ``ub3`` packs eta bins 0 and 1 separately; ``c1`` packs them as
@@ -372,7 +371,7 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str,
                 if variant == "c2_loosened":
                     gain += Lb * math.log2(Lb / math.e)
                 else:
-                    pmf = distinct_count_pmf(analysis, b, cap=pmf_cap)
+                    pmf = distinct_count_pmf(analysis, b)
                     lf_cb = log2_factorial(cb)
                     gain += math.fsum(
                         float(pmf[m]) * (lf_cb - log2_factorial(cb - m))
@@ -493,16 +492,12 @@ def lb_theorem4(analysis: SourceAnalysis,
     )
 
 
-def contribution_limits(analysis: SourceAnalysis,
-                        mu: float = 1.0) -> tuple[BoundReport, BoundReport]:
+def contribution_limits(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
     """Upper limits on what low letters can add beyond their point mass.
 
     Part I bounds the combined low-letter (both low bins) contribution; Part II
-    bounds the bin-0 packing cost.  ``mu`` only parameterizes the residual
-    order recorded for Part II and must be >= 1.
+    bounds the bin-0 packing cost, whose residual order is recorded at mu = 1.
     """
-    if mu < 1.0:
-        raise ValueError("mu must be >= 1")
     n, epsilon, low = analysis.n, analysis.epsilon, analysis.low
     nf = float(n)
     if low.ell01 >= 1:
@@ -527,7 +522,7 @@ def contribution_limits(analysis: SourceAnalysis,
     part2 = BoundReport(
         name="contribution_limit_bin0",
         terms=(("bin0_contribution", part2_val),),
-        residual_flags=(f"O(n^(2-mu-eps) log n) with mu={mu}",),
+        residual_flags=("O(n^(2-mu-eps) log n) with mu=1.0",),
     )
     return part1, part2
 
@@ -625,45 +620,21 @@ def range_decreases(k: int, n, epsilon: float, epsilon1: float) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RangeBounds:
-    lower: BoundReport
-    upper: BoundReport
-    info: dict
-    curve: list[dict] = field(default_factory=list)
-
-
-def range_theorem5(theta_or_k, n, epsilon: float, epsilon1: float,
-                   k_sweep=None) -> RangeBounds:
-    """Entropy range from the alphabet size alone.
-
-    With a ParamVector the reports carry absolute bound values; with a bare
-    alphabet size they carry the decrease quantities only.  A ``k_sweep``
-    produces decrease rows suitable for plotting the decrease region.
-    """
-    if isinstance(theta_or_k, ParamVector):
-        theta = theta_or_k
-        k = theta.k
-        h_block = float(n) * iid_entropy(theta)
-        base = (("block_entropy", h_block),)
-    else:
-        theta = None
-        k = int(theta_or_k)
-        base = ()
-    row = range_decreases(k, n, epsilon, epsilon1)
+def range_theorem5(theta: ParamVector, n, epsilon: float,
+                   epsilon1: float) -> tuple[BoundReport, BoundReport]:
+    """Entropy range from the alphabet size: (lower, upper) absolute bounds."""
+    h_block = (("block_entropy", float(n) * iid_entropy(theta)),)
+    row = range_decreases(theta.k, n, epsilon, epsilon1)
     lower = BoundReport(
         name="range_lower",
-        terms=base + (("mapping_deduction", -row["lower_logkfact"]),),
+        terms=h_block + (("mapping_deduction", -row["lower_logkfact"]),),
     )
     notes = () if row["upper_valid"] else (
         "k below n^(1/3+eps): the upper branch is the plain block entropy",)
     upper = BoundReport(
         name="range_upper_nonasymptotic",
-        terms=base + (("staircase_deduction", -row["upper_nonasym"]),),
+        terms=h_block + (("staircase_deduction", -row["upper_nonasym"]),),
         valid=bool(row["upper_valid"]),
         notes=notes,
     )
-    curve = []
-    if k_sweep is not None:
-        curve = [range_decreases(int(kk), n, epsilon, epsilon1) for kk in k_sweep]
-    return RangeBounds(lower=lower, upper=upper, info=row, curve=curve)
+    return lower, upper

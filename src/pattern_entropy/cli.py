@@ -220,8 +220,7 @@ def _evaluate_bound(name: str, analysis: SourceAnalysis, cfg: RunConfig) -> list
     if name == "range":
         if cfg.epsilon1 is None:
             raise ValueError("the range bound needs 'epsilon1' in the config")
-        rb = range_theorem5(theta, n, cfg.epsilon, cfg.epsilon1)
-        return [rb.lower, rb.upper]
+        return list(range_theorem5(theta, n, cfg.epsilon, cfg.epsilon1))
     raise ValueError(f"unknown bound {name!r}")
 
 
@@ -234,6 +233,7 @@ def run_bounds(cfg: RunConfig) -> list[dict]:
     theta = make_distribution(cfg.source)
     analysis = SourceAnalysis(theta, cfg.n, cfg.epsilon)
     oracle_cols: dict = {}
+    skipped = []
     if cfg.oracle or cfg.mc:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -248,13 +248,15 @@ def run_bounds(cfg: RunConfig) -> list[dict]:
                         "exact_codelength": ee.expected_codelength,
                     })
                 except ResourceCapError as exc:
-                    oracle_cols["error"] = f"oracle skipped: {exc}"
+                    skipped.append(f"oracle skipped: {exc}")
             if cfg.mc:
                 try:
                     mc = mc_pattern_entropy(theta, cfg.n, cfg.mc["samples"], cfg.mc["seed"])
                     oracle_cols.update({"mc_estimate": mc.estimate, "mc_stderr": mc.stderr})
                 except ResourceCapError as exc:
-                    oracle_cols["error"] = f"mc skipped: {exc}"
+                    skipped.append(f"mc skipped: {exc}")
+    if skipped:
+        oracle_cols["error"] = ";".join(skipped)
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

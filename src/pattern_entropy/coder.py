@@ -117,9 +117,6 @@ class CoderState:
     def max_index(self) -> int:
         return len(self.index_to_bin)
 
-    def copy(self) -> "CoderState":
-        return CoderState(dict(self.index_to_bin), dict(self.seen_per_bin))
-
     def update(self, psi_j: int, beta_j: int) -> None:
         """Record one (index, bin) step; the step must be legal for the state."""
         if psi_j == self.max_index + 1:

@@ -58,7 +58,7 @@ class ParamVector:
     @classmethod
     def from_probs(cls, probs: Sequence[float], build_info: dict | None = None) -> "ParamVector":
         """Build from an explicit per-letter probability list."""
-        arr = np.asarray(list(probs), dtype=float)
+        arr = np.asarray(probs, dtype=float)
         if arr.size == 0:
             raise ValueError("probability list is empty")
         values, counts = np.unique(arr, return_counts=True)

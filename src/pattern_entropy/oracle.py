@@ -11,6 +11,10 @@ coder state (updated on the way down, undone on backtrack), so every edge
 costs one :func:`~pattern_entropy.coder.next_symbol_prob` call.  Pattern
 probabilities are memoised by the pattern's ordered occurrence counts, the
 only input their DP reads.
+
+All sums over injections of pattern indices into letters go through one
+memoised kernel, ``_injection_sum``; :func:`expected_codelength_stepwise`
+takes every node probability of its (pattern, bin) prefix-tree walk from it.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from ._common import ResourceCapError
 from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector
 from .grids import Grid, bin_index
-from .patterns import Pattern, enumerate_patterns, extract_pattern, pattern_probability
+from .patterns import (ENUMERATION_CAP, Pattern, enumerate_patterns, extract_pattern,
+                       pattern_probability)
 
-ENUMERATION_CAP = 10_000_000
 MC_K_CAP = 10
 PERMUTATION_K_CAP = 8
 INJECTION_TREE_K_CAP = 6
@@ -128,7 +132,6 @@ def _walk_sequences(probs: list[float], letter_bin: list[int], n: int,
 
 
 def exact_entropies(theta: ParamVector, grid: Grid, n: int,
-                    cap: int = ENUMERATION_CAP,
                     model: CoderModel | None = None) -> ExactEntropies:
     """Exact pattern / joint / codelength quantities by exhaustive enumeration.
 
@@ -142,8 +145,8 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     from scratch.
     """
     k = theta.k
-    if k ** n > cap:
-        raise ResourceCapError(f"{k}^{n} sequences exceed the enumeration cap ({cap})")
+    if k ** n > ENUMERATION_CAP:
+        raise ResourceCapError(f"{k}^{n} sequences exceed the enumeration cap ({ENUMERATION_CAP})")
     from .distributions import iid_entropy
 
     h_x_block = n * iid_entropy(theta)
@@ -252,13 +255,73 @@ def exact_distinct_count_pmf(probs_in_bin, n: int) -> np.ndarray:
     return pmf
 
 
+def _injection_sum(probs: list[float], occ: list[int], allowed: list[list[int]],
+                   memo: dict, j: int = 0, used: int = 0) -> float:
+    """Sum over injections l of indices j, j+1, ... into letters outside the
+    bitmask ``used``, with l_i in allowed[i], of prod_i probs[l_i] ** occ[i].
+
+    ``memo`` caches each (j, used) value for one (probs, occ, allowed).  Each
+    level is an fsum over allowed[j] in the order given.
+    """
+    if j == len(occ):
+        return 1.0
+    key = (j, used)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = math.fsum(
+            probs[i] ** occ[j] * _injection_sum(probs, occ, allowed, memo, j + 1, used | 1 << i)
+            for i in allowed[j]
+            if not used & 1 << i
+        )
+    return got
+
+
+def _subtree_codelength(probs: list[float], bin_letters: dict[int, list[int]],
+                        model: CoderModel, state: CoderState, occ: list[int],
+                        allowed: list[list[int]], n: int) -> float:
+    """Sum of P(node) * -log2 q(node) over the (pattern, bin) prefix-tree nodes
+    below the one whose indices have counts ``occ``, bin letters ``allowed``
+    and coder ``state``; all three are restored on return."""
+    depth, m = sum(occ), len(occ)
+    if depth == n:
+        return 0.0
+    total = 0.0
+    steps = [(j, state.index_to_bin[j]) for j in range(1, m + 1)]
+    steps += [(m + 1, b) for b in bin_letters]
+    for idx, b in steps:
+        new = idx > m
+        if new:
+            occ.append(1)
+            allowed.append(bin_letters[b])
+        else:
+            occ[idx - 1] += 1
+        p = _injection_sum(probs, occ, allowed, {})
+        if p > 0.0:
+            q = next_symbol_prob(model, state, idx, b)
+            bits = -math.log2(q) if q > 0.0 else math.inf
+            if q <= 0.0:
+                warnings.warn(f"zero-probability step at position {depth}")
+            state.update(idx, b)
+            total += p * bits + _subtree_codelength(probs, bin_letters, model, state, occ,
+                                                    allowed, n)
+            if new:
+                state.pop_index()
+        if new:
+            occ.pop()
+            allowed.pop()
+        else:
+            occ[idx - 1] -= 1
+    return total
+
+
 def expected_codelength_stepwise(theta: ParamVector, grid: Grid, n: int,
                                  model: CoderModel | None = None) -> float:
     """E[-log2 Q] summed per step over the joint prefix tree.
 
-    Prefix probabilities come from injection sums constrained to bin-consistent
+    Node probabilities are injection sums constrained to bin-consistent
     letters, so this is an independent computation path from the raw-sequence
-    enumeration in :func:`exact_entropies`.
+    enumeration in :func:`exact_entropies`.  A step of positive probability
+    that the coder gives probability 0 makes the result inf, with a warning.
     """
     k = theta.k
     if k > INJECTION_TREE_K_CAP:
@@ -266,53 +329,10 @@ def expected_codelength_stepwise(theta: ParamVector, grid: Grid, n: int,
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
     probs = [float(p) for p in theta.probs]
-    letter_bin = bin_index(grid, probs).tolist()
-
-    # node: (state, injections) where injections maps a tuple of assigned
-    # letters (one per index, in index order) to its weight sum
-    root_state = CoderState()
-    nodes: list[tuple[CoderState, dict[tuple[int, ...], float]]] = [(root_state, {(): 1.0})]
-    total = 0.0
-    for _ in range(n):
-        nxt: list[tuple[CoderState, dict[tuple[int, ...], float]]] = []
-        for state, inj in nodes:
-            m = state.max_index
-            # re-occurrence of each known index
-            for idx in range(1, m + 1):
-                b = state.index_to_bin[idx]
-                child: dict[tuple[int, ...], float] = {}
-                for letters, w in inj.items():
-                    child[letters] = w * probs[letters[idx - 1]]
-                p_child = math.fsum(child.values())
-                if p_child <= 0.0:
-                    continue
-                q = next_symbol_prob(model, state, idx, b)
-                total += p_child * -math.log2(q)
-                s2 = state.copy()
-                s2.update(idx, b)
-                nxt.append((s2, child))
-            # first occurrence of index m+1, split by the new letter's bin
-            by_bin: dict[int, dict[tuple[int, ...], float]] = {}
-            for letters, w in inj.items():
-                used = set(letters)
-                for l in range(k):
-                    if l in used:
-                        continue
-                    b = letter_bin[l]
-                    by_bin.setdefault(b, {})
-                    key = letters + (l,)
-                    by_bin[b][key] = by_bin[b].get(key, 0.0) + w * probs[l]
-            for b, child in by_bin.items():
-                p_child = math.fsum(child.values())
-                if p_child <= 0.0:
-                    continue
-                q = next_symbol_prob(model, state, m + 1, b)
-                total += p_child * -math.log2(q)
-                s2 = state.copy()
-                s2.update(m + 1, b)
-                nxt.append((s2, child))
-        nodes = nxt
-    return total
+    bin_letters: dict[int, list[int]] = {}
+    for letter, b in enumerate(bin_index(grid, probs).tolist()):
+        bin_letters.setdefault(b, []).append(letter)
+    return _subtree_codelength(probs, bin_letters, model, CoderState(), [], [], n)
 
 
 def joint_pattern_bin_probability(theta: ParamVector, grid: Grid, psi, beta) -> float:
@@ -327,21 +347,12 @@ def joint_pattern_bin_probability(theta: ParamVector, grid: Grid, psi, beta) -> 
         raise ResourceCapError(f"injection sums are guarded to k <= {INJECTION_TREE_K_CAP}")
     m = max(psi)
     index_bin: dict[int, int] = {}
-    occ = [0] * (m + 1)
+    occ = [0] * m
     for p, b in zip(psi, beta):
         if index_bin.setdefault(p, b) != b:
             return 0.0
-        occ[p] += 1
+        occ[p - 1] += 1
     probs = [float(x) for x in theta.probs]
     letter_bin = bin_index(grid, probs).tolist()
-
-    def assign(j: int, used: int) -> float:
-        if j > m:
-            return 1.0
-        return math.fsum(
-            probs[i] ** occ[j] * assign(j + 1, used | (1 << i))
-            for i in range(k)
-            if not used & (1 << i) and letter_bin[i] == index_bin[j]
-        )
-
-    return assign(1, 0)
+    allowed = [[i for i in range(k) if letter_bin[i] == index_bin[j]] for j in range(1, m + 1)]
+    return _injection_sum(probs, occ, allowed, {})

@@ -35,6 +35,7 @@ from .grids import (
     occurrence_stats,
 )
 from .oracle import (
+    _injection_sum,
     brute_force_permutation_count,
     exact_entropies,
     exact_pattern_entropy,
@@ -591,34 +592,10 @@ def _injection_sum_probability(theta: ParamVector, psi: Pattern) -> float:
     per-letter probabilities and visits up to 2**k letter subsets.
     """
     k = theta.k
-    m = psi.m
     if k > INJECTION_K_CAP:
         raise ResourceCapError(f"injection sum is guarded to k <= {INJECTION_K_CAP}, got {k}")
-    probs = [float(p) for p in theta.probs]
-    occ = [0] * (m + 1)
-    for j in psi:
-        occ[j] += 1
-    # powers[i][j] = probs[i] ** occ[j+1]
-    powers = [[p ** occ[j] for j in range(1, m + 1)] for p in probs]
-
-    memo: dict[tuple[int, int], float] = {}
-
-    def assign(j: int, used: int) -> float:
-        if j == m:
-            return 1.0
-        key = (j, used)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        val = math.fsum(
-            powers[i][j] * assign(j + 1, used | (1 << i))
-            for i in range(k)
-            if not used & (1 << i)
-        )
-        memo[key] = val
-        return val
-
-    return assign(0, 0)
+    occ = [psi.indices.count(j) for j in range(1, psi.m + 1)]
+    return _injection_sum([float(p) for p in theta.probs], occ, [list(range(k))] * psi.m, {})
 
 
 # Sources with tied probabilities, so that groups with count > 1 are exercised.

@@ -159,6 +159,22 @@ class TestBoundsCommand:
                    for r in rows)
         assert all(float(r["value"]) > 0 for r in rows)
 
+    def test_oracle_and_mc_caps_both_reported(self, tmp_path):
+        # uniform k=10 at n=400: 10^400 sequences to enumerate and underflowing MC
+        cfg = write_config(tmp_path, {
+            "source": {"family": "uniform", "params": {"k": 10}},
+            "n": 400, "epsilon": 0.3, "bounds": ["simple"], "oracle": True,
+            "mc": {"samples": 10},
+        })
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 2
+        for r in rows:
+            oracle_msg, mc_msg = r["error"].split(";")
+            assert oracle_msg.startswith("oracle skipped:") and "enumeration cap" in oracle_msg
+            assert mc_msg.startswith("mc skipped:") and "normal range" in mc_msg
+
     def test_cap_error_row_carries_the_report_name(self, tmp_path):
         # one tau bin of 10^6 letters breaches PMF_CAP; the row keeps its report name
         cfg = write_config(tmp_path, {

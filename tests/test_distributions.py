@@ -38,6 +38,12 @@ class TestParamVector:
         pv = ParamVector.from_probs([0.25, 0.5, 0.25])
         assert list(pv.counts) == [2, 1]
 
+    def test_array_input_matches_list_input(self):
+        rng = np.random.default_rng(5)
+        probs = np.repeat(rng.dirichlet(np.ones(50)), 3) / 3.0
+        a, b = ParamVector.from_probs(probs), ParamVector.from_probs(probs.tolist())
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.counts, b.counts)
+
     def test_sorted_ascending(self):
         pv = ParamVector.from_probs([0.5, 0.2, 0.3])
         assert list(pv.probs) == [0.2, 0.3, 0.5]

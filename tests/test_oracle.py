@@ -319,33 +319,86 @@ class TestDistinctCountOracle:
         assert np.allclose(got, want, atol=1e-12)
 
 
+def _raw_joint(theta, grid, n):
+    """P(pattern, bin string) of every key, summed over all k^n raw sequences."""
+    probs = theta.probs.tolist()
+    letter_bin = bin_index(grid, probs).tolist()
+    joint: dict = {}
+    for seq in itertools.product(range(len(probs)), repeat=n):
+        key = (extract_pattern(seq).indices, tuple(letter_bin[s] for s in seq))
+        joint[key] = joint.get(key, 0.0) + math.prod(probs[s] for s in seq)
+    return joint
+
+
 class TestStepwiseCodelength:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(4)
-        for _ in range(5):
-            k = int(rng.integers(2, 5))
-            n = int(rng.integers(2, 6))
-            probs = rng.dirichlet(np.ones(k))
-            while probs.min() <= 1e-6:
-                probs = rng.dirichlet(np.ones(k))
-            pv = ParamVector.from_probs(probs)
+        cases = {"shared_bin": 0, "single_letter": 0}
+        sources = [(ParamVector.from_probs([1.0]), n) for n in (2, 5)]
+        sources += [(_random_source(rng, int(rng.integers(1, 6))), int(rng.integers(2, 7)))
+                    for _ in range(100)]
+        for theta, n in sources:
             grid = _grid(n)
-            model = CoderModel.from_source(pv, grid, n)
-            ee = exact_entropies(pv, grid, n, model=model)
-            other = expected_codelength_stepwise(pv, grid, n, model=model)
+            model = CoderModel.from_source(theta, grid, n)
+            ee = exact_entropies(theta, grid, n, model=model)
+            other = expected_codelength_stepwise(theta, grid, n, model=model)
             assert abs(other - ee.expected_codelength) <= 1e-9
+            bins = bin_index(grid, theta.probs).tolist()
+            cases["shared_bin"] += int(len(set(bins)) < len(bins))
+            cases["single_letter"] += int(theta.k == 1)
+        assert cases["shared_bin"] >= 20 and cases["single_letter"] >= 2, cases
+
+    def test_foreign_model_matches_enumeration(self):
+        # the coder of another source on the same grid can give a step of
+        # positive probability q = 0; both routes then report inf
+        rng = np.random.default_rng(17)
+        infinite = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(120):
+                n = int(rng.integers(2, 6))
+                theta = _random_source(rng, int(rng.integers(1, 5)))
+                other = _random_source(rng, int(rng.integers(1, 5)))
+                model = CoderModel.from_source(other, _grid(n), n)
+                want = exact_entropies(theta, _grid(n), n, model=model).expected_codelength
+                got = expected_codelength_stepwise(theta, _grid(n), n, model=model)
+                if want == math.inf:
+                    infinite += 1
+                    assert got == math.inf
+                else:
+                    assert abs(got - want) <= 1e-9
+        assert infinite >= 20
+
+    def test_zero_probability_step_warns(self):
+        # a uniform coin coded with the model of a one-letter source
+        n = 3
+        model = CoderModel.from_source(ParamVector.from_probs([1.0]), _grid(n), n)
+        with pytest.warns(UserWarning, match="zero-probability step at position"):
+            got = expected_codelength_stepwise(ParamVector.from_probs([0.5, 0.5]),
+                                               _grid(n), n, model=model)
+        assert got == math.inf
 
     def test_joint_probability_against_enumeration(self):
-        import itertools
-        from pattern_entropy.patterns import bin_sequence, extract_pattern
-        pv = ParamVector.from_probs([0.2, 0.3, 0.5])
+        rng = np.random.default_rng(9)
+        sources = [(ParamVector.from_probs([0.2, 0.3, 0.5]), 4)]
+        sources += [(_random_source(rng, int(rng.integers(1, 5))), int(rng.integers(2, 5)))
+                    for _ in range(20)]
+        for theta, n in sources:
+            grid = _grid(n)
+            joint = _raw_joint(theta, grid, n)
+            got = {key: joint_pattern_bin_probability(theta, grid, *key) for key in joint}
+            for key, want in joint.items():
+                assert abs(got[key] - want) <= 1e-12
+            assert abs(math.fsum(got.values()) - 1.0) <= 1e-12
+
+    def test_joint_probability_of_inconsistent_bins(self):
+        pv = ParamVector.from_probs([0.1, 0.2, 0.7])
         n = 4
         grid = _grid(n)
-        joint: dict = {}
-        for seq in itertools.product(range(1, 4), repeat=n):
-            p = math.prod(pv.probs[s - 1] for s in seq)
-            key = (extract_pattern(seq).indices, bin_sequence(pv, grid, seq))
-            joint[key] = joint.get(key, 0.0) + p
-        for (psi, beta), want in joint.items():
-            got = joint_pattern_bin_probability(pv, grid, psi, beta)
-            assert abs(got - want) <= 1e-12
+        bins = bin_index(grid, pv.probs).tolist()
+        assert len(set(bins)) == 3
+        # index 1 in two bins
+        assert joint_pattern_bin_probability(pv, grid, (1, 2, 1), (bins[0], bins[1], bins[1])) == 0.0
+        # a bin that holds no letter
+        empty = max(bins) + 1
+        assert joint_pattern_bin_probability(pv, grid, (1, 2), (bins[0], empty)) == 0.0
