@@ -6,6 +6,10 @@ the bin's remaining first-occurrence mass phi_b - seen_b * rho_b.  For bins 0
 and 1 the rate is the optimized (n*phi_b - L_b)/(n * min(k_b, n)), which keeps
 the first-occurrence mass positive throughout; higher bins use phi_b / k_b.
 
+A step reads the model's per-bin values as Python floats, built once with
+the model, and the state's index count as a plain int, so a step of the
+exact oracle's k**n walk touches no numpy scalar.
+
 The assignment is sub-stochastic by construction (mass reserved for new
 occurrences in a bin whose letters are all seen is never claimable), which is
 exactly what makes its expected codelength dominate the joint entropy.  The
@@ -56,7 +60,12 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class CoderModel:
-    """Frozen per-bin parameters of the probability assignment."""
+    """Frozen per-bin parameters of the probability assignment.
+
+    ``phi`` and ``rho`` are read-only arrays; ``phi_floats`` and
+    ``rho_floats`` hold the same values as Python floats, built once, and are
+    what a coder step reads.
+    """
 
     n: int
     phi: np.ndarray
@@ -64,6 +73,9 @@ class CoderModel:
     kbins: np.ndarray
     ell: np.ndarray
     L: np.ndarray
+    phi_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    rho_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    num_bins: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -81,6 +93,9 @@ class CoderModel:
         rho.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "phi_floats", tuple(phi.tolist()))
+        object.__setattr__(self, "rho_floats", tuple(rho.tolist()))
+        object.__setattr__(self, "num_bins", len(phi))
 
     @classmethod
     def from_source(cls, theta: ParamVector, grid: Grid, n: int) -> "CoderModel":
@@ -101,34 +116,37 @@ class CoderModel:
                                  stats.phi / stats.counts)
         return cls(n=n, phi=phi, rho=rho, kbins=kbins, ell=ell, L=L)
 
-    @property
-    def num_bins(self) -> int:
-        return len(self.phi)
-
 
 @dataclass
 class CoderState:
-    """Mutable per-stream state: which indices occurred, and with which bin."""
+    """Mutable per-stream state: which indices occurred, and with which bin.
+
+    ``max_index`` is the number of indices seen, kept current by
+    :meth:`update` and :meth:`pop_index`.
+    """
 
     index_to_bin: dict[int, int] = field(default_factory=dict)
     seen_per_bin: dict[int, int] = field(default_factory=dict)
+    max_index: int = field(init=False)
 
-    @property
-    def max_index(self) -> int:
-        return len(self.index_to_bin)
+    def __post_init__(self):
+        self.max_index = len(self.index_to_bin)
 
     def update(self, psi_j: int, beta_j: int) -> None:
         """Record one (index, bin) step; the step must be legal for the state."""
-        if psi_j == self.max_index + 1:
+        fresh = self.max_index + 1
+        if psi_j == fresh:
             self.index_to_bin[psi_j] = beta_j
             self.seen_per_bin[beta_j] = self.seen_per_bin.get(beta_j, 0) + 1
-        elif psi_j > self.max_index + 1:
-            raise ValueError(f"pattern index {psi_j} skips ahead of {self.max_index + 1}")
+            self.max_index = fresh
+        elif psi_j > fresh:
+            raise ValueError(f"pattern index {psi_j} skips ahead of {fresh}")
         # re-occurrences change nothing
 
     def pop_index(self) -> None:
         """Undo the update that introduced the highest index."""
         b = self.index_to_bin.pop(self.max_index)
+        self.max_index -= 1
         if self.seen_per_bin[b] == 1:
             del self.seen_per_bin[b]
         else:
@@ -147,10 +165,10 @@ def next_symbol_prob(model: CoderModel, state: CoderState, psi_j: int, beta_j: i
         raise ValueError(f"pattern index {psi_j} skips ahead of {state.max_index + 1}")
     known_bin = state.index_to_bin.get(psi_j)
     if known_bin is not None:
-        return float(model.rho[beta_j]) if known_bin == beta_j else 0.0
+        return model.rho_floats[beta_j] if known_bin == beta_j else 0.0
     # psi_j == max_index + 1: first occurrence
     seen = state.seen_per_bin.get(beta_j, 0)
-    mass = float(model.phi[beta_j]) - seen * float(model.rho[beta_j])
+    mass = model.phi_floats[beta_j] - seen * model.rho_floats[beta_j]
     if mass < 0.0:
         warnings.warn(f"new-occurrence mass clamped to 0 in bin {beta_j}")
         return 0.0
@@ -246,8 +264,7 @@ class _Steps:
     """
 
     def __init__(self, model: CoderModel):
-        self.phi = [float(x) for x in model.phi]
-        self.rho = [float(x) for x in model.rho]
+        self.phi, self.rho = model.phi_floats, model.rho_floats
         self.rate = [_dyadic(r) if r > 0.0 else None for r in self.rho]
         self.top = max((shift for _, shift in filter(None, self.rate)), default=0)
         self.rate_shift: int | None = None  # largest rate shift among known indices

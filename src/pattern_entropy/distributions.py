@@ -59,6 +59,8 @@ class ParamVector:
     def from_probs(cls, probs: Sequence[float], build_info: dict | None = None) -> "ParamVector":
         """Build from an explicit per-letter probability list."""
         arr = np.asarray(probs, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError(f"probability list must be 1-d, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("probability list is empty")
         values, counts = np.unique(arr, return_counts=True)
@@ -70,8 +72,8 @@ class ParamVector:
         """Build from (value, multiplicity) groups, merging equal values."""
         v = np.asarray(values, dtype=float)
         c = np.asarray(counts, dtype=np.int64)
-        if v.shape != c.shape:
-            raise ValueError("values and counts must have matching shapes")
+        if v.ndim != 1 or v.shape != c.shape:
+            raise ValueError("values and counts must be 1-d with matching shapes")
         order = np.argsort(v, kind="stable")
         v, c = v[order], c[order]
         uv, inverse = np.unique(v, return_inverse=True)

@@ -5,12 +5,13 @@ sequences, exact pattern probabilities, and inclusion-exclusion over letter
 subsets.  Bound evaluations are validated against these values.
 
 The raw-sequence enumeration of :func:`exact_entropies` is one depth-first
-walk of the k-ary prefix tree of sequences.  Each step extends the pattern
-and bin prefixes, the letter-to-index map, the prefix probability and one
-coder state (updated on the way down, undone on backtrack), so every edge
-costs one :func:`~pattern_entropy.coder.next_symbol_prob` call.  Pattern
-probabilities are memoised by the pattern's ordered occurrence counts, the
-only input their DP reads.
+walk of the k-ary prefix tree of sequences.  Each step extends the
+letter-to-index map, the prefix probability, one coder state (updated on
+the way down, undone on backtrack) and an integer code of the (pattern, bin)
+prefix, one digit per step, that keys the leaf; so every edge costs one
+:func:`~pattern_entropy.coder.next_symbol_prob` call on plain floats and
+small ints, and no leaf builds a tuple.  Pattern probabilities are memoised
+by the pattern's ordered occurrence counts, the only input their DP reads.
 
 All sums over injections of pattern indices into letters go through one
 memoised kernel, ``_injection_sum``; :func:`expected_codelength_stepwise`
@@ -75,22 +76,30 @@ def _walk_sequences(probs: list[float], letter_bin: list[int], n: int,
     """Probability and codelength of every (pattern, bin string) of length n.
 
     Visits the k**n raw sequences depth first, in the lexicographic order of
-    itertools.product, so the returned ``joint`` holds each key's summed
-    sequence probability (each multiplied left to right) in first-visit
-    order.  ``codelength`` maps each key to -log2 of the coder's assigned
-    probability, accumulated one step at a time; a zero-probability step
-    makes the rest of its subtree inf.
+    itertools.product.  Each (pattern, bin string) is keyed by an integer
+    code with one base-``radix`` digit per step: (index - 1) * nbins plus the
+    rank of the step's bin among the nbins distinct bins of the letters, so
+    distinct pairs get distinct codes, all below k**(2n).  The returned
+    ``joint`` holds each key's summed sequence probability (each multiplied
+    left to right, summed in visit order); ``codelength`` maps each key to
+    -log2 of the coder's assigned probability, accumulated one step at a
+    time; a zero-probability step makes the rest of its subtree inf.
     """
     k = len(probs)
-    joint: dict[tuple, float] = {}
-    codelength: dict[tuple, float] = {}
+    rank = {b: r for r, b in enumerate(sorted(set(letter_bin)))}
+    nbins = len(rank)
+    letter_digit = [rank[b] for b in letter_bin]
+    radix = k * nbins
+    step, log2, inf = next_symbol_prob, math.log2, math.inf
+    joint: dict[int, float] = {}
+    codelength: dict[int, float] = {}
     state = CoderState()
     index_of = [0] * k  # letter -> its pattern index on the current path, 0 if unseen
-    # step d of the current path: its letter, pattern index, bin and whether
-    # it introduced its index; prob[d] and bits[d] are the prefix's
-    # probability and codelength before step d
-    path, psi, beta, fresh = [0] * n, [0] * n, [0] * n, [False] * n
-    prob, bits = [1.0] * (n + 1), [0.0] * (n + 1)
+    # step d of the current path: its letter and whether it introduced its
+    # index; prob[d], bits[d] and code[d] are the prefix's probability,
+    # codelength and key before step d
+    path, fresh = [0] * n, [False] * n
+    prob, bits, code = [1.0] * (n + 1), [0.0] * (n + 1), [0] * (n + 1)
     d = s = 0
     while True:
         idx = index_of[s]
@@ -99,23 +108,24 @@ def _walk_sequences(probs: list[float], letter_bin: list[int], n: int,
             idx = index_of[s] = state.max_index + 1
         b = letter_bin[s]
         cl = bits[d]
-        if cl != math.inf:
-            q = next_symbol_prob(model, state, idx, b)
+        if cl != inf:
+            q = step(model, state, idx, b)
             if q > 0.0:
-                cl = cl - math.log2(q)
+                cl = cl - log2(q)
             else:
                 warnings.warn(f"zero-probability step at position {d}")
-                cl = math.inf
+                cl = inf
         if new:
             state.update(idx, b)
-        path[d], psi[d], beta[d], fresh[d] = s, idx, b, new
+        path[d], fresh[d] = s, new
         prob[d + 1] = prob[d] * probs[s]
         bits[d + 1] = cl
+        code[d + 1] = code[d] * radix + (idx - 1) * nbins + letter_digit[s]
         d += 1
         if d < n:
             s = 0
             continue
-        key = (tuple(psi), tuple(beta))
+        key = code[n]
         joint[key] = joint.get(key, 0.0) + prob[n]
         codelength[key] = cl
         # backtrack to the deepest step with a next letter

@@ -105,18 +105,20 @@ def enumerate_patterns(n: int, k: int, cap: int = ENUMERATION_CAP) -> Iterator[P
     total = count_patterns(n, k)
     if total > cap:
         raise ResourceCapError(f"{total} patterns exceed the enumeration cap ({cap})")
-
-    def rec(prefix: list[int], running_max: int) -> Iterator[Pattern]:
-        if len(prefix) == n:
-            yield Pattern(tuple(prefix))
+    rgs = [1] * n
+    top = [1] * n  # top[j] = max(rgs[:j + 1])
+    while True:
+        yield Pattern(tuple(rgs))
+        # the next string raises the last entry that can grow and resets the rest to 1
+        j = n - 1
+        while j > 0 and rgs[j] >= min(top[j - 1] + 1, k):
+            j -= 1
+        if j == 0:
             return
-        top = min(running_max + 1, k)
-        for j in range(1, top + 1):
-            prefix.append(j)
-            yield from rec(prefix, max(running_max, j))
-            prefix.pop()
-
-    yield from rec([1], 1)
+        rgs[j] += 1
+        top[j] = max(top[j - 1], rgs[j])
+        rgs[j + 1:] = [1] * (n - j - 1)
+        top[j + 1:] = [top[j]] * (n - j - 1)
 
 
 def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> float:

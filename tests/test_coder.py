@@ -63,6 +63,29 @@ class TestNextSymbolProb:
             next_symbol_prob(model, CoderState(), 1, 9)
 
 
+class TestCoderState:
+    def test_max_index_tracks_updates_and_pops(self):
+        rng = np.random.default_rng(3)
+        state = CoderState()
+        for _ in range(2000):
+            m = state.max_index
+            if m and rng.random() < 0.4:
+                state.pop_index()
+            else:
+                state.update(int(rng.integers(1, m + 2)), int(rng.integers(0, 4)))
+            assert state.max_index == len(state.index_to_bin)
+            assert sum(state.seen_per_bin.values()) == state.max_index
+
+    def test_skip_ahead_leaves_state_unchanged(self):
+        state = CoderState()
+        state.update(1, 2)
+        state.update(2, 0)
+        before = (dict(state.index_to_bin), dict(state.seen_per_bin), state.max_index)
+        with pytest.raises(ValueError):
+            state.update(4, 1)
+        assert (state.index_to_bin, state.seen_per_bin, state.max_index) == before
+
+
 class TestSequenceCodelength:
     def test_repeat_pair(self):
         model = three_letter_single_bin_model()
@@ -290,6 +313,18 @@ class TestModelValidation:
             CoderModel(n=4, phi=np.array([0.0, 1.0]), rho=np.array([0.0, 0.5]),
                        kbins=np.array([0, 4]), ell=np.array([0, 4]),
                        L=np.array([0.0, 2.0]))
+
+    def test_float_values_match_read_only_arrays(self):
+        pv = ParamVector.from_groups([1e-4, 0.249, 0.25], [10, 1, 3])
+        for model in (three_letter_single_bin_model(),
+                      CoderModel.from_source(pv, build_grid("eta", 100, 0.25), 100)):
+            assert list(model.phi_floats) == model.phi.tolist()
+            assert list(model.rho_floats) == model.rho.tolist()
+            assert model.num_bins == len(model.phi) and type(model.num_bins) is int
+            for arr in (model.phi, model.rho):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
 
     def test_from_source_rho_values(self):
         pv = ParamVector.from_groups([1e-4, 0.249, 0.25], [10, 1, 3])

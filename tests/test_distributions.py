@@ -54,6 +54,15 @@ class TestParamVector:
         with pytest.raises(ValueError):
             ParamVector.from_probs([0.4, -0.1, 0.7])
 
+    @pytest.mark.parametrize("build", [
+        lambda: ParamVector.from_probs([[0.5], [0.5]]),
+        lambda: ParamVector.from_probs(1.0),
+        lambda: ParamVector.from_groups([[0.5], [0.25]], [[1], [2]]),
+    ], ids=["from_probs_2d", "from_probs_scalar", "from_groups_2d"])
+    def test_rejects_input_that_is_not_1d(self, build):
+        with pytest.raises(ValueError, match="1-d"):
+            build()
+
     def test_deterministic_construction(self):
         spec = SourceSpec("zipf", {"k": 20, "exponent": 1.3})
         a, b = make_distribution(spec), make_distribution(spec)

@@ -35,21 +35,23 @@ def _entropy_of(masses):
     return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
 
 
+def _raw_joint(theta, grid, n):
+    """P(pattern, bin string) of every key, summed over all k^n raw sequences."""
+    probs = theta.probs.tolist()
+    letter_bin = bin_index(grid, probs).tolist()
+    joint: dict = {}
+    for seq in itertools.product(range(len(probs)), repeat=n):
+        key = (extract_pattern(seq).indices, tuple(letter_bin[s] for s in seq))
+        joint[key] = joint.get(key, 0.0) + math.prod(probs[s] for s in seq)
+    return joint
+
+
 def reference_exact_entropies(theta, grid, n, model=None):
     """Slow reference for exact_entropies: one DP per pattern, then every raw
     sequence's pattern extracted and its (pattern, bin string) coded from scratch."""
-    k = theta.k
     h_pattern = _entropy_of(
-        pattern_probability(theta, psi) for psi in enumerate_patterns(n, min(k, n)))
-    probs = theta.probs.tolist()
-    letter_bin = bin_index(grid, probs).tolist()
-    joint: dict[tuple, float] = {}
-    for seq in itertools.product(range(1, k + 1), repeat=n):
-        p = 1.0
-        for s in seq:
-            p *= probs[s - 1]
-        key = (extract_pattern(seq).indices, tuple(letter_bin[s - 1] for s in seq))
-        joint[key] = joint.get(key, 0.0) + p
+        pattern_probability(theta, psi) for psi in enumerate_patterns(n, min(theta.k, n)))
+    joint = _raw_joint(theta, grid, n)
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
     return oracle.ExactEntropies(
@@ -182,6 +184,25 @@ class TestExactEntropies:
         exact_entropies(_geometric4(), _grid(n), n)
         assert calls == {"next_symbol_prob": sum(k ** d for d in range(1, n + 1)),
                          "extract_pattern": 0}
+
+    def test_leaf_codes_do_not_collide(self):
+        rng = np.random.default_rng(10)
+        shared_bin = 0
+        for _ in range(120):
+            k, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+            theta = _random_source(rng, k)
+            grid = _grid(n)
+            probs = theta.probs.tolist()
+            letter_bin = bin_index(grid, probs).tolist()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                joint, codelength = oracle._walk_sequences(
+                    probs, letter_bin, n, CoderModel.from_source(theta, grid, n))
+            want = _raw_joint(theta, grid, n)
+            assert len(joint) == len(codelength) == len(want)
+            assert sorted(joint.values()) == sorted(want.values())
+            shared_bin += int(len(set(letter_bin)) < k)
+        assert shared_bin >= 20
 
     def test_one_dp_per_occurrence_count_tuple(self, monkeypatch):
         seen = []
@@ -317,17 +338,6 @@ class TestDistinctCountOracle:
             want[seen] += p
         got = exact_distinct_count_pmf(probs[:2], n)
         assert np.allclose(got, want, atol=1e-12)
-
-
-def _raw_joint(theta, grid, n):
-    """P(pattern, bin string) of every key, summed over all k^n raw sequences."""
-    probs = theta.probs.tolist()
-    letter_bin = bin_index(grid, probs).tolist()
-    joint: dict = {}
-    for seq in itertools.product(range(len(probs)), repeat=n):
-        key = (extract_pattern(seq).indices, tuple(letter_bin[s] for s in seq))
-        joint[key] = joint.get(key, 0.0) + math.prod(probs[s] for s in seq)
-    return joint
 
 
 class TestStepwiseCodelength:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -97,6 +98,23 @@ class TestEnumerate:
     def test_cap_guard(self):
         with pytest.raises(ResourceCapError):
             list(enumerate_patterns(40, 40, cap=1000))
+
+    def test_lexicographic_order_of_every_pattern(self):
+        for n in range(1, 7):
+            for k in range(1, 5):
+                want = sorted({extract_pattern(seq).indices
+                               for seq in itertools.product(range(k), repeat=n)})
+                assert [p.indices for p in enumerate_patterns(n, k)] == want
+
+    def test_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                list(enumerate_patterns(3, 2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPatternProbability:
