@@ -5,10 +5,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
+# log2_factorial takes integral m below this from the exact integer m!: glibc's
+# lgamma is up to 2 ulp off there (lgamma(3.0) != ln 2, so log2(2!) != 1),
+# and m! < 2**64 costs no more than lgamma.  From here on lgamma is within
+# 3.7e-16 relative of ln(m!) (measured for m < 3000).
+EXACT_FACTORIAL_BELOW = 21
 
 
 class ResourceCapError(RuntimeError):
@@ -16,10 +20,12 @@ class ResourceCapError(RuntimeError):
 
 
 def log2_factorial(m: float) -> float:
-    """log2(m!) for real m >= 0, via log-gamma."""
+    """log2(m!) for real m >= 0: exact for small integral m, else via log-gamma."""
     if m < 0:
         raise ValueError(f"factorial argument must be >= 0, got {m}")
-    return float(gammaln(m + 1.0)) / LN2
+    if m < EXACT_FACTORIAL_BELOW and m == int(m):
+        return math.log(math.factorial(int(m))) / LN2
+    return math.lgamma(m + 1.0) / LN2
 
 
 def log2_binomial(a: float, b: float) -> float:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from ._common import LOG2E, ResourceCapError, elementwise, log2_binomial, log2_factorial, xlog2x
 from .distributions import ParamVector, binary_entropy, entropy_terms, iid_entropy
@@ -111,9 +110,14 @@ class SourceAnalysis:
         return -math.fsum(self.plog2p.tolist())
 
     @cached_property
+    def absent(self) -> np.ndarray:
+        """Per-group probability (1 - theta)^n that a letter is missing from n draws."""
+        return absent_probability(self.theta.values, self.n)
+
+    @cached_property
     def occupancy(self) -> np.ndarray:
         """Per-group probability 1 - (1 - theta)^n that a letter occurs in n draws."""
-        return 1.0 - absent_probability(self.theta.values, self.n)
+        return 1.0 - self.absent
 
     @cached_property
     def eta_grid(self) -> Grid:
@@ -283,7 +287,7 @@ def distinct_count_pmf(analysis: SourceAnalysis, b: int) -> np.ndarray:
     documented approximation (true occurrence indicators are weakly dependent);
     see the verification suite for the Monte Carlo / exact cross-checks.
     The bin's groups and their occupancy are read from ``analysis``
-    (``tau_stats.group_bin`` and ``occupancy``).
+    (``tau_stats.group_bin``, ``occupancy`` and its complement ``absent``).
     """
     sel = analysis.tau_stats.group_bin == b
     c = analysis.theta.counts[sel]
@@ -292,10 +296,91 @@ def distinct_count_pmf(analysis: SourceAnalysis, b: int) -> np.ndarray:
         raise ResourceCapError(f"bin {b} holds {total} letters; its pmf of {total + 1} entries "
                                f"exceeds PMF_CAP ({PMF_CAP})")
     pmf = np.array([1.0])
-    for cc, p_occ in zip(c, analysis.occupancy[sel]):
-        block = _binom.pmf(np.arange(int(cc) + 1), int(cc), p_occ)
-        pmf = np.convolve(pmf, block)
+    for cc, p, q in zip(c.tolist(), analysis.occupancy[sel].tolist(), analysis.absent[sel].tolist()):
+        pmf = np.convolve(pmf, binomial_pmf(cc, p, q))
     return pmf
+
+
+# Loader's Stirling error ln(m!) - (m + 1/2) ln m + m - ln sqrt(2 pi) at
+# m = 0..15, from a 50-digit evaluation rounded to float64 (m = 0 is unused).
+_STIRLERR_TABLE = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_LN_2PI = 1.8378770664093456  # ln(2 pi), correctly rounded (math.log(2 * math.pi) is 1 ulp low)
+
+
+def _stirlerr(m: np.ndarray) -> np.ndarray:
+    """Stirling error of m! for integer-valued m >= 1: the table up to 15, then
+    the asymptotic series to its m^-9 term, whose first omitted term is below
+    1.2e-16 for m > 15."""
+    out = np.empty(m.shape)
+    small = m <= 15
+    out[small] = _STIRLERR_TABLE[m[small].astype(np.intp)]
+    big = m[~small]
+    mm = big * big
+    out[~small] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / mm) / mm) / mm) / mm) / big
+    return out
+
+
+def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Loader's deviance term x ln(x / mean) + mean - x, for x > 0 and mean > 0.
+
+    Where x is within 10 % of mean the closed form cancels, so there it is
+    summed as the series 2 x v^3/3 + 2 x v^5/5 + ... on top of (x - mean) v,
+    with v = (x - mean) / (x + mean), |v| < 0.1, until no term moves the sum.
+    """
+    d = x - mean
+    out = x * np.log(x / mean) - d
+    near = np.abs(d) < 0.1 * (x + mean)
+    if near.any():
+        dn, xn = d[near], x[near]
+        v = dn / (xn + mean[near])
+        s = dn * v
+        term, v2, j = 2.0 * xn * v, v * v, 3
+        while True:
+            term *= v2
+            s_next = s + term / j
+            if np.array_equal(s_next, s):
+                break
+            s, j = s_next, j + 2
+        out[near] = s
+    return out
+
+
+def binomial_pmf(c: int, p: float, q: float) -> np.ndarray:
+    """P(X = x) for x = 0..c where X ~ Binomial(c, p); ``q`` is 1 - p.
+
+    Taking q from the caller keeps its digits when p is near 1, where 1 - p
+    would cancel.  Loader's saddle-point form (C. Loader, "Fast and accurate
+    computation of binomial probabilities", 2000; the method of R's dbinom)
+    writes each log-probability as Stirling errors and deviance terms that
+    are all small near the mode, so the mass is accurate to a few ulp there;
+    a difference of log-gammas loses about 1e-11 absolute at c = 1e5.
+    """
+    if c <= 1:
+        return np.array([1.0]) if c == 0 else np.array([q, p])
+    if q == 0.0 or p == 0.0:
+        block = np.zeros(c + 1)
+        block[c if q == 0.0 else 0] = 1.0
+        return block
+    cf = float(c)
+    ends = np.array([cf, cf])
+    # x = 0 and x = c: c ln q and c ln p, as -bd0 - c p when that is the sharper form
+    dev = _bd0(ends, np.array([cf * q, cf * p]))
+    lc0 = -dev[0] - cf * p if p < 0.1 else cf * math.log(q)
+    lcc = -dev[1] - cf * q if q < 0.1 else cf * math.log(p)
+    x = np.arange(1.0, cf)
+    se = _stirlerr(x)
+    # ln(2 pi x (c - x) / c) from the nearer end, so x near c does not cancel in 1 - x/c
+    near_end = np.minimum(x, x[::-1])
+    inner = (_stirlerr(ends[:1]) - se - se[::-1]
+             - _bd0(x, np.full(x.shape, cf * p)) - _bd0(x[::-1], np.full(x.shape, cf * q))
+             - 0.5 * (_LN_2PI + np.log(near_end) + np.log1p(-near_end / cf)))
+    return np.exp(np.concatenate(([lc0], inner, [lcc])))
 
 
 def _bin0_packing_term(low: _LowStats, n: int) -> tuple[float, list[str]]:

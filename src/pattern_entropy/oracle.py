@@ -97,15 +97,17 @@ def _walk_sequences(probs: list[float], letter_bin: list[int], n: int,
     index_of = [0] * k  # letter -> its pattern index on the current path, 0 if unseen
     # step d of the current path: its letter and whether it introduced its
     # index; prob[d], bits[d] and code[d] are the prefix's probability,
-    # codelength and key before step d
+    # codelength and key before step d.  The last step (d = n - 1) ends a
+    # sequence, so it records nothing: no later step reads the state.
     path, fresh = [0] * n, [False] * n
-    prob, bits, code = [1.0] * (n + 1), [0.0] * (n + 1), [0] * (n + 1)
+    prob, bits, code = [1.0] * n, [0.0] * n, [0] * n
+    last = n - 1
     d = s = 0
     while True:
         idx = index_of[s]
         new = idx == 0
         if new:
-            idx = index_of[s] = state.max_index + 1
+            idx = state.max_index + 1
         b = letter_bin[s]
         cl = bits[d]
         if cl != inf:
@@ -115,21 +117,20 @@ def _walk_sequences(probs: list[float], letter_bin: list[int], n: int,
             else:
                 warnings.warn(f"zero-probability step at position {d}")
                 cl = inf
-        if new:
-            state.update(idx, b)
-        path[d], fresh[d] = s, new
-        prob[d + 1] = prob[d] * probs[s]
-        bits[d + 1] = cl
-        code[d + 1] = code[d] * radix + (idx - 1) * nbins + letter_digit[s]
-        d += 1
-        if d < n:
+        key = code[d] * radix + (idx - 1) * nbins + letter_digit[s]
+        if d < last:
+            path[d], fresh[d] = s, new
+            if new:
+                index_of[s] = idx
+                state.update(idx, b)
+            d += 1
+            prob[d], bits[d], code[d] = prob[d - 1] * probs[s], cl, key
             s = 0
             continue
-        key = code[n]
-        joint[key] = joint.get(key, 0.0) + prob[n]
+        joint[key] = joint.get(key, 0.0) + prob[d] * probs[s]
         codelength[key] = cl
-        # backtrack to the deepest step with a next letter
-        s = k
+        # the next letter at this step, else at the deepest step that has one
+        s += 1
         while s == k:
             if d == 0:
                 return joint, codelength

@@ -1,11 +1,16 @@
 import math
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pattern_entropy._common import LOG2E, log2_factorial
+from pattern_entropy._common import EXACT_FACTORIAL_BELOW, LN2, LOG2E, log2_factorial
 from pattern_entropy.bounds import (
+    _STIRLERR_TABLE,
     SourceAnalysis,
+    binomial_pmf,
     contribution_limits,
     distinct_count_pmf,
     gamma_fixed_point,
@@ -216,6 +221,102 @@ class TestDistinctCountPmf:
             pmf = distinct_count_pmf(analysis, int(b))
             mean = float(np.dot(np.arange(len(pmf)), pmf))
             assert abs(mean - Lb) <= 1e-9
+
+
+    def test_near_certain_letters_keep_their_absent_probability(self):
+        # 50 letters of 1/50 at n = 1000: each is missing with q = 1.7e-9, and
+        # P(one missing) = 50 q p^49 has q's relative precision only if q is
+        # not recovered as 1 - p (that loses it to 2e-8); measured 3.6e-15
+        k, n = 50, 1000
+        pv = ParamVector.from_probs([1 / k] * k)
+        analysis = SourceAnalysis(pv, n, 0.4)
+        pmf = distinct_count_pmf(analysis, int(analysis.tau_stats.group_bin[0]))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            q = (1 - Decimal(float(pv.values[0]))) ** n
+            for x in (k - 2, k - 1, k):
+                exact = math.comb(k, x) * (1 - q) ** x * q ** (k - x)
+                assert abs(Decimal(float(pmf[x])) - exact) <= Decimal("1e-14") * exact
+
+
+def _complementary(small: float) -> tuple[float, float]:
+    """(small', 1 - small') with the sum exactly 1 and small' within an ulp of 1 of small."""
+    big = 1.0 - small
+    return 1.0 - big, big
+
+
+# (p, q) pairs with p + q == 1 exactly, p within 1e-6 of 0 and of 1 included
+_PQ = [pq for small in (1e-12, 3e-7, 1e-6, 0.01, 0.09, 0.1, 0.11, 0.3, 0.5)
+       for pq in (_complementary(small), _complementary(small)[::-1])]
+
+
+class TestBinomialPmf:
+    def test_matches_exact_rationals(self):
+        # |error| <= 2e-15 |ln P| P: the log-probability is good to a few ulp of
+        # its size (measured 1.2e-15 over these cases); values below float64's
+        # normal range are checked for smallness only
+        for c in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 60):
+            for p, q in _PQ:
+                got = binomial_pmf(c, p, q)
+                assert got.shape == (c + 1,)
+                assert abs(math.fsum(got) - 1.0) <= 1e-12
+                pf, qf = Fraction(p), Fraction(q)
+                for x in range(c + 1):
+                    exact = float(math.comb(c, x) * pf ** x * qf ** (c - x))
+                    if exact < sys.float_info.min:
+                        assert got[x] < 2 * sys.float_info.min
+                        continue
+                    tol = 2e-15 * max(1.0, -math.log(exact)) * exact
+                    assert abs(got[x] - exact) <= tol, (c, p, x)
+
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        # measured max 2.7e-15 absolute, all of it scipy's own: at p = 1e-12
+        # it misses the exact pmf(0) by 2e-15 where this one matches it to 5e-17
+        for c in (1, 2, 7, 60, 1000, 12345, 100_000, 300_000):
+            for p, q in _PQ + [_complementary(2.5e-7)[::-1]]:
+                got = binomial_pmf(c, p, q)
+                ref = stats.binom.pmf(np.arange(c + 1), c, p)
+                assert np.max(np.abs(got - ref)) <= 4e-15, (c, p)
+                assert abs(math.fsum(got) - 1.0) <= 1e-12, (c, p)
+
+    def test_degenerate_success_probability(self):
+        assert binomial_pmf(3, 0.0, 1.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert binomial_pmf(3, 1.0, 0.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    def test_stirling_error_table(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            ln_sqrt_2pi = (2 * Decimal("3.14159265358979323846264338327950288419716939937510")).ln() / 2
+            for m in range(1, len(_STIRLERR_TABLE)):
+                want = (Decimal(math.factorial(m)).ln() - (m + Decimal("0.5")) * Decimal(m).ln()
+                        + m - ln_sqrt_2pi)
+                assert _STIRLERR_TABLE[m] == float(want)
+
+
+class TestLog2Factorial:
+    def test_matches_exact_factorials(self):
+        # measured 3.7e-16 relative at most
+        for m in range(3000):
+            exact = math.log2(math.factorial(m))
+            assert abs(log2_factorial(m) - exact) <= 1e-15 * exact, m
+
+    def test_branches_agree_at_cutoff(self):
+        for m in (EXACT_FACTORIAL_BELOW - 1, EXACT_FACTORIAL_BELOW):
+            by_int = math.log(math.factorial(m)) / LN2
+            by_lgamma = math.lgamma(m + 1.0) / LN2
+            assert abs(by_int - by_lgamma) <= 1e-15 * by_int
+        assert log2_factorial(EXACT_FACTORIAL_BELOW) == math.lgamma(EXACT_FACTORIAL_BELOW + 1.0) / LN2
+
+    def test_small_integers_are_exact(self):
+        assert log2_factorial(0) == log2_factorial(1) == 0.0
+        assert log2_factorial(2) == log2_factorial(2.0) == 1.0
+        assert log2_factorial(2.5) == math.lgamma(3.5) / LN2
+
+    def test_negative_argument_raises(self):
+        for m in (-1, -0.5):
+            with pytest.raises(ValueError):
+                log2_factorial(m)
 
 
 class TestLbTheorem4:
