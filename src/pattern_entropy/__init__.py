@@ -32,6 +32,7 @@ from .patterns import (
     count_patterns,
     enumerate_patterns,
     extract_pattern,
+    log_profile_probability,
     pattern_probability,
 )
 from .oracle import (
@@ -83,7 +84,7 @@ __all__ = [
     "BinStats", "Grid", "OccurrenceStats", "bin_index", "bin_stats",
     "build_grid", "low_thresholds", "occurrence_stats",
     "BinSeq", "Pattern", "bin_sequence", "count_patterns",
-    "enumerate_patterns", "extract_pattern", "pattern_probability",
+    "enumerate_patterns", "extract_pattern", "log_profile_probability", "pattern_probability",
     "ExactEntropies", "MCEstimate", "brute_force_permutation_count",
     "exact_distinct_count_pmf", "exact_entropies", "exact_pattern_entropy",
     "expected_codelength_stepwise",

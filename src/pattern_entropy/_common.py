@@ -8,7 +8,7 @@ import numpy as np
 
 LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
-# log2_factorial takes integral m below this from the exact integer m!: glibc's
+# ln_factorial takes integral m below this from the exact integer m!: glibc's
 # lgamma is up to 2 ulp off there (lgamma(3.0) != ln 2, so log2(2!) != 1),
 # and m! < 2**64 costs no more than lgamma.  From here on lgamma is within
 # 3.7e-16 relative of ln(m!) (measured for m < 3000).
@@ -19,13 +19,18 @@ class ResourceCapError(RuntimeError):
     """An operation would exceed its configured resource cap."""
 
 
-def log2_factorial(m: float) -> float:
-    """log2(m!) for real m >= 0: exact for small integral m, else via log-gamma."""
+def ln_factorial(m: float) -> float:
+    """ln(m!) for real m >= 0: exact for small integral m, else via log-gamma."""
     if m < 0:
         raise ValueError(f"factorial argument must be >= 0, got {m}")
     if m < EXACT_FACTORIAL_BELOW and m == int(m):
-        return math.log(math.factorial(int(m))) / LN2
-    return math.lgamma(m + 1.0) / LN2
+        return math.log(math.factorial(int(m)))
+    return math.lgamma(m + 1.0)
+
+
+def log2_factorial(m: float) -> float:
+    """log2(m!) for real m >= 0: exact for small integral m, else via log-gamma."""
+    return ln_factorial(m) / LN2
 
 
 def log2_binomial(a: float, b: float) -> float:

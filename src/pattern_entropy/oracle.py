@@ -1,8 +1,15 @@
 """Ground-truth entropy computations: exact at small scale, Monte Carlo beyond.
 
-Everything here is an independent oracle: exhaustive enumeration over raw
-sequences, exact pattern probabilities, and inclusion-exclusion over letter
-subsets.  Bound evaluations are validated against these values.
+Everything here is an independent oracle: exact pattern probabilities,
+exhaustive enumeration over raw sequences, and inclusion-exclusion over
+letter subsets.  Bound evaluations are validated against these values.
+
+The pattern side works on profiles, never on patterns: a pattern's
+probability depends only on its profile, so :func:`exact_pattern_entropy`
+sums over the integer partitions of n, each weighted by its number of
+patterns, and :func:`mc_pattern_entropy` reads each sample's profile from
+its sorted run lengths.  Both take ln P from one log-space DP per profile
+(:class:`~pattern_entropy.patterns.ProfileProbability`).
 
 The raw-sequence enumeration of :func:`exact_entropies` is one depth-first
 walk of the k-ary prefix tree of sequences.  Each step extends the
@@ -10,32 +17,30 @@ letter-to-index map, the prefix probability, one coder state (updated on
 the way down, undone on backtrack) and an integer code of the (pattern, bin)
 prefix, one digit per step, that keys the leaf; so every edge costs one
 :func:`~pattern_entropy.coder.next_symbol_prob` call on plain floats and
-small ints, and no leaf builds a tuple.  Pattern probabilities are memoised
-by the pattern's ordered occurrence counts, the only input their DP reads.
+small ints, and no leaf builds a tuple.
 
 All sums over injections of pattern indices into letters go through one
 memoised kernel, ``_injection_sum``; :func:`expected_codelength_stepwise`
-takes every node probability of its (pattern, bin) prefix-tree walk from it.
+takes every node probability of its (pattern, bin) prefix-tree walk from it,
+with one memo for the whole walk.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import ResourceCapError
+from ._common import LN2, ResourceCapError, ln_factorial
 from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector
 from .grids import Grid, bin_index
-from .patterns import (ENUMERATION_CAP, Pattern, enumerate_patterns, extract_pattern,
-                       pattern_probability)
+from .patterns import (ENUMERATION_CAP, Pattern, ProfileProbability, enumerate_partitions,
+                       profile_vectors)
 
-MC_K_CAP = 10
 PERMUTATION_K_CAP = 8
 INJECTION_TREE_K_CAP = 6
 
@@ -55,20 +60,26 @@ def _entropy_of(masses) -> float:
 
 
 def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
-    """H(pattern) in bits, from every length-n pattern's exact probability.
+    """H(pattern) in bits, summed over the profiles of length-n patterns.
 
-    Patterns with the same ordered occurrence counts (how often index 1, 2,
-    ... occurs) share one probability, so each count tuple runs the DP once.
+    A profile {mu_c} is a partition of n into at most min(k, n) parts; its
+    N(mu) = n! / prod_c((c!)**mu_c * mu_c!) patterns share one probability
+    P(mu), so H = sum_mu -N(mu) * P(mu) * log2 P(mu), one DP per partition.
+    ln N(mu) comes from a table of ln m! (exact integers below
+    ``EXACT_FACTORIAL_BELOW``, log-gamma above), so no integer grows with n.
+    Raises ResourceCapError past the enumeration cap on the number of
+    partitions.
     """
-    by_counts: dict[tuple[int, ...], float] = {}
-    masses = []
-    for psi in enumerate_patterns(n, min(theta.k, n)):
-        occ = tuple(map(psi.indices.count, range(1, psi.m + 1)))
-        p = by_counts.get(occ)
-        if p is None:
-            p = by_counts[occ] = pattern_probability(theta, psi)
-        masses.append(p)
-    return _entropy_of(masses)
+    log_p = ProfileProbability(theta)
+    table = [ln_factorial(i) for i in range(n + 1)]
+    ln_fact = table.__getitem__
+    terms = []
+    for parts in enumerate_partitions(n, min(theta.k, n)):
+        cs, mus = profile_vectors(parts)
+        ln_p = log_p(cs, mus)
+        ln_ways = table[n] - sum(map(ln_fact, parts)) - sum(map(ln_fact, mus))
+        terms.append(math.exp(ln_ways + ln_p) * (0.0 - ln_p) / LN2)
+    return math.fsum(terms)
 
 
 def _walk_sequences(probs: list[float], letter_bin: list[int], n: int,
@@ -146,14 +157,13 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
                     model: CoderModel | None = None) -> ExactEntropies:
     """Exact pattern / joint / codelength quantities by exhaustive enumeration.
 
-    The pattern entropy is computed from the pattern side (enumeration of
-    restricted growth strings with their exact probabilities, one DP per
-    ordered occurrence-count tuple); the joint entropy and expected
-    codelength enumerate all k^n raw sequences, since the bin string is a
-    function of the sequence rather than of its pattern.  That enumeration is
-    one depth-first walk of the sequence prefix tree: the k + k^2 + ... + k^n
-    edges each cost one coder step, and no pattern is extracted or coded
-    from scratch.
+    The pattern entropy is computed from the pattern side
+    (:func:`exact_pattern_entropy`, one DP per profile); the joint entropy
+    and expected codelength enumerate all k^n raw sequences, since the bin
+    string is a function of the sequence rather than of its pattern.  That
+    enumeration is one depth-first walk of the sequence prefix tree: the
+    k + k^2 + ... + k^n edges each cost one coder step, and no pattern is
+    extracted or coded from scratch.
     """
     k = theta.k
     if k ** n > ENUMERATION_CAP:
@@ -182,37 +192,51 @@ class MCEstimate:
     samples: int
 
 
+def _row_profiles(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct profiles of the rows of ``draws`` and how many rows have each.
+
+    A row's profile is the multiset of its letters' occurrence counts, the
+    run lengths of the sorted row.  Each returned profile row lists them in
+    descending order, padded with zeros to the largest number of distinct
+    letters in a row; no array is larger than ``draws``.
+    """
+    samples, n = draws.shape
+    ordered = np.sort(draws, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.flatnonzero(starts)
+    lengths = np.diff(first, append=ordered.size)
+    row = first // n
+    runs = np.bincount(row, minlength=samples)
+    order = np.lexsort((-lengths, row))
+    table = np.zeros((samples, int(runs.max())), dtype=np.int64)
+    table[row, np.arange(row.size) - np.repeat(np.cumsum(runs) - runs, runs)] = lengths[order]
+    return np.unique(table, axis=0, return_counts=True)
+
+
 def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the pattern entropy with its standard error.
 
     Averages -log2 P(pattern of X^n) over i.i.d. sampled sequences; each
-    per-sample probability is exact, so the estimator is unbiased.  Raises
-    ResourceCapError when a sampled pattern's probability falls below
-    float64's normal range, where the linear-scale DP underflows or loses
-    precision.
+    per-sample probability is exact, so the estimator is unbiased.  P depends
+    only on the pattern's profile, read from the sorted sample's run lengths,
+    so no pattern is built and each distinct profile runs one log-space DP
+    (it raises ResourceCapError past ``PROFILE_DP_CAP``).  The mean and the
+    variance are taken about the smallest value, so equal values give a
+    standard error of exactly 0.
     """
-    k = theta.k
-    if k > MC_K_CAP:
-        raise ResourceCapError(f"per-sample pattern probability is guarded to k <= {MC_K_CAP}")
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     rng = np.random.default_rng(seed)
-    draws = rng.choice(np.arange(1, k + 1), size=(samples, n), p=theta.probs)
-    counts: dict[Pattern, int] = {}
-    for row in draws.tolist():
-        psi = extract_pattern(row)
-        counts[psi] = counts.get(psi, 0) + 1
-    values = {}
-    for psi in counts:
-        p = pattern_probability(theta, psi)
-        if p < sys.float_info.min:
-            raise ResourceCapError(
-                f"pattern probability {p!r} of a sampled length-{n} pattern is below "
-                f"float64's normal range (>= {sys.float_info.min!r}) of the "
-                "linear-scale injection DP")
-        values[psi] = -math.log2(p)
-    mean = math.fsum(c * values[psi] for psi, c in counts.items()) / samples
-    ss = math.fsum(c * (values[psi] - mean) ** 2 for psi, c in counts.items())
+    draws = rng.choice(np.arange(1, theta.k + 1), size=(samples, n), p=theta.probs)
+    profiles, counts = _row_profiles(draws)
+    log_p = ProfileProbability(theta)
+    values = [(0.0 - log_p(*profile_vectors([c for c in padded if c]))) / LN2
+              for padded in profiles.tolist()]
+    counts = counts.tolist()
+    base = min(values)
+    mean = base + math.fsum(c * (v - base) for v, c in zip(values, counts)) / samples
+    ss = math.fsum(c * (v - mean) ** 2 for v, c in zip(values, counts))
     stderr = math.sqrt(ss / (samples - 1) / samples)
     return MCEstimate(estimate=mean, stderr=stderr, samples=samples)
 
@@ -266,17 +290,19 @@ def exact_distinct_count_pmf(probs_in_bin, n: int) -> np.ndarray:
     return pmf
 
 
-def _injection_sum(probs: list[float], occ: list[int], allowed: list[list[int]],
+def _injection_sum(probs: list[float], occ: list[int], allowed: list[tuple[int, ...]],
                    memo: dict, j: int = 0, used: int = 0) -> float:
     """Sum over injections l of indices j, j+1, ... into letters outside the
     bitmask ``used``, with l_i in allowed[i], of prod_i probs[l_i] ** occ[i].
 
-    ``memo`` caches each (j, used) value for one (probs, occ, allowed).  Each
-    level is an fsum over allowed[j] in the order given.
+    The value depends only on ``used`` and the suffixes occ[j:] and
+    allowed[j:], which key ``memo``; so one memo serves every (occ, allowed)
+    over the same ``probs``.  Each level is an fsum over allowed[j] in the
+    order given.
     """
     if j == len(occ):
         return 1.0
-    key = (j, used)
+    key = (used, tuple(occ[j:]), tuple(allowed[j:]))
     got = memo.get(key)
     if got is None:
         got = memo[key] = math.fsum(
@@ -287,12 +313,13 @@ def _injection_sum(probs: list[float], occ: list[int], allowed: list[list[int]],
     return got
 
 
-def _subtree_codelength(probs: list[float], bin_letters: dict[int, list[int]],
+def _subtree_codelength(probs: list[float], bin_letters: dict[int, tuple[int, ...]],
                         model: CoderModel, state: CoderState, occ: list[int],
-                        allowed: list[list[int]], n: int) -> float:
+                        allowed: list[tuple[int, ...]], n: int, memo: dict) -> float:
     """Sum of P(node) * -log2 q(node) over the (pattern, bin) prefix-tree nodes
     below the one whose indices have counts ``occ``, bin letters ``allowed``
-    and coder ``state``; all three are restored on return."""
+    and coder ``state``; all three are restored on return.  ``memo`` is the
+    injection-sum memo shared by every node of the walk."""
     depth, m = sum(occ), len(occ)
     if depth == n:
         return 0.0
@@ -306,7 +333,7 @@ def _subtree_codelength(probs: list[float], bin_letters: dict[int, list[int]],
             allowed.append(bin_letters[b])
         else:
             occ[idx - 1] += 1
-        p = _injection_sum(probs, occ, allowed, {})
+        p = _injection_sum(probs, occ, allowed, memo)
         if p > 0.0:
             q = next_symbol_prob(model, state, idx, b)
             bits = -math.log2(q) if q > 0.0 else math.inf
@@ -314,7 +341,7 @@ def _subtree_codelength(probs: list[float], bin_letters: dict[int, list[int]],
                 warnings.warn(f"zero-probability step at position {depth}")
             state.update(idx, b)
             total += p * bits + _subtree_codelength(probs, bin_letters, model, state, occ,
-                                                    allowed, n)
+                                                    allowed, n, memo)
             if new:
                 state.pop_index()
         if new:
@@ -340,10 +367,10 @@ def expected_codelength_stepwise(theta: ParamVector, grid: Grid, n: int,
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
     probs = [float(p) for p in theta.probs]
-    bin_letters: dict[int, list[int]] = {}
+    bin_letters: dict[int, tuple[int, ...]] = {}
     for letter, b in enumerate(bin_index(grid, probs).tolist()):
-        bin_letters.setdefault(b, []).append(letter)
-    return _subtree_codelength(probs, bin_letters, model, CoderState(), [], [], n)
+        bin_letters[b] = bin_letters.get(b, ()) + (letter,)
+    return _subtree_codelength(probs, bin_letters, model, CoderState(), [], [], n, {})
 
 
 def joint_pattern_bin_probability(theta: ParamVector, grid: Grid, psi, beta) -> float:
@@ -365,5 +392,5 @@ def joint_pattern_bin_probability(theta: ParamVector, grid: Grid, psi, beta) -> 
         occ[p - 1] += 1
     probs = [float(x) for x in theta.probs]
     letter_bin = bin_index(grid, probs).tolist()
-    allowed = [[i for i in range(k) if letter_bin[i] == index_bin[j]] for j in range(1, m + 1)]
+    allowed = [tuple(i for i in range(k) if letter_bin[i] == index_bin[j]) for j in range(1, m + 1)]
     return _injection_sum(probs, occ, allowed, {})

@@ -1,16 +1,26 @@
-"""Pattern extraction, enumeration, and exact pattern probabilities.
+"""Patterns, their profiles, and exact pattern probabilities.
 
 A pattern replaces each symbol of a sequence by the order of its first
 occurrence, producing a restricted growth string: the first entry is 1 and
 every entry is at most one larger than the running maximum.
+
+The probability of a pattern depends only on its profile {mu_c}, where mu_c
+indices occur exactly c times; the profiles of length-n patterns are the
+integer partitions of n.  :class:`ProfileProbability` computes ln P from a
+profile with a log-space DP over the source's probability groups, so it
+never underflows and never reads the per-letter probabilities;
+:func:`enumerate_partitions` lists the profiles.  Enumerating the patterns
+themselves (:func:`enumerate_patterns`) is kept as the reference route.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -19,7 +29,8 @@ from .distributions import ParamVector
 from .grids import Grid, bin_index
 
 ENUMERATION_CAP = 10_000_000
-INJECTION_K_CAP = 12
+# transitions of one profile DP (see ProfileProbability)
+PROFILE_DP_CAP = 1_000_000
 
 BinSeq = tuple[int, ...]
 
@@ -121,47 +132,193 @@ def enumerate_patterns(n: int, k: int, cap: int = ENUMERATION_CAP) -> Iterator[P
         top[j + 1:] = [top[j]] * (n - j - 1)
 
 
+def count_partitions(n: int, max_parts: int, limit: int | None = None) -> int:
+    """Number of partitions of n into at most ``max_parts`` parts.
+
+    Counts partitions into parts of size at most 1, 2, ..., ``max_parts`` (the
+    conjugate count) and stops as soon as a partial count exceeds ``limit``,
+    returning that partial count; so a huge count costs a few passes over n.
+    """
+    if n < 0 or max_parts < 0:
+        raise ValueError("need n >= 0 and max_parts >= 0")
+    ways = [1] + [0] * n
+    for part in range(1, min(max_parts, n) + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+        if limit is not None and ways[n] > limit:
+            break
+    return ways[n]
+
+
+def enumerate_partitions(n: int, max_parts: int, cap: int = ENUMERATION_CAP) -> Iterator[list[int]]:
+    """Partitions of n >= 1 into at most ``max_parts`` parts, as ascending lists.
+
+    Lexicographic order.  The explicit-stack ascending generator of Kelleher
+    and O'Sullivan ("Generating all partitions: a comparison of two
+    encodings", 2009), pruned to the part limit: with ``j`` parts fixed it
+    yields the one-part and two-part completions itself and descends only
+    when three more parts fit.  Raises ResourceCapError if the count exceeds
+    ``cap``.
+    """
+    if n < 1 or max_parts < 1:
+        raise ValueError("need n >= 1 and max_parts >= 1")
+    total = count_partitions(n, max_parts, limit=cap)
+    if total > cap:
+        raise ResourceCapError(f"{total} or more partitions exceed the enumeration cap ({cap})")
+    a = [0] * (n + 1)
+    j, y = 1, n - 1
+    while j:
+        x = a[j - 1] + 1
+        j -= 1
+        while 2 * x <= y and j + 3 <= max_parts:
+            a[j] = x
+            y -= x
+            j += 1
+        if j + 2 <= max_parts:
+            while x <= y:
+                a[j], a[j + 1] = x, y
+                yield a[:j + 2]
+                x += 1
+                y -= 1
+        a[j] = x + y
+        y = x + y - 1
+        yield a[:j + 1]
+
+
+def _log_sum_exp(terms: list[float]) -> float:
+    """ln sum_i exp(terms[i]), the exponentials scaled by the largest and summed with fsum."""
+    if len(terms) == 1:
+        return terms[0]
+    top = max(terms, default=-math.inf)
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
+
+
+class ProfileProbability:
+    """ln P(psi) of a pattern from its profile, under one source.
+
+    Call with the profile's distinct occurrence counts ``cs`` and the number
+    ``mus`` of indices that occur each of them.  A DP runs over the groups of
+    ``theta``; its state is the number of still-unplaced indices of each count,
+    at most prod_c(mu_c + 1) states.  Group g (value v_g, k_g letters) takes
+    a_c of the r_c remaining count-c indices, A = sum_c a_c of them in all,
+    and multiplies by prod_c C(r_c, a_c) * (k_g)_A * v_g**(sum_c c * a_c): the
+    ways to choose the indices, to inject them into the group's letters, and
+    their probability.  The last group takes every remaining index.  Terms
+    meeting in a state are summed in log space (log-sum-exp with fsum), so no
+    probability underflows.  The binomial and falling-factorial factors are
+    exact integers before their one log; falling factorials are memoised.
+
+    Before the DP runs, an upper bound on its transitions is checked against
+    ``PROFILE_DP_CAP``; one group is one transition, whatever k and the
+    profile, and ResourceCapError names the cap.
+    """
+
+    def __init__(self, theta: ParamVector):
+        groups = [(math.log(v), k_g) for v, k_g in theta.groups()]
+        self._groups, self._last = groups[:-1], groups[-1]  # (ln v_g, k_g); the last takes the rest
+        self._log_falling: dict[int, list[float]] = {}
+
+    def _falling(self, k_g: int, most: int) -> list[float]:
+        """ln (k_g)_A for A = 0, 1, ..., at least up to ``most``, from exact integers."""
+        table = self._log_falling.setdefault(k_g, [])
+        if len(table) <= most:
+            perm = math.perm(k_g, len(table))
+            for a in range(len(table), most + 1):
+                table.append(math.log(perm))
+                perm *= k_g - a
+        return table
+
+    def _moves(self, cs: tuple[int, ...], r: tuple[int, ...], most: int) -> list:
+        """(next state, A, sum_c c * a_c, ln prod_c C(r_c, a_c)) of every take
+        a <= r of A <= ``most`` indices."""
+        moves = [((), 0, 0, 1)]
+        for c, r_c in zip(cs, r):
+            moves = [(nxt + (r_c - x,), a + x, e + c * x, ways * math.comb(r_c, x))
+                     for nxt, a, e, ways in moves for x in range(min(r_c, most - a) + 1)]
+        return [(nxt, a, e, math.log(ways)) for nxt, a, e, ways in moves]
+
+    def __call__(self, cs: Sequence[int], mus: Sequence[int]) -> float:
+        cs, start = tuple(cs), tuple(mus)
+        m = sum(start)
+        if self._groups:  # one group is one transition
+            # every group but the first meets at most `states` states; from
+            # each, a group but the last takes one of at most C(d + A, d)
+            # count vectors of A <= min(k_g, m) indices, and the last takes one
+            states = math.prod(map((1).__add__, start))
+            work, entering = 0, 1
+            for _, k_g in self._groups:
+                work += entering * min(states, math.comb(len(cs) + min(k_g, m), len(cs)))
+                entering = states
+                if work > PROFILE_DP_CAP:
+                    break
+            if work + entering > PROFILE_DP_CAP:
+                raise ResourceCapError(
+                    f"the profile DP of a pattern with {m} indices over {len(self._groups) + 1} "
+                    f"groups needs more than PROFILE_DP_CAP = {PROFILE_DP_CAP} transitions "
+                    f"({states} states)")
+        layer = {start: 0.0}
+        moves: dict = {}
+        for lv, k_g in self._groups:
+            falling = self._falling(k_g, min(k_g, m))
+            terms: dict[tuple[int, ...], list[float]] = {}
+            for r, w in layer.items():
+                key = (r, min(k_g, sum(r)))
+                if key not in moves:
+                    moves[key] = self._moves(cs, *key)
+                for nxt, a, e, lb in moves[key]:
+                    t = w + lb + falling[a] + e * lv
+                    if nxt in terms:
+                        terms[nxt].append(t)
+                    else:
+                        terms[nxt] = [t]
+            layer = {r: _log_sum_exp(ts) for r, ts in terms.items()}
+        lv, k_g = self._last
+        falling = self._falling(k_g, min(k_g, m))
+        return _log_sum_exp([w + falling[a] + sum(map(mul, cs, r)) * lv
+                             for r, w in layer.items() if (a := sum(r)) <= k_g])
+
+
+def profile_of(psi: Pattern | Sequence[int]) -> dict[int, int]:
+    """The profile {c: mu_c} of a pattern: mu_c indices occur exactly c times."""
+    return dict(Counter(Counter(psi).values()))
+
+
+def profile_vectors(parts: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct parts c of a partition, in order of first appearance, and
+    their multiplicities mu_c: the profile whose occurrence counts are ``parts``."""
+    cs = list(dict.fromkeys(parts))
+    return cs, list(map(parts.count, cs))
+
+
+def log_profile_probability(theta: ParamVector, profile: Mapping[int, int]) -> float:
+    """ln P(psi) for any pattern psi with profile {c: mu_c} (see :class:`ProfileProbability`).
+
+    P(psi) depends on psi only through its profile (Orlitsky, Santhanam and
+    Zhang, IEEE T-IT 2004).  -inf when the profile has more indices than
+    ``theta`` has letters.  Raises ResourceCapError when the DP would take
+    more than ``PROFILE_DP_CAP`` transitions.
+    """
+    if any(c < 1 or mu < 0 for c, mu in profile.items()):
+        raise ValueError(f"a profile maps counts >= 1 to multiplicities >= 0, got {profile}")
+    return ProfileProbability(theta)(list(profile), list(profile.values()))
+
+
 def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> float:
     """Probability that n i.i.d. draws from ``theta`` produce pattern ``psi``.
 
-    P(psi) is a sum over injections of the pattern's indices into the
-    alphabet, and it depends only on how many indices land in each
-    (value, count) group of ``theta``.  A DP places the indices one at a time;
-    its state is the number of letters of each group already used.  Placing
-    an index that occurs n_j times in group g, with c_g of its k_g letters
-    taken, multiplies by (k_g - c_g) * v_g**n_j.  Each layer's merged states
-    are summed with compensated accumulation (fsum): the terms mix magnitudes
-    badly.
-
-    There are at most prod_g(min(k_g, m) + 1) <= 2**k states, so a pattern
-    costs O(m * states * G): O(m) for a uniform source, where the DP yields
-    k!/(k-m)! * k**-n.  Only ``theta.values`` and ``theta.counts`` are read.
+    The exponential of :func:`log_profile_probability` at the pattern's
+    profile: k!/(k-m)! * k**-n for a uniform source, one DP transition.
     """
     if not isinstance(psi, Pattern):
         psi = Pattern(tuple(psi))
-    k = theta.k
     m = psi.m
-    if m > k:
-        warnings.warn(f"pattern needs {m} distinct letters but the alphabet has {k}; probability 0")
+    if m > theta.k:
+        warnings.warn(f"pattern needs {m} distinct letters but the alphabet has {theta.k}; "
+                      "probability 0")
         return 0.0
-    if k > INJECTION_K_CAP:
-        raise ResourceCapError(f"injection sum is guarded to k <= {INJECTION_K_CAP}, got {k}")
-    groups = list(theta.groups())
-    occ = [0] * m
-    for j in psi:
-        occ[j - 1] += 1
-    layer: dict[tuple[int, ...], float] = {(0,) * len(groups): 1.0}
-    for n_j in occ:
-        powers = [v ** n_j for v, _ in groups]
-        terms: dict[tuple[int, ...], list[float]] = {}
-        for used, w in layer.items():
-            for g, (_, k_g) in enumerate(groups):
-                free = k_g - used[g]
-                if free:
-                    nxt = used[:g] + (used[g] + 1,) + used[g + 1:]
-                    terms.setdefault(nxt, []).append(w * free * powers[g])
-        layer = {state: math.fsum(ts) for state, ts in terms.items()}
-    return math.fsum(layer.values())
+    return math.exp(log_profile_probability(theta, profile_of(psi)))
 
 
 def bin_sequence(theta: ParamVector, grid: Grid, x: Sequence[int]) -> BinSeq:

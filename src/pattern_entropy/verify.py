@@ -43,7 +43,6 @@ from .oracle import (
     mc_pattern_entropy,
 )
 from .patterns import (
-    INJECTION_K_CAP,
     Pattern,
     bin_sequence,
     enumerate_patterns,
@@ -585,17 +584,24 @@ def check_theorem12_bracket(seed: int = DEFAULT_SEED, epsilon: float = 0.1) -> C
               f"desk-scale o(k)/o(1) allowances)")
 
 
+# letter subsets the reference injection sum may memoise
+INJECTION_SUBSET_CAP = 1 << 16
+
+
 def _injection_sum_probability(theta: ParamVector, psi: Pattern) -> float:
     """P(psi) as the memoised sum over injections of indices into letter subsets.
 
     The independent slow route for :func:`pattern_probability`: it reads the
-    per-letter probabilities and visits up to 2**k letter subsets.
+    per-letter probabilities and visits the sum_{j <= m} C(k, j) letter
+    subsets of size at most m, guarded to ``INJECTION_SUBSET_CAP``.
     """
-    k = theta.k
-    if k > INJECTION_K_CAP:
-        raise ResourceCapError(f"injection sum is guarded to k <= {INJECTION_K_CAP}, got {k}")
-    occ = [psi.indices.count(j) for j in range(1, psi.m + 1)]
-    return _injection_sum([float(p) for p in theta.probs], occ, [list(range(k))] * psi.m, {})
+    k, m = theta.k, psi.m
+    subsets = sum(math.comb(k, j) for j in range(min(k, m) + 1))
+    if subsets > INJECTION_SUBSET_CAP:
+        raise ResourceCapError(f"{subsets} letter subsets exceed INJECTION_SUBSET_CAP = "
+                               f"{INJECTION_SUBSET_CAP}")
+    occ = [psi.indices.count(j) for j in range(1, m + 1)]
+    return _injection_sum([float(p) for p in theta.probs], occ, [tuple(range(k))] * m, {})
 
 
 # Sources with tied probabilities, so that groups with count > 1 are exercised.

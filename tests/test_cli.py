@@ -146,7 +146,8 @@ class TestBoundsCommand:
         assert float(rows[0]["value"]) > 0
 
     def test_mc_underflow_reported_run_continues(self, tmp_path):
-        # uniform k=10 at n=400: every pattern probability underflows float64
+        # uniform k=10 at n=400: every pattern probability underflows float64,
+        # but the log-space profile DP reports the estimate
         cfg = write_config(tmp_path, {
             "source": {"family": "uniform", "params": {"k": 10}},
             "n": 400, "epsilon": 0.3, "bounds": ["simple"], "mc": {"samples": 10},
@@ -155,14 +156,18 @@ class TestBoundsCommand:
         assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
         rows = read_csv(out)
         assert [r["bound"] for r in rows] == ["simple_lower", "simple_upper"]
-        assert all(r["error"].startswith("mc skipped:") and "normal range" in r["error"]
-                   for r in rows)
+        want = 400 * math.log2(10) - math.log2(math.factorial(10))
+        for r in rows:
+            assert r["error"] == ""
+            assert abs(float(r["mc_estimate"]) - want) <= 1e-12 * want
+            assert float(r["mc_stderr"]) == 0.0
         assert all(float(r["value"]) > 0 for r in rows)
 
     def test_oracle_and_mc_caps_both_reported(self, tmp_path):
-        # uniform k=10 at n=400: 10^400 sequences to enumerate and underflowing MC
+        # zipf k=200 at n=400: 200^400 sequences to enumerate, and a sampled
+        # profile's DP over 200 groups exceeds PROFILE_DP_CAP
         cfg = write_config(tmp_path, {
-            "source": {"family": "uniform", "params": {"k": 10}},
+            "source": {"family": "zipf", "params": {"k": 200, "exponent": 1.3}},
             "n": 400, "epsilon": 0.3, "bounds": ["simple"], "oracle": True,
             "mc": {"samples": 10},
         })
@@ -173,7 +178,7 @@ class TestBoundsCommand:
         for r in rows:
             oracle_msg, mc_msg = r["error"].split(";")
             assert oracle_msg.startswith("oracle skipped:") and "enumeration cap" in oracle_msg
-            assert mc_msg.startswith("mc skipped:") and "normal range" in mc_msg
+            assert mc_msg.startswith("mc skipped:") and "PROFILE_DP_CAP" in mc_msg
 
     def test_cap_error_row_carries_the_report_name(self, tmp_path):
         # one tau bin of 10^6 letters breaches PMF_CAP; the row keeps its report name
@@ -327,15 +332,24 @@ class TestOracleCommand:
 
     def test_mc_underflow_exit_3(self, tmp_path, monkeypatch, capsys):
         # 10^400 sequences exceed the enumeration cap, so stand in for the exact
-        # part to reach the Monte Carlo one
+        # part to reach the Monte Carlo one.  Uniform k=10 at n=400 no longer
+        # underflows; a profile DP past its cap still exits 3
         monkeypatch.setattr(cli, "exact_entropies", lambda theta, grid, n: ExactEntropies(
             h_x_block=0.0, h_pattern=0.0, h_joint=0.0, expected_codelength=0.0))
         cfg = write_config(tmp_path, {
             "source": {"family": "uniform", "params": {"k": 10}},
             "n": 400, "epsilon": 0.3, "mc": {"samples": 10},
         })
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["oracle", "--config", cfg, "--out", out]) == 0
+        want = 400 * math.log2(10) - math.log2(math.factorial(10))
+        assert abs(float(read_csv(out)[0]["mc_estimate"]) - want) <= 1e-12 * want
+        cfg = write_config(tmp_path, {
+            "source": {"family": "zipf", "params": {"k": 200, "exponent": 1.3}},
+            "n": 400, "epsilon": 0.3, "mc": {"samples": 10},
+        })
         assert cli.main(["oracle", "--config", cfg]) == 3
-        assert "normal range" in capsys.readouterr().err
+        assert "PROFILE_DP_CAP" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

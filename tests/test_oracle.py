@@ -162,7 +162,12 @@ class TestExactEntropies:
             for theta, n, model in sources:
                 grid = _grid(n)
                 got = exact_entropies(theta, grid, n, model=model)
-                assert got == reference_exact_entropies(theta, grid, n, model=model)
+                want = reference_exact_entropies(theta, grid, n, model=model)
+                # the walk's three fields are bit-identical; h_pattern sums over
+                # profiles in log space instead of over patterns
+                assert (got.h_x_block, got.h_joint, got.expected_codelength) == (
+                    want.h_x_block, want.h_joint, want.expected_codelength)
+                assert abs(got.h_pattern - want.h_pattern) <= 1e-13 * want.h_pattern
                 bins = bin_index(grid, theta.probs).tolist()
                 cases["tied"] += int(theta.counts.max() > 1)
                 cases["shared_bin"] += int(len(set(bins)) < len(bins))
@@ -172,14 +177,14 @@ class TestExactEntropies:
 
     def test_walks_the_prefix_tree_once(self, monkeypatch):
         calls = {"next_symbol_prob": 0, "extract_pattern": 0}
-        for name in calls:
-            real = getattr(oracle, name)
+        for module, name in ((oracle, "next_symbol_prob"), (patterns, "extract_pattern")):
+            real = getattr(module, name)
 
             def wrapper(*args, _name=name, _real=real):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(oracle, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
         k, n = 4, 7
         exact_entropies(_geometric4(), _grid(n), n)
         assert calls == {"next_symbol_prob": sum(k ** d for d in range(1, n + 1)),
@@ -205,18 +210,44 @@ class TestExactEntropies:
         assert shared_bin >= 20
 
     def test_one_dp_per_occurrence_count_tuple(self, monkeypatch):
+        # one DP per profile: the 11 partitions of 7 into at most 4 parts
         seen = []
-        real = oracle.pattern_probability
+        real = patterns.ProfileProbability.__call__
 
-        def counting(theta, psi):
-            seen.append(tuple(psi.indices.count(j) for j in range(1, psi.m + 1)))
-            return real(theta, psi)
+        def counting(self, cs, mus):
+            seen.append((tuple(cs), tuple(mus)))
+            return real(self, cs, mus)
 
-        monkeypatch.setattr(oracle, "pattern_probability", counting)
+        monkeypatch.setattr(patterns.ProfileProbability, "__call__", counting)
         theta = _geometric4()
         h = oracle.exact_pattern_entropy(theta, 7)
-        assert len(seen) == len(set(seen)) == 42
-        assert h == _entropy_of(real(theta, psi) for psi in enumerate_patterns(7, 4))
+        assert len(seen) == len(set(seen)) == 11
+        want = _entropy_of(pattern_probability(theta, psi) for psi in enumerate_patterns(7, 4))
+        assert abs(h - want) <= 1e-14 * want
+
+    def test_uses_no_pattern(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no pattern is enumerated or extracted")
+
+        for name in ("enumerate_patterns", "extract_pattern"):
+            monkeypatch.setattr(patterns, name, refuse)
+            monkeypatch.setattr(oracle, name, refuse, raising=False)
+        theta = _geometric4()
+        assert oracle.exact_pattern_entropy(theta, 7) > 0.0
+        assert mc_pattern_entropy(theta, 7, samples=50, seed=3).estimate > 0.0
+
+    def test_large_alphabet_by_stirling_numbers(self):
+        # uniform k = 1000 at n = 50: every profile with m parts has probability
+        # (k)_m / k**n, and S(n, m) patterns have m distinct indices
+        k, n = 1000, 50
+        stirling = [1] + [0] * n  # S(i, m) over m, row by row
+        for i in range(1, n + 1):
+            stirling = [0] + [m * stirling[m] + stirling[m - 1] for m in range(1, n + 1)]
+        want = math.fsum(
+            s * math.perm(k, m) / k ** n * (n * math.log2(k) - math.log2(math.perm(k, m)))
+            for m, s in enumerate(stirling) if s)
+        got = oracle.exact_pattern_entropy(ParamVector.from_groups([1.0 / k], [k]), n)
+        assert abs(got - want) <= 1e-12 * want
 
     def test_leaves_no_tables_behind(self):
         theta, n = _geometric4(), 7
@@ -276,14 +307,48 @@ class TestMC:
         assert hits >= 99
 
     def test_k_guard(self):
+        # k = 12 was past the old k cap; the estimate brackets the exact value
         pv = ParamVector.from_groups([1.0 / 12] * 12, [1] * 12)
-        with pytest.raises(ResourceCapError):
-            mc_pattern_entropy(pv, 4, samples=10, seed=0)
+        mc = mc_pattern_entropy(pv, 4, samples=2000, seed=0)
+        exact = oracle.exact_pattern_entropy(pv, 4)
+        assert mc.samples == 2000 and abs(mc.estimate - exact) <= 4 * mc.stderr
 
     def test_underflowing_pattern_probability(self):
-        # uniform k=10 at n=400: P(pattern) <= 10**-n * 10! is 0.0 in float64
+        # uniform k=10 at n=400: P(pattern) = 10! * 10**-400 is 0.0 in float64,
+        # but its log is not; every sample has all ten letters
         pv = ParamVector.from_groups([0.1], [10])
-        with pytest.raises(ResourceCapError, match="normal range"):
+        mc = mc_pattern_entropy(pv, 400, samples=10, seed=0)
+        want = 400 * math.log2(10) - math.log2(math.factorial(10))
+        assert abs(mc.estimate - want) <= 1e-15 * want and mc.stderr == 0.0
+        assert 1306.98 < mc.estimate < 1306.99
+
+    def test_matches_the_pattern_route(self):
+        # the benchmark's seed-0 oracle input; the values are those of the
+        # previous route, one extract_pattern and one linear-scale DP per sample
+        mc = mc_pattern_entropy(ParamVector.from_groups([0.1], [10]), 30, 300, 1806341205)
+        assert abs(mc.estimate - 77.91011506523725) <= 1e-12 * 77.91011506523725
+        assert abs(mc.stderr - 0.011774860635912814) <= 1e-9 * 0.011774860635912814
+
+    def test_matches_patterns_on_random_sources(self):
+        # the profile of each row against its extracted pattern's probability
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            k, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            theta = _random_source(rng, k)
+            seed = int(rng.integers(2**32))
+            draws = np.random.default_rng(seed).choice(
+                np.arange(1, k + 1), size=(40, n), p=theta.probs)
+            values = [-math.log2(pattern_probability(theta, extract_pattern(row)))
+                      for row in draws.tolist()]
+            want = math.fsum(values) / 40
+            got = mc_pattern_entropy(theta, n, 40, seed)
+            assert abs(got.estimate - want) <= 1e-12 * max(1.0, want)
+
+    def test_caps_the_profile_dp(self):
+        # 200 letters of distinct probabilities: a sampled profile's DP is too large
+        weights = np.arange(1.0, 201.0)
+        pv = ParamVector.from_probs(weights / weights.sum())
+        with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
             mc_pattern_entropy(pv, 400, samples=10, seed=0)
 
 
@@ -378,6 +443,25 @@ class TestStepwiseCodelength:
                 else:
                     assert abs(got - want) <= 1e-9
         assert infinite >= 20
+
+    def test_shared_memo_matches_a_memo_per_node(self, monkeypatch):
+        # one injection-sum memo for the whole walk gives the same bits as a
+        # fresh memo at every node of the (pattern, bin) prefix tree
+        rng = np.random.default_rng(23)
+        sources = [(_random_source(rng, int(rng.integers(1, 6))), int(rng.integers(2, 7)))
+                   for _ in range(120)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = [expected_codelength_stepwise(theta, _grid(n), n) for theta, n in sources]
+            real = oracle._injection_sum
+
+            def memo_per_node(probs, occ, allowed, memo, j=0, used=0):
+                return real(probs, occ, allowed, {} if j == 0 else memo, j, used)
+
+            monkeypatch.setattr(oracle, "_injection_sum", memo_per_node)
+            want = [expected_codelength_stepwise(theta, _grid(n), n) for theta, n in sources]
+        assert got == want
+        assert sum(theta.counts.max() > 1 for theta, _ in sources) >= 30
 
     def test_zero_probability_step_warns(self):
         # a uniform coin coded with the model of a one-letter source

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,14 +12,32 @@ from pattern_entropy._common import ResourceCapError
 from pattern_entropy.distributions import ParamVector
 from pattern_entropy.grids import build_grid
 from pattern_entropy.patterns import (
-    INJECTION_K_CAP,
+    PROFILE_DP_CAP,
     Pattern,
     bin_sequence,
+    count_partitions,
     count_patterns,
+    enumerate_partitions,
     enumerate_patterns,
     extract_pattern,
+    log_profile_probability,
     pattern_probability,
+    profile_of,
 )
+
+
+def _random_tied_source(rng, k):
+    """A k-letter source of 1..k-1 tied groups (every letter alone when k = 1)."""
+    G = int(rng.integers(1, max(k, 2)))
+    counts = rng.multinomial(k - G, np.ones(G) / G) + 1
+    values = rng.dirichlet(np.ones(G)) / counts
+    values /= float(np.dot(values, counts))
+    return ParamVector.from_groups(values, counts)
+
+
+def _pattern_with_profile(parts):
+    """The pattern whose index j occurs parts[j - 1] times, indices in blocks."""
+    return Pattern(tuple(j for j, c in enumerate(parts, 1) for _ in range(c)))
 
 
 class TestExtract:
@@ -117,6 +136,88 @@ class TestEnumerate:
             gc.enable()
 
 
+def _partitions_with_exactly(n, parts):
+    """p(n, parts) by p(n, j) = p(n - 1, j - 1) + p(n - j, j)."""
+    if n == parts == 0:
+        return 1
+    if n <= 0 or parts <= 0:
+        return 0
+    return _partitions_with_exactly(n - 1, parts - 1) + _partitions_with_exactly(n - parts, parts)
+
+
+class TestPartitions:
+    def test_small_cases(self):
+        assert list(enumerate_partitions(4, 4)) == [[1, 1, 1, 1], [1, 1, 2], [1, 3], [2, 2], [4]]
+        assert list(enumerate_partitions(4, 2)) == [[1, 3], [2, 2], [4]]
+        assert list(enumerate_partitions(5, 1)) == [[5]]
+        assert list(enumerate_partitions(1, 3)) == [[1]]
+
+    def test_each_partition_once_ascending_and_counted(self):
+        for n in range(1, 19):
+            for max_parts in range(1, n + 2):
+                got = [tuple(p) for p in enumerate_partitions(n, max_parts)]
+                assert got == sorted(got) and len(set(got)) == len(got)
+                assert all(sum(p) == n and len(p) <= max_parts and list(p) == sorted(p)
+                           for p in got)
+                want = sum(_partitions_with_exactly(n, j) for j in range(1, max_parts + 1))
+                assert len(got) == count_partitions(n, max_parts) == want, (n, max_parts)
+
+    def test_every_profile_of_a_pattern(self):
+        # the partitions are exactly the profiles of the length-n patterns
+        for n in range(1, 8):
+            for k in range(1, 5):
+                want = {tuple(sorted(Counter(psi).values())) for psi in enumerate_patterns(n, k)}
+                assert {tuple(p) for p in enumerate_partitions(n, k)} == want
+
+    def test_count_stops_above_the_limit(self):
+        assert count_partitions(100, 100) == 190_569_292
+        assert 1000 < count_partitions(100, 100, limit=1000) < 190_569_292
+        assert count_partitions(10**4, 10**4, limit=10**7) > 10**7
+
+    def test_cap_guard(self):
+        with pytest.raises(ResourceCapError, match="enumeration cap"):
+            next(enumerate_partitions(60, 60, cap=1000))
+        assert len(list(enumerate_partitions(12, 12, cap=77))) == 77
+
+
+class TestProfileProbability:
+    def test_profile_of(self):
+        assert profile_of(Pattern((1, 2, 1, 3, 3, 1))) == {3: 1, 1: 1, 2: 1}
+        assert profile_of([1, 1, 1]) == {3: 1}
+
+    def test_matches_bitmask_reference_on_tied_sources(self):
+        # one pattern of every profile, k <= 6 and n <= 8, against verify's 2**k injection sum
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(150):
+            k, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            pv = _random_tied_source(rng, k)
+            for parts in enumerate_partitions(n, min(k, n)):
+                psi = _pattern_with_profile(parts)
+                got = math.exp(log_profile_probability(pv, profile_of(psi)))
+                want = verify._injection_sum_probability(pv, psi)
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-12
+
+    def test_reference_subset_guard(self):
+        # verify's 2**k reference is guarded by the letter subsets it may visit
+        pv = ParamVector.from_groups([1.0 / 40], [40])
+        with pytest.raises(ResourceCapError, match="INJECTION_SUBSET_CAP"):
+            verify._injection_sum_probability(pv, Pattern((1, 2, 3, 4, 5)))
+        assert abs(verify._injection_sum_probability(pv, Pattern((1, 2, 1)))
+                   - 40 * 39 / 40 ** 3) <= 1e-15
+
+    def test_no_underflow(self):
+        # uniform k = 10 at n = 400: P = 10! * 10**-400, far below float64's range
+        pv = ParamVector.from_groups([0.1], [10])
+        got = log_profile_probability(pv, {40: 10})
+        assert got == pytest.approx(math.log(math.factorial(10)) - 400 * math.log(10), rel=1e-15)
+        assert math.exp(got) == 0.0
+
+    def test_more_indices_than_letters(self):
+        assert log_profile_probability(ParamVector.from_groups([0.1, 0.4], [2, 2]), {1: 5}) == -math.inf
+
+
 class TestPatternProbability:
     def test_two_letter_cases(self):
         pv = ParamVector.from_probs([0.25, 0.75])
@@ -161,22 +262,37 @@ class TestPatternProbability:
                 assert abs(pattern_probability(pv, psi) - want) <= 1e-12
 
     def test_injection_guard(self):
+        # k = 16 is past the old k cap of 12: the value now matches the 2**k
+        # reference; the cap is on the DP's transitions and names itself
         pv = ParamVector.from_groups([1.0 / 16] * 16, [1] * 16)
-        with pytest.raises(ResourceCapError):
-            pattern_probability(pv, [1, 2])
+        want = verify._injection_sum_probability(pv, Pattern((1, 2)))
+        assert abs(pattern_probability(pv, [1, 2]) - want) <= 1e-15 * want
+        assert abs(want - 16 * 15 / 16 ** 2) <= 1e-15
+        weights = np.arange(1.0, 201.0)
+        many = ParamVector.from_probs(weights / weights.sum())  # 200 groups of one letter
+        with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP") as err:
+            log_profile_probability(many, {1: 20, 2: 20, 3: 20})
+        assert str(PROFILE_DP_CAP) in str(err.value)
 
     def test_guard_holds_for_one_group_above_cap(self):
-        k = INJECTION_K_CAP + 1
-        with pytest.raises(ResourceCapError, match=str(INJECTION_K_CAP)):
-            pattern_probability(ParamVector.from_groups([1.0 / k], [k]), [1, 2])
-        k = INJECTION_K_CAP
+        # one group is one DP transition, (k)_m * v**n, whatever k and the profile
+        k = 13
         want = k * (k - 1) / k ** 2
         got = pattern_probability(ParamVector.from_groups([1.0 / k], [k]), [1, 2])
         assert abs(got - want) <= 1e-15 * want
+        k, profile = 10**6, {1: 1000, 2: 1000, 3: 1000}
+        got = log_profile_probability(ParamVector.from_groups([1.0 / k], [k]), profile)
+        want = math.log(math.perm(k, 3000)) - 6000 * math.log(k)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        # the same profile over three groups of letters trips the cap
+        j = 333_333
+        three = ParamVector.from_groups([v / (3 * j) for v in (0.5, 1.0, 1.5)], [j] * 3)
+        with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
+            log_profile_probability(three, profile)
 
     def test_too_many_indices_warns_before_cap(self):
-        # m > k returns 0 with a warning, even where k is above the cap
-        k = INJECTION_K_CAP + 1
+        # m > k returns 0 with a warning before any DP runs
+        k = 13
         pv = ParamVector.from_groups([1.0 / k], [k])
         with pytest.warns(UserWarning, match="probability 0"):
             assert pattern_probability(pv, range(1, k + 2)) == 0.0
@@ -186,7 +302,7 @@ class TestPatternProbability:
 
     def test_uniform_closed_form(self):
         # k!/(k-m)! * k**-n: the falling factorial counts the injections
-        for k in range(1, INJECTION_K_CAP + 1):
+        for k in [*range(1, 13), 1000]:
             pv = ParamVector.from_groups([1.0 / k], [k])
             for psi in [(1,), (1, 1, 2, 1), (1, 2, 3, 1, 2), tuple(range(1, min(k, 9) + 1)),
                         (1, 2, 2, 3, 4, 4, 4, 5, 1, 6)]:
