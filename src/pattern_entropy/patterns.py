@@ -19,6 +19,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
@@ -31,6 +32,8 @@ from .grids import Grid, bin_index
 ENUMERATION_CAP = 10_000_000
 # transitions of one profile DP (see ProfileProbability)
 PROFILE_DP_CAP = 1_000_000
+# profiles whose ln P log_profile_probability keeps, for its most recent source
+PROFILE_MEMO = 4096
 
 BinSeq = tuple[int, ...]
 
@@ -132,12 +135,13 @@ def enumerate_patterns(n: int, k: int, cap: int = ENUMERATION_CAP) -> Iterator[P
         top[j + 1:] = [top[j]] * (n - j - 1)
 
 
-def count_partitions(n: int, max_parts: int, limit: int | None = None) -> int:
+def count_partitions(n: int, max_parts: int) -> int:
     """Number of partitions of n into at most ``max_parts`` parts.
 
     Counts partitions into parts of size at most 1, 2, ..., ``max_parts`` (the
-    conjugate count) and stops as soon as a partial count exceeds ``limit``,
-    returning that partial count; so a huge count costs a few passes over n.
+    conjugate count) and stops as soon as a partial count exceeds
+    ``ENUMERATION_CAP``, returning that partial count; so a huge count costs
+    a few passes over n.
     """
     if n < 0 or max_parts < 0:
         raise ValueError("need n >= 0 and max_parts >= 0")
@@ -145,12 +149,12 @@ def count_partitions(n: int, max_parts: int, limit: int | None = None) -> int:
     for part in range(1, min(max_parts, n) + 1):
         for total in range(part, n + 1):
             ways[total] += ways[total - part]
-        if limit is not None and ways[n] > limit:
+        if ways[n] > ENUMERATION_CAP:
             break
     return ways[n]
 
 
-def enumerate_partitions(n: int, max_parts: int, cap: int = ENUMERATION_CAP) -> Iterator[list[int]]:
+def enumerate_partitions(n: int, max_parts: int) -> Iterator[list[int]]:
     """Partitions of n >= 1 into at most ``max_parts`` parts, as ascending lists.
 
     Lexicographic order.  The explicit-stack ascending generator of Kelleher
@@ -158,13 +162,14 @@ def enumerate_partitions(n: int, max_parts: int, cap: int = ENUMERATION_CAP) -> 
     encodings", 2009), pruned to the part limit: with ``j`` parts fixed it
     yields the one-part and two-part completions itself and descends only
     when three more parts fit.  Raises ResourceCapError if the count exceeds
-    ``cap``.
+    ``ENUMERATION_CAP``.
     """
     if n < 1 or max_parts < 1:
         raise ValueError("need n >= 1 and max_parts >= 1")
-    total = count_partitions(n, max_parts, limit=cap)
-    if total > cap:
-        raise ResourceCapError(f"{total} or more partitions exceed the enumeration cap ({cap})")
+    total = count_partitions(n, max_parts)
+    if total > ENUMERATION_CAP:
+        raise ResourceCapError(f"{total} or more partitions exceed the enumeration cap "
+                               f"({ENUMERATION_CAP})")
     a = [0] * (n + 1)
     j, y = 1, n - 1
     while j:
@@ -187,8 +192,6 @@ def enumerate_partitions(n: int, max_parts: int, cap: int = ENUMERATION_CAP) -> 
 
 def _log_sum_exp(terms: list[float]) -> float:
     """ln sum_i exp(terms[i]), the exponentials scaled by the largest and summed with fsum."""
-    if len(terms) == 1:
-        return terms[0]
     top = max(terms, default=-math.inf)
     if top == -math.inf:
         return top
@@ -210,9 +213,10 @@ class ProfileProbability:
     probability underflows.  The binomial and falling-factorial factors are
     exact integers before their one log; falling factorials are memoised.
 
-    Before the DP runs, an upper bound on its transitions is checked against
-    ``PROFILE_DP_CAP``; one group is one transition, whatever k and the
-    profile, and ResourceCapError names the cap.
+    The DP counts its transitions as it makes them, one per (state, take)
+    pair and one per state for the last group, and raises ResourceCapError
+    naming ``PROFILE_DP_CAP`` once they pass it; one group is one transition,
+    whatever k and the profile.
     """
 
     def __init__(self, theta: ParamVector):
@@ -230,11 +234,14 @@ class ProfileProbability:
                 perm *= k_g - a
         return table
 
-    def _moves(self, cs: tuple[int, ...], r: tuple[int, ...], most: int) -> list:
+    def _moves(self, cs: tuple[int, ...], r: tuple[int, ...], most: int, budget: int) -> list:
         """(next state, A, sum_c c * a_c, ln prod_c C(r_c, a_c)) of every take
-        a <= r of A <= ``most`` indices."""
+        a <= r of A <= ``most`` indices.  Raises ResourceCapError rather than
+        build more than ``budget`` of them."""
         moves = [((), 0, 0, 1)]
         for c, r_c in zip(cs, r):
+            if sum(min(r_c, most - a) + 1 for _, a, _, _ in moves) > budget:
+                raise self._over_cap()
             moves = [(nxt + (r_c - x,), a + x, e + c * x, ways * math.comb(r_c, x))
                      for nxt, a, e, ways in moves for x in range(min(r_c, most - a) + 1)]
         return [(nxt, a, e, math.log(ways)) for nxt, a, e, ways in moves]
@@ -242,31 +249,19 @@ class ProfileProbability:
     def __call__(self, cs: Sequence[int], mus: Sequence[int]) -> float:
         cs, start = tuple(cs), tuple(mus)
         m = sum(start)
-        if self._groups:  # one group is one transition
-            # every group but the first meets at most `states` states; from
-            # each, a group but the last takes one of at most C(d + A, d)
-            # count vectors of A <= min(k_g, m) indices, and the last takes one
-            states = math.prod(map((1).__add__, start))
-            work, entering = 0, 1
-            for _, k_g in self._groups:
-                work += entering * min(states, math.comb(len(cs) + min(k_g, m), len(cs)))
-                entering = states
-                if work > PROFILE_DP_CAP:
-                    break
-            if work + entering > PROFILE_DP_CAP:
-                raise ResourceCapError(
-                    f"the profile DP of a pattern with {m} indices over {len(self._groups) + 1} "
-                    f"groups needs more than PROFILE_DP_CAP = {PROFILE_DP_CAP} transitions "
-                    f"({states} states)")
         layer = {start: 0.0}
         moves: dict = {}
+        work = 0  # transitions made
         for lv, k_g in self._groups:
             falling = self._falling(k_g, min(k_g, m))
             terms: dict[tuple[int, ...], list[float]] = {}
             for r, w in layer.items():
                 key = (r, min(k_g, sum(r)))
                 if key not in moves:
-                    moves[key] = self._moves(cs, *key)
+                    moves[key] = self._moves(cs, *key, PROFILE_DP_CAP - work)
+                work += len(moves[key])
+                if work > PROFILE_DP_CAP:
+                    raise self._over_cap()
                 for nxt, a, e, lb in moves[key]:
                     t = w + lb + falling[a] + e * lv
                     if nxt in terms:
@@ -274,10 +269,16 @@ class ProfileProbability:
                     else:
                         terms[nxt] = [t]
             layer = {r: _log_sum_exp(ts) for r, ts in terms.items()}
+        if work + len(layer) > PROFILE_DP_CAP:
+            raise self._over_cap()
         lv, k_g = self._last
         falling = self._falling(k_g, min(k_g, m))
         return _log_sum_exp([w + falling[a] + sum(map(mul, cs, r)) * lv
                              for r, w in layer.items() if (a := sum(r)) <= k_g])
+
+    def _over_cap(self) -> ResourceCapError:
+        return ResourceCapError(f"the profile DP over {len(self._groups) + 1} groups passed "
+                                f"PROFILE_DP_CAP = {PROFILE_DP_CAP} transitions")
 
 
 def profile_of(psi: Pattern | Sequence[int]) -> dict[int, int]:
@@ -297,12 +298,23 @@ def log_profile_probability(theta: ParamVector, profile: Mapping[int, int]) -> f
 
     P(psi) depends on psi only through its profile (Orlitsky, Santhanam and
     Zhang, IEEE T-IT 2004).  -inf when the profile has more indices than
-    ``theta`` has letters.  Raises ResourceCapError when the DP would take
-    more than ``PROFILE_DP_CAP`` transitions.
+    ``theta`` has letters.  Raises ResourceCapError when the DP takes more
+    than ``PROFILE_DP_CAP`` transitions.  The DP of the most recent source is
+    kept with its last ``PROFILE_MEMO`` values, so a caller that asks again
+    for a profile it has seen pays a lookup.
     """
     if any(c < 1 or mu < 0 for c, mu in profile.items()):
         raise ValueError(f"a profile maps counts >= 1 to multiplicities >= 0, got {profile}")
-    return ProfileProbability(theta)(list(profile), list(profile.values()))
+    log_p = _latest_source(theta.values.tobytes(), theta.counts.tobytes())
+    return log_p(tuple(profile), tuple(profile.values()))
+
+
+@lru_cache(maxsize=1)
+def _latest_source(values: bytes, counts: bytes):
+    """ProfileProbability of the source stored in ``values`` and ``counts``,
+    memoised by profile."""
+    theta = ParamVector(np.frombuffer(values), np.frombuffer(counts, dtype=np.int64))
+    return lru_cache(maxsize=PROFILE_MEMO)(ProfileProbability(theta))
 
 
 def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> float:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pattern_entropy import oracle, patterns
+from pattern_entropy import oracle, patterns, verify
 from pattern_entropy._common import ResourceCapError
 from pattern_entropy.coder import CoderModel, sequence_codelength
 from pattern_entropy.distributions import ParamVector, SourceSpec, iid_entropy, make_distribution
@@ -343,6 +343,17 @@ class TestMC:
             want = math.fsum(values) / 40
             got = mc_pattern_entropy(theta, n, 40, seed)
             assert abs(got.estimate - want) <= 1e-12 * max(1.0, want)
+
+    def test_ten_distinct_counts_on_three_groups(self):
+        # 10 letters in groups of 4, 4 and 2 at n = 200: every sampled profile
+        # runs its DP, and the estimate is the mean of the reference -log2 P
+        pv = ParamVector.from_groups([0.05, 0.1, 0.2], [4, 4, 2])
+        draws = np.random.default_rng(4).choice(np.arange(1, 11), size=(8, 200), p=pv.probs)
+        values = [-math.log2(verify._injection_sum_probability(pv, extract_pattern(row)))
+                  for row in draws.tolist()]
+        got = mc_pattern_entropy(pv, 200, 8, 4)
+        want = math.fsum(values) / 8
+        assert abs(got.estimate - want) <= 1e-12 * want
 
     def test_caps_the_profile_dp(self):
         # 200 letters of distinct probabilities: a sampled profile's DP is too large

@@ -12,6 +12,7 @@ from pattern_entropy._common import ResourceCapError
 from pattern_entropy.distributions import ParamVector
 from pattern_entropy.grids import build_grid
 from pattern_entropy.patterns import (
+    ENUMERATION_CAP,
     PROFILE_DP_CAP,
     Pattern,
     bin_sequence,
@@ -169,15 +170,15 @@ class TestPartitions:
                 want = {tuple(sorted(Counter(psi).values())) for psi in enumerate_patterns(n, k)}
                 assert {tuple(p) for p in enumerate_partitions(n, k)} == want
 
-    def test_count_stops_above_the_limit(self):
-        assert count_partitions(100, 100) == 190_569_292
-        assert 1000 < count_partitions(100, 100, limit=1000) < 190_569_292
-        assert count_partitions(10**4, 10**4, limit=10**7) > 10**7
+    def test_count_stops_above_the_cap(self):
+        # p(60) = 966467 is below the cap; p(100) = 190569292 and p(10**4) are not
+        assert count_partitions(60, 60) == 966_467
+        assert ENUMERATION_CAP < count_partitions(100, 100) < 190_569_292
+        assert count_partitions(10**4, 10**4) > ENUMERATION_CAP
 
     def test_cap_guard(self):
         with pytest.raises(ResourceCapError, match="enumeration cap"):
-            next(enumerate_partitions(60, 60, cap=1000))
-        assert len(list(enumerate_partitions(12, 12, cap=77))) == 77
+            next(enumerate_partitions(200, 200))
 
 
 class TestProfileProbability:
@@ -273,6 +274,17 @@ class TestPatternProbability:
         with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP") as err:
             log_profile_probability(many, {1: 20, 2: 20, 3: 20})
         assert str(PROFILE_DP_CAP) in str(err.value)
+
+    def test_cap_counts_the_transitions_made(self):
+        # groups of 4, 4 and 2 letters and ten distinct counts at n = 200: some
+        # 10**5 transitions, where a bound of entering states times takes
+        # per group came to more than 10**6
+        pv = ParamVector.from_groups([0.05, 0.1, 0.2], [4, 4, 2])
+        parts = [*range(1, 10), 155]
+        got = log_profile_probability(pv, dict.fromkeys(parts, 1))
+        want = verify._injection_sum_probability(pv, _pattern_with_profile(parts))
+        assert abs(got - math.log(want)) <= 1e-13 * abs(got)
+        assert 1e-150 < want < 1e-149
 
     def test_guard_holds_for_one_group_above_cap(self):
         # one group is one DP transition, (k)_m * v**n, whatever k and the profile
