@@ -29,7 +29,6 @@ from .patterns import (
     BinSeq,
     Pattern,
     bin_sequence,
-    count_patterns,
     enumerate_patterns,
     extract_pattern,
     log_profile_probability,
@@ -38,12 +37,8 @@ from .patterns import (
 from .oracle import (
     ExactEntropies,
     MCEstimate,
-    brute_force_permutation_count,
-    exact_distinct_count_pmf,
     exact_entropies,
     exact_pattern_entropy,
-    expected_codelength_stepwise,
-    joint_pattern_bin_probability,
     mc_pattern_entropy,
 )
 from .bounds import (
@@ -83,12 +78,10 @@ __all__ = [
     "make_distribution", "sample_sequence",
     "BinStats", "Grid", "OccurrenceStats", "bin_index", "bin_stats",
     "build_grid", "low_thresholds", "occurrence_stats",
-    "BinSeq", "Pattern", "bin_sequence", "count_patterns",
-    "enumerate_patterns", "extract_pattern", "log_profile_probability", "pattern_probability",
-    "ExactEntropies", "MCEstimate", "brute_force_permutation_count",
-    "exact_distinct_count_pmf", "exact_entropies", "exact_pattern_entropy",
-    "expected_codelength_stepwise",
-    "joint_pattern_bin_probability", "mc_pattern_entropy",
+    "BinSeq", "Pattern", "bin_sequence", "enumerate_patterns", "extract_pattern",
+    "log_profile_probability", "pattern_probability",
+    "ExactEntropies", "MCEstimate", "exact_entropies", "exact_pattern_entropy",
+    "mc_pattern_entropy",
     "BoundReport", "PackedEntropies", "SourceAnalysis", "contribution_limits",
     "distinct_count_pmf", "epsilon_n", "gamma_fixed_point", "lb_theorem2",
     "lb_theorem4", "packed_entropies", "range_decreases", "range_theorem5",

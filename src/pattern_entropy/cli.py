@@ -39,7 +39,7 @@ from .distributions import SourceSpec, make_distribution
 from .grids import build_grid
 from .oracle import exact_entropies, mc_pattern_entropy
 from .patterns import bin_sequence, extract_pattern
-from .verify import CHECKS, run_suites
+from .verify import CHECKS, DEFAULT_SEED, run_suites
 
 # config key -> names of the reports it gives; lb4's name carries its variants
 BOUND_NAMES = {
@@ -369,7 +369,7 @@ def run_oracle(cfg: RunConfig) -> list[dict]:
 
 def run_verify(cfg: RunConfig, seed_override: int | None = None) -> tuple[list[dict], bool]:
     suites = None
-    seed = 20240801
+    seed = DEFAULT_SEED
     if cfg.verify:
         suites = cfg.verify.get("suites")
         seed = int(cfg.verify.get("seed", seed))

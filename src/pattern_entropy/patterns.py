@@ -91,7 +91,7 @@ def extract_pattern(x: Sequence) -> Pattern:
     return Pattern(tuple(out))
 
 
-def count_patterns(n: int, k: int) -> int:
+def _count_patterns(n: int, k: int) -> int:
     """Number of length-n restricted growth strings with at most k distinct indices."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -110,15 +110,15 @@ def count_patterns(n: int, k: int) -> int:
     return sum(row)
 
 
-def enumerate_patterns(n: int, k: int, cap: int = ENUMERATION_CAP) -> Iterator[Pattern]:
+def enumerate_patterns(n: int, k: int) -> Iterator[Pattern]:
     """All restricted growth strings of length n with at most k distinct indices.
 
     Lexicographic order; the stream is deterministic so golden tests stay
-    stable.  Raises ResourceCapError if the count exceeds ``cap``.
+    stable.  Raises ResourceCapError if the count exceeds ``ENUMERATION_CAP``.
     """
-    total = count_patterns(n, k)
-    if total > cap:
-        raise ResourceCapError(f"{total} patterns exceed the enumeration cap ({cap})")
+    total = _count_patterns(n, k)
+    if total > ENUMERATION_CAP:
+        raise ResourceCapError(f"{total} patterns exceed the enumeration cap ({ENUMERATION_CAP})")
     rgs = [1] * n
     top = [1] * n  # top[j] = max(rgs[:j + 1])
     while True:

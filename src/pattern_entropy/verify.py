@@ -7,6 +7,8 @@ asserts on the same results.  Checks are deterministic given their seed.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
 import time
 import warnings
@@ -14,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import LOG2E, ResourceCapError, log2_factorial
+from ._common import LOG2E, log2_factorial
+from ._reference import (
+    _injection_sum_probability,
+    brute_force_permutation_count,
+    expected_codelength_stepwise,
+)
 from .bounds import (
     SourceAnalysis,
     epsilon_n,
@@ -34,16 +41,8 @@ from .grids import (
     closed_form_B,
     occurrence_stats,
 )
-from .oracle import (
-    _injection_sum,
-    brute_force_permutation_count,
-    exact_entropies,
-    exact_pattern_entropy,
-    expected_codelength_stepwise,
-    mc_pattern_entropy,
-)
+from .oracle import exact_entropies, exact_pattern_entropy, mc_pattern_entropy
 from .patterns import (
-    Pattern,
     bin_sequence,
     enumerate_patterns,
     extract_pattern,
@@ -82,26 +81,23 @@ class _Collector:
                            details=details, elapsed=time.time() - t0, data=data or {})
 
 
-def instance_matrix(seed: int = DEFAULT_SEED, total: int = 200,
-                    n_range=(2, 7), k_range=(1, 4)) -> list[tuple[int, int, ParamVector]]:
-    """The fixed desk-scale (n, k, theta) matrix used by several criteria."""
+def _dirichlet_source(rng: np.random.Generator, k: int, floor: float) -> ParamVector:
+    """k letters drawn from the flat Dirichlet, redrawn until no probability is
+    below ``floor``; the one-letter source, with no draw, when k = 1."""
+    if k == 1:
+        return ParamVector.from_probs([1.0])
+    probs = rng.dirichlet(np.ones(k))
+    while probs.min() < floor:
+        probs = rng.dirichlet(np.ones(k))
+    return ParamVector.from_probs(probs)
+
+
+def instance_matrix(seed: int = DEFAULT_SEED) -> list[tuple[int, int, ParamVector]]:
+    """The fixed desk-scale matrix used by several criteria: 200 (n, k, theta)
+    instances cycling through n in 2..7 and k in 1..4."""
     rng = np.random.default_rng(seed)
-    combos = [(n, k) for n in range(n_range[0], n_range[1] + 1)
-              for k in range(k_range[0], k_range[1] + 1)]
-    out = []
-    i = 0
-    while len(out) < total:
-        n, k = combos[i % len(combos)]
-        i += 1
-        if k == 1:
-            theta = ParamVector.from_probs([1.0])
-        else:
-            probs = rng.dirichlet(np.ones(k))
-            while probs.min() < 1e-4:
-                probs = rng.dirichlet(np.ones(k))
-            theta = ParamVector.from_probs(probs)
-        out.append((n, k, theta))
-    return out
+    combos = itertools.cycle([(n, k) for n in range(2, 8) for k in range(1, 5)])
+    return [(n, k, _dirichlet_source(rng, k, 1e-4)) for n, k in itertools.islice(combos, 200)]
 
 
 def check_sandwich(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -471,13 +467,7 @@ def check_coder_roundtrip(seed: int = DEFAULT_SEED, trials: int = 1000) -> Check
         for _ in range(trials):
             k = int(rng.integers(1, 9))
             n = int(rng.integers(2, 65))
-            if k == 1:
-                theta = ParamVector.from_probs([1.0])
-            else:
-                probs = rng.dirichlet(np.ones(k))
-                while probs.min() <= 1e-6:
-                    probs = rng.dirichlet(np.ones(k))
-                theta = ParamVector.from_probs(probs)
+            theta = _dirichlet_source(rng, k, 1e-6)
             grid = build_grid("eta", n, eps)
             model = CoderModel.from_source(theta, grid, n)
             x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
@@ -503,10 +493,7 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
         for _ in range(60):
             k = int(rng.integers(2, 7))
             n = int(rng.integers(2, 30))
-            probs = rng.dirichlet(np.ones(k))
-            while probs.min() <= 1e-6:
-                probs = rng.dirichlet(np.ones(k))
-            theta = ParamVector.from_probs(probs)
+            theta = _dirichlet_source(rng, k, 1e-6)
             grid = build_grid("eta", n, 0.3)
             model = CoderModel.from_source(theta, grid, n)
             x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
@@ -584,26 +571,6 @@ def check_theorem12_bracket(seed: int = DEFAULT_SEED, epsilon: float = 0.1) -> C
               f"desk-scale o(k)/o(1) allowances)")
 
 
-# letter subsets the reference injection sum may memoise
-INJECTION_SUBSET_CAP = 1 << 16
-
-
-def _injection_sum_probability(theta: ParamVector, psi: Pattern) -> float:
-    """P(psi) as the memoised sum over injections of indices into letter subsets.
-
-    The independent slow route for :func:`pattern_probability`: it reads the
-    per-letter probabilities and visits the sum_{j <= m} C(k, j) letter
-    subsets of size at most m, guarded to ``INJECTION_SUBSET_CAP``.
-    """
-    k, m = theta.k, psi.m
-    subsets = sum(math.comb(k, j) for j in range(min(k, m) + 1))
-    if subsets > INJECTION_SUBSET_CAP:
-        raise ResourceCapError(f"{subsets} letter subsets exceed INJECTION_SUBSET_CAP = "
-                               f"{INJECTION_SUBSET_CAP}")
-    occ = [psi.indices.count(j) for j in range(1, m + 1)]
-    return _injection_sum([float(p) for p in theta.probs], occ, [tuple(range(k))] * m, {})
-
-
 # Sources with tied probabilities, so that groups with count > 1 are exercised.
 _TIED_SOURCES = {
     2: [ParamVector.from_groups([0.5], [2])],
@@ -620,10 +587,7 @@ def check_pattern_properties(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed)
     for n in range(1, 9):
         for k in range(1, 5):
-            probs = rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
-            while probs.min() < 1e-6:
-                probs = rng.dirichlet(np.ones(k))
-            for theta in [ParamVector.from_probs(probs), *_TIED_SOURCES.get(k, [])]:
+            for theta in [_dirichlet_source(rng, k, 1e-6), *_TIED_SOURCES.get(k, [])]:
                 masses = []
                 for psi in enumerate_patterns(n, min(k, n)):
                     got = pattern_probability(theta, psi)
@@ -668,27 +632,14 @@ CHECKS = {
 }
 
 
-# The suites that take a ``seed``; the others are fully fixed.
-SEEDED_CHECKS = frozenset({
-    "sandwich",
-    "coder_dominance",
-    "permutation_count",
-    "occurrence_formulas",
-    "mc_estimator",
-    "coder_roundtrip",
-    "coder_normalization",
-    "theorem12_bracket",
-    "pattern_properties",
-})
-
-
 def run_suites(selection=None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the named suites (all when selection is None) with a shared seed."""
+    """Run the named suites (all when selection is None), passing ``seed`` to
+    every suite whose signature takes one; the others are fully fixed."""
     names = list(CHECKS) if not selection else list(selection)
     results = []
     for name in names:
         fn = CHECKS.get(name)
         if fn is None:
             raise ValueError(f"unknown suite {name!r}; available: {sorted(CHECKS)}")
-        results.append(fn(seed=seed) if name in SEEDED_CHECKS else fn())
+        results.append(fn(seed=seed) if "seed" in inspect.signature(fn).parameters else fn())
     return results

@@ -87,17 +87,30 @@ def test_supporting_invariants(suite):
     assert result.passed, result.details
 
 
+def _takes_seed(fn):
+    return "seed" in inspect.signature(fn).parameters
+
+
 def test_seeded_suites_are_those_taking_a_seed():
-    takes_seed = {name for name, fn in verify.CHECKS.items()
-                  if "seed" in inspect.signature(fn).parameters}
-    assert verify.SEEDED_CHECKS == takes_seed
+    # a suite that drops its seed parameter would silently stop following --seed
+    takes_seed = {name: inspect.signature(fn).parameters["seed"].default
+                  for name, fn in verify.CHECKS.items() if _takes_seed(fn)}
+    assert takes_seed == dict.fromkeys(
+        ["sandwich", "coder_dominance", "permutation_count", "occurrence_formulas",
+         "mc_estimator", "coder_roundtrip", "coder_normalization", "theorem12_bracket",
+         "pattern_properties"], verify.DEFAULT_SEED)
 
 
 def test_run_suites_passes_the_seed_to_seeded_suites_only(monkeypatch):
     calls = {}
+
+    def recorder(name, seeded):
+        if seeded:
+            return lambda seed=verify.DEFAULT_SEED: calls.setdefault(name, {"seed": seed})
+        return lambda: calls.setdefault(name, {})
+
+    seeded = {name for name, fn in verify.CHECKS.items() if _takes_seed(fn)}
     for name in list(verify.CHECKS):
-        monkeypatch.setitem(verify.CHECKS, name,
-                            lambda name=name, **kwargs: calls.setdefault(name, kwargs))
+        monkeypatch.setitem(verify.CHECKS, name, recorder(name, name in seeded))
     verify.run_suites(seed=7)
-    assert calls == {name: {"seed": 7} if name in verify.SEEDED_CHECKS else {}
-                     for name in verify.CHECKS}
+    assert calls == {name: {"seed": 7} if name in seeded else {} for name in verify.CHECKS}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pattern_entropy._common import EXACT_FACTORIAL_BELOW, LN2, LOG2E, log2_factorial
+from pattern_entropy._reference import exact_distinct_count_pmf
 from pattern_entropy.bounds import (
     _STIRLERR_TABLE,
     SourceAnalysis,
@@ -26,7 +27,6 @@ from pattern_entropy.bounds import (
 )
 from pattern_entropy.distributions import ParamVector, iid_entropy
 from pattern_entropy.grids import bin_stats, build_grid
-from pattern_entropy.oracle import exact_distinct_count_pmf
 from pattern_entropy.patterns import enumerate_patterns, pattern_probability
 
 

@@ -12,7 +12,7 @@ from pattern_entropy import bounds, cli
 from pattern_entropy.coder import CODER_N_CAP
 from pattern_entropy.grids import build_grid
 from pattern_entropy.oracle import ExactEntropies
-from pattern_entropy.verify import _EXAMPLE_PARAMS, CheckResult
+from pattern_entropy.verify import _EXAMPLE_PARAMS, DEFAULT_SEED, CheckResult
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -373,3 +373,14 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, {"verify": {"suites": ["nonsense"]}})
         assert cli.main(["verify", "--config", cfg]) == 1
+
+    def test_default_seed_is_the_suites_default(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def probe(seed):
+            seeds.append(seed)
+            return CheckResult(name="probe", passed=True, checks=1, details="")
+        monkeypatch.setitem(cli.CHECKS, "probe", probe)
+        cfg = write_config(tmp_path, {"verify": {"suites": ["probe"]}})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
+        assert seeds == [DEFAULT_SEED]

@@ -5,6 +5,7 @@ import pytest
 
 from pattern_entropy import coder, grids, verify
 from pattern_entropy._common import ResourceCapError
+from pattern_entropy._reference import exact_distinct_count_pmf
 from pattern_entropy.coder import (
     CODER_N_CAP,
     Bitstring,
@@ -18,7 +19,7 @@ from pattern_entropy.coder import (
 )
 from pattern_entropy.distributions import ParamVector
 from pattern_entropy.grids import build_grid
-from pattern_entropy.oracle import exact_distinct_count_pmf, exact_entropies
+from pattern_entropy.oracle import exact_entropies
 from pattern_entropy.patterns import bin_sequence, extract_pattern
 
 

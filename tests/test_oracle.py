@@ -7,19 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
-from pattern_entropy import oracle, patterns, verify
+from pattern_entropy import _reference, oracle, patterns
 from pattern_entropy._common import ResourceCapError
+from pattern_entropy._reference import (
+    brute_force_permutation_count,
+    exact_distinct_count_pmf,
+    expected_codelength_stepwise,
+)
 from pattern_entropy.coder import CoderModel, sequence_codelength
 from pattern_entropy.distributions import ParamVector, SourceSpec, iid_entropy, make_distribution
 from pattern_entropy.grids import bin_index, build_grid
-from pattern_entropy.oracle import (
-    brute_force_permutation_count,
-    exact_distinct_count_pmf,
-    exact_entropies,
-    expected_codelength_stepwise,
-    joint_pattern_bin_probability,
-    mc_pattern_entropy,
-)
+from pattern_entropy.oracle import exact_entropies, mc_pattern_entropy
 from pattern_entropy.patterns import enumerate_patterns, extract_pattern, pattern_probability
 
 
@@ -349,7 +347,7 @@ class TestMC:
         # runs its DP, and the estimate is the mean of the reference -log2 P
         pv = ParamVector.from_groups([0.05, 0.1, 0.2], [4, 4, 2])
         draws = np.random.default_rng(4).choice(np.arange(1, 11), size=(8, 200), p=pv.probs)
-        values = [-math.log2(verify._injection_sum_probability(pv, extract_pattern(row)))
+        values = [-math.log2(_reference._injection_sum_probability(pv, extract_pattern(row)))
                   for row in draws.tolist()]
         got = mc_pattern_entropy(pv, 200, 8, 4)
         want = math.fsum(values) / 8
@@ -464,14 +462,19 @@ class TestStepwiseCodelength:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = [expected_codelength_stepwise(theta, _grid(n), n) for theta, n in sources]
-            real = oracle._injection_sum
+            real = _reference._injection_sum
+            fresh = []
 
             def memo_per_node(probs, occ, allowed, memo, j=0, used=0):
-                return real(probs, occ, allowed, {} if j == 0 else memo, j, used)
+                if j == 0:
+                    fresh.append(memo)
+                    memo = {}
+                return real(probs, occ, allowed, memo, j, used)
 
-            monkeypatch.setattr(oracle, "_injection_sum", memo_per_node)
+            monkeypatch.setattr(_reference, "_injection_sum", memo_per_node)
             want = [expected_codelength_stepwise(theta, _grid(n), n) for theta, n in sources]
         assert got == want
+        assert len(fresh) > len(sources)
         assert sum(theta.counts.max() > 1 for theta, _ in sources) >= 30
 
     def test_zero_probability_step_warns(self):
@@ -482,28 +485,3 @@ class TestStepwiseCodelength:
             got = expected_codelength_stepwise(ParamVector.from_probs([0.5, 0.5]),
                                                _grid(n), n, model=model)
         assert got == math.inf
-
-    def test_joint_probability_against_enumeration(self):
-        rng = np.random.default_rng(9)
-        sources = [(ParamVector.from_probs([0.2, 0.3, 0.5]), 4)]
-        sources += [(_random_source(rng, int(rng.integers(1, 5))), int(rng.integers(2, 5)))
-                    for _ in range(20)]
-        for theta, n in sources:
-            grid = _grid(n)
-            joint = _raw_joint(theta, grid, n)
-            got = {key: joint_pattern_bin_probability(theta, grid, *key) for key in joint}
-            for key, want in joint.items():
-                assert abs(got[key] - want) <= 1e-12
-            assert abs(math.fsum(got.values()) - 1.0) <= 1e-12
-
-    def test_joint_probability_of_inconsistent_bins(self):
-        pv = ParamVector.from_probs([0.1, 0.2, 0.7])
-        n = 4
-        grid = _grid(n)
-        bins = bin_index(grid, pv.probs).tolist()
-        assert len(set(bins)) == 3
-        # index 1 in two bins
-        assert joint_pattern_bin_probability(pv, grid, (1, 2, 1), (bins[0], bins[1], bins[1])) == 0.0
-        # a bin that holds no letter
-        empty = max(bins) + 1
-        assert joint_pattern_bin_probability(pv, grid, (1, 2), (bins[0], empty)) == 0.0

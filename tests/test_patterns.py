@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pattern_entropy import verify
+from pattern_entropy import _reference
 from pattern_entropy._common import ResourceCapError
 from pattern_entropy.distributions import ParamVector
 from pattern_entropy.grids import build_grid
@@ -15,9 +15,9 @@ from pattern_entropy.patterns import (
     ENUMERATION_CAP,
     PROFILE_DP_CAP,
     Pattern,
+    _count_patterns,
     bin_sequence,
     count_partitions,
-    count_patterns,
     enumerate_partitions,
     enumerate_patterns,
     extract_pattern,
@@ -108,16 +108,16 @@ class TestEnumerate:
     def test_counts_match_stream(self):
         for n in range(1, 8):
             for k in range(1, 5):
-                assert count_patterns(n, k) == sum(1 for _ in enumerate_patterns(n, k))
+                assert _count_patterns(n, k) == sum(1 for _ in enumerate_patterns(n, k))
 
     def test_bell_numbers(self):
         # with k >= n the count is the Bell number
         for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877)]:
-            assert count_patterns(n, n) == bell
+            assert _count_patterns(n, n) == bell
 
     def test_cap_guard(self):
         with pytest.raises(ResourceCapError):
-            list(enumerate_patterns(40, 40, cap=1000))
+            list(enumerate_patterns(40, 40))
 
     def test_lexicographic_order_of_every_pattern(self):
         for n in range(1, 7):
@@ -187,7 +187,7 @@ class TestProfileProbability:
         assert profile_of([1, 1, 1]) == {3: 1}
 
     def test_matches_bitmask_reference_on_tied_sources(self):
-        # one pattern of every profile, k <= 6 and n <= 8, against verify's 2**k injection sum
+        # one pattern of every profile, k <= 6 and n <= 8, against the 2**k reference injection sum
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(150):
@@ -196,16 +196,16 @@ class TestProfileProbability:
             for parts in enumerate_partitions(n, min(k, n)):
                 psi = _pattern_with_profile(parts)
                 got = math.exp(log_profile_probability(pv, profile_of(psi)))
-                want = verify._injection_sum_probability(pv, psi)
+                want = _reference._injection_sum_probability(pv, psi)
                 worst = max(worst, abs(got - want) / want)
         assert worst <= 1e-12
 
     def test_reference_subset_guard(self):
-        # verify's 2**k reference is guarded by the letter subsets it may visit
+        # the 2**k reference is guarded by the letter subsets it may visit
         pv = ParamVector.from_groups([1.0 / 40], [40])
         with pytest.raises(ResourceCapError, match="INJECTION_SUBSET_CAP"):
-            verify._injection_sum_probability(pv, Pattern((1, 2, 3, 4, 5)))
-        assert abs(verify._injection_sum_probability(pv, Pattern((1, 2, 1)))
+            _reference._injection_sum_probability(pv, Pattern((1, 2, 3, 4, 5)))
+        assert abs(_reference._injection_sum_probability(pv, Pattern((1, 2, 1)))
                    - 40 * 39 / 40 ** 3) <= 1e-15
 
     def test_no_underflow(self):
@@ -266,7 +266,7 @@ class TestPatternProbability:
         # k = 16 is past the old k cap of 12: the value now matches the 2**k
         # reference; the cap is on the DP's transitions and names itself
         pv = ParamVector.from_groups([1.0 / 16] * 16, [1] * 16)
-        want = verify._injection_sum_probability(pv, Pattern((1, 2)))
+        want = _reference._injection_sum_probability(pv, Pattern((1, 2)))
         assert abs(pattern_probability(pv, [1, 2]) - want) <= 1e-15 * want
         assert abs(want - 16 * 15 / 16 ** 2) <= 1e-15
         weights = np.arange(1.0, 201.0)
@@ -282,7 +282,7 @@ class TestPatternProbability:
         pv = ParamVector.from_groups([0.05, 0.1, 0.2], [4, 4, 2])
         parts = [*range(1, 10), 155]
         got = log_profile_probability(pv, dict.fromkeys(parts, 1))
-        want = verify._injection_sum_probability(pv, _pattern_with_profile(parts))
+        want = _reference._injection_sum_probability(pv, _pattern_with_profile(parts))
         assert abs(got - math.log(want)) <= 1e-13 * abs(got)
         assert 1e-150 < want < 1e-149
 
@@ -327,7 +327,7 @@ class TestPatternProbability:
                 assert abs(got - want) <= 1e-13 * want, (k, psi)
 
     def test_matches_injection_sum_on_tied_sources(self):
-        # the grouped DP against the bitmask injection sum kept in verify
+        # the grouped DP against the bitmask injection sum in _reference
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(200):
@@ -340,7 +340,7 @@ class TestPatternProbability:
             pv = ParamVector.from_groups(values, counts)
             for psi in enumerate_patterns(n, min(k, n)):
                 got = pattern_probability(pv, psi)
-                want = verify._injection_sum_probability(pv, psi)
+                want = _reference._injection_sum_probability(pv, psi)
                 worst = max(worst, abs(got - want) / want)
         assert worst <= 1e-12
 

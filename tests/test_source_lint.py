@@ -79,3 +79,68 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Modules on the fast paths; the slow routes in _reference check them, so
+# none of them may lean on _reference.
+FAST_MODULES = ("oracle", "patterns", "bounds", "coder", "grids", "distributions", "cli")
+# Slow cross-check routes that live in _reference, off the public API.
+MOVED_TO_REFERENCE = ("brute_force_permutation_count", "exact_distinct_count_pmf",
+                      "expected_codelength_stepwise")
+
+
+def _package_modules_imported(tree):
+    """Modules of the package that ``tree`` imports, by their name in the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "pattern_entropy" and module:
+                    yield module.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.partition(".")[0] != "pattern_entropy":
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                module = module.partition(".")[2]
+            if module:
+                yield module.partition(".")[0]
+            else:  # from . import x / from pattern_entropy import x
+                yield from (alias.name for alias in node.names)
+
+
+def _imports_of(module):
+    path = ROOT / "src" / "pattern_entropy" / f"{module}.py"
+    return set(_package_modules_imported(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+@pytest.mark.parametrize("module", FAST_MODULES)
+def test_fast_modules_never_import_the_reference_routes(module):
+    assert "_reference" not in _imports_of(module)
+
+
+def test_reference_routes_never_import_the_oracle():
+    assert "oracle" not in _imports_of("_reference")
+
+
+def test_import_guard_sees_every_form():
+    tree = ast.parse("from ._reference import f\n"
+                     "from . import oracle\n"
+                     "import pattern_entropy.grids\n"
+                     "from pattern_entropy.coder import g\n"
+                     "from pattern_entropy import cli\n"
+                     "import numpy\n")
+    assert list(_package_modules_imported(tree)) == ["_reference", "oracle", "grids", "coder", "cli"]
+
+
+def test_slow_routes_are_off_the_public_api():
+    import pattern_entropy
+    from pattern_entropy import _reference, oracle, patterns
+
+    off = (*MOVED_TO_REFERENCE, "joint_pattern_bin_probability", "count_patterns")
+    assert [name for name in off if name in pattern_entropy.__all__] == []
+    for name in MOVED_TO_REFERENCE:
+        assert callable(getattr(_reference, name))
+        assert not hasattr(oracle, name)
+    assert callable(patterns._count_patterns)
+    assert not any(hasattr(m, "joint_pattern_bin_probability") for m in (_reference, oracle))
