@@ -20,14 +20,22 @@ emitted length is within 2 bits of -log2 Q on every sequence.
 Encode and decode share one per-stream event table (``_Steps``): an
 append-only prefix sum of the re-occurrence weights over the known indices,
 and the dyadic first-occurrence mass of each bin that still has one,
-refreshed only when that bin receives a new index.  A step costs O(B+) small
-integer operations for the B+ bins with phi_b > 0 (the re-occurrence part is
-one shift, plus an O(log m) bisection when decoding), plus a constant number
-of big-integer operations whose size grows linearly with the position, so a
-length-n stream costs O(n * B+) + O(n^2) bit operations; sequences longer
-than CODER_N_CAP raise ResourceCapError.  Decode tracks the code point's
-offset inside the current interval and accepts a stream only if it is the
-canonical dyadic encode would emit for what it decodes to.
+refreshed only when that bin receives a new index.  The events are weighed
+anew, in O(B+) small-integer operations for the B+ bins with phi_b > 0, only
+after a step that adds an index; any other step costs a few small-integer
+operations, plus an O(log m) bisection when decoding.
+
+A step reduces to a triple (den, cum, w) of integers of about 64 bits, and no
+step loop multiplies a growing integer.  Encode folds the n triples in a
+balanced product tree into the exact interval, whose integers have about
+64 n bits: at most O(log n) multiplications of that size, then two divisions
+with quotients of L bits to emit the stream, L being about -log2 Q.  Decode
+tracks the code point's offset inside the current interval as a fixed-point
+integer of L + log2 n + O(1) bits, exact on every canonical stream, so its
+step loop costs O(n L) bit operations; it then folds its own triples and
+accepts the stream only if it is the canonical dyadic encode would emit for
+what it decodes to.  Sequences longer than CODER_N_CAP raise
+ResourceCapError.
 """
 
 from __future__ import annotations
@@ -48,9 +56,11 @@ __all__ = [
     "next_symbol_prob", "sequence_codelength", "encode", "decode",
 ]
 
-# Longest sequence the exact coder accepts; a round trip at this length takes
-# seconds, and the cost grows quadratically with n (the interval's integers
-# grow linearly).
+# Longest sequence the exact coder accepts.  A round trip at this length
+# (zipf k = 200, L = 76,582 bits) takes 0.9-1.0 s to encode and 2.2-2.4 s to
+# decode on a 2-vCPU x86-64 host, and the cost grows about quadratically with
+# n: the interval's integers and the decoder's fixed-point offset grow
+# linearly.
 CODER_N_CAP = 16_384
 
 
@@ -270,6 +280,7 @@ class _Steps:
         self.rate_shift: int | None = None  # largest rate shift among known indices
         self.starts = [0]
         self.state = CoderState()
+        self.den: int | None = None  # None until the current state is weighed
         # a bin's mass never exceeds phi_b, so only bins with phi_b > 0 can hold one
         self.fresh = {}
         for b, x in enumerate(self.phi):
@@ -284,7 +295,16 @@ class _Steps:
             self.fresh.pop(b, None)
 
     def begin(self, j: int) -> int:
-        """Weigh the events of step j at this state; returns the denominator."""
+        """Denominator of step j's events at this state.
+
+        The events are weighed anew only after an update that added an index;
+        a re-occurrence leaves every weight and the denominator unchanged.
+        """
+        if self.den is None:
+            self._weigh(j)
+        return self.den
+
+    def _weigh(self, j: int) -> None:
         shifts = [shift for _, shift in self.fresh.values()]
         if self.rate_shift is not None:
             shifts.append(self.rate_shift)
@@ -294,7 +314,7 @@ class _Steps:
         self.reoccur = _shift(self.starts[-1], s - self.top)
         self.fresh_w = [(b, num << (s - shift)) for b, (num, shift) in self.fresh.items()]
         total = self.reoccur + sum(w for _, w in self.fresh_w)
-        return max(1 << s, total)
+        self.den = max(1 << s, total)
 
     def _rate_at(self, b: int) -> int:
         num, shift = self.rate[b]
@@ -334,6 +354,7 @@ class _Steps:
         if p <= self.state.max_index:
             return
         self.state.update(p, b)
+        self.den = None
         self._weigh_fresh(b)
         rate = self.rate[b]
         if rate is None:
@@ -351,6 +372,35 @@ def _check_cap(n: int) -> None:
             f"sequence length {n} exceeds the exact coder's cap CODER_N_CAP ({CODER_N_CAP})")
 
 
+def _fold(triples: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Interval (low, width, P) after the steps (den, cum, w), from [0, 1).
+
+    A step maps [low/P, (low+width)/P) to low' = low*den + cum*width,
+    width' = width*w, P' = P*den.  A run of steps is one such map (A, B, W):
+    low' = low*A + width*B, width' = width*W, P' = P*A; two runs compose as
+    (A1*A2, B1*A2 + W1*B2, W1*W2).  Composing neighbours level by level keeps
+    the two factors of every product about equally long, so no step's small
+    integers are multiplied into a number as long as the whole interval.
+    """
+    segs = triples
+    while len(segs) > 1:
+        odd = segs[-1:] if len(segs) % 2 else []
+        segs = [(a1 * a2, b1 * a2 + w1 * b2, w1 * w2)
+                for (a1, b1, w1), (a2, b2, w2) in zip(segs[::2], segs[1::2])] + odd
+    P, low, width = segs[0]
+    return low, width, P
+
+
+def _emit(low: int, width: int, P: int) -> Bitstring:
+    """Canonical dyadic of [low/P, (low+width)/P): the smallest length L with
+    width * 2**(L-1) >= P, and the code point c = ceil(low * 2**L / P)."""
+    q = -(-P // width)
+    L = (q - 1).bit_length() + 1
+    c_num = ((low << L) + P - 1) // P
+    nbytes = (L + 7) // 8
+    return Bitstring((c_num << (8 * nbytes - L)).to_bytes(nbytes, "big"), L)
+
+
 def encode(model: CoderModel, psi, beta) -> Bitstring:
     """Arithmetic-code (psi, beta) under the model's assignment.
 
@@ -363,25 +413,16 @@ def encode(model: CoderModel, psi, beta) -> Bitstring:
     if len(psi) != len(beta) or not psi:
         raise ValueError("need non-empty (psi, beta) of equal length")
     _check_cap(len(psi))
-    low, width, P = 0, 1, 1
     steps = _Steps(model)
+    triples = []
     for j, (p, b) in enumerate(zip(psi, beta)):
         den = steps.begin(j)
         target = steps.locate(p, b)
         if target is None:
             raise ValueError(f"zero-probability step at position {j}: ({p}, {b})")
-        cum_lo, w = target
-        low = low * den + cum_lo * width
-        width = width * w
-        P = P * den
+        triples.append((den, *target))
         steps.update(p, b)
-    # smallest L with width * 2**(L-1) >= P, then the canonical dyadic inside
-    q = -(-P // width)
-    L = (q - 1).bit_length() + 1
-    c_num = (low * (1 << L) + P - 1) // P
-    nbytes = (L + 7) // 8
-    data = (c_num << (8 * nbytes - L)).to_bytes(nbytes, "big")
-    return Bitstring(data, L)
+    return _emit(*_fold(triples))
 
 
 def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -397,29 +438,33 @@ def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...],
     L = bits.nbits
     if L < 1:
         raise DecodeError("empty bitstream")
-    c_num = bits._value()
-    # With encode's (low, width, P), the code point c_num / 2**L sits
-    # D / (P * 2**L) above low / P, and the interval is scaled / (P * 2**L)
-    # wide: D = c_num * P - low * 2**L and scaled = width * 2**L.
-    D, scaled, P = c_num, 1 << L, 1
+    # X / 2**K estimates the code point's offset inside the current interval,
+    # as a fraction of its width: exact at the start and rounded up at each
+    # step, so it is never too low and, after j steps, at most
+    # j * 2**(cl_j - K) too high, cl_j being the first j steps' codelength.
+    # On a canonical stream the code point lies in the left half of the final
+    # interval, so after step j it lies more than 2**(cl_j - cl_n - 1) of the
+    # interval's width below its end; as cl_n <= L - 1, every decision is
+    # exact once 2**K >= n * 2**L.  Any other stream fails the final
+    # comparison with what encode emits.
+    K = L + n.bit_length() + 2
+    X = bits._value() << (K - L)
     steps = _Steps(model)
     psi: list[int] = []
     beta: list[int] = []
+    triples = []
     for j in range(n):
         den = steps.begin(j)
-        D *= den
-        event = steps.find(D // scaled)
+        X *= den
+        event = steps.find(X >> K)
         if event is None:
             raise DecodeError("code point escapes every event interval")
-        p, b, cum_lo, w = event
-        D -= cum_lo * scaled
-        scaled *= w
-        P *= den
+        p, b, cum, w = event
+        X = -(((cum << K) - X) // w)
+        triples.append((den, cum, w))
         psi.append(p)
         beta.append(b)
         steps.update(p, b)
-    # encode's output: L is the smallest length with width * 2**(L-1) >= P,
-    # and c_num = ceil(low * 2**L / P), i.e. 0 <= D < P
-    if not (2 * P <= scaled and (L == 1 or scaled < 4 * P) and D < P):
+    if _emit(*_fold(triples)) != bits:
         raise DecodeError("bitstream is not the canonical encoding of its decode")
     return tuple(psi), tuple(beta)

@@ -83,7 +83,8 @@ def extract_pattern(x: Sequence) -> Pattern:
         raise ValueError("cannot extract the pattern of an empty sequence")
     seen: dict = {}
     out = []
-    for sym in x:
+    # one tolist() gives an array's symbols as Python scalars at once
+    for sym in x.tolist() if isinstance(x, np.ndarray) else x:
         key = sym.item() if isinstance(sym, np.generic) else sym
         if key not in seen:
             seen[key] = len(seen) + 1

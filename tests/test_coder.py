@@ -254,6 +254,32 @@ class TestArithmeticCoder:
         bits = encode(model, psi, beta)
         assert decode(model, bits, n) == decode(model, bits, n)
 
+    def test_steps_are_weighed_once_per_new_index(self, monkeypatch):
+        # a re-occurrence leaves every event weight as it was, so a stream
+        # with m distinct indices is weighed at most m + 1 times at any n
+        weighings = []
+        real = coder._Steps._weigh
+
+        def counting(self, j):
+            weighings.append(j)
+            return real(self, j)
+
+        monkeypatch.setattr(coder._Steps, "_weigh", counting)
+        pv = ParamVector.from_probs([0.2, 0.3, 0.5])
+        rng = np.random.default_rng(8)
+        for n in (20, 2000):
+            grid = build_grid("eta", n, 0.3)
+            model = CoderModel.from_source(pv, grid, n)
+            x = rng.choice([1, 2, 3], size=n, p=pv.probs)
+            psi, beta = extract_pattern(x), bin_sequence(pv, grid, x)
+            m = max(psi.indices)
+            weighings.clear()
+            bits = encode(model, psi, beta)
+            assert 1 <= len(weighings) <= m + 1
+            weighings.clear()
+            assert decode(model, bits, n) == (psi.indices, beta)
+            assert 1 <= len(weighings) <= m + 1
+
 
 class TestResourceCap:
     def test_decode_refuses_n_above_cap_before_any_work(self):

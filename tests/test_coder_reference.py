@@ -3,9 +3,10 @@
 The reference below rebuilds every positive-probability event and its integer
 weight at every step, decodes by bisection over big-integer products, and
 accepts a decoded stream only if re-encoding it gives the same bits.  The
-coder in ``pattern_entropy.coder`` keeps the same quantities incrementally and
-checks canonicity directly; it must emit identical bits and reach identical
-verdicts on every stream and every corruption tried here.
+coder in ``pattern_entropy.coder`` keeps the event table incrementally, folds
+the steps in a product tree and decodes in fixed point; it must emit
+identical bits and reach identical verdicts on every stream and every
+corruption tried here, the edge streams included.
 """
 
 import warnings
@@ -179,23 +180,56 @@ def _synthetic_streams(count, seed):
         rho = np.where(phi == 0.0, rng.random(nbins) * (rng.random(nbins) < 0.5), rho)
         model = CoderModel(n=16, phi=phi, rho=rho, kbins=kbins, ell=kbins,
                            L=np.zeros(nbins))
-        state = CoderState()
-        psi, beta = [], []
-        for _ in range(int(rng.integers(1, 25))):
-            events = _step_events(model, state)
-            if not events:
-                break
-            p, b, _ = events[int(rng.integers(0, len(events)))]
-            psi.append(p)
-            beta.append(b)
-            state.update(p, b)
+        psi, beta = _walk(model, int(rng.integers(1, 25)),
+                          lambda events: events[int(rng.integers(0, len(events)))])
         if psi:
-            out.append((model, tuple(psi), tuple(beta)))
+            out.append((model, psi, beta))
     return out
+
+
+def _walk(model, length, pick):
+    """(psi, beta) of up to ``length`` steps, each the event ``pick(events)``
+    among the reference's events; stops where no event is left."""
+    state = CoderState()
+    psi, beta = [], []
+    for _ in range(length):
+        events = _step_events(model, state)
+        if not events:
+            break
+        p, b, _ = pick(events)
+        psi.append(p)
+        beta.append(b)
+        state.update(p, b)
+    return tuple(psi), tuple(beta)
+
+
+def _edge_streams():
+    """Streams at the corners of the coder's arithmetic, by name."""
+    n = 48
+    theta = ParamVector.from_probs([0.3, 0.25, 0.2, 0.12, 0.08, 0.05])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        source = CoderModel.from_source(theta, build_grid("eta", n, 0.3), n)
+    # one bin whose only letter always has probability 1
+    certain = CoderModel(n=8, phi=np.array([1.0]), rho=np.array([1.0]),
+                         kbins=np.array([1]), ell=np.array([1]), L=np.zeros(1))
+    # phi sums to 1.3, so a step's weights total more than 2**s
+    over_one = CoderModel(n=16, phi=np.array([0.7, 0.6]), rho=np.array([0.2, 0.15]),
+                          kbins=np.array([3, 4]), ell=np.array([3, 4]), L=np.zeros(2))
+    rng = np.random.default_rng(22)
+    return {
+        "first_event": (source, *_walk(source, n, lambda events: events[0])),
+        "last_event": (source, *_walk(source, n, lambda events: events[-1])),
+        "single_step": (source, *_walk(source, 1, lambda events: events[-1])),
+        "one_bit": (certain, *_walk(certain, 8, lambda events: events[0])),
+        "total_over_one": (over_one, *_walk(
+            over_one, 24, lambda events: events[int(rng.integers(0, len(events)))])),
+    }
 
 
 SOURCE_STREAMS = _source_streams(300, seed=20)
 SYNTHETIC_STREAMS = _synthetic_streams(80, seed=21)
+EDGE_STREAMS = _edge_streams()
 
 
 @pytest.mark.parametrize("streams", [SOURCE_STREAMS, SYNTHETIC_STREAMS],
@@ -219,6 +253,29 @@ def test_corrupted_stream_verdicts_match_reference(streams):
             tried += 1
             rejected += got[0] != "ok"
     assert 0 < rejected < tried
+
+
+def test_edge_streams_are_at_the_edges():
+    first = encode(*EDGE_STREAMS["first_event"])
+    assert first.to01() == "0" * len(first)  # low = 0: the code point is 0
+    model, psi, beta = EDGE_STREAMS["last_event"]
+    assert psi[:3] == (1, 2, 3) and beta[0] == np.flatnonzero(model.phi).max()
+    assert len(EDGE_STREAMS["single_step"][1]) == 1
+    assert len(encode(*EDGE_STREAMS["one_bit"])) == 1
+    over_one = EDGE_STREAMS["total_over_one"][0]
+    assert sum(q for *_, q in _step_events(over_one, CoderState())) > 1.0
+
+
+@pytest.mark.parametrize("name", EDGE_STREAMS)
+def test_edge_streams_match_reference(name):
+    model, psi, beta = EDGE_STREAMS[name]
+    n = len(psi)
+    bits = encode(model, psi, beta)
+    assert bits == reference_encode(model, psi, beta)
+    assert decode(model, bits, n) == (psi, beta)
+    for bad in _corruptions(bits):
+        assert _verdict(decode, model, bad, n) == _verdict(reference_decode, model, bad, n), (
+            bad.to01(), n)
 
 
 def test_impossible_steps_match_reference():

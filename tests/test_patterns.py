@@ -59,6 +59,15 @@ class TestExtract:
         x = np.array([7, 3, 7, 1])
         assert extract_pattern(x).indices == (1, 2, 1, 3)
 
+    def test_input_kinds_agree(self):
+        text = "mississippi"
+        codes = [ord(c) for c in text]
+        arr = np.array(codes)
+        kinds = [codes, arr, list(arr), arr.astype(float), np.array(list(text)),
+                 np.array(list(arr), dtype=object)]
+        assert all(extract_pattern(x) == extract_pattern(text) for x in kinds)
+        assert str(extract_pattern(text)) == "12332332442"
+
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=16))
     def test_idempotent(self, x):
         psi = extract_pattern(x)
