@@ -4,8 +4,6 @@ At desk scale we can enumerate all k^n sequences, so the exact pattern entropy
 is available and every closed-form bound can be checked against it directly.
 """
 
-import warnings
-
 from pattern_entropy import (
     CoderModel,
     ParamVector,
@@ -18,8 +16,6 @@ from pattern_entropy import (
     ub_theorem1,
     ub_theorem3_family,
 )
-
-warnings.filterwarnings("ignore")
 
 theta = ParamVector.from_probs([0.08, 0.17, 0.3, 0.45])
 n, eps = 6, 0.2

@@ -7,8 +7,6 @@ every conditional probability, then closes the loop with the arithmetic coder:
 the emitted bitstring is within two bits of -log2 Q and decodes back exactly.
 """
 
-import warnings
-
 from pattern_entropy import (
     CoderModel,
     CoderState,
@@ -22,8 +20,6 @@ from pattern_entropy import (
     sample_sequence,
     sequence_codelength,
 )
-
-warnings.filterwarnings("ignore")
 
 theta = ParamVector.from_probs([0.1, 0.15, 0.3, 0.45])
 n, eps, seed = 12, 0.25, 2024

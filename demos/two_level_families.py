@@ -7,11 +7,7 @@ when everything is "small", and the per-bin occurrence credit wins for the
 uniform family.
 """
 
-import warnings
-
 from pattern_entropy import SourceAnalysis, SourceSpec, make_distribution, ub_theorem3_family
-
-warnings.filterwarnings("ignore")
 
 n = 10**6
 VARIANTS = ("ub3", "c1", "c21", "c2_loosened")

@@ -100,6 +100,17 @@ class SourceAnalysis:
     epsilon: float
 
     @cached_property
+    def notes(self) -> tuple[str, ...]:
+        """One note when eps is below (ln ln n)/(ln n): the grids are still
+        well defined there, the asymptotic bound guarantees are not."""
+        n = self.n
+        floor = math.log(math.log(n)) / math.log(n) if n >= 3 else -math.inf
+        if self.epsilon >= floor:
+            return ()
+        return (f"epsilon {self.epsilon:.6g} below (ln ln n)/(ln n) = {floor:.4f}: "
+                "bound guarantees degrade",)
+
+    @cached_property
     def plog2p(self) -> np.ndarray:
         """Per-group c * v * log2(v), the summands of -H(X)."""
         return entropy_terms(self.theta)
@@ -229,8 +240,7 @@ def ub_theorem1(analysis: SourceAnalysis, tighten: bool = False) -> BoundReport:
         notes.append(f"epsilon substituted by {eps_used:.6g}")
         if eps_used >= epsilon:
             notes.append("substitution is not a tightening at this n")
-    _, thr2 = low_thresholds(n, epsilon)
-    valid = bool(theta.values[0] > thr2)
+    valid = bool(theta.values[0] > analysis.low.thr2)
     return BoundReport(
         name="ub_theorem1_tightened" if tighten else "ub_theorem1",
         terms=(
@@ -254,8 +264,7 @@ def lb_theorem2(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
     h_block = n * analysis.h_x
     sum_a = _perm_deduction_sum(stats.bins, stats.counts, 1, A)
     sum_b = _perm_deduction_sum(stats.bins, stats.kappa_prime, 1, A)
-    _, thr2 = low_thresholds(n, analysis.epsilon)
-    valid = bool(theta.values[0] > thr2)
+    valid = bool(theta.values[0] > analysis.low.thr2)
     rep_a = BoundReport(
         name="lb_theorem2_a",
         terms=(

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
 import sys
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,6 +112,8 @@ def parse_config(doc: dict) -> RunConfig:
     epsilon = float(doc.get("epsilon", 0.25))
     epsilon1 = doc.get("epsilon1")
     if epsilon1 is None and "region" in doc and "n_pow_eps1" in doc["region"]:
+        if n is None or n <= 1:
+            _fail(".region.n_pow_eps1", "needs a horizon 'n' > 1")
         epsilon1 = math.log(float(doc["region"]["n_pow_eps1"])) / math.log(float(n))
     if epsilon1 is not None:
         epsilon1 = float(epsilon1)
@@ -152,7 +154,10 @@ def parse_config(doc: dict) -> RunConfig:
             if s not in CHECKS:
                 _fail(".verify.suites", f"unknown suite {s!r}")
 
-    lb4 = dict(doc.get("lb4", {}))
+    lb4 = dict(_expect_type(doc.get("lb4", {}), ".lb4", dict, "an object"))
+    lb4_keys = tuple(inspect.signature(lb_theorem4).parameters)[1:]
+    for key in lb4.keys() - set(lb4_keys):
+        _fail(".lb4", f"unknown key {key!r}; available: {lb4_keys}")
     return RunConfig(
         source=source, n=n, epsilon=epsilon, epsilon1=epsilon1,
         bounds=bounds, oracle=bool(doc.get("oracle", False)), mc=mc,
@@ -186,13 +191,14 @@ def _write_rows(rows: list[dict], out_format: str, stream) -> None:
         writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
-def _report_row(rep: BoundReport) -> dict:
+def _report_row(rep: BoundReport, notes: tuple[str, ...]) -> dict:
+    """One bound's row; ``notes`` (the analysis's own) follow the report's."""
     row = {
         "bound": rep.name,
         "value": rep.value,
         "valid": rep.valid,
         "residual_flags": ";".join(rep.residual_flags),
-        "notes": ";".join(rep.notes),
+        "notes": ";".join(rep.notes + notes),
         "error": "",
     }
     for name, val in rep.terms:
@@ -234,47 +240,41 @@ def run_bounds(cfg: RunConfig) -> list[dict]:
     analysis = SourceAnalysis(theta, cfg.n, cfg.epsilon)
     oracle_cols: dict = {}
     skipped = []
-    if cfg.oracle or cfg.mc:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = analysis.eta_grid
-            if cfg.oracle:
-                try:
-                    ee = exact_entropies(theta, grid, cfg.n)
-                    oracle_cols.update({
-                        "exact_h_x_block": ee.h_x_block,
-                        "exact_h_pattern": ee.h_pattern,
-                        "exact_h_joint": ee.h_joint,
-                        "exact_codelength": ee.expected_codelength,
-                    })
-                except ResourceCapError as exc:
-                    skipped.append(f"oracle skipped: {exc}")
-            if cfg.mc:
-                try:
-                    mc = mc_pattern_entropy(theta, cfg.n, cfg.mc["samples"], cfg.mc["seed"])
-                    oracle_cols.update({"mc_estimate": mc.estimate, "mc_stderr": mc.stderr})
-                except ResourceCapError as exc:
-                    skipped.append(f"mc skipped: {exc}")
+    if cfg.oracle:
+        try:
+            ee = exact_entropies(theta, analysis.eta_grid, cfg.n)
+            oracle_cols.update({
+                "exact_h_x_block": ee.h_x_block,
+                "exact_h_pattern": ee.h_pattern,
+                "exact_h_joint": ee.h_joint,
+                "exact_codelength": ee.expected_codelength,
+            })
+        except ResourceCapError as exc:
+            skipped.append(f"oracle skipped: {exc}")
+    if cfg.mc:
+        try:
+            mc = mc_pattern_entropy(theta, cfg.n, cfg.mc["samples"], cfg.mc["seed"])
+            oracle_cols.update({"mc_estimate": mc.estimate, "mc_stderr": mc.stderr})
+        except ResourceCapError as exc:
+            skipped.append(f"mc skipped: {exc}")
     if skipped:
         oracle_cols["error"] = ";".join(skipped)
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in cfg.bounds:
-            try:
-                for rep in _evaluate_bound(name, analysis, cfg):
-                    row = _report_row(rep)
-                    for key, val in oracle_cols.items():
-                        if key == "error":
-                            row["error"] = (row["error"] + ";" + val).strip(";")
-                        else:
-                            row[key] = val
-                    rows.append(row)
-            except ResourceCapError as exc:
-                variants = {"s1_variant": "b1", "s2_variant": "b1", **cfg.lb4}
-                rows += [{"bound": report.format(**variants), "value": None, "valid": False,
-                          "residual_flags": "", "notes": "", "error": str(exc)}
-                         for report in BOUND_NAMES[name]]
+    for name in cfg.bounds:
+        try:
+            for rep in _evaluate_bound(name, analysis, cfg):
+                row = _report_row(rep, analysis.notes)
+                for key, val in oracle_cols.items():
+                    if key == "error":
+                        row["error"] = (row["error"] + ";" + val).strip(";")
+                    else:
+                        row[key] = val
+                rows.append(row)
+        except ResourceCapError as exc:
+            variants = {"s1_variant": "b1", "s2_variant": "b1", **cfg.lb4}
+            rows += [{"bound": report.format(**variants), "value": None, "valid": False,
+                      "residual_flags": "", "notes": ";".join(analysis.notes), "error": str(exc)}
+                     for report in BOUND_NAMES[name]]
     return rows
 
 
@@ -317,33 +317,30 @@ def run_region_sweep(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def run_code(cfg: RunConfig, seed_override: int | None = None) -> tuple[list[dict], bool]:
+def run_code(cfg: RunConfig) -> tuple[list[dict], bool]:
     """Round-trip sampled sequences through the coder; returns (rows, all_ok)."""
     if cfg.source is None or cfg.n is None or cfg.code is None:
         raise ValueError("the code command needs 'source', 'n' and 'code'")
     theta = make_distribution(cfg.source)
-    seed = seed_override if seed_override is not None else cfg.code["seed"]
-    rng = np.random.default_rng(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = build_grid("eta", cfg.n, cfg.epsilon)
-        model = CoderModel.from_source(theta, grid, cfg.n)
-        rows = []
-        all_ok = True
-        for trial in range(cfg.code["count"]):
-            x = rng.choice(np.arange(1, theta.k + 1), size=cfg.n, p=theta.probs)
-            psi = extract_pattern(x)
-            beta = bin_sequence(theta, grid, x)
-            cl = sequence_codelength(model, psi, beta)
-            bits = encode(model, psi, beta)
-            ok = decode(model, bits, cfg.n) == (psi.indices, beta)
-            within = cl - 1e-9 <= len(bits) <= cl + 2.0 + 1e-9
-            all_ok = all_ok and ok and within
-            rows.append({
-                "trial": trial, "n": cfg.n, "k": theta.k,
-                "codelength_bits": cl, "emitted_bits": len(bits),
-                "roundtrip_ok": ok, "within_two_bits": within, "error": "",
-            })
+    rng = np.random.default_rng(cfg.code["seed"])
+    grid = build_grid("eta", cfg.n, cfg.epsilon)
+    model = CoderModel.from_source(theta, grid, cfg.n)
+    rows = []
+    all_ok = True
+    for trial in range(cfg.code["count"]):
+        x = rng.choice(np.arange(1, theta.k + 1), size=cfg.n, p=theta.probs)
+        psi = extract_pattern(x)
+        beta = bin_sequence(theta, grid, x)
+        cl = sequence_codelength(model, psi, beta)
+        bits = encode(model, psi, beta)
+        ok = decode(model, bits, cfg.n) == (psi.indices, beta)
+        within = cl - 1e-9 <= len(bits) <= cl + 2.0 + 1e-9
+        all_ok = all_ok and ok and within
+        rows.append({
+            "trial": trial, "n": cfg.n, "k": theta.k,
+            "codelength_bits": cl, "emitted_bits": len(bits),
+            "roundtrip_ok": ok, "within_two_bits": within, "error": "",
+        })
     return rows, all_ok
 
 
@@ -351,30 +348,26 @@ def run_oracle(cfg: RunConfig) -> list[dict]:
     if cfg.source is None or cfg.n is None:
         raise ValueError("the oracle command needs 'source' and 'n'")
     theta = make_distribution(cfg.source)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = build_grid("eta", cfg.n, cfg.epsilon)
-        ee = exact_entropies(theta, grid, cfg.n)
-        row = {
-            "n": cfg.n, "k": theta.k,
-            "h_x_block": ee.h_x_block, "h_pattern": ee.h_pattern,
-            "h_joint": ee.h_joint, "expected_codelength": ee.expected_codelength,
-            "error": "",
-        }
-        if cfg.mc:
-            mc = mc_pattern_entropy(theta, cfg.n, cfg.mc["samples"], cfg.mc["seed"])
-            row.update({"mc_estimate": mc.estimate, "mc_stderr": mc.stderr})
+    grid = build_grid("eta", cfg.n, cfg.epsilon)
+    ee = exact_entropies(theta, grid, cfg.n)
+    row = {
+        "n": cfg.n, "k": theta.k,
+        "h_x_block": ee.h_x_block, "h_pattern": ee.h_pattern,
+        "h_joint": ee.h_joint, "expected_codelength": ee.expected_codelength,
+        "error": "",
+    }
+    if cfg.mc:
+        mc = mc_pattern_entropy(theta, cfg.n, cfg.mc["samples"], cfg.mc["seed"])
+        row.update({"mc_estimate": mc.estimate, "mc_stderr": mc.stderr})
     return [row]
 
 
-def run_verify(cfg: RunConfig, seed_override: int | None = None) -> tuple[list[dict], bool]:
+def run_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
     suites = None
     seed = DEFAULT_SEED
     if cfg.verify:
         suites = cfg.verify.get("suites")
         seed = int(cfg.verify.get("seed", seed))
-    if seed_override is not None:
-        seed = seed_override
     results = run_suites(suites, seed=seed)
     rows = [{
         "suite": r.name, "passed": r.passed, "checks": r.checks,
@@ -420,20 +413,22 @@ def main(argv=None) -> int:
     try:
         doc = _load_config(args.config)
         cfg = parse_config(doc)
-        if args.seed is not None and cfg.mc is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "mc": {**cfg.mc, "seed": args.seed}})
+        if args.seed is not None:  # one seed for the mc, code and verify blocks
+            seed = {"seed": args.seed}
+            cfg = replace(cfg, mc=cfg.mc and {**cfg.mc, **seed}, code=cfg.code and {**cfg.code, **seed},
+                          verify={**(cfg.verify or {}), **seed})
         failed = False
         if args.command == "bounds":
             rows = run_bounds(cfg)
         elif args.command == "region":
             rows = run_region_sweep(cfg)
         elif args.command == "code":
-            rows, ok = run_code(cfg, seed_override=args.seed)
+            rows, ok = run_code(cfg)
             failed = not ok
         elif args.command == "oracle":
             rows = run_oracle(cfg)
         else:
-            rows, ok = run_verify(cfg, seed_override=args.seed)
+            rows, ok = run_verify(cfg)
             for row in rows:
                 print(f"{'PASS' if row['passed'] else 'FAIL'}  {row['suite']:24s} "
                       f"{row['checks']:6d} checks  {row['elapsed_s']:7.2f}s",

@@ -148,18 +148,24 @@ def make_distribution(spec: SourceSpec) -> ParamVector:
     if family == "two-level":
         return _two_level(params, n)
     if family == "geometric":
-        k = int(params["k"])
-        decay = float(params["decay"])
+        k = int(_required(params, "k", family))
+        decay = float(_required(params, "decay", family))
         if not 0.0 < decay < 1.0:
             raise ValueError("geometric decay must be in (0, 1)")
         raw = decay ** np.arange(k, dtype=float)
         return _normalized(raw, {"family": family, "k": k, "decay": decay})
     if family == "zipf":
-        k = int(params["k"])
-        s = float(params["exponent"])
+        k = int(_required(params, "k", family))
+        s = float(_required(params, "exponent", family))
         raw = np.arange(1, k + 1, dtype=float) ** (-s)
         return _normalized(raw, {"family": family, "k": k, "exponent": s})
     raise ValueError(f"unknown family {family!r}")
+
+
+def _required(params: dict, name: str, family: str):
+    if name not in params:
+        raise ValueError(f"{family} family requires {name!r}")
+    return params[name]
 
 
 def _normalized(raw: np.ndarray, info: dict) -> ParamVector:
@@ -178,8 +184,8 @@ def _two_level(params: dict, n: int | None) -> ParamVector:
     if n is None:
         raise ValueError("two-level family requires the horizon n")
     nf = float(n)
-    phi0 = float(params["phi0"])
-    mu = float(params["mu"])
+    phi0 = float(_required(params, "phi0", "two-level"))
+    mu = float(_required(params, "mu", "two-level"))
     kind = params.get("level1", "below")
     if kind not in _TWO_LEVEL_KINDS:
         raise ValueError(f"level1 must be one of {_TWO_LEVEL_KINDS}")
@@ -194,10 +200,10 @@ def _two_level(params: dict, n: int | None) -> ParamVector:
     if phi1 <= 0.0:
         raise ValueError("low level consumes all probability mass")
     if kind == "below":
-        nu = float(params["nu"])
+        nu = float(_required(params, "nu", "two-level"))
         v1_nominal = nf ** -(1.0 - nu)
     elif kind == "above":
-        nu = float(params["nu"])
+        nu = float(_required(params, "nu", "two-level"))
         v1_nominal = nf ** -(1.0 + nu)
     else:
         nu = None

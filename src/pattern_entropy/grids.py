@@ -9,7 +9,6 @@ stored.  Bins are left-open / right-closed: a probability on a point is in the l
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -108,9 +107,9 @@ def build_grid(kind: str, n: int, epsilon: float) -> Grid:
     """Construct a tau/eta/xi grid for horizon n.
 
     eps = 0 is allowed for tau and xi (where the point formulas remain valid);
-    eta requires eps > 0.  Values of eps below (ln ln n)/(ln n) only trigger a
-    warning: the grids are still well defined, the asymptotic bound guarantees
-    are not.
+    eta requires eps > 0.  Any eps in range gives a well-defined grid, with no
+    warning; below (ln ln n)/(ln n) the asymptotic bound guarantees do not
+    hold, which ``SourceAnalysis.notes`` reports.
     """
     exponent = _exponent(kind, epsilon)
     if n < 2:
@@ -119,12 +118,6 @@ def build_grid(kind: str, n: int, epsilon: float) -> Grid:
         raise ValueError(f"epsilon must be {'> 0' if kind == 'eta' else '>= 0'} for {kind}")
     if kind == "xi" and epsilon >= 1.0:
         raise ValueError("xi grid requires epsilon < 1")
-    if n >= 3 and epsilon < math.log(math.log(n)) / math.log(n):
-        warnings.warn(
-            f"epsilon={epsilon} is below (ln ln n)/(ln n)={math.log(math.log(n)) / math.log(n):.4f}; "
-            "bound guarantees degrade in this regime",
-            stacklevel=2,
-        )
 
     nf = float(n)
     denom = nf ** exponent

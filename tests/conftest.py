@@ -1,6 +1,3 @@
-import warnings
-
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -11,10 +8,3 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
-
-@pytest.fixture(autouse=True)
-def _quiet_epsilon_warnings():
-    """The desk-scale tests deliberately use epsilon below the asymptotic floor."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="epsilon=.*below")
-        yield

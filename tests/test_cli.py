@@ -112,6 +112,53 @@ class TestBoundsCommand:
         })
         assert cli.main(["bounds", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"region": {"n_pow_eps1": 20, "k_values": [10]}}, "region.n_pow_eps1"),
+        ({"n": 1, "region": {"n_pow_eps1": 20, "k_values": [10]}}, "region.n_pow_eps1"),
+        ({"source": {"family": "geometric", "params": {"k": 5}}, "n": 10}, "'decay'"),
+        ({"source": {"family": "geometric", "params": {"decay": 0.5}}, "n": 10}, "'k'"),
+        ({"source": {"family": "zipf", "params": {"k": 5}}, "n": 10}, "'exponent'"),
+        ({"source": {"family": "two-level", "params": {"mu": 0.4, "nu": 0.3}}, "n": 100}, "'phi0'"),
+        ({"source": {"family": "two-level", "params": {"phi0": 0.5, "nu": 0.3}}, "n": 100}, "'mu'"),
+        ({"source": {"family": "two-level", "params": {"phi0": 0.5, "mu": 0.4}}, "n": 100}, "'nu'"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "lb4": {"bogus": 1}}, "'bogus'"),
+    ], ids=["n_pow_eps1_without_n", "n_pow_eps1_with_n1", "geometric_decay", "geometric_k",
+            "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key"])
+    def test_malformed_config_exit_1(self, tmp_path, capsys, doc, where):
+        assert cli.main(["bounds", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("eps, noted", [(0.3, True), (0.4, False)])
+    def test_epsilon_floor_note_on_every_row(self, tmp_path, monkeypatch, eps, noted):
+        # n = 8: (ln ln n)/(ln n) = 0.3521; the cap row of c2_exact carries the note too
+        monkeypatch.setattr(bounds, "PMF_CAP", 0)
+        cfg = write_config(tmp_path, {
+            "source": {"probs": [0.1, 0.2, 0.7]}, "n": 8, "epsilon": eps,
+            "bounds": [*cli.DEFAULT_BOUNDS, "c2_exact"],
+        })
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        assert rows[-1]["bound"] == "ub_theorem3_c2_exact" and "PMF_CAP" in rows[-1]["error"]
+        note = f"epsilon {eps} below (ln ln n)/(ln n) = 0.3521: bound guarantees degrade"
+        assert len(rows) == 11
+        assert [note in r["notes"].split(";") for r in rows] == [noted] * len(rows)
+
+    def test_seed_flag_sets_the_mc_seed(self, tmp_path):
+        doc = {"source": {"probs": [0.1, 0.2, 0.7]}, "n": 10, "epsilon": 0.4,
+               "bounds": ["simple"], "mc": {"samples": 200}}
+
+        def mc_columns(doc, *flags):
+            out = str(tmp_path / "out.csv")
+            assert cli.main(["bounds", "--config", write_config(tmp_path, doc), "--out", out,
+                             *flags]) == 0
+            return [(r["mc_estimate"], r["mc_stderr"]) for r in read_csv(out)]
+
+        flagged = mc_columns(doc, "--seed", "3")
+        assert flagged == mc_columns({**doc, "mc": {"samples": 200, "seed": 3}})
+        assert flagged != mc_columns(doc)
+
     def test_each_grid_built_at_most_once(self, tmp_path, monkeypatch):
         built = Counter()
 
@@ -289,6 +336,20 @@ class TestCodeCommand:
         assert all(r["roundtrip_ok"] == "True" for r in rows)
         assert all(r["within_two_bits"] == "True" for r in rows)
 
+    def test_seed_flag_sets_the_code_seed(self, tmp_path):
+        doc = {"source": {"probs": [0.2, 0.3, 0.5]}, "n": 20, "epsilon": 0.3,
+               "code": {"count": 5}}
+
+        def rows(doc, *flags):
+            out = str(tmp_path / "c.csv")
+            assert cli.main(["code", "--config", write_config(tmp_path, doc), "--out", out,
+                             *flags]) == 0
+            return read_csv(out)
+
+        flagged = rows(doc, "--seed", "9")
+        assert flagged == rows({**doc, "code": {"count": 5, "seed": 9}})
+        assert flagged != rows(doc)
+
     def test_cap_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "source": {"family": "explicit", "params": {"probs": [0.5, 0.5]}},
@@ -384,3 +445,15 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path, {"verify": {"suites": ["probe"]}})
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
         assert seeds == [DEFAULT_SEED]
+
+    def test_seed_flag_reaches_the_seeded_suites(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def probe(seed):
+            seeds.append(seed)
+            return CheckResult(name="probe", passed=True, checks=1, details="")
+        monkeypatch.setitem(cli.CHECKS, "probe", probe)
+        cfg = write_config(tmp_path, {"verify": {"suites": ["probe"], "seed": 1}})
+        out = str(tmp_path / "v.csv")
+        assert cli.main(["verify", "--config", cfg, "--out", out, "--seed", "5"]) == 0
+        assert seeds == [5]

@@ -11,7 +11,6 @@ and record the change in CHANGES.md.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,7 @@ def model_of(case: dict) -> CoderModel:
                              for k, v in case["model"].items()})
     src = case["source"]
     theta = distributions.make_distribution(distributions.SourceSpec(src["family"], src["params"]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = grids.build_grid("eta", case["n"], case["epsilon"])
+    grid = grids.build_grid("eta", case["n"], case["epsilon"])
     return CoderModel.from_source(theta, grid, case["n"])
 
 

@@ -9,7 +9,6 @@ identical bits and reach identical verdicts on every stream and every
 corruption tried here, the edge streams included.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -146,22 +145,20 @@ def _source_streams(count, seed):
     rng = np.random.default_rng(seed)
     grids = {}
     out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(count):
-            k = int(rng.integers(1, 9))
-            n = int(rng.integers(2, 65))
+    for _ in range(count):
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(2, 65))
+        probs = rng.dirichlet(np.ones(k))
+        while probs.min() <= 1e-6:
             probs = rng.dirichlet(np.ones(k))
-            while probs.min() <= 1e-6:
-                probs = rng.dirichlet(np.ones(k))
-            theta = ParamVector.from_probs(probs)
-            key = (n, float(rng.choice([0.2, 0.3, 0.45])))
-            if key not in grids:
-                grids[key] = build_grid("eta", *key)
-            grid = grids[key]
-            model = CoderModel.from_source(theta, grid, n)
-            x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
-            out.append((model, extract_pattern(x).indices, bin_sequence(theta, grid, x)))
+        theta = ParamVector.from_probs(probs)
+        key = (n, float(rng.choice([0.2, 0.3, 0.45])))
+        if key not in grids:
+            grids[key] = build_grid("eta", *key)
+        grid = grids[key]
+        model = CoderModel.from_source(theta, grid, n)
+        x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
+        out.append((model, extract_pattern(x).indices, bin_sequence(theta, grid, x)))
     return out
 
 
@@ -207,9 +204,7 @@ def _edge_streams():
     """Streams at the corners of the coder's arithmetic, by name."""
     n = 48
     theta = ParamVector.from_probs([0.3, 0.25, 0.2, 0.12, 0.08, 0.05])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        source = CoderModel.from_source(theta, build_grid("eta", n, 0.3), n)
+    source = CoderModel.from_source(theta, build_grid("eta", n, 0.3), n)
     # one bin whose only letter always has probability 1
     certain = CoderModel(n=8, phi=np.array([1.0]), rho=np.array([1.0]),
                          kbins=np.array([1]), ell=np.array([1]), L=np.zeros(1))

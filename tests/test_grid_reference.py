@@ -8,7 +8,6 @@ point, the same B, A and flags, and the same bin for every probe tried here.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -66,9 +65,7 @@ def _matrix(max_points=2_000_000):
 
 
 def _build(kind, n, eps):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_grid(kind, n, eps), _reference(kind, n, eps)
+    return build_grid(kind, n, eps), _reference(kind, n, eps)
 
 
 def _assert_matches(grid, ref):

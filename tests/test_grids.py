@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,9 +60,16 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid("sigma", 100, 0.1)
 
-    def test_low_epsilon_warns(self):
-        with pytest.warns(UserWarning, match="below"):
+    def test_low_epsilon_is_silent_and_noted(self):
+        # below (ln ln n)/(ln n) the grid builds without a warning; the analysis notes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             build_grid("tau", 1000, 0.01)
+        theta = ParamVector.from_probs([0.5, 0.5])
+        assert SourceAnalysis(theta, 1000, 0.01).notes == (
+            "epsilon 0.01 below (ln ln n)/(ln n) = 0.2798: bound guarantees degrade",)
+        assert SourceAnalysis(theta, 1000, 0.3).notes == ()
+        assert SourceAnalysis(theta, 2, 0.01).notes == ()  # ln ln 2 < 0: no floor
 
 
 class TestBinIndex:

@@ -197,10 +197,8 @@ class TestExactEntropies:
             grid = _grid(n)
             probs = theta.probs.tolist()
             letter_bin = bin_index(grid, probs).tolist()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                joint, codelength = oracle._walk_sequences(
-                    probs, letter_bin, n, CoderModel.from_source(theta, grid, n))
+            joint, codelength = oracle._walk_sequences(
+                probs, letter_bin, n, CoderModel.from_source(theta, grid, n))
             want = _raw_joint(theta, grid, n)
             assert len(joint) == len(codelength) == len(want)
             assert sorted(joint.values()) == sorted(want.values())
@@ -459,20 +457,18 @@ class TestStepwiseCodelength:
         rng = np.random.default_rng(23)
         sources = [(_random_source(rng, int(rng.integers(1, 6))), int(rng.integers(2, 7)))
                    for _ in range(120)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = [expected_codelength_stepwise(theta, _grid(n), n) for theta, n in sources]
-            real = _reference._injection_sum
-            fresh = []
+        got = [expected_codelength_stepwise(theta, _grid(n), n) for theta, n in sources]
+        real = _reference._injection_sum
+        fresh = []
 
-            def memo_per_node(probs, occ, allowed, memo, j=0, used=0):
-                if j == 0:
-                    fresh.append(memo)
-                    memo = {}
-                return real(probs, occ, allowed, memo, j, used)
+        def memo_per_node(probs, occ, allowed, memo, j=0, used=0):
+            if j == 0:
+                fresh.append(memo)
+                memo = {}
+            return real(probs, occ, allowed, memo, j, used)
 
-            monkeypatch.setattr(_reference, "_injection_sum", memo_per_node)
-            want = [expected_codelength_stepwise(theta, _grid(n), n) for theta, n in sources]
+        monkeypatch.setattr(_reference, "_injection_sum", memo_per_node)
+        want = [expected_codelength_stepwise(theta, _grid(n), n) for theta, n in sources]
         assert got == want
         assert len(fresh) > len(sources)
         assert sum(theta.counts.max() > 1 for theta, _ in sources) >= 30
