@@ -67,6 +67,7 @@ from .coder import (
     decode,
     encode,
     next_symbol_prob,
+    roundtrip,
     sequence_codelength,
 )
 
@@ -87,5 +88,5 @@ __all__ = [
     "lb_theorem4", "packed_entropies", "range_decreases", "range_theorem5",
     "simple_bounds", "stirling_bounds", "ub_theorem1", "ub_theorem3_family",
     "Bitstring", "CoderModel", "CoderState", "DecodeError", "decode", "encode",
-    "next_symbol_prob", "sequence_codelength",
+    "next_symbol_prob", "roundtrip", "sequence_codelength",
 ]

@@ -34,8 +34,8 @@ from .bounds import (
     ub_theorem1,
     ub_theorem3_family,
 )
-from .coder import CoderModel, decode, encode, sequence_codelength
-from .distributions import SourceSpec, make_distribution
+from .coder import CoderModel, roundtrip
+from .distributions import SourceSpec, make_distribution, sample_sequence
 from .grids import build_grid
 from .oracle import exact_entropies, mc_pattern_entropy
 from .patterns import bin_sequence, extract_pattern
@@ -82,6 +82,22 @@ def _expect_type(doc, path, types, what):
     return doc
 
 
+def _convert(kind, doc, path):
+    """``kind(doc)`` for kind int or float, or a config error naming ``path``."""
+    try:
+        return kind(doc)
+    except (TypeError, ValueError):
+        _fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {doc!r}")
+
+
+def _names(doc, path, known, what):
+    """``doc`` as a tuple, or a config error unless it lists names in ``known``."""
+    for name in _expect_type(doc, path, (list, tuple), f"a list of {what} names"):
+        if not isinstance(name, str) or name not in known:
+            _fail(path, f"unknown {what} {name!r}; available: {tuple(known)}")
+    return tuple(doc)
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document and normalize it."""
     _expect_type(doc, "", dict, "an object")
@@ -97,7 +113,8 @@ def parse_config(doc: dict) -> RunConfig:
         if "probs" in s and "family" not in s:
             s = {"family": "explicit", "params": {"probs": s["probs"]}}
         fam = _expect_type(s.get("family"), ".source.family", str, "a family name")
-        params = dict(s.get("params", {k: v for k, v in s.items() if k != "family"}))
+        params = dict(_expect_type(s.get("params", {k: v for k, v in s.items() if k != "family"}),
+                                   ".source.params", dict, "an object"))
         source = SourceSpec(family=fam, params=params, n=doc.get("n"))
 
     n = doc.get("n")
@@ -109,26 +126,32 @@ def parse_config(doc: dict) -> RunConfig:
                 n = int(n)
         if n < 1:
             _fail(".n", "must be >= 1")
-    epsilon = float(doc.get("epsilon", 0.25))
+    epsilon = _convert(float, doc.get("epsilon", 0.25), ".epsilon")
+    region = doc.get("region")
+    if region is not None:
+        _expect_type(region, ".region", dict, "an object")
+        if "k_values" not in region and "k_range" not in region:
+            _fail(".region", "needs 'k_values' or 'k_range'")
     epsilon1 = doc.get("epsilon1")
-    if epsilon1 is None and "region" in doc and "n_pow_eps1" in doc["region"]:
+    if epsilon1 is None and region is not None and "n_pow_eps1" in region:
         if n is None or n <= 1:
             _fail(".region.n_pow_eps1", "needs a horizon 'n' > 1")
-        epsilon1 = math.log(float(doc["region"]["n_pow_eps1"])) / math.log(float(n))
+        n_pow_eps1 = _convert(float, region["n_pow_eps1"], ".region.n_pow_eps1")
+        if not n_pow_eps1 > 0.0:
+            _fail(".region.n_pow_eps1", f"must be > 0, got {n_pow_eps1!r}")
+        epsilon1 = math.log(n_pow_eps1) / math.log(float(n))
     if epsilon1 is not None:
-        epsilon1 = float(epsilon1)
+        epsilon1 = _convert(float, epsilon1, ".epsilon1")
 
-    bounds = tuple(doc.get("bounds", DEFAULT_BOUNDS))
-    for b in bounds:
-        if b not in BOUND_NAMES:
-            _fail(".bounds", f"unknown bound {b!r}; available: {tuple(BOUND_NAMES)}")
+    bounds = _names(doc.get("bounds", DEFAULT_BOUNDS), ".bounds", BOUND_NAMES, "bound")
 
     mc = doc.get("mc")
     if mc is not None:
         _expect_type(mc, ".mc", dict, "an object")
         if "samples" not in mc:
             _fail(".mc", "needs 'samples'")
-        mc = {"samples": int(mc["samples"]), "seed": int(mc.get("seed", 0))}
+        mc = {"samples": _convert(int, mc["samples"], ".mc.samples"),
+              "seed": _convert(int, mc.get("seed", 0), ".mc.seed")}
 
     output = doc.get("output", {})
     _expect_type(output, ".output", dict, "an object")
@@ -136,23 +159,17 @@ def parse_config(doc: dict) -> RunConfig:
     if out_format not in ("csv", "json"):
         _fail(".output.format", "must be 'csv' or 'json'")
 
-    region = doc.get("region")
-    if region is not None:
-        _expect_type(region, ".region", dict, "an object")
-        if "k_values" not in region and "k_range" not in region:
-            _fail(".region", "needs 'k_values' or 'k_range'")
-
     code = doc.get("code")
     if code is not None:
         _expect_type(code, ".code", dict, "an object")
-        code = {"count": int(code.get("count", 100)), "seed": int(code.get("seed", 0))}
+        code = {"count": _convert(int, code.get("count", 100), ".code.count"),
+                "seed": _convert(int, code.get("seed", 0), ".code.seed")}
 
     verify_cfg = doc.get("verify")
     if verify_cfg is not None:
         _expect_type(verify_cfg, ".verify", dict, "an object")
-        for s in verify_cfg.get("suites", []):
-            if s not in CHECKS:
-                _fail(".verify.suites", f"unknown suite {s!r}")
+        _names(verify_cfg.get("suites", []), ".verify.suites", CHECKS, "suite")
+        _convert(int, verify_cfg.get("seed", 0), ".verify.seed")
 
     lb4 = dict(_expect_type(doc.get("lb4", {}), ".lb4", dict, "an object"))
     lb4_keys = tuple(inspect.signature(lb_theorem4).parameters)[1:]
@@ -328,13 +345,8 @@ def run_code(cfg: RunConfig) -> tuple[list[dict], bool]:
     rows = []
     all_ok = True
     for trial in range(cfg.code["count"]):
-        x = rng.choice(np.arange(1, theta.k + 1), size=cfg.n, p=theta.probs)
-        psi = extract_pattern(x)
-        beta = bin_sequence(theta, grid, x)
-        cl = sequence_codelength(model, psi, beta)
-        bits = encode(model, psi, beta)
-        ok = decode(model, bits, cfg.n) == (psi.indices, beta)
-        within = cl - 1e-9 <= len(bits) <= cl + 2.0 + 1e-9
+        x = sample_sequence(theta, cfg.n, rng)
+        cl, bits, ok, within = roundtrip(model, extract_pattern(x), bin_sequence(theta, grid, x))
         all_ok = all_ok and ok and within
         rows.append({
             "trial": trial, "n": cfg.n, "k": theta.k,
@@ -363,12 +375,8 @@ def run_oracle(cfg: RunConfig) -> list[dict]:
 
 
 def run_verify(cfg: RunConfig) -> tuple[list[dict], bool]:
-    suites = None
-    seed = DEFAULT_SEED
-    if cfg.verify:
-        suites = cfg.verify.get("suites")
-        seed = int(cfg.verify.get("seed", seed))
-    results = run_suites(suites, seed=seed)
+    verify = cfg.verify or {}
+    results = run_suites(verify.get("suites"), seed=int(verify.get("seed", DEFAULT_SEED)))
     rows = [{
         "suite": r.name, "passed": r.passed, "checks": r.checks,
         "elapsed_s": round(r.elapsed, 3), "details": r.details, "error": "",

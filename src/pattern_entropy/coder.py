@@ -53,7 +53,7 @@ from .grids import Grid, bin_stats
 
 __all__ = [
     "CoderModel", "CoderState", "Bitstring", "DecodeError",
-    "next_symbol_prob", "sequence_codelength", "encode", "decode",
+    "next_symbol_prob", "sequence_codelength", "encode", "decode", "roundtrip",
 ]
 
 # Longest sequence the exact coder accepts.  A round trip at this length
@@ -468,3 +468,17 @@ def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...],
     if _emit(*_fold(triples)) != bits:
         raise DecodeError("bitstream is not the canonical encoding of its decode")
     return tuple(psi), tuple(beta)
+
+
+def roundtrip(model: CoderModel, psi, beta) -> tuple[float, Bitstring, bool, bool]:
+    """Encode (psi, beta), decode the stream back, and check both.
+
+    Returns the codelength -log2 Q, the stream, whether decoding gives back
+    (psi, beta), and whether the stream's length lies in the stated bound
+    [-log2 Q, -log2 Q + 2], with 1e-9 bits of slack for the float codelength.
+    """
+    psi, beta = tuple(psi), tuple(beta)
+    cl = sequence_codelength(model, psi, beta)
+    bits = encode(model, psi, beta)
+    ok = decode(model, bits, len(psi)) == (psi, beta)
+    return cl, bits, ok, cl - 1e-9 <= len(bits) <= cl + 2.0 + 1e-9

@@ -247,10 +247,16 @@ def binary_entropy(alpha: float) -> float:
     return -alpha * math.log2(alpha) - (1.0 - alpha) * math.log2(1.0 - alpha)
 
 
-def sample_sequence(theta: ParamVector, n: int, seed: int) -> np.ndarray:
-    """Draw an i.i.d. length-n sequence of symbols 1..k, deterministic in seed."""
-    if n < 1:
+def sample_sequence(theta: ParamVector, size: int | tuple[int, ...],
+                    seed: int | np.random.Generator) -> np.ndarray:
+    """Draw i.i.d. symbols 1..k from ``theta``: the only draw of the package.
+
+    ``size`` is a length n or a shape such as (samples, n), whose rows are
+    successive length-n draws.  ``seed`` is an int or a Generator; a
+    Generator is used as it stands, so callers that share one continue its
+    stream, and an int always gives the same symbols.
+    """
+    if np.min(size) < 1:
         raise ValueError("sequence length must be >= 1")
     rng = np.random.default_rng(seed)
-    probs = theta.probs
-    return rng.choice(np.arange(1, theta.k + 1), size=n, p=probs)
+    return rng.choice(np.arange(1, theta.k + 1), size=size, p=theta.probs)

@@ -31,9 +31,10 @@ import numpy as np
 
 from ._common import LN2, ResourceCapError, ln_factorial
 from .coder import CoderModel, CoderState, next_symbol_prob
-from .distributions import ParamVector, iid_entropy
-from .grids import Grid, bin_index
-from .patterns import ENUMERATION_CAP, ProfileProbability, enumerate_partitions, profile_vectors
+from .distributions import ParamVector, iid_entropy, sample_sequence
+from .grids import Grid
+from .patterns import (ENUMERATION_CAP, ProfileProbability, bin_sequence, enumerate_partitions,
+                       profile_vectors)
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
     return math.fsum(terms)
 
 
-def _walk_sequences(probs: list[float], letter_bin: list[int], n: int,
+def _walk_sequences(probs: list[float], letter_bin: tuple[int, ...], n: int,
                     model: CoderModel) -> tuple[dict, dict]:
     """Probability and codelength of every (pattern, bin string) of length n.
 
@@ -162,7 +163,7 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     h_x_block = n * iid_entropy(theta)
     h_pattern = exact_pattern_entropy(theta, n)
     probs = theta.probs.tolist()
-    letter_bin = bin_index(grid, probs).tolist()
+    letter_bin = bin_sequence(theta, grid, range(1, k + 1))
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
     joint, codelength = _walk_sequences(probs, letter_bin, n, model)
@@ -216,9 +217,7 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(np.arange(1, theta.k + 1), size=(samples, n), p=theta.probs)
-    profiles, counts = _row_profiles(draws)
+    profiles, counts = _row_profiles(sample_sequence(theta, (samples, n), seed))
     log_p = ProfileProbability(theta)
     values = [(0.0 - log_p(*profile_vectors([c for c in padded if c]))) / LN2
               for padded in profiles.tolist()]

@@ -335,13 +335,16 @@ def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> flo
 
 
 def bin_sequence(theta: ParamVector, grid: Grid, x: Sequence[int]) -> BinSeq:
-    """Per-symbol bin indices: entry j is the grid bin of the j-th symbol's probability."""
-    letter_bin = bin_index(grid, theta.probs).tolist()
-    k = len(letter_bin)
-    out = []
-    for sym in x:
-        s = int(sym)
-        if not 1 <= s <= k:
-            raise ValueError(f"symbol {s} outside the alphabet 1..{k}")
-        out.append(letter_bin[s - 1])
-    return tuple(out)
+    """Per-symbol bin indices: entry j is the grid bin of the j-th symbol's probability.
+
+    Symbol s is the s-th letter in ascending order of probability, so it lies
+    in the first group whose running letter count reaches s; it takes that
+    group's bin, and no per-letter array is built.
+    """
+    ends = np.cumsum(theta.counts)
+    s = np.asarray(x, dtype=np.int64)
+    outside = (s < 1) | (s > ends[-1])
+    if outside.any():
+        raise ValueError(f"symbol {s[outside][0]} outside the alphabet 1..{ends[-1]}")
+    group_bin = bin_index(grid, theta.values)
+    return tuple(group_bin[np.searchsorted(ends, s, side="left")].tolist())

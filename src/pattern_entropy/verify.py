@@ -31,8 +31,9 @@ from .bounds import (
     ub_theorem1,
     ub_theorem3_family,
 )
-from .coder import CoderModel, CoderState, decode, encode, next_symbol_prob, sequence_codelength
-from .distributions import ParamVector, SourceSpec, binary_entropy, iid_entropy, make_distribution
+from .coder import CoderModel, CoderState, next_symbol_prob, roundtrip
+from .distributions import (ParamVector, SourceSpec, binary_entropy, iid_entropy,
+                            make_distribution, sample_sequence)
 from .grids import (
     bin_index,
     build_grid,
@@ -463,15 +464,10 @@ def check_coder_roundtrip(seed: int = DEFAULT_SEED) -> CheckResult:
         theta = _dirichlet_source(rng, k, 1e-6)
         grid = build_grid("eta", n, eps)
         model = CoderModel.from_source(theta, grid, n)
-        x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
-        psi = extract_pattern(x)
-        beta = bin_sequence(theta, grid, x)
-        cl = sequence_codelength(model, psi, beta)
-        bits = encode(model, psi, beta)
-        back = decode(model, bits, n)
-        col.expect(back == (psi.indices, beta), f"round trip failed at n={n} k={k}")
-        col.expect(cl - 1e-9 <= len(bits) <= cl + 2.0 + 1e-9,
-                   f"length {len(bits)} outside [{cl}, {cl}+2] at n={n} k={k}")
+        x = sample_sequence(theta, n, rng)
+        cl, bits, ok, within = roundtrip(model, extract_pattern(x), bin_sequence(theta, grid, x))
+        col.expect(ok, f"round trip failed at n={n} k={k}")
+        col.expect(within, f"length {len(bits)} outside [{cl}, {cl}+2] at n={n} k={k}")
     return col.result("coder_roundtrip", t0, extra=f"{trials} sampled sequences, n <= 64, k <= 8")
 
 
@@ -487,7 +483,7 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
         theta = _dirichlet_source(rng, k, 1e-6)
         grid = build_grid("eta", n, 0.3)
         model = CoderModel.from_source(theta, grid, n)
-        x = rng.choice(np.arange(1, k + 1), size=n, p=theta.probs)
+        x = sample_sequence(theta, n, rng)
         psi = extract_pattern(x)
         beta = bin_sequence(theta, grid, x)
         state = CoderState()

@@ -122,8 +122,16 @@ class TestBoundsCommand:
         ({"source": {"family": "two-level", "params": {"phi0": 0.5, "nu": 0.3}}, "n": 100}, "'mu'"),
         ({"source": {"family": "two-level", "params": {"phi0": 0.5, "mu": 0.4}}, "n": 100}, "'nu'"),
         ({"source": {"probs": [0.5, 0.5]}, "n": 4, "lb4": {"bogus": 1}}, "'bogus'"),
+        ({"source": {"family": "zipf", "params": 5}, "n": 10}, "config.source.params:"),
+        ({"n": 100, "region": {"n_pow_eps1": 0, "k_values": [10]}},
+         "config.region.n_pow_eps1: must be > 0"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "bounds": 5}, "config.bounds:"),
+        ({"verify": {"suites": 3}}, "config.verify.suites:"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "mc": {"samples": None}}, "config.mc.samples:"),
     ], ids=["n_pow_eps1_without_n", "n_pow_eps1_with_n1", "geometric_decay", "geometric_k",
-            "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key"])
+            "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key",
+            "source_params_not_object", "n_pow_eps1_zero", "bounds_not_list",
+            "verify_suites_not_list", "mc_samples_null"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, where):
         assert cli.main(["bounds", "--config", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
@@ -349,6 +357,19 @@ class TestCodeCommand:
         flagged = rows(doc, "--seed", "9")
         assert flagged == rows({**doc, "code": {"count": 5, "seed": 9}})
         assert flagged != rows(doc)
+
+    def test_seed_fixes_the_stream(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "source": {"family": "zipf", "params": {"k": 50, "exponent": 1.2}},
+            "n": 64, "epsilon": 0.3, "code": {"count": 5, "seed": 11},
+        })
+        out = str(tmp_path / "c.csv")
+        assert cli.main(["code", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        assert [float(r["codelength_bits"]) for r in rows] == [
+            217.91604897404008, 191.57910067998003, 194.01473202798437,
+            199.80667564229577, 211.29093146886464]
+        assert [int(r["emitted_bits"]) for r in rows] == [219, 193, 196, 201, 213]
 
     def test_cap_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

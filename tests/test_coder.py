@@ -177,6 +177,22 @@ class TestArithmeticCoder:
             cl = sequence_codelength(model, psi, beta)
             assert cl - 1e-9 <= len(bits) <= cl + 2.0 + 1e-9
 
+    def test_roundtrip_reports_each_check(self, monkeypatch):
+        pv = ParamVector.from_probs([0.2, 0.3, 0.5])
+        n = 16
+        grid = build_grid("eta", n, 0.3)
+        model = CoderModel.from_source(pv, grid, n)
+        x = [3, 1, 3, 2, 3, 3, 1, 2, 3, 3, 2, 1, 3, 3, 3, 2]
+        psi, beta = extract_pattern(x), bin_sequence(pv, grid, x)
+        cl, bits, ok, within = coder.roundtrip(model, psi, beta)
+        assert (cl, bits, ok, within) == (sequence_codelength(model, psi, beta),
+                                          encode(model, psi, beta), True, True)
+        monkeypatch.setattr(coder, "sequence_codelength", lambda *args: cl + 3.0)
+        assert coder.roundtrip(model, psi, beta)[2:] == (True, False)
+        wrong = (psi.indices, beta[:-1] + (beta[-1] + 1,))
+        monkeypatch.setattr(coder, "decode", lambda model, bits, n: wrong)
+        assert coder.roundtrip(model, psi, beta)[2:] == (False, False)
+
     def test_single_letter_codes_to_one_bit(self):
         pv = ParamVector.from_probs([1.0])
         n = 12

@@ -119,6 +119,20 @@ class TestSampling:
         b = sample_sequence(pv, 50, seed=42)
         assert np.array_equal(a, b)
 
+    def test_generator_continues_its_stream(self):
+        pv = ParamVector.from_probs([0.1, 0.2, 0.3, 0.4])
+        n = 64
+        rng = np.random.default_rng(11)
+        first, second = sample_sequence(pv, n, rng), sample_sequence(pv, n, rng)
+        assert not np.array_equal(first, second)
+        assert np.array_equal(first, sample_sequence(pv, n, 11))
+        assert np.array_equal(sample_sequence(pv, (2, n), 11), np.stack([first, second]))
+
+    @pytest.mark.parametrize("size", [0, (3, 0), (0, 5)])
+    def test_rejects_an_empty_draw(self, size):
+        with pytest.raises(ValueError, match="length"):
+            sample_sequence(ParamVector.from_probs([0.5, 0.5]), size, 0)
+
     def test_law_of_large_numbers(self):
         pv = ParamVector.from_probs([0.5, 0.5])
         x = sample_sequence(pv, 100_000, seed=7)

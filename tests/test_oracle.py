@@ -139,7 +139,7 @@ class TestExactEntropies:
         n = 5
         grid = _grid(n)
         ee = exact_entropies(pv, grid, n, model=CoderModel.from_source(pv, grid, n))
-        assert calls == {"bin_index": 1, "bin_sequence": 0}
+        assert calls == {"bin_index": 1, "bin_sequence": 1}
         assert ee.h_pattern <= ee.h_joint + 1e-9
 
     def test_matches_reference_loop(self):

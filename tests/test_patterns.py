@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from pattern_entropy import _reference
 from pattern_entropy._common import ResourceCapError
-from pattern_entropy.distributions import ParamVector
-from pattern_entropy.grids import build_grid
+from pattern_entropy.distributions import MATERIALIZE_CAP, ParamVector
+from pattern_entropy.grids import bin_index, build_grid
 from pattern_entropy.patterns import (
     ENUMERATION_CAP,
     PROFILE_DP_CAP,
@@ -375,3 +375,39 @@ class TestBinSequence:
         g = build_grid("tau", 10, 0.0)
         with pytest.raises(ValueError):
             bin_sequence(pv, g, [3])
+
+    @pytest.mark.parametrize("kind", ["tau", "xi", "eta"])
+    def test_tied_groups_match_the_per_letter_bins(self, kind):
+        pv = ParamVector.from_groups([0.05, 0.1, 0.25], [6, 2, 2])
+        g = build_grid(kind, 200, 0.3)
+        want = bin_index(g, pv.probs).tolist()
+        assert len(set(want)) == 3
+        assert bin_sequence(pv, g, range(1, pv.k + 1)) == tuple(want)
+        assert [bin_sequence(pv, g, [s]) for s in range(1, pv.k + 1)] == [(b,) for b in want]
+
+    def test_numpy_input(self):
+        pv = ParamVector.from_groups([0.05, 0.1, 0.25], [6, 2, 2])
+        g = build_grid("eta", 50, 0.3)
+        x = np.array([10, 1, 7, 6, 9, 1], dtype=np.int64)
+        got = bin_sequence(pv, g, x)
+        assert got == bin_sequence(pv, g, x.tolist())
+        assert all(type(b) is int for b in got)
+
+    @pytest.mark.parametrize("bad", [0, 11])
+    def test_rejects_symbols_beside_the_alphabet(self, bad):
+        pv = ParamVector.from_groups([0.05, 0.1, 0.25], [6, 2, 2])
+        g = build_grid("eta", 50, 0.3)
+        with pytest.raises(ValueError, match=f"symbol {bad} outside the alphabet 1..10"):
+            bin_sequence(pv, g, [1, bad, 2])
+
+    def test_alphabet_past_the_materialization_cap(self, monkeypatch):
+        k = 2 * MATERIALIZE_CAP
+        pv = ParamVector.from_groups([1.0 / k], [k])
+
+        def refuse(self):
+            raise AssertionError("bin_sequence read the per-letter probabilities")
+
+        monkeypatch.setattr(ParamVector, "probs", property(refuse))
+        g = build_grid("eta", 1000, 0.3)
+        b = bin_index(g, 1.0 / k)
+        assert bin_sequence(pv, g, [1, 12345, k]) == (b, b, b)

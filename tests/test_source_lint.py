@@ -144,3 +144,37 @@ def test_slow_routes_are_off_the_public_api():
         assert not hasattr(oracle, name)
     assert callable(patterns._count_patterns)
     assert not any(hasattr(m, "joint_pattern_bin_probability") for m in (_reference, oracle))
+
+
+
+def _attribute_sites(attr, sources):
+    """(module, top-level definition) of every ``.<attr>`` in ``sources``, a map
+    of module name to source text; the definition is None at module level."""
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == attr:
+                    yield module, getattr(top, "name", None)
+
+
+def _package_sites(attr):
+    return set(_attribute_sites(attr, {p.stem: p.read_text(encoding="utf-8") for p in SRC}))
+
+
+def test_letters_are_drawn_in_one_place():
+    assert _package_sites("choice") == {("distributions", "sample_sequence")}
+
+
+def test_per_letter_probabilities_are_read_in_few_places():
+    sites = _package_sites("probs")
+    assert ("distributions", "sample_sequence") in sites
+    assert {(module, top) for module, top in sites
+            if module not in ("distributions", "_reference")} == {("oracle", "exact_entropies")}
+
+
+def test_attribute_sites_name_the_enclosing_definition():
+    text = ("x.probs\n"
+            "def f(t):\n    return t.rng.choice(3)\n"
+            "class C:\n    def g(self):\n        return self.probs\n")
+    assert list(_attribute_sites("probs", {"m": text})) == [("m", None), ("m", "C")]
+    assert list(_attribute_sites("choice", {"m": text})) == [("m", "f")]
