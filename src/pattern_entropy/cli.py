@@ -115,6 +115,9 @@ def parse_config(doc: dict) -> RunConfig:
         fam = _expect_type(s.get("family"), ".source.family", str, "a family name")
         params = dict(_expect_type(s.get("params", {k: v for k, v in s.items() if k != "family"}),
                                    ".source.params", dict, "an object"))
+        for name, value in params.items():
+            if name not in ("probs", "level1"):
+                _convert(float, value, f".source.params.{name}")
         source = SourceSpec(family=fam, params=params, n=doc.get("n"))
 
     n = doc.get("n")
@@ -158,6 +161,9 @@ def parse_config(doc: dict) -> RunConfig:
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         _fail(".output.format", "must be 'csv' or 'json'")
+    out_path = output.get("path")
+    if out_path is not None:
+        _expect_type(out_path, ".output.path", str, "a string")
 
     code = doc.get("code")
     if code is not None:
@@ -178,7 +184,7 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(
         source=source, n=n, epsilon=epsilon, epsilon1=epsilon1,
         bounds=bounds, oracle=bool(doc.get("oracle", False)), mc=mc,
-        out_format=out_format, out_path=output.get("path"),
+        out_format=out_format, out_path=out_path,
         region=region, code=code, verify=verify_cfg, lb4=lb4,
     )
 

@@ -12,13 +12,17 @@ patterns, and :func:`mc_pattern_entropy` reads each sample's profile from
 its sorted run lengths.  Both take ln P from one log-space DP per profile
 (:class:`~pattern_entropy.patterns.ProfileProbability`).
 
-The raw-sequence enumeration of :func:`exact_entropies` is one depth-first
-walk of the k-ary prefix tree of sequences.  Each step extends the
-letter-to-index map, the prefix probability, one coder state (updated on
-the way down, undone on backtrack) and an integer code of the (pattern, bin)
-prefix, one digit per step, that keys the leaf; so every edge costs one
-:func:`~pattern_entropy.coder.next_symbol_prob` call on plain floats and
-small ints, and no leaf builds a tuple.
+The raw-sequence enumeration of :func:`exact_entropies` walks the k-ary
+prefix tree of sequences one depth at a time in numpy: each depth expands
+all k**d prefixes by all k letters at once, extending each prefix's
+probability, codelength, int64 key of its (pattern, bin) prefix and small
+letter-to-index and indices-per-bin maps.  The coder's step costs come from
+a table of -log2 q filled once by
+:func:`~pattern_entropy.coder.next_symbol_prob`, one call per (bin, indices
+seen in it) state and per bin's re-occurrence, so the number of coder calls
+does not grow with n once n reaches the largest bin's letter count.  The
+leaves are grouped by key with a stable sort, so each key's probability is
+summed in the order of :func:`itertools.product`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import LN2, ResourceCapError, ln_factorial
+from ._common import LN2, ResourceCapError, elementwise, ln_factorial
 from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector, iid_entropy, sample_sequence
 from .grids import Grid
@@ -45,10 +49,6 @@ class ExactEntropies:
     h_pattern: float
     h_joint: float
     expected_codelength: float
-
-
-def _entropy_of(masses) -> float:
-    return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
 
 
 def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
@@ -74,75 +74,91 @@ def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
     return math.fsum(terms)
 
 
-def _walk_sequences(probs: list[float], letter_bin: tuple[int, ...], n: int,
-                    model: CoderModel) -> tuple[dict, dict]:
+def _step_bits(model: CoderModel, bins: list[int], letters_in: list[int],
+               n: int) -> np.ndarray:
+    """-log2 q of every coder step the walk takes, one row per bin rank.
+
+    Entry [r, s] for s < n is a new index in bins[r] after s indices of that
+    bin; the last entry, [r, n], is a re-occurrence in bins[r].  Each comes
+    from one :func:`~pattern_entropy.coder.next_symbol_prob` call on a state
+    the walk reaches with a finite codelength, so the table never forks the
+    coder's step rule and never asks about a state the walk cannot meet: a
+    new index of bins[r] follows s < min(letters in bins[r], n) earlier
+    ones, each of positive probability.  A step of probability 0, and every
+    entry past it, is inf.
+    """
+    table = np.full((len(bins), n + 1), math.inf)
+    for r, (b, letters) in enumerate(zip(bins, letters_in)):
+        state = CoderState()
+        for seen in range(min(letters, n)):
+            q = next_symbol_prob(model, state, seen + 1, b)
+            if q <= 0.0:
+                break
+            table[r, seen] = -math.log2(q)
+            state.update(seen + 1, b)
+        if state.max_index:
+            q = next_symbol_prob(model, state, 1, b)
+            if q > 0.0:
+                table[r, n] = -math.log2(q)
+    return table
+
+
+def _walk_sequences(probs: np.ndarray, letter_bin: tuple[int, ...], n: int,
+                    model: CoderModel) -> tuple[np.ndarray, np.ndarray]:
     """Probability and codelength of every (pattern, bin string) of length n.
 
-    Visits the k**n raw sequences depth first, in the lexicographic order of
-    itertools.product.  Each (pattern, bin string) is keyed by an integer
-    code with one base-``radix`` digit per step: (index - 1) * nbins plus the
-    rank of the step's bin among the nbins distinct bins of the letters, so
-    distinct pairs get distinct codes, all below k**(2n).  The returned
-    ``joint`` holds each key's summed sequence probability (each multiplied
-    left to right, summed in visit order); ``codelength`` maps each key to
-    -log2 of the coder's assigned probability, accumulated one step at a
-    time; a zero-probability step makes the rest of its subtree inf.
+    Walks the k-ary prefix tree of sequences one depth at a time: the rows at
+    depth d are the k**d prefixes in the lexicographic order of
+    itertools.product, and each depth expands every row by all k letters at
+    once.  A row carries its prefix probability (multiplied left to right),
+    its codelength (the sum of the steps' -log2 q from :func:`_step_bits`,
+    inf after a zero-probability step), an int64 key of its (pattern, bin)
+    prefix, its index count, and int8 maps letter -> pattern index (0 while
+    unseen) and bin -> indices seen.  The key has one base-k*nbins digit per
+    step, (index - 1) * nbins plus the rank of the step's bin among the
+    nbins distinct bins of the letters, so distinct pairs get distinct keys,
+    all below k**(2n) <= ENUMERATION_CAP**2 < 2**63.
+
+    Returns one entry per distinct key, in ascending key order: the summed
+    probability of its sequences, added in visit order, and the codelength
+    of its first sequence (all of its sequences share it).  Warns once per
+    depth at which a step of finite codelength has probability 0.
     """
     k = len(probs)
-    rank = {b: r for r, b in enumerate(sorted(set(letter_bin)))}
-    nbins = len(rank)
-    letter_digit = [rank[b] for b in letter_bin]
-    radix = k * nbins
-    step, log2, inf = next_symbol_prob, math.log2, math.inf
-    joint: dict[int, float] = {}
-    codelength: dict[int, float] = {}
-    state = CoderState()
-    index_of = [0] * k  # letter -> its pattern index on the current path, 0 if unseen
-    # step d of the current path: its letter and whether it introduced its
-    # index; prob[d], bits[d] and code[d] are the prefix's probability,
-    # codelength and key before step d.  The last step (d = n - 1) ends a
-    # sequence, so it records nothing: no later step reads the state.
-    path, fresh = [0] * n, [False] * n
-    prob, bits, code = [1.0] * n, [0.0] * n, [0] * n
-    last = n - 1
-    d = s = 0
-    while True:
-        idx = index_of[s]
-        new = idx == 0
-        if new:
-            idx = state.max_index + 1
-        b = letter_bin[s]
-        cl = bits[d]
-        if cl != inf:
-            q = step(model, state, idx, b)
-            if q > 0.0:
-                cl = cl - log2(q)
-            else:
-                warnings.warn(f"zero-probability step at position {d}")
-                cl = inf
-        key = code[d] * radix + (idx - 1) * nbins + letter_digit[s]
-        if d < last:
-            path[d], fresh[d] = s, new
-            if new:
-                index_of[s] = idx
-                state.update(idx, b)
-            d += 1
-            prob[d], bits[d], code[d] = prob[d - 1] * probs[s], cl, key
-            s = 0
-            continue
-        joint[key] = joint.get(key, 0.0) + prob[d] * probs[s]
-        codelength[key] = cl
-        # the next letter at this step, else at the deepest step that has one
-        s += 1
-        while s == k:
-            if d == 0:
-                return joint, codelength
-            d -= 1
-            s = path[d]
-            if fresh[d]:
-                index_of[s] = 0
-                state.pop_index()
-            s += 1
+    bins, digit = np.unique(letter_bin, return_inverse=True)
+    nbins = len(bins)
+    bits_of = _step_bits(model, bins.tolist(), np.bincount(digit).tolist(), n)
+    letters = np.arange(k)
+    prob, bits, key = np.ones(1), np.zeros(1), np.zeros(1, dtype=np.int64)
+    dead = 0  # rows whose codelength is inf
+    count = np.zeros(1, dtype=np.int8)  # indices seen
+    index_of = np.zeros((1, k), dtype=np.int8)  # letter -> pattern index, 0 if unseen
+    seen = np.zeros((1, nbins), dtype=np.int8)  # bin rank -> indices seen
+    for d in range(n):
+        # entry [r, s] below is child s of row r, the prefix r followed by letter s
+        new = index_of == 0
+        idx = np.where(new, count[:, None] + 1, index_of)
+        bits = (bits[:, None] + bits_of[digit, np.where(new, seen[:, digit], -1)]).ravel()
+        dead, parents_dead = np.count_nonzero(np.isinf(bits)), dead
+        if dead > k * parents_dead:  # a prefix of finite codelength took a zero step
+            warnings.warn(f"zero-probability step at position {d}")
+        prob = (prob[:, None] * probs).ravel()
+        key = ((key[:, None] * k + (idx - 1)) * nbins + digit).ravel()
+        if d < n - 1:
+            index_of = np.repeat(index_of[:, None, :], k, axis=1)
+            index_of[:, letters, letters] = idx
+            index_of = index_of.reshape(-1, k)
+            seen = np.repeat(seen[:, None, :], k, axis=1)
+            seen[:, letters, digit] += new
+            seen = seen.reshape(-1, nbins)
+            count = (count[:, None] + new).ravel()
+    order = np.argsort(key, kind="stable")  # equal keys stay in visit order
+    key = key[order]
+    head = np.empty(key.size, dtype=bool)  # the first leaf of each key
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    del key  # frees the sorted keys before the sums
+    return np.bincount(np.cumsum(head) - 1, weights=prob[order]), bits[order[head]]
 
 
 def exact_entropies(theta: ParamVector, grid: Grid, n: int,
@@ -153,24 +169,31 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     (:func:`exact_pattern_entropy`, one DP per profile); the joint entropy
     and expected codelength enumerate all k^n raw sequences, since the bin
     string is a function of the sequence rather than of its pattern.  That
-    enumeration is one depth-first walk of the sequence prefix tree: the
-    k + k^2 + ... + k^n edges each cost one coder step, and no pattern is
-    extracted or coded from scratch.
+    enumeration is the level walk of :func:`_walk_sequences`: no pattern is
+    extracted or coded from scratch.  H(joint) takes each key's log2 from
+    ``math`` (libm's bits) and both sums are ``math.fsum``, so the results do
+    not depend on the order of the keys.
+
+    Memory: the walk holds three 8-byte values per leaf (probability,
+    codelength, key) and groups them by key with a stable argsort, so its
+    tracemalloc peak is 44-49 bytes per leaf (49 MiB for geometric k = 4 at
+    n = 10), about 500 MB at ``ENUMERATION_CAP`` = 10^7 leaves.  The
+    entropy sums that follow need under 60 bytes per distinct
+    (pattern, bin string).
     """
     k = theta.k
     if k ** n > ENUMERATION_CAP:
         raise ResourceCapError(f"{k}^{n} sequences exceed the enumeration cap ({ENUMERATION_CAP})")
     h_x_block = n * iid_entropy(theta)
     h_pattern = exact_pattern_entropy(theta, n)
-    probs = theta.probs.tolist()
     letter_bin = bin_sequence(theta, grid, range(1, k + 1))
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
-    joint, codelength = _walk_sequences(probs, letter_bin, n, model)
-    h_joint = _entropy_of(joint.values())
-    expected_codelength = math.fsum(
-        p * codelength[key] for key, p in joint.items() if p > 0.0
-    )
+    joint, codelength = _walk_sequences(theta.probs, letter_bin, n, model)
+    positive = joint > 0.0
+    joint, codelength = joint[positive], codelength[positive]
+    h_joint = -math.fsum((joint * elementwise(math.log2, joint)).tolist())
+    expected_codelength = math.fsum((joint * codelength).tolist())
     return ExactEntropies(h_x_block=h_x_block, h_pattern=h_pattern,
                           h_joint=h_joint, expected_codelength=expected_codelength)
 

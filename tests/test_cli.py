@@ -128,10 +128,17 @@ class TestBoundsCommand:
         ({"source": {"probs": [0.5, 0.5]}, "n": 4, "bounds": 5}, "config.bounds:"),
         ({"verify": {"suites": 3}}, "config.verify.suites:"),
         ({"source": {"probs": [0.5, 0.5]}, "n": 4, "mc": {"samples": None}}, "config.mc.samples:"),
+        ({"source": {"family": "zipf", "params": {"k": None, "exponent": 1.1}}, "n": 10},
+         "config.source.params.k: expected a number, got None"),
+        ({"source": {"family": "geometric", "params": {"k": 4, "decay": [0.5]}}, "n": 10},
+         "config.source.params.decay: expected a number, got [0.5]"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "bounds": ["simple"], "output": {"path": 7}},
+         "config.output.path: expected a string"),
     ], ids=["n_pow_eps1_without_n", "n_pow_eps1_with_n1", "geometric_decay", "geometric_k",
             "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key",
             "source_params_not_object", "n_pow_eps1_zero", "bounds_not_list",
-            "verify_suites_not_list", "mc_samples_null"])
+            "verify_suites_not_list", "mc_samples_null", "family_param_null",
+            "family_param_not_number", "output_path_not_string"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, where):
         assert cli.main(["bounds", "--config", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err

@@ -173,7 +173,10 @@ class TestExactEntropies:
                 cases["inf"] += int(got.expected_codelength == math.inf)
         assert min(cases.values()) >= 10, cases
 
-    def test_walks_the_prefix_tree_once(self, monkeypatch):
+    def test_step_table_does_not_grow_with_n(self, monkeypatch):
+        # the walk asks the coder once per (bin, indices seen) step and once per
+        # bin's re-occurrence; every bin of geometric k = 4 has at most 4 < 5
+        # letters, so n = 5 and n = 7 ask the same questions
         calls = {"next_symbol_prob": 0, "extract_pattern": 0}
         for module, name in ((oracle, "next_symbol_prob"), (patterns, "extract_pattern")):
             real = getattr(module, name)
@@ -183,10 +186,13 @@ class TestExactEntropies:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, wrapper)
-        k, n = 4, 7
-        exact_entropies(_geometric4(), _grid(n), n)
-        assert calls == {"next_symbol_prob": sum(k ** d for d in range(1, n + 1)),
-                         "extract_pattern": 0}
+        counts = []
+        for n in (5, 7):
+            calls["next_symbol_prob"] = 0
+            exact_entropies(_geometric4(), _grid(n), n)
+            counts.append(calls["next_symbol_prob"])
+        assert counts[0] == counts[1] > 0
+        assert calls["extract_pattern"] == 0
 
     def test_leaf_codes_do_not_collide(self):
         rng = np.random.default_rng(10)
@@ -195,15 +201,37 @@ class TestExactEntropies:
             k, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
             theta = _random_source(rng, k)
             grid = _grid(n)
-            probs = theta.probs.tolist()
-            letter_bin = bin_index(grid, probs).tolist()
+            letter_bin = bin_index(grid, theta.probs).tolist()
             joint, codelength = oracle._walk_sequences(
-                probs, letter_bin, n, CoderModel.from_source(theta, grid, n))
+                theta.probs, letter_bin, n, CoderModel.from_source(theta, grid, n))
             want = _raw_joint(theta, grid, n)
             assert len(joint) == len(codelength) == len(want)
-            assert sorted(joint.values()) == sorted(want.values())
+            assert sorted(joint.tolist()) == sorted(want.values())
             shared_bin += int(len(set(letter_bin)) < k)
         assert shared_bin >= 20
+
+    def test_four_letters_at_n10_bit_for_bit(self):
+        # the bits a per-sequence dict walk gives, summing each key's
+        # probabilities in itertools.product order; that walk peaked at 81.8 MiB
+        n = 10
+        theta, grid = _geometric4(), _grid(n)
+        tracemalloc.start()
+        try:
+            ee = exact_entropies(theta, grid, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ee.h_joint == 17.040557169805158
+        assert ee.expected_codelength == 18.087957540296962
+        assert peak <= 90 * 2 ** 20
+
+    def test_zero_probability_step_warns(self):
+        # a fair coin coded with the model of a one-letter source
+        n = 3
+        model = CoderModel.from_source(ParamVector.from_probs([1.0]), _grid(n), n)
+        with pytest.warns(UserWarning, match="zero-probability step at position"):
+            got = exact_entropies(ParamVector.from_probs([0.5, 0.5]), _grid(n), n, model=model)
+        assert got.expected_codelength == math.inf
 
     def test_one_dp_per_occurrence_count_tuple(self, monkeypatch):
         # one DP per profile: the 11 partitions of 7 into at most 4 parts

@@ -178,3 +178,11 @@ def test_attribute_sites_name_the_enclosing_definition():
             "class C:\n    def g(self):\n        return self.probs\n")
     assert list(_attribute_sites("probs", {"m": text})) == [("m", None), ("m", "C")]
     assert list(_attribute_sites("choice", {"m": text})) == [("m", "f")]
+
+
+def test_oracle_takes_coder_steps_only_through_the_coder():
+    # the walk's step table calls coder.next_symbol_prob; reading the model's
+    # per-bin floats directly would fork the step rule
+    oracle = {"oracle": (ROOT / "src" / "pattern_entropy" / "oracle.py").read_text(encoding="utf-8")}
+    for attr in ("phi_floats", "rho_floats"):
+        assert list(_attribute_sites(attr, oracle)) == []
