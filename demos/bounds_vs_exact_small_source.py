@@ -51,6 +51,6 @@ for rep in rows:
 
 print("\nper-term breakdown of the split-pack upper bound:")
 for name, val in rows[3].terms:
-    print(f"  {name:28s} {val:+9.4f}")
+    print(f"  {name:28s} {val + 0.0:+9.4f}")  # + 0.0: a deduction of nothing prints +0.0000
 print("  " + "-" * 39)
 print(f"  {'total':28s} {rows[3].value:+9.4f}")

@@ -21,26 +21,21 @@ from .grids import BinStats, Grid, absent_probability, bin_stats, build_grid, lo
 DEFAULT_VARTHETA_MINUS = math.exp(-5.5)
 DEFAULT_VARTHETA_PLUS = math.exp(1.4)
 PMF_CAP = 500_000
+GAMMA_TOL = 1e-12  # bisection stops once the bracket is this narrow
+GAMMA_MAX_ITER = 1000
 
 UB3_VARIANTS = ("ub3", "c1", "c21", "c2_exact", "c2_loosened")
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound value with its additive term breakdown.
-
-    Zero terms are stored as +0.0, so a deduction of nothing never prints ``-0``.
-    """
+    """A named bound value with its additive term breakdown."""
 
     name: str
     terms: tuple[tuple[str, float], ...]
     residual_flags: tuple[str, ...] = ()
     valid: bool = True
     notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        terms = tuple((key, 0.0 if val == 0.0 else val) for key, val in self.terms)
-        object.__setattr__(self, "terms", terms)
 
     @property
     def value(self) -> float:
@@ -630,8 +625,7 @@ def stirling_bounds(m: int) -> tuple[float, float]:
     return lo, hi
 
 
-def gamma_fixed_point(ln_ratio: float, tol: float = 1e-12,
-                      max_iter: int = 1000) -> tuple[float | None, float | None]:
+def gamma_fixed_point(ln_ratio: float) -> tuple[float | None, float | None]:
     """Solve g = ln((g-1)^2 / g^3) + (1 + ln_ratio) for g >= 2 by bisection.
 
     ``ln_ratio`` is ln(k^3 / n^(1+eps)).  Returns (gamma, residual); gamma is
@@ -645,17 +639,17 @@ def gamma_fixed_point(ln_ratio: float, tol: float = 1e-12,
 
     if residual(2.0) > 0.0:
         return None, None
-    lo, hi = 2.0, max(c, 2.0 + tol)
+    lo, hi = 2.0, max(c, 2.0 + GAMMA_TOL)
     if residual(hi) < 0.0:
         while residual(hi) < 0.0:
             hi *= 2.0
-    for _ in range(max_iter):
+    for _ in range(GAMMA_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if residual(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < GAMMA_TOL:
             break
     g = 0.5 * (lo + hi)
     return g, residual(g)

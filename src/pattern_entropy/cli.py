@@ -41,15 +41,6 @@ from .oracle import exact_entropies, mc_pattern_entropy
 from .patterns import bin_sequence, extract_pattern
 from .verify import CHECKS, DEFAULT_SEED, run_suites
 
-# config key -> names of the reports it gives; lb4's name carries its variants
-BOUND_NAMES = {
-    "simple": ("simple_lower", "simple_upper"), "ub1": ("ub_theorem1",),
-    "ub1_tightened": ("ub_theorem1_tightened",), "lb2a": ("lb_theorem2_a",),
-    "lb2b": ("lb_theorem2_b",), **{v: (f"ub_theorem3_{v}",) for v in UB3_VARIANTS},
-    "lb4": ("lb_theorem4_{s1_variant}_{s2_variant}",),
-    "contribution": ("contribution_limit_low01", "contribution_limit_bin0"),
-    "range": ("range_lower", "range_upper_nonasymptotic"),
-}
 DEFAULT_BOUNDS = ("simple", "ub1", "lb2a", "lb2b", "ub3", "c1", "c21", "c2_loosened", "lb4")
 
 
@@ -66,10 +57,33 @@ class RunConfig:
     mc: dict | None
     out_format: str
     out_path: str | None
-    region: dict | None
+    region_ks: tuple[int, ...] | None  # the alphabet sizes the region sweep visits
     code: dict | None
     verify: dict | None
     lb4: dict
+
+
+def _range(analysis: SourceAnalysis, cfg: RunConfig) -> tuple[BoundReport, BoundReport]:
+    if cfg.epsilon1 is None:
+        raise ValueError("the range bound needs 'epsilon1' in the config")
+    return range_theorem5(analysis.theta, analysis.n, cfg.epsilon, cfg.epsilon1)
+
+
+# config key -> (names of the reports it gives, their evaluator); lb4's names
+# carry its variants
+BOUNDS = {
+    "simple": (("simple_lower", "simple_upper"), lambda a, cfg: simple_bounds(a)),
+    "ub1": (("ub_theorem1",), lambda a, cfg: [ub_theorem1(a)]),
+    "ub1_tightened": (("ub_theorem1_tightened",), lambda a, cfg: [ub_theorem1(a, tighten=True)]),
+    "lb2a": (("lb_theorem2_a",), lambda a, cfg: lb_theorem2(a)[:1]),
+    "lb2b": (("lb_theorem2_b",), lambda a, cfg: lb_theorem2(a)[1:]),
+    **{v: ((f"ub_theorem3_{v}",), lambda a, cfg, v=v: [ub_theorem3_family(a, v)])
+       for v in UB3_VARIANTS},
+    "lb4": (("lb_theorem4_{s1_variant}_{s2_variant}",), lambda a, cfg: [lb_theorem4(a, **cfg.lb4)]),
+    "contribution": (("contribution_limit_low01", "contribution_limit_bin0"),
+                     lambda a, cfg: contribution_limits(a)),
+    "range": (("range_lower", "range_upper_nonasymptotic"), _range),
+}
 
 
 def _fail(path: str, msg: str):
@@ -82,12 +96,60 @@ def _expect_type(doc, path, types, what):
     return doc
 
 
-def _convert(kind, doc, path):
-    """``kind(doc)`` for kind int or float, or a config error naming ``path``."""
+def _number(doc, path):
+    """``doc`` as a float, or a config error naming ``path`` unless it is a JSON number."""
+    if isinstance(doc, bool) or not isinstance(doc, (int, float)):
+        _fail(path, f"expected a number, got {doc!r}")
     try:
-        return kind(doc)
-    except (TypeError, ValueError):
-        _fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {doc!r}")
+        return float(doc)
+    except OverflowError:
+        _fail(path, f"{doc!r} is outside the float range")
+
+
+def _whole(doc, path, minimum):
+    """``doc`` as an int >= ``minimum`` (integral floats count), else a config error."""
+    if isinstance(doc, float) and doc.is_integer():
+        doc = int(doc)
+    if isinstance(doc, bool) or not isinstance(doc, int):
+        _fail(path, f"expected an integer, got {doc!r}")
+    if doc < minimum:
+        _fail(path, f"must be >= {minimum}, got {doc!r}")
+    return doc
+
+
+def _block(doc, path, keys):
+    """``doc``, or a config error unless it is an object whose keys are all in ``keys``."""
+    for key in _expect_type(doc, path, dict, "an object"):
+        if key not in keys:
+            _fail(path, f"unknown key {key!r}; available: {tuple(keys)}")
+    return doc
+
+
+def _region_ks(region: dict) -> tuple[int, ...]:
+    """The alphabet sizes a ``region`` block lists or spaces over a range."""
+    _block(region, ".region", ("n_pow_eps1", "k_values", "k_range"))
+    if "k_values" in region:
+        values = region["k_values"]
+        if not isinstance(values, list) or not values:
+            _fail(".region.k_values", "expected a non-empty list of integers")
+        return tuple(_whole(k, ".region.k_values", 1) for k in values)
+    if "k_range" not in region:
+        _fail(".region", "needs 'k_values' or 'k_range'")
+    spec = _block(region["k_range"], ".region.k_range", ("start", "stop", "num", "log"))
+    ends = []
+    for key in ("start", "stop"):
+        if key not in spec:
+            _fail(".region.k_range", f"needs {key!r}")
+        end = _number(spec[key], f".region.k_range.{key}")
+        if not 0.0 < end < math.inf:
+            _fail(f".region.k_range.{key}", f"must be a finite number > 0, got {end!r}")
+        ends.append(end)
+    num = _whole(spec.get("num", 50), ".region.k_range.num", 1)
+    log = _expect_type(spec.get("log", True), ".region.k_range.log", bool, "true or false")
+    ks = sorted({int(round(k)) for k in (np.geomspace if log else np.linspace)(*ends, num)})
+    if ks[0] < 1:
+        _fail(".region.k_range", f"spaces k down to {ks[0]}; every k must be >= 1")
+    return tuple(ks)
 
 
 def _names(doc, path, known, what):
@@ -100,12 +162,8 @@ def _names(doc, path, known, what):
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document and normalize it."""
-    _expect_type(doc, "", dict, "an object")
-    known = {"source", "n", "epsilon", "epsilon1", "bounds", "oracle",
-             "mc", "output", "region", "code", "verify", "lb4"}
-    for key in doc:
-        if key not in known:
-            _fail("", f"unknown key {key!r}")
+    _block(doc, "", ("source", "n", "epsilon", "epsilon1", "bounds", "oracle",
+                     "mc", "output", "region", "code", "verify", "lb4"))
 
     source = None
     if "source" in doc:
@@ -117,7 +175,7 @@ def parse_config(doc: dict) -> RunConfig:
                                    ".source.params", dict, "an object"))
         for name, value in params.items():
             if name not in ("probs", "level1"):
-                _convert(float, value, f".source.params.{name}")
+                _number(value, f".source.params.{name}")
         source = SourceSpec(family=fam, params=params, n=doc.get("n"))
 
     n = doc.get("n")
@@ -129,35 +187,31 @@ def parse_config(doc: dict) -> RunConfig:
                 n = int(n)
         if n < 1:
             _fail(".n", "must be >= 1")
-    epsilon = _convert(float, doc.get("epsilon", 0.25), ".epsilon")
+    epsilon = _number(doc.get("epsilon", 0.25), ".epsilon")
     region = doc.get("region")
-    if region is not None:
-        _expect_type(region, ".region", dict, "an object")
-        if "k_values" not in region and "k_range" not in region:
-            _fail(".region", "needs 'k_values' or 'k_range'")
+    region_ks = None if region is None else _region_ks(region)
     epsilon1 = doc.get("epsilon1")
     if epsilon1 is None and region is not None and "n_pow_eps1" in region:
         if n is None or n <= 1:
             _fail(".region.n_pow_eps1", "needs a horizon 'n' > 1")
-        n_pow_eps1 = _convert(float, region["n_pow_eps1"], ".region.n_pow_eps1")
+        n_pow_eps1 = _number(region["n_pow_eps1"], ".region.n_pow_eps1")
         if not n_pow_eps1 > 0.0:
             _fail(".region.n_pow_eps1", f"must be > 0, got {n_pow_eps1!r}")
         epsilon1 = math.log(n_pow_eps1) / math.log(float(n))
     if epsilon1 is not None:
-        epsilon1 = _convert(float, epsilon1, ".epsilon1")
+        epsilon1 = _number(epsilon1, ".epsilon1")
 
-    bounds = _names(doc.get("bounds", DEFAULT_BOUNDS), ".bounds", BOUND_NAMES, "bound")
+    bounds = _names(doc.get("bounds", DEFAULT_BOUNDS), ".bounds", BOUNDS, "bound")
 
     mc = doc.get("mc")
     if mc is not None:
-        _expect_type(mc, ".mc", dict, "an object")
+        _block(mc, ".mc", ("samples", "seed"))
         if "samples" not in mc:
             _fail(".mc", "needs 'samples'")
-        mc = {"samples": _convert(int, mc["samples"], ".mc.samples"),
-              "seed": _convert(int, mc.get("seed", 0), ".mc.seed")}
+        mc = {"samples": _whole(mc["samples"], ".mc.samples", 0),
+              "seed": _whole(mc.get("seed", 0), ".mc.seed", 0)}
 
-    output = doc.get("output", {})
-    _expect_type(output, ".output", dict, "an object")
+    output = _block(doc.get("output", {}), ".output", ("format", "path"))
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         _fail(".output.format", "must be 'csv' or 'json'")
@@ -167,25 +221,25 @@ def parse_config(doc: dict) -> RunConfig:
 
     code = doc.get("code")
     if code is not None:
-        _expect_type(code, ".code", dict, "an object")
-        code = {"count": _convert(int, code.get("count", 100), ".code.count"),
-                "seed": _convert(int, code.get("seed", 0), ".code.seed")}
+        _block(code, ".code", ("count", "seed"))
+        code = {"count": _whole(code.get("count", 100), ".code.count", 0),
+                "seed": _whole(code.get("seed", 0), ".code.seed", 0)}
 
     verify_cfg = doc.get("verify")
     if verify_cfg is not None:
-        _expect_type(verify_cfg, ".verify", dict, "an object")
+        _block(verify_cfg, ".verify", ("suites", "seed"))
         _names(verify_cfg.get("suites", []), ".verify.suites", CHECKS, "suite")
-        _convert(int, verify_cfg.get("seed", 0), ".verify.seed")
+        _whole(verify_cfg.get("seed", 0), ".verify.seed", 0)
 
-    lb4 = dict(_expect_type(doc.get("lb4", {}), ".lb4", dict, "an object"))
-    lb4_keys = tuple(inspect.signature(lb_theorem4).parameters)[1:]
-    for key in lb4.keys() - set(lb4_keys):
-        _fail(".lb4", f"unknown key {key!r}; available: {lb4_keys}")
+    # lb_theorem4's keyword defaults, overridden by the config's
+    lb4 = {name: p.default for name, p in inspect.signature(lb_theorem4).parameters.items()
+           if p.default is not p.empty}
+    lb4.update(_block(doc.get("lb4", {}), ".lb4", lb4))
     return RunConfig(
-        source=source, n=n, epsilon=epsilon, epsilon1=epsilon1,
-        bounds=bounds, oracle=bool(doc.get("oracle", False)), mc=mc,
+        source=source, n=n, epsilon=epsilon, epsilon1=epsilon1, bounds=bounds,
+        oracle=_expect_type(doc.get("oracle", False), ".oracle", bool, "true or false"), mc=mc,
         out_format=out_format, out_path=out_path,
-        region=region, code=code, verify=verify_cfg, lb4=lb4,
+        region_ks=region_ks, code=code, verify=verify_cfg, lb4=lb4,
     )
 
 
@@ -198,7 +252,12 @@ def _fmt(x) -> str:
 
 
 def _write_rows(rows: list[dict], out_format: str, stream) -> None:
-    """Serialize rows with a stable column order (first-appearance)."""
+    """Serialize rows with a stable column order (first-appearance).
+
+    A zero prints unsigned: -0.0 is written as 0.0, in CSV and JSON alike.
+    """
+    rows = [{key: 0.0 if isinstance(val, float) and val == 0.0 else val for key, val in row.items()}
+            for row in rows]
     columns: list[str] = []
     for row in rows:
         for key in row:
@@ -214,47 +273,26 @@ def _write_rows(rows: list[dict], out_format: str, stream) -> None:
         writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
-def _report_row(rep: BoundReport, notes: tuple[str, ...]) -> dict:
-    """One bound's row; ``notes`` (the analysis's own) follow the report's."""
-    row = {
-        "bound": rep.name,
-        "value": rep.value,
-        "valid": rep.valid,
-        "residual_flags": ";".join(rep.residual_flags),
-        "notes": ";".join(rep.notes + notes),
-        "error": "",
-    }
-    for name, val in rep.terms:
-        row[f"term:{name}"] = val
+def _bound_row(name: str, rep: BoundReport | None, errors: list[str],
+               notes: tuple[str, ...], oracle_cols: dict) -> dict:
+    """One ``bounds`` row: ``rep``'s value and terms, or none when it hit a cap.
+
+    Every row carries ``notes`` (the analysis's own) after the report's,
+    ``errors`` (its cap message, then the run's skip messages) and the oracle
+    columns.
+    """
+    row = {"bound": name, "value": None, "valid": False, "residual_flags": "",
+           "notes": ";".join(notes), "error": ";".join(errors)}
+    if rep is not None:
+        row.update(value=rep.value, valid=rep.valid, residual_flags=";".join(rep.residual_flags),
+                   notes=";".join(rep.notes + notes))
+        row.update((f"term:{term}", val) for term, val in rep.terms)
+    row.update(oracle_cols)
     return row
 
 
-def _evaluate_bound(name: str, analysis: SourceAnalysis, cfg: RunConfig) -> list[BoundReport]:
-    theta, n = analysis.theta, analysis.n
-    if name == "simple":
-        return list(simple_bounds(analysis))
-    if name == "ub1":
-        return [ub_theorem1(analysis)]
-    if name == "ub1_tightened":
-        return [ub_theorem1(analysis, tighten=True)]
-    if name in ("lb2a", "lb2b"):
-        a, b = lb_theorem2(analysis)
-        return [a if name == "lb2a" else b]
-    if name in UB3_VARIANTS:
-        return [ub_theorem3_family(analysis, name)]
-    if name == "lb4":
-        return [lb_theorem4(analysis, **cfg.lb4)]
-    if name == "contribution":
-        return list(contribution_limits(analysis))
-    if name == "range":
-        if cfg.epsilon1 is None:
-            raise ValueError("the range bound needs 'epsilon1' in the config")
-        return list(range_theorem5(theta, n, cfg.epsilon, cfg.epsilon1))
-    raise ValueError(f"unknown bound {name!r}")
-
-
 def run_bounds(cfg: RunConfig) -> list[dict]:
-    """One row per selected bound, with oracle columns when enabled."""
+    """One row per report of each selected bound, with oracle columns when enabled."""
     if cfg.source is None or cfg.n is None:
         raise ValueError("the bounds command needs 'source' and 'n'")
     if not isinstance(cfg.n, int):
@@ -280,46 +318,26 @@ def run_bounds(cfg: RunConfig) -> list[dict]:
             oracle_cols.update({"mc_estimate": mc.estimate, "mc_stderr": mc.stderr})
         except ResourceCapError as exc:
             skipped.append(f"mc skipped: {exc}")
-    if skipped:
-        oracle_cols["error"] = ";".join(skipped)
     rows = []
-    for name in cfg.bounds:
+    for key in cfg.bounds:
+        names, evaluate = BOUNDS[key]
         try:
-            for rep in _evaluate_bound(name, analysis, cfg):
-                row = _report_row(rep, analysis.notes)
-                for key, val in oracle_cols.items():
-                    if key == "error":
-                        row["error"] = (row["error"] + ";" + val).strip(";")
-                    else:
-                        row[key] = val
-                rows.append(row)
+            reports = [(rep.name, rep, []) for rep in evaluate(analysis, cfg)]
         except ResourceCapError as exc:
-            variants = {"s1_variant": "b1", "s2_variant": "b1", **cfg.lb4}
-            rows += [{"bound": report.format(**variants), "value": None, "valid": False,
-                      "residual_flags": "", "notes": ";".join(analysis.notes), "error": str(exc)}
-                     for report in BOUND_NAMES[name]]
+            reports = [(name.format(**cfg.lb4), None, [str(exc)]) for name in names]
+        rows += [_bound_row(name, rep, errors + skipped, analysis.notes, oracle_cols)
+                 for name, rep, errors in reports]
     return rows
 
 
 def run_region_sweep(cfg: RunConfig) -> list[dict]:
     """Decrease-region rows over a k sweep (no grids or enumeration involved)."""
-    if cfg.region is None or cfg.n is None:
+    if cfg.region_ks is None or cfg.n is None:
         raise ValueError("the region command needs 'region' and 'n'")
     if cfg.epsilon1 is None:
         raise ValueError("the region command needs 'epsilon1' (or region.n_pow_eps1)")
-    region = cfg.region
-    if "k_values" in region:
-        ks = [int(k) for k in region["k_values"]]
-    else:
-        spec = region["k_range"]
-        start, stop = float(spec["start"]), float(spec["stop"])
-        num = int(spec.get("num", 50))
-        if spec.get("log", True):
-            ks = sorted({int(round(k)) for k in np.geomspace(start, stop, num)})
-        else:
-            ks = sorted({int(round(k)) for k in np.linspace(start, stop, num)})
     rows = []
-    for k in ks:
+    for k in cfg.region_ks:
         r = range_decreases(k, cfg.n, cfg.epsilon, cfg.epsilon1)
         rows.append({
             "k": k,

@@ -135,12 +135,9 @@ class CoderState:
     :meth:`update` and :meth:`pop_index`.
     """
 
-    index_to_bin: dict[int, int] = field(default_factory=dict)
-    seen_per_bin: dict[int, int] = field(default_factory=dict)
-    max_index: int = field(init=False)
-
-    def __post_init__(self):
-        self.max_index = len(self.index_to_bin)
+    index_to_bin: dict[int, int] = field(default_factory=dict, init=False)
+    seen_per_bin: dict[int, int] = field(default_factory=dict, init=False)
+    max_index: int = field(default=0, init=False)
 
     def update(self, psi_j: int, beta_j: int) -> None:
         """Record one (index, bin) step; the step must be legal for the state."""

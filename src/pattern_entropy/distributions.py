@@ -74,8 +74,6 @@ class ParamVector:
         c = np.asarray(counts, dtype=np.int64)
         if v.ndim != 1 or v.shape != c.shape:
             raise ValueError("values and counts must be 1-d with matching shapes")
-        order = np.argsort(v, kind="stable")
-        v, c = v[order], c[order]
         uv, inverse = np.unique(v, return_inverse=True)
         uc = np.zeros(uv.shape, dtype=np.int64)
         np.add.at(uc, inverse, c)

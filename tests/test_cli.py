@@ -134,11 +134,53 @@ class TestBoundsCommand:
          "config.source.params.decay: expected a number, got [0.5]"),
         ({"source": {"probs": [0.5, 0.5]}, "n": 4, "bounds": ["simple"], "output": {"path": 7}},
          "config.output.path: expected a string"),
+        ({"region": {"k_range": 5}}, "config.region.k_range: expected an object"),
+        ({"region": {"k_range": {"start": 10}}}, "config.region.k_range: needs 'stop'"),
+        ({"region": {"k_range": {"start": 0, "stop": 10}}},
+         "config.region.k_range.start: must be a finite number > 0"),
+        ({"region": {"k_range": {"start": 0.2, "stop": 3, "num": 3, "log": False}}},
+         "config.region.k_range: spaces k down to 0"),
+        ({"region": {"k_range": {"start": 10, "stop": 100, "num": 0}}},
+         "config.region.k_range.num: must be >= 1, got 0"),
+        ({"region": {"k_range": {"start": 10, "stop": 100, "log": "false"}}},
+         "config.region.k_range.log: expected true or false"),
+        ({"region": {"k_range": {"start": 10, "stop": 100, "nmu": 5}}},
+         "config.region.k_range: unknown key 'nmu'"),
+        ({"region": {"k_values": 7}}, "config.region.k_values: expected a non-empty list"),
+        ({"region": {"k_values": [None]}}, "config.region.k_values: expected an integer, got None"),
+        ({"region": {"k_values": [1.5, 2]}},
+         "config.region.k_values: expected an integer, got 1.5"),
+        ({"region": {"k_values": [0]}}, "config.region.k_values: must be >= 1, got 0"),
+        ({"region": {"k_values": "abc"}}, "config.region.k_values: expected a non-empty list"),
+        ({"region": {"k_values": []}}, "config.region.k_values: expected a non-empty list"),
+        ({"region": {"k_value": [10]}}, "config.region: unknown key 'k_value'"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "oracle": "false"},
+         "config.oracle: expected true or false"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "mc": {"samples": 100, "sed": 3}},
+         "config.mc: unknown key 'sed'"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "mc": {"samples": 2.5}},
+         "config.mc.samples: expected an integer, got 2.5"),
+        ({"code": {"seed": -1}}, "config.code.seed: must be >= 0, got -1"),
+        ({"epsilon": True}, "config.epsilon: expected a number, got True"),
+        ({"epsilon": 10**400}, "config.epsilon: 1000"),
+        ({"source": {"family": "zipf", "params": {"k": 5, "exponent": "1.1"}}, "n": 10},
+         "config.source.params.exponent: expected a number, got '1.1'"),
+        ({"code": {"count": 5, "sede": 3}}, "config.code: unknown key 'sede'"),
+        ({"verify": {"suite": ["stirling"]}}, "config.verify: unknown key 'suite'"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "output": {"fromat": "json"}},
+         "config.output: unknown key 'fromat'"),
     ], ids=["n_pow_eps1_without_n", "n_pow_eps1_with_n1", "geometric_decay", "geometric_k",
             "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key",
             "source_params_not_object", "n_pow_eps1_zero", "bounds_not_list",
             "verify_suites_not_list", "mc_samples_null", "family_param_null",
-            "family_param_not_number", "output_path_not_string"])
+            "family_param_not_number", "output_path_not_string",
+            "k_range_not_object", "k_range_without_stop", "k_range_start_zero",
+            "k_range_rounds_to_zero", "k_range_num_zero", "k_range_log_not_bool",
+            "k_range_unknown_key", "k_values_not_list", "k_values_null", "k_values_fraction",
+            "k_values_zero", "k_values_string", "k_values_empty", "region_unknown_key",
+            "oracle_not_bool", "mc_unknown_key", "mc_samples_fraction", "code_seed_negative",
+            "epsilon_bool", "epsilon_overflow", "family_param_string", "code_unknown_key",
+            "verify_unknown_key", "output_unknown_key"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, where):
         assert cli.main(["bounds", "--config", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
@@ -225,22 +267,46 @@ class TestBoundsCommand:
             assert float(r["mc_stderr"]) == 0.0
         assert all(float(r["value"]) > 0 for r in rows)
 
-    def test_oracle_and_mc_caps_both_reported(self, tmp_path):
+    def test_oracle_and_mc_caps_both_reported(self, tmp_path, monkeypatch):
         # zipf k=200 at n=400: 200^400 sequences to enumerate, and a sampled
-        # profile's DP over 200 groups exceeds PROFILE_DP_CAP
+        # profile's DP over 200 groups exceeds PROFILE_DP_CAP; with PMF_CAP at 0
+        # the c2_exact row hits its own cap and carries both messages after it
+        monkeypatch.setattr(bounds, "PMF_CAP", 0)
         cfg = write_config(tmp_path, {
             "source": {"family": "zipf", "params": {"k": 200, "exponent": 1.3}},
-            "n": 400, "epsilon": 0.3, "bounds": ["simple"], "oracle": True,
+            "n": 400, "epsilon": 0.3, "bounds": ["simple", "c2_exact"], "oracle": True,
             "mc": {"samples": 10},
         })
         out = str(tmp_path / "out.csv")
         assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
         rows = read_csv(out)
-        assert len(rows) == 2
-        for r in rows:
-            oracle_msg, mc_msg = r["error"].split(";")
-            assert oracle_msg.startswith("oracle skipped:") and "enumeration cap" in oracle_msg
-            assert mc_msg.startswith("mc skipped:") and "PROFILE_DP_CAP" in mc_msg
+        assert [r["bound"] for r in rows] == [
+            "simple_lower", "simple_upper", "ub_theorem3_c2_exact"]
+        skipped = rows[0]["error"]
+        oracle_msg, mc_msg = skipped.split(";")
+        assert oracle_msg.startswith("oracle skipped:") and "enumeration cap" in oracle_msg
+        assert mc_msg.startswith("mc skipped:") and "PROFILE_DP_CAP" in mc_msg
+        assert rows[1]["error"] == skipped
+        own = rows[2]["error"].removesuffix(";" + skipped)
+        assert own != rows[2]["error"] and "PMF_CAP" in own and rows[2]["value"] == ""
+
+    def test_cap_error_row_carries_the_oracle_columns(self, tmp_path, monkeypatch):
+        # a cap row gets the exact and mc columns a value row gets, and comes
+        # first here, so those columns precede the term columns
+        monkeypatch.setattr(bounds, "PMF_CAP", 0)
+        cfg = write_config(tmp_path, {
+            "source": {"probs": [0.1, 0.2, 0.7]}, "n": 6, "epsilon": 0.3,
+            "bounds": ["c2_exact", "simple"], "oracle": True, "mc": {"samples": 50},
+        })
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        rows = read_csv(out)
+        oracle_cols = ["exact_h_x_block", "exact_h_pattern", "exact_h_joint",
+                       "exact_codelength", "mc_estimate", "mc_stderr"]
+        assert list(rows[0])[6:12] == oracle_cols
+        assert rows[0]["bound"] == "ub_theorem3_c2_exact" and "PMF_CAP" in rows[0]["error"]
+        assert [[r[c] for c in oracle_cols] for r in rows] == [
+            [rows[1][c] for c in oracle_cols]] * 3
 
     def test_cap_error_row_carries_the_report_name(self, tmp_path):
         # one tau bin of 10^6 letters breaches PMF_CAP; the row keeps its report name
@@ -258,10 +324,10 @@ class TestBoundsCommand:
     def test_bound_names_are_the_report_names(self):
         cfg = cli.parse_config({
             "source": {"probs": [0.1, 0.2, 0.7]}, "n": 8, "epsilon": 0.3, "epsilon1": 0.2,
-            "bounds": list(cli.BOUND_NAMES), "lb4": {"s2_variant": "b2"},
+            "bounds": list(cli.BOUNDS), "lb4": {"s2_variant": "b2"},
         })
         want = [report.format(s1_variant="b1", s2_variant="b2")
-                for reports in cli.BOUND_NAMES.values() for report in reports]
+                for reports, _ in cli.BOUNDS.values() for report in reports]
         assert [row["bound"] for row in cli.run_bounds(cfg)] == want
 
     def test_deterministic_bytes(self, tmp_path):
@@ -485,3 +551,33 @@ class TestVerifyCommand:
         out = str(tmp_path / "v.csv")
         assert cli.main(["verify", "--config", cfg, "--out", out, "--seed", "5"]) == 0
         assert seeds == [5]
+
+
+def _negative_zero(cell: str) -> bool:
+    try:
+        value = float(cell)
+    except ValueError:
+        return False
+    return value == 0.0 and math.copysign(1.0, value) < 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, block", [
+    ("bounds", {"bounds": list(cli.BOUNDS), "epsilon1": 0.2, "oracle": True,
+                "mc": {"samples": 20}}),
+    ("oracle", {"mc": {"samples": 20}}),
+    ("code", {"code": {"count": 3}}),
+    ("region", {"epsilon1": 0.2, "region": {"k_values": [1, 2]}}),
+], ids=["bounds", "oracle", "code", "region"])
+def test_one_letter_source_writes_no_negative_zero(tmp_path, command, block, fmt):
+    # one letter of probability 1: entropies, terms and codelengths are all zero,
+    # and several come out of their formulas as -0.0
+    cfg = write_config(tmp_path, {"source": {"probs": [1.0]}, "n": 5, "epsilon": 0.3, **block})
+    out = str(tmp_path / f"out.{fmt}")
+    assert cli.main([command, "--config", cfg, "--out", out, "--format", fmt]) == 0
+    if fmt == "csv":
+        cells = [cell for row in read_csv(out) for cell in row.values()]
+    else:
+        cells = [json.dumps(val) for row in json.loads(open(out).read()) for val in row.values()]
+    assert "0" in cells or "0.0" in cells
+    assert [cell for cell in cells if _negative_zero(cell)] == []

@@ -1,17 +1,21 @@
 """The README quick-start block must run as written."""
 
 import math
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
 
 
 def test_quickstart_block():
-    from pattern_entropy import (ParamVector, SourceAnalysis, exact_entropies,
-                                 simple_bounds, ub_theorem3_family)
-
-    theta = ParamVector.from_probs([0.08, 0.17, 0.3, 0.45])
-    n = 6
-    analysis = SourceAnalysis(theta, n, 0.2)
-    exact = exact_entropies(theta, analysis.eta_grid, n)
-    lo, hi = simple_bounds(analysis)
-    ub = ub_theorem3_family(analysis, "ub3")
-    assert lo.value <= exact.h_pattern <= hi.value
+    blocks = _python_blocks()
+    assert len(blocks) == 1
+    scope: dict = {}
+    exec(compile(blocks[0], str(README), "exec"), scope)
+    ub = scope["ub"]
     assert ub.value == math.fsum(t for _, t in ub.terms)
