@@ -297,8 +297,8 @@ def distinct_count_pmf(analysis: SourceAnalysis, b: int) -> np.ndarray:
     c = analysis.theta.counts[sel]
     total = int(c.sum())
     if total + 1 > PMF_CAP:
-        raise ResourceCapError(f"bin {b} holds {total} letters; its pmf of {total + 1} entries "
-                               f"exceeds PMF_CAP ({PMF_CAP})")
+        raise ResourceCapError(f"bin {b} holds {total} letters, so its pmf of {total + 1} "
+                               f"entries exceeds PMF_CAP ({PMF_CAP})")
     pmf = np.array([1.0])
     for cc, p, q in zip(c.tolist(), analysis.occupancy[sel].tolist(), analysis.absent[sel].tolist()):
         pmf = np.convolve(pmf, binomial_pmf(cc, p, q))

@@ -4,7 +4,11 @@ Configuration is a single JSON document validated against the schema in
 ``docs/formats.md``.  Numeric CSV output uses 17 significant digits so files
 are byte-stable and floats round-trip exactly.
 
-Exit codes: 0 success, 1 validation error, 2 property failure, 3 resource cap.
+One command per call (bounds, region, verify, code or oracle), with the four
+options ``--config``, ``--seed``, ``--out`` and ``--format`` before or after it.
+
+Exit codes: 0 success, 1 validation error, 2 property failure (or a malformed
+command line), 3 resource cap.
 """
 
 from __future__ import annotations
@@ -41,12 +45,16 @@ from .oracle import exact_entropies, mc_pattern_entropy
 from .patterns import bin_sequence, extract_pattern
 from .verify import CHECKS, DEFAULT_SEED, run_suites
 
+# lb_theorem4's keyword defaults, which a config's lb4 block overrides
+LB4_DEFAULTS = {name: p.default for name, p in inspect.signature(lb_theorem4).parameters.items()
+                if p.default is not p.empty}
+
 DEFAULT_BOUNDS = ("simple", "ub1", "lb2a", "lb2b", "ub3", "c1", "c21", "c2_loosened", "lb4")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration shared by the subcommands."""
+    """Validated run configuration shared by the commands."""
 
     source: SourceSpec | None
     n: int | None
@@ -231,10 +239,7 @@ def parse_config(doc: dict) -> RunConfig:
         _names(verify_cfg.get("suites", []), ".verify.suites", CHECKS, "suite")
         _whole(verify_cfg.get("seed", 0), ".verify.seed", 0)
 
-    # lb_theorem4's keyword defaults, overridden by the config's
-    lb4 = {name: p.default for name, p in inspect.signature(lb_theorem4).parameters.items()
-           if p.default is not p.empty}
-    lb4.update(_block(doc.get("lb4", {}), ".lb4", lb4))
+    lb4 = {**LB4_DEFAULTS, **_block(doc.get("lb4", {}), ".lb4", LB4_DEFAULTS)}
     return RunConfig(
         source=source, n=n, epsilon=epsilon, epsilon1=epsilon1, bounds=bounds,
         oracle=_expect_type(doc.get("oracle", False), ".oracle", bool, "true or false"), mc=mc,
@@ -418,30 +423,31 @@ def _load_config(path: str | None) -> dict:
             raise ValueError(f"config is not valid JSON: {exc}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pattern-entropy",
-        description="Pattern-entropy bounds, oracles, region sweeps, and coder round trips.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("bounds", "evaluate the selected bound suite for one source"),
-        ("region", "sweep the alphabet-size decrease region"),
-        ("verify", "run the desk-scale verification suites"),
-        ("code", "round-trip sampled sequences through the coder"),
-        ("oracle", "exact (and optionally Monte Carlo) entropy computation"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="path to the JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default: config value or csv)")
-    return parser
+COMMANDS = {
+    "bounds": "evaluate the selected bound suite for one source",
+    "region": "sweep the alphabet-size decrease region",
+    "verify": "run the desk-scale verification suites",
+    "code": "round-trip sampled sequences through the coder",
+    "oracle": "exact (and optionally Monte Carlo) entropy computation",
+}
+
+# one parser per process: every command takes the same four options, before or after it
+PARSER = argparse.ArgumentParser(
+    prog="pattern-entropy",
+    description="Pattern-entropy bounds, oracles, region sweeps, and coder round trips.",
+    epilog="commands:\n" + "".join(f"  {name:8s}  {text}\n" for name, text in COMMANDS.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+PARSER.add_argument("command", choices=COMMANDS, help="the command to run (listed below)")
+PARSER.add_argument("--config", help="path to the JSON run configuration")
+PARSER.add_argument("--seed", type=int, default=None, help="override the configured seed")
+PARSER.add_argument("--out", default=None, help="output path (default: stdout)")
+PARSER.add_argument("--format", choices=("csv", "json"), default=None,
+                    help="output format (default: config value or csv)")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         doc = _load_config(args.config)
         cfg = parse_config(doc)

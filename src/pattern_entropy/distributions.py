@@ -90,7 +90,7 @@ class ParamVector:
         if self.k > MATERIALIZE_CAP:
             raise ResourceCapError(
                 f"alphabet of size {self.k} exceeds the materialization cap "
-                f"({MATERIALIZE_CAP}); use the grouped (values, counts) form"
+                f"({MATERIALIZE_CAP}): use the grouped (values, counts) form"
             )
         return np.repeat(self.values, self.counts)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +65,16 @@ class Grid:
         return float(p) if p.ndim == 0 else p
 
     points = property(_Points)
+
+
+def _point(i: int, B: int, denom: float, shift: int, low: tuple[float, ...]) -> float:
+    """Point i of a grid with these fields, in the float operations of ``Grid.point``."""
+    if low and i < 3:
+        return low[i]
+    if i > B:
+        return 1.0
+    r = float(i + shift)
+    return r * r / denom
 
 
 def low_thresholds(n: int, epsilon: float) -> tuple[float, float]:
@@ -131,10 +141,15 @@ def build_grid(kind: str, n: int, epsilon: float) -> Grid:
         if B >= 3 and not low[2] < (3.0 + shift) * (3.0 + shift) / denom:
             flags, shift, B = ("eta_collision_merged",), shift + 1, B - 1
     last = max(B, len(low) - 1)
-    grid = Grid(kind, n, epsilon, B, A=0, denom=denom, shift=shift, low=low, num_bins=last, flags=flags)
-    grid = replace(grid, num_bins=last + (grid.point(last) < 1.0))
-    # the bin of the float just above 1/2 is the last index whose point is <= 1/2
-    return replace(grid, A=bin_index(grid, math.nextafter(0.5, 1.0)))
+    num_bins = last + (_point(last, B, denom, shift, low) < 1.0)
+    # A is the last index whose point is <= 1/2; the square law puts it within
+    # a step of the root guess, and the points ascend, so walk to it
+    A = max(math.floor(math.sqrt(0.5 * denom)) - shift, 0)
+    while _point(A + 1, B, denom, shift, low) <= 0.5:
+        A += 1
+    while _point(A, B, denom, shift, low) > 0.5:
+        A -= 1
+    return Grid(kind, n, epsilon, B, A, denom, shift, low, num_bins, flags)
 
 
 def bin_index(grid: Grid, theta):

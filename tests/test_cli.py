@@ -287,8 +287,9 @@ class TestBoundsCommand:
         assert oracle_msg.startswith("oracle skipped:") and "enumeration cap" in oracle_msg
         assert mc_msg.startswith("mc skipped:") and "PROFILE_DP_CAP" in mc_msg
         assert rows[1]["error"] == skipped
-        own = rows[2]["error"].removesuffix(";" + skipped)
-        assert own != rows[2]["error"] and "PMF_CAP" in own and rows[2]["value"] == ""
+        own, *rest = rows[2]["error"].split(";")
+        assert rest == [oracle_msg, mc_msg]
+        assert own.startswith("bin ") and "PMF_CAP" in own and rows[2]["value"] == ""
 
     def test_cap_error_row_carries_the_oracle_columns(self, tmp_path, monkeypatch):
         # a cap row gets the exact and mc columns a value row gets, and comes
@@ -551,6 +552,36 @@ class TestVerifyCommand:
         out = str(tmp_path / "v.csv")
         assert cli.main(["verify", "--config", cfg, "--out", out, "--seed", "5"]) == 0
         assert seeds == [5]
+
+
+class TestArgv:
+    FULL = ["--config", "c.json", "--seed", "3", "--out", "o.json", "--format", "json"]
+
+    @pytest.mark.parametrize("command", ["bounds", "region", "verify", "code", "oracle"])
+    def test_every_command_takes_the_four_options(self, command):
+        want = {"command": command, "config": "c.json", "seed": 3, "out": "o.json",
+                "format": "json"}
+        assert vars(cli.PARSER.parse_args([command, *self.FULL])) == want
+        # the options may also come before the command
+        assert vars(cli.PARSER.parse_args([*self.FULL, command])) == want
+        assert vars(cli.PARSER.parse_args([command])) == {
+            "command": command, "config": None, "seed": None, "out": None, "format": None}
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["bounds", "--format", "xml"]],
+                             ids=["missing", "unknown", "format-xml"])
+    def test_bad_argv_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2 and "usage: pattern-entropy" in capsys.readouterr().err
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        lines = capsys.readouterr().out.splitlines()
+        assert exc.value.code == 0
+        for name, text in cli.COMMANDS.items():
+            assert f"  {name:8s}  {text}" in lines
+        assert list(cli.COMMANDS) == ["bounds", "region", "verify", "code", "oracle"]
 
 
 def _negative_zero(cell: str) -> bool:

@@ -10,6 +10,8 @@ CHANGES.md.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import pytest
 from pattern_entropy import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = GOLDEN.resolve().parents[1]
 SUFFIX = ".config.json"
 CASES = sorted(p.name[: -len(SUFFIX)] for p in GOLDEN.glob(f"*{SUFFIX}"))
 
@@ -39,6 +42,18 @@ def _expected_path(name: str) -> Path:
 def test_matches_golden(name):
     with open(_expected_path(name), encoding="utf-8", newline="") as fh:
         assert _render(name) == fh.read()
+
+
+def test_module_run_prints_the_golden_file():
+    # one process per call, as users run it: the import-time parser and __main__
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pattern_entropy.cli", "bounds",
+         "--config", "tests/golden/explicit_n8.config.json"],
+        cwd=ROOT, env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / "explicit_n8.csv").read_bytes()
 
 
 if __name__ == "__main__":

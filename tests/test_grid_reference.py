@@ -72,6 +72,9 @@ def _assert_matches(grid, ref):
     pts, B, A, flags = ref
     assert len(grid.points) == grid.num_bins + 1 == len(pts)
     assert np.array_equal(grid.point(np.arange(grid.num_bins + 1)), pts)
+    # point by point on Python ints, bit for bit
+    scalars = np.array(list(map(grid.point, range(grid.num_bins + 1))))
+    assert np.array_equal(scalars.view(np.int64), pts.view(np.int64))
     assert (grid.B, grid.A, grid.flags) == (B, A, flags)
     # probes: every point, both float neighbours, random values, all in (0, 1]
     rng = np.random.default_rng(grid.n)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pattern_entropy.bounds import SourceAnalysis
-from pattern_entropy.distributions import ParamVector
+from pattern_entropy.distributions import ParamVector, SourceSpec, make_distribution
 from pattern_entropy.grids import (
     absent_probability,
     bin_index,
@@ -149,14 +149,20 @@ class TestBinStats:
 
     @pytest.mark.parametrize("kind", ["tau", "eta", "xi"])
     def test_runs_match_unique(self, kind):
-        # bins and the group-to-row map equal np.unique's, and every sum keeps its bits
+        # bins and the group-to-row map equal np.unique's, and every sum keeps
+        # the bits of a sequential np.add.at accumulation: on random tied
+        # sources, and on zipf k = 2000, whose largest bins sum ~2000 groups
         rng = np.random.default_rng(12)
+        cases = []
         for _ in range(40):
             sizes = rng.integers(1, 50, size=int(rng.integers(1, 30)))
             weights = rng.uniform(1e-3, 1.0, size=len(sizes)) ** 3
             pv = ParamVector.from_groups(weights / (weights @ sizes), sizes)
-            n = int(rng.integers(2, 10**4))
-            g = build_grid(kind, n, float(rng.uniform(0.1, 0.6)))
+            cases.append((pv, int(rng.integers(2, 10**4)), float(rng.uniform(0.1, 0.6))))
+        zipf = make_distribution(SourceSpec("zipf", {"k": 2000, "exponent": 1.1}))
+        cases += [(zipf, n, 0.4) for n in (100, 10**4, 10**6)]
+        for pv, n, eps in cases:
+            g = build_grid(kind, n, eps)
             st_ = bin_stats(g, pv)
             bins, row = np.unique(st_.group_bin, return_inverse=True)
             assert np.array_equal(st_.bins, bins)

@@ -147,6 +147,35 @@ def test_slow_routes_are_off_the_public_api():
 
 
 
+def _cap_messages_with_separator(tree):
+    """Line of each string literal passed to ``ResourceCapError(...)`` that holds a
+    ``;``, the separator of the ``;``-joined ``error`` cell of a ``bounds`` row."""
+    found = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) != "ResourceCapError":
+            continue
+        for arg in (*node.args, *(kw.value for kw in node.keywords)):
+            found += [lit.lineno for lit in ast.walk(arg)
+                      if isinstance(lit, ast.Constant) and isinstance(lit.value, str) and ";" in lit.value]
+    return found
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_cap_messages_hold_no_cell_separator(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _cap_messages_with_separator(tree) == []
+
+
+def test_cap_message_guard_sees_every_form():
+    tree = ast.parse('raise ResourceCapError(f"{n} letters; too many")\n'
+                     'raise ResourceCapError("fine", msg="a;b")\n'
+                     'raise _common.ResourceCapError("x" "; y")\n'
+                     'raise ValueError("a; b")\n'
+                     'raise ResourceCapError(f"{n} letters, too many")\n')
+    assert _cap_messages_with_separator(tree) == [1, 2, 3]
+
+
 def _attribute_sites(attr, sources):
     """(module, top-level definition) of every ``.<attr>`` in ``sources``, a map
     of module name to source text; the definition is None at module level."""
