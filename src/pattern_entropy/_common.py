@@ -1,4 +1,4 @@
-"""Shared numeric helpers: base-2 logs, log-space factorials, resource guards."""
+"""Shared numeric helpers: base-2 logs, log-space factorials, exact sums, resource guards."""
 
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ LOG2E = 1.0 / LN2
 # and m! < 2**64 costs no more than lgamma.  From here on lgamma is within
 # 3.7e-16 relative of ln(m!) (measured for m < 3000).
 EXACT_FACTORIAL_BELOW = 21
+# exact_sum hands arrays shorter than this to math.fsum: its level loop has
+# about 30 us of fixed numpy cost, against 0.3 us for fsum on a few elements,
+# and the two break even near a thousand elements.
+_EXACT_SUM_CUTOFF = 1024
 
 
 class ResourceCapError(RuntimeError):
@@ -50,3 +54,46 @@ def xlog2x(x: float) -> float:
 def elementwise(f, x: np.ndarray) -> np.ndarray:
     """``f`` (a ``math`` function) on every element of ``x``: libm's bits, not numpy's."""
     return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())`` bit for bit, for a 1-d float array, without the list.
+
+    Both are the correctly rounded value of the exact sum, so they agree
+    whatever order numpy adds in.  From ``_EXACT_SUM_CUTOFF`` elements on, the
+    error-free vector transformation of Rump, Ogita & Oishi ("Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008,
+    Lemma 3.3): with max|r| < 2^e, 2^M > size + 1 and sigma = 2^(e+M), each
+    q = (sigma + r) - sigma is r rounded to a multiple of 2^(e+M-53) with
+    |q| <= 2^e, so every partial sum of q is exact, and r - q is exact too.
+    Each level takes at least 52 - M leading bits off the remainder; the
+    levels' sums, exact parts of the total, go to fsum at the end.
+    Infinities, NaN, magnitudes where sigma would overflow and remainders
+    near the subnormal range go to fsum as they stand, so they behave as
+    fsum does (values, exceptions and the sign of zero alike).
+    """
+    if x.size < _EXACT_SUM_CUTOFF:
+        return math.fsum(x.tolist())
+    M = (x.size + 1).bit_length()
+    parts: list[float] = []
+    # one scratch array for |r| and q, and r's own after the first level:
+    # fresh 8-byte-per-element arrays at every step cost more than the sums
+    q = np.empty(x.shape)
+    r = x
+    while True:
+        top = float(np.abs(r, out=q).max())
+        if top == 0.0:
+            break
+        e = math.frexp(top)[1]  # top < 2**e
+        if not math.isfinite(top) or e + M > 1000 or e < -960:
+            return math.fsum(parts + r.tolist())
+        sigma = math.ldexp(1.0, e + M)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        if r is x:
+            r = x - q
+        else:
+            r -= q
+    # an all-zero array: fsum alone decides the sign of zero
+    return math.fsum(parts) if parts else math.fsum(x.tolist())

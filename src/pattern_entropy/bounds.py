@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._common import LOG2E, ResourceCapError, elementwise, log2_binomial, log2_factorial, xlog2x
+from ._common import (LOG2E, ResourceCapError, elementwise, exact_sum, log2_binomial,
+                      log2_factorial, xlog2x)
 from .distributions import ParamVector, binary_entropy, entropy_terms, iid_entropy
 from .grids import BinStats, Grid, absent_probability, bin_stats, build_grid, low_thresholds
 
@@ -59,10 +60,15 @@ class PackedEntropies:
 
 @dataclass(frozen=True)
 class _LowStats:
-    """Grouped statistics of the two low-probability regions."""
+    """Grouped statistics of the two low-probability regions.
+
+    The source's values ascend, so bin 0 is its groups [:i1], bin 1 the
+    groups [i1:i2] and the whole low region the groups [:i2]."""
 
     thr1: float
     thr2: float
+    i1: int
+    i2: int
     k0: int
     k1: int
     k01: int
@@ -113,7 +119,7 @@ class SourceAnalysis:
     @cached_property
     def h_x(self) -> float:
         """Source entropy H(X) in bits per symbol."""
-        return -math.fsum(self.plog2p.tolist())
+        return -exact_sum(self.plog2p)
 
     @cached_property
     def absent(self) -> np.ndarray:
@@ -155,23 +161,21 @@ class SourceAnalysis:
         n = self.n
         thr1, thr2 = low_thresholds(n, self.epsilon)
         v, c, occ = self.theta.values, self.theta.counts, self.occupancy
-        m0 = v <= thr1
-        m1 = (v > thr1) & (v <= thr2)
-        mlow = v <= thr2
-        k0 = int(c[m0].sum())
-        k1 = int(c[m1].sum())
-        phi0 = float(np.sum(c[m0] * v[m0]))
-        phi1 = float(np.sum(c[m1] * v[m1]))
-        L0 = math.fsum(c[m0] * occ[m0])
-        L1 = math.fsum(c[m1] * occ[m1])
+        i1, i2 = np.searchsorted(v, (thr1, thr2), side="right").tolist()
+        k0 = int(c[:i1].sum())
+        k1 = int(c[i1:i2].sum())
+        phi0 = float(np.sum(c[:i1] * v[:i1]))
+        phi1 = float(np.sum(c[i1:i2] * v[i1:i2]))
+        L0 = exact_sum(c[:i1] * occ[:i1])
+        L1 = exact_sum(c[i1:i2] * occ[i1:i2])
         return _LowStats(
-            thr1=thr1, thr2=thr2,
+            thr1=thr1, thr2=thr2, i1=i1, i2=i2,
             k0=k0, k1=k1, k01=k0 + k1,
             phi0=phi0, phi1=phi1, phi01=phi0 + phi1,
             L0=L0, L1=L1, L01=L0 + L1,
             ell0=min(k0, n), ell1=min(k1, n), ell01=min(k0 + k1, n),
-            sq0=float(np.sum(c[m0] * v[m0] ** 2)),
-            low_values=v[mlow], low_counts=c[mlow],
+            sq0=float(np.sum(c[:i1] * v[:i1] ** 2)),
+            low_values=v[:i2], low_counts=c[:i2],
         )
 
     @cached_property
@@ -185,9 +189,9 @@ def packed_entropies(analysis: SourceAnalysis) -> PackedEntropies:
     Uses the canonical low thresholds 1/n^(1+eps) and 1/n^(1-eps), so no grid
     is read and the values stay well defined where the eta grid degenerates.
     """
-    low, v, terms = analysis.low, analysis.theta.values, analysis.plog2p
-    tail_high = -math.fsum(terms[v > low.thr2].tolist())
-    tail_1_high = -math.fsum(terms[v > low.thr1].tolist())
+    low, terms = analysis.low, analysis.plog2p
+    tail_high = -exact_sum(terms[low.i2:])
+    tail_1_high = -exact_sum(terms[low.i1:])
     return PackedEntropies(
         h0=-xlog2x(low.phi0) + tail_1_high,
         h01=-xlog2x(low.phi01) + tail_high,
@@ -487,6 +491,16 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str) -> BoundReport:
     )
 
 
+def _boundary_counts(analysis: SourceAnalysis, vartheta_minus: float,
+                     vartheta_plus: float) -> tuple[int, int]:
+    """Letters in (vartheta- thr2, thr2] and in (thr2, vartheta+ thr2]: lb4's k- and k+."""
+    thr2, i2 = analysis.low.thr2, analysis.low.i2
+    lo, hi = np.searchsorted(analysis.theta.values, (vartheta_minus * thr2, vartheta_plus * thr2),
+                             side="right").tolist()
+    c = analysis.theta.counts
+    return int(c[lo:i2].sum()), int(c[i2:hi].sum())
+
+
 def lb_theorem4(analysis: SourceAnalysis,
                 s1_variant: str = "b1", s2_variant: str = "b1",
                 vartheta_minus: float = DEFAULT_VARTHETA_MINUS,
@@ -532,16 +546,16 @@ def lb_theorem4(analysis: SourceAnalysis,
             reocc_counts[-1] -= 1  # the last low letter leaves the sum
         pieces = reocc_counts * reocc * gain
         if s2_variant == "b1":
-            s2 = math.fsum(pieces[reocc_counts > 0].tolist())
+            s2 = exact_sum(pieces[reocc_counts > 0])
             if split_last:
                 s2 += (n * last_val - 1.0) * math.log2(low.phi01 / last_val)
                 notes.append("last low letter exceeds 3/5; split form applied")
         else:
-            bin0 = lv <= low.thr1
+            i1 = low.i1  # bin 0 is the head of the low region
             # v ** 2 through libm's pow, which differs from numpy's v * v in the last bit
-            head = (1.0 - nf ** -epsilon) * (n * n / 2.0) * math.fsum(
-                (lc[bin0] * elementwise(lambda x: x ** 2, lv[bin0]) * gain[bin0]).tolist())
-            s2 = head + math.fsum(pieces[~bin0 & (reocc_counts > 0)].tolist())
+            head = (1.0 - nf ** -epsilon) * (n * n / 2.0) * exact_sum(
+                lc[:i1] * elementwise(lambda x: x ** 2, lv[:i1]) * gain[:i1])
+            s2 = head + exact_sum(pieces[i1:][reocc_counts[i1:] > 0])
 
         # S3: worst-case first-occurrence penalty over the smallest low letters,
         # ranked from 1 upwards; group g holds the ranks first..last
@@ -550,20 +564,16 @@ def lb_theorem4(analysis: SourceAnalysis,
         if top_rank >= 1:
             last = np.cumsum(lc)
             first = last - lc + 1
-            hit = first <= top_rank
-            a = first[hit].astype(float)
-            b = np.minimum(last[hit], top_rank).astype(float)
+            hit = int(np.searchsorted(first, top_rank, side="right"))  # ranks ascend
+            a = first[:hit].astype(float)
+            b = np.minimum(last[:hit], top_rank).astype(float)
             width = b - a + 1.0
             # sum of (L01 - i) (from the origin: L01 - (i - 1)) over ranks i in [a, b]
             origin = L01 + 1.0 if s3_from_origin else L01
             coeff = width * origin - (a + b) * width / 2.0
-            s3 = LOG2E * math.fsum((coeff * lv[hit] / low.phi01).tolist())
+            s3 = LOG2E * exact_sum(coeff * lv[:hit] / low.phi01)
 
-    lo_minus = vartheta_minus * low.thr2
-    hi_plus = vartheta_plus * low.thr2
-    v, c = theta.values, theta.counts
-    k_minus = int(c[(v > lo_minus) & (v <= low.thr2)].sum())
-    k_plus = int(c[(v > low.thr2) & (v <= hi_plus)].sum())
+    k_minus, k_plus = _boundary_counts(analysis, vartheta_minus, vartheta_plus)
     s4 = log2_binomial(k_minus + k_plus, k_plus)
 
     return BoundReport(

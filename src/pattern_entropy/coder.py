@@ -390,9 +390,15 @@ def _fold(triples: list[tuple[int, int, int]]) -> tuple[int, int, int]:
 
 def _emit(low: int, width: int, P: int) -> Bitstring:
     """Canonical dyadic of [low/P, (low+width)/P): the smallest length L with
-    width * 2**(L-1) >= P, and the code point c = ceil(low * 2**L / P)."""
-    q = -(-P // width)
-    L = (q - 1).bit_length() + 1
+    width * 2**(L-1) >= P, and the code point c = ceil(low * 2**L / P).
+
+    L comes from bit lengths: width << d has P's bit length for
+    d = P.bit_length() - width.bit_length(), so the smallest shift m with
+    width << m >= P is d or d + 1 (0 when width >= P)."""
+    m = max(P.bit_length() - width.bit_length(), 0)
+    if (width << m) < P:
+        m += 1
+    L = m + 1
     c_num = ((low << L) + P - 1) // P
     nbytes = (L + 7) // 8
     return Bitstring((c_num << (8 * nbytes - L)).to_bytes(nbytes, "big"), L)

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._common import ResourceCapError, elementwise
+from ._common import ResourceCapError, elementwise, exact_sum
 
 SUM_TOL = 1e-12
 MATERIALIZE_CAP = 10_000_000
@@ -47,7 +47,7 @@ class ParamVector:
             raise ValueError("probabilities must lie in (0, 1]")
         if values.size > 1 and np.any(np.diff(values) <= 0.0):
             raise ValueError("values must be strictly ascending with duplicates merged")
-        total = math.fsum((counts * values).tolist())
+        total = exact_sum(counts * values)
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         values.setflags(write=False)
@@ -167,7 +167,7 @@ def _required(params: dict, name: str, family: str):
 
 
 def _normalized(raw: np.ndarray, info: dict) -> ParamVector:
-    total = math.fsum(raw.tolist())
+    total = exact_sum(raw)
     if total <= 0:
         raise ValueError("non-positive total mass")
     return ParamVector.from_probs(raw / total, build_info=info)
@@ -233,7 +233,7 @@ def entropy_terms(theta: ParamVector) -> np.ndarray:
 
 def iid_entropy(theta: ParamVector) -> float:
     """Per-symbol source entropy H(X) in bits; the block entropy is n * H(X)."""
-    return -math.fsum(entropy_terms(theta).tolist())
+    return -exact_sum(entropy_terms(theta))
 
 
 def binary_entropy(alpha: float) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import LN2, ResourceCapError, elementwise, ln_factorial
+from ._common import LN2, ResourceCapError, elementwise, exact_sum, ln_factorial
 from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector, iid_entropy, sample_sequence
 from .grids import Grid
@@ -171,8 +171,9 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     string is a function of the sequence rather than of its pattern.  That
     enumeration is the level walk of :func:`_walk_sequences`: no pattern is
     extracted or coded from scratch.  H(joint) takes each key's log2 from
-    ``math`` (libm's bits) and both sums are ``math.fsum``, so the results do
-    not depend on the order of the keys.
+    ``math`` (libm's bits) and both sums are ``exact_sum``, correctly rounded
+    exact sums with ``math.fsum``'s bits, so the results do not depend on the
+    order of the keys.
 
     Memory: the walk holds three 8-byte values per leaf (probability,
     codelength, key) and groups them by key with a stable argsort, so its
@@ -192,8 +193,8 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     joint, codelength = _walk_sequences(theta.probs, letter_bin, n, model)
     positive = joint > 0.0
     joint, codelength = joint[positive], codelength[positive]
-    h_joint = -math.fsum((joint * elementwise(math.log2, joint)).tolist())
-    expected_codelength = math.fsum((joint * codelength).tolist())
+    h_joint = -exact_sum(joint * elementwise(math.log2, joint))
+    expected_codelength = exact_sum(joint * codelength)
     return ExactEntropies(h_x_block=h_x_block, h_pattern=h_pattern,
                           h_joint=h_joint, expected_codelength=expected_codelength)
 

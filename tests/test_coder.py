@@ -388,3 +388,32 @@ class TestModelValidation:
             else:
                 assert model.rho[b] == pytest.approx((n * phi_b - L_b) / (n * min(kb, n)))
         assert np.array_equal(model.ell, np.minimum(model.kbins, n))
+
+
+def _emit_by_division(low: int, width: int, P: int) -> Bitstring:
+    """The canonical dyadic with L from the long division ceil(P / width)."""
+    q = -(-P // width)
+    L = (q - 1).bit_length() + 1
+    c_num = ((low << L) + P - 1) // P
+    nbytes = (L + 7) // 8
+    return Bitstring((c_num << (8 * nbytes - L)).to_bytes(nbytes, "big"), L)
+
+
+def test_emit_length_from_bit_lengths_matches_the_division():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(3000):
+        P = int(rng.integers(1, 2**62)) << int(rng.integers(0, 700))
+        width = max(1, P >> int(rng.integers(0, P.bit_length() + 1)))
+        width = max(1, width - int(rng.integers(0, 3)))
+        cases.append((int(rng.integers(0, 2**40)) * (P - width) // 2**40, width, P))
+    for P in (1, 2, 3, 7, 8, 2**64, 3 * 2**100 + 1):
+        for shift in range(P.bit_length() + 1):
+            width = P >> shift  # P / width an exact power of two where P is one
+            if width:
+                cases += [(0, width, P), (P - width, width, P)]
+                cases += [(0, width - 1, P)] if width > 1 else []
+                cases += [(0, width + 1, P)] if width < P else []
+        cases += [(0, P + 1, P), (0, 2 * P, P), (0, P << 70, P)]  # width above P
+    for low, width, P in cases:
+        assert coder._emit(low, width, P) == _emit_by_division(low, width, P), (low, width, P)

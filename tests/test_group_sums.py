@@ -15,9 +15,10 @@ from hypothesis import example, given, strategies as st
 
 from pattern_entropy import bounds, cli, grids
 from pattern_entropy._common import LOG2E, xlog2x
-from pattern_entropy.bounds import SourceAnalysis, lb_theorem4, packed_entropies
+from pattern_entropy.bounds import (DEFAULT_VARTHETA_MINUS, DEFAULT_VARTHETA_PLUS, SourceAnalysis,
+                                    lb_theorem4, packed_entropies)
 from pattern_entropy.distributions import ParamVector, iid_entropy
-from pattern_entropy.grids import absent_probability, bin_stats
+from pattern_entropy.grids import absent_probability, bin_stats, low_thresholds
 
 
 def _ref_absent(theta: float, n: int) -> float:
@@ -232,3 +233,64 @@ def _recording(ufunc, sizes):
         sizes.append(np.size(x))
         return ufunc(x, *args, **kwargs)
     return wrapper
+
+
+@st.composite
+def sources_on_the_split_points(draw):
+    """A source with letters exactly on thr1, thr2 and the vartheta window
+    ends (vartheta- thr2, vartheta+ thr2) and one float either side of each,
+    plus up to 1,500 random low letters, so the sums also take exact_sum's
+    level loop, and one top letter holding the rest of the mass."""
+    n = draw(st.integers(10**4, 10**9))
+    epsilon = draw(st.floats(0.05, 0.5))
+    vm = draw(st.sampled_from([DEFAULT_VARTHETA_MINUS, 0.5]))
+    vp = draw(st.sampled_from([DEFAULT_VARTHETA_PLUS, 2.0]))
+    thr1, thr2 = low_thresholds(n, epsilon)
+    points = [p for x in (thr1, thr2, vm * thr2, vp * thr2)
+              for p in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))]
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bulk = draw(st.sampled_from([0, 1500]))
+    spread = rng.uniform(0.5 * thr1, 2.0 * vp * thr2, bulk)
+    values = np.concatenate([points, spread])
+    counts = np.concatenate([counts, rng.integers(1, 4, bulk)])
+    scale = min(1.0, 0.5 / float(np.sum(counts * values)))
+    if scale < 1.0:  # shrink the random letters only; the split points stay put
+        values[len(points):] *= scale
+    rest = 1.0 - math.fsum((counts * values).tolist())
+    return ParamVector.from_groups([*values, rest], [*counts, 1]), n, epsilon, vm, vp
+
+
+@given(sources_on_the_split_points())
+def test_slices_select_what_the_threshold_masks_selected(case):
+    """The low region, the packed tails and lb4's vartheta window are index
+    ranges of the ascending values; the masks below are the selections they
+    replace, kept here as the reference."""
+    theta, n, epsilon, vm, vp = case
+    analysis = SourceAnalysis(theta, n, epsilon)
+    low = analysis.low
+    v, c, occ, terms = theta.values, theta.counts, analysis.occupancy, analysis.plog2p
+    m0 = v <= low.thr1
+    m1 = (v > low.thr1) & (v <= low.thr2)
+    mlow = v <= low.thr2
+    assert (low.k0, low.k1) == (int(c[m0].sum()), int(c[m1].sum()))
+    assert low.phi0 == float(np.sum(c[m0] * v[m0]))
+    assert low.phi1 == float(np.sum(c[m1] * v[m1]))
+    assert low.sq0 == float(np.sum(c[m0] * v[m0] ** 2))
+    assert low.L0 == math.fsum((c[m0] * occ[m0]).tolist())
+    assert low.L1 == math.fsum((c[m1] * occ[m1]).tolist())
+    assert np.array_equal(low.low_values, v[mlow]) and np.array_equal(low.low_counts, c[mlow])
+
+    packed = packed_entropies(analysis)
+    assert packed.h01 == -xlog2x(low.phi01) - math.fsum(terms[v > low.thr2].tolist())
+    assert packed.h0 == -xlog2x(low.phi0) - math.fsum(terms[v > low.thr1].tolist())
+
+    lo_minus, hi_plus = vm * low.thr2, vp * low.thr2
+    k_minus = int(c[(v > lo_minus) & (v <= low.thr2)].sum())
+    k_plus = int(c[(v > low.thr2) & (v <= hi_plus)].sum())
+    assert bounds._boundary_counts(analysis, vm, vp) == (k_minus, k_plus)
+    for s2_variant in ("b1", "b2"):
+        rep = lb_theorem4(analysis, s2_variant=s2_variant, vartheta_minus=vm, vartheta_plus=vp)
+        s2, s3 = _ref_s2_s3(analysis, s2_variant, False)
+        assert rep.term("low_reoccurrence_gain_S2") == (0.0 if s2 == 0.0 else s2)
+        assert rep.term("low_first_occurrence_gain_S3") == (0.0 if s3 == 0.0 else s3)

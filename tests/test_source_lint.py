@@ -215,3 +215,46 @@ def test_oracle_takes_coder_steps_only_through_the_coder():
     oracle = {"oracle": (ROOT / "src" / "pattern_entropy" / "oracle.py").read_text(encoding="utf-8")}
     for attr in ("phi_floats", "rho_floats"):
         assert list(_attribute_sites(attr, oracle)) == []
+
+
+def _array_fsum_sites(text):
+    """(line, top-level definition) of every ``math.fsum`` (or bare ``fsum``)
+    whose argument is ``<expr>.tolist()`` or a numpy expression: arithmetic,
+    indexing or a ``np.*`` call.  Such sums belong to ``_common.exact_sum``,
+    which gives the same bits without a Python list."""
+    found = []
+    for top in ast.parse(text).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and len(node.args) == 1):
+                continue
+            func = node.func
+            if not (getattr(func, "attr", None) == "fsum" or getattr(func, "id", None) == "fsum"):
+                continue
+            arg = node.args[0]
+            is_tolist = isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "tolist"
+            is_numpy_call = (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                             and getattr(arg.func.value, "id", None) in ("np", "numpy"))
+            if is_tolist or is_numpy_call or isinstance(arg, (ast.BinOp, ast.UnaryOp, ast.Subscript)):
+                found.append((node.lineno, getattr(top, "name", None)))
+    return found
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_array_sums_go_through_exact_sum(path):
+    sites = _array_fsum_sites(path.read_text(encoding="utf-8"))
+    if path.stem == "_common":
+        sites = [site for site in sites if site[1] != "exact_sum"]
+    assert sites == []
+
+
+def test_array_sum_guard_sees_both_forms():
+    text = ("import math\n"
+            "a = math.fsum(x.tolist())\n"
+            "def f(c, v, m):\n"
+            "    return math.fsum((c[m] * v[m]).tolist()) + math.fsum(c[m] * v[m])\n"
+            "b = fsum(-x)\n"
+            "c = math.fsum(x[2:])\n"
+            "d = math.fsum(np.abs(x))\n"
+            "ok = math.fsum(t for t in terms) + math.fsum(parts) + math.fsum([1.0, 2.0])\n"
+            "ok2 = math.fsum([math.exp(t) for t in terms]) + exact_sum(x)\n")
+    assert _array_fsum_sites(text) == [(2, None), (4, "f"), (4, "f"), (5, None), (6, None), (7, None)]
