@@ -31,7 +31,6 @@ from .patterns import (
     bin_sequence,
     enumerate_patterns,
     extract_pattern,
-    log_profile_probability,
     pattern_probability,
 )
 from .oracle import (
@@ -80,7 +79,7 @@ __all__ = [
     "BinStats", "Grid", "OccurrenceStats", "bin_index", "bin_stats",
     "build_grid", "low_thresholds", "occurrence_stats",
     "BinSeq", "Pattern", "bin_sequence", "enumerate_patterns", "extract_pattern",
-    "log_profile_probability", "pattern_probability",
+    "pattern_probability",
     "ExactEntropies", "MCEstimate", "exact_entropies", "exact_pattern_entropy",
     "mc_pattern_entropy",
     "BoundReport", "PackedEntropies", "SourceAnalysis", "contribution_limits",

@@ -105,13 +105,16 @@ def _expect_type(doc, path, types, what):
 
 
 def _number(doc, path):
-    """``doc`` as a float, or a config error naming ``path`` unless it is a JSON number."""
+    """``doc`` as a float, or a config error naming ``path`` unless it is a finite JSON number."""
     if isinstance(doc, bool) or not isinstance(doc, (int, float)):
         _fail(path, f"expected a number, got {doc!r}")
     try:
-        return float(doc)
+        value = float(doc)
     except OverflowError:
         _fail(path, f"{doc!r} is outside the float range")
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {doc!r}")
+    return value
 
 
 def _whole(doc, path, minimum):
@@ -184,11 +187,13 @@ def parse_config(doc: dict) -> RunConfig:
         for name, value in params.items():
             if name not in ("probs", "level1"):
                 _number(value, f".source.params.{name}")
+        if fam in ("uniform", "geometric", "zipf") and "k" in params:
+            _whole(params["k"], ".source.params.k", 1)
         source = SourceSpec(family=fam, params=params, n=doc.get("n"))
 
     n = doc.get("n")
     if n is not None:
-        _expect_type(n, ".n", (int, float), "a number")
+        _number(n, ".n")
         if isinstance(n, float):
             # huge horizons (1e50 sweeps) stay floats; modest ones normalize
             if n < 2**53 and n.is_integer():

@@ -55,6 +55,8 @@ class Grid:
 
     def point(self, i):
         """Point i of the grid (an int gives a float, an int array an array)."""
+        if isinstance(i, int):
+            return _point(i, self.B, self.denom, self.shift, self.low)
         i = np.asarray(i)
         p = np.asarray(i + float(self.shift))
         p *= p
@@ -68,7 +70,8 @@ class Grid:
 
 
 def _point(i: int, B: int, denom: float, shift: int, low: tuple[float, ...]) -> float:
-    """Point i of a grid with these fields, in the float operations of ``Grid.point``."""
+    """Point i of a grid with these fields: ``Grid.point`` of a Python int, in
+    the float operations of its array route."""
     if low and i < 3:
         return low[i]
     if i > B:

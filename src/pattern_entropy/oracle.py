@@ -8,9 +8,12 @@ oracles live in :mod:`pattern_entropy._reference`.
 The pattern side works on profiles, never on patterns: a pattern's
 probability depends only on its profile, so :func:`exact_pattern_entropy`
 sums over the integer partitions of n, each weighted by its number of
-patterns, and :func:`mc_pattern_entropy` reads each sample's profile from
-its sorted run lengths.  Both take ln P from one log-space DP per profile
-(:class:`~pattern_entropy.patterns.ProfileProbability`).
+patterns, and :func:`mc_pattern_entropy` reads each sample's occurrence
+counts from its sorted run lengths.  Both hand the occurrence counts, one
+partition of n per profile, to the one entry that turns them into ln P,
+``ProfileProbability(theta)(parts)``
+(:class:`~pattern_entropy.patterns.ProfileProbability`), one log-space DP
+per profile.
 
 The raw-sequence enumeration of :func:`exact_entropies` walks the k-ary
 prefix tree of sequences one depth at a time in numpy: each depth expands
@@ -37,8 +40,7 @@ from ._common import LN2, ResourceCapError, elementwise, exact_sum, ln_factorial
 from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector, iid_entropy, sample_sequence
 from .grids import Grid
-from .patterns import (ENUMERATION_CAP, ProfileProbability, bin_sequence, enumerate_partitions,
-                       profile_vectors)
+from .patterns import ENUMERATION_CAP, ProfileProbability, bin_sequence, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
     ln_fact = table.__getitem__
     terms = []
     for parts in enumerate_partitions(n, min(theta.k, n)):
-        cs, mus = profile_vectors(parts)
-        ln_p = log_p(cs, mus)
+        ln_p = log_p(parts)
+        mus = map(parts.count, dict.fromkeys(parts))
         ln_ways = table[n] - sum(map(ln_fact, parts)) - sum(map(ln_fact, mus))
         terms.append(math.exp(ln_ways + ln_p) * (0.0 - ln_p) / LN2)
     return math.fsum(terms)
@@ -243,7 +245,7 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
         raise ValueError("need at least 2 samples for a standard error")
     profiles, counts = _row_profiles(sample_sequence(theta, (samples, n), seed))
     log_p = ProfileProbability(theta)
-    values = [(0.0 - log_p(*profile_vectors([c for c in padded if c]))) / LN2
+    values = [(0.0 - log_p([c for c in padded if c])) / LN2
               for padded in profiles.tolist()]
     counts = counts.tolist()
     base = min(values)

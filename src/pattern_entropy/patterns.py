@@ -6,11 +6,13 @@ every entry is at most one larger than the running maximum.
 
 The probability of a pattern depends only on its profile {mu_c}, where mu_c
 indices occur exactly c times; the profiles of length-n patterns are the
-integer partitions of n.  :class:`ProfileProbability` computes ln P from a
-profile with a log-space DP over the source's probability groups, so it
-never underflows and never reads the per-letter probabilities;
-:func:`enumerate_partitions` lists the profiles.  Enumerating the patterns
-themselves (:func:`enumerate_patterns`) is kept as the reference route.
+integer partitions of n.  ``ProfileProbability(theta)(parts)`` is the one
+route to ln P: ``parts`` are the pattern's occurrence counts, a partition of
+n in any order, and a log-space DP over the source's probability groups
+turns them into ln P, so it never underflows and never reads the per-letter
+probabilities.  :func:`enumerate_partitions` lists the profiles.
+Enumerating the patterns themselves (:func:`enumerate_patterns`) is kept as
+the reference route.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .grids import Grid, bin_index
 ENUMERATION_CAP = 10_000_000
 # transitions of one profile DP (see ProfileProbability)
 PROFILE_DP_CAP = 1_000_000
-# profiles whose ln P log_profile_probability keeps, for its most recent source
-PROFILE_MEMO = 4096
 
 BinSeq = tuple[int, ...]
 
@@ -200,16 +199,23 @@ def _log_sum_exp(terms: list[float]) -> float:
 
 
 class ProfileProbability:
-    """ln P(psi) of a pattern from its profile, under one source.
+    """ln P(psi) of a pattern from its occurrence counts, under one source.
 
-    Call with the profile's distinct occurrence counts ``cs`` and the number
-    ``mus`` of indices that occur each of them.  A DP runs over the groups of
-    ``theta``; its state is the number of still-unplaced indices of each count,
-    at most prod_c(mu_c + 1) states.  Group g (value v_g, k_g letters) takes
-    a_c of the r_c remaining count-c indices, A = sum_c a_c of them in all,
-    and multiplies by prod_c C(r_c, a_c) * (k_g)_A * v_g**(sum_c c * a_c): the
-    ways to choose the indices, to inject them into the group's letters, and
-    their probability.  The last group takes every remaining index.  Terms
+    The one route from a profile to ln P.  Call with ``parts``, a list or
+    tuple of the pattern's occurrence counts (index j occurs parts[j] times,
+    in any order; they sum to n).  P(psi) depends on psi only through these
+    counts (Orlitsky, Santhanam and Zhang, IEEE T-IT 2004), and the value is
+    the same, bit for bit, for every order of them.  It is -inf when there
+    are more counts than ``theta`` has letters.
+
+    The distinct counts c, in order of first appearance, and the number mu_c
+    of indices that occur each of them form the profile.  A DP runs over the
+    groups of ``theta``; its state is the number of still-unplaced indices of
+    each count, at most prod_c(mu_c + 1) states.  Group g (value v_g, k_g
+    letters) takes a_c of the r_c remaining count-c indices, A = sum_c a_c of
+    them in all, and multiplies by prod_c C(r_c, a_c) * (k_g)_A *
+    v_g**(sum_c c * a_c): the ways to choose the indices, to inject them into
+    the group's letters, and their probability.  The last group takes every remaining index.  Terms
     meeting in a state are summed in log space (log-sum-exp with fsum), so no
     probability underflows.  The binomial and falling-factorial factors are
     exact integers before their one log; falling factorials are memoised.
@@ -247,9 +253,10 @@ class ProfileProbability:
                      for nxt, a, e, ways in moves for x in range(min(r_c, most - a) + 1)]
         return [(nxt, a, e, math.log(ways)) for nxt, a, e, ways in moves]
 
-    def __call__(self, cs: Sequence[int], mus: Sequence[int]) -> float:
-        cs, start = tuple(cs), tuple(mus)
-        m = sum(start)
+    def __call__(self, parts: Sequence[int]) -> float:
+        cs = tuple(dict.fromkeys(parts))
+        start = tuple(map(parts.count, cs))
+        m = len(parts)
         layer = {start: 0.0}
         moves: dict = {}
         work = 0  # transitions made
@@ -282,47 +289,12 @@ class ProfileProbability:
                                 f"PROFILE_DP_CAP = {PROFILE_DP_CAP} transitions")
 
 
-def profile_of(psi: Pattern | Sequence[int]) -> dict[int, int]:
-    """The profile {c: mu_c} of a pattern: mu_c indices occur exactly c times."""
-    return dict(Counter(Counter(psi).values()))
-
-
-def profile_vectors(parts: list[int]) -> tuple[list[int], list[int]]:
-    """The distinct parts c of a partition, in order of first appearance, and
-    their multiplicities mu_c: the profile whose occurrence counts are ``parts``."""
-    cs = list(dict.fromkeys(parts))
-    return cs, list(map(parts.count, cs))
-
-
-def log_profile_probability(theta: ParamVector, profile: Mapping[int, int]) -> float:
-    """ln P(psi) for any pattern psi with profile {c: mu_c} (see :class:`ProfileProbability`).
-
-    P(psi) depends on psi only through its profile (Orlitsky, Santhanam and
-    Zhang, IEEE T-IT 2004).  -inf when the profile has more indices than
-    ``theta`` has letters.  Raises ResourceCapError when the DP takes more
-    than ``PROFILE_DP_CAP`` transitions.  The DP of the most recent source is
-    kept with its last ``PROFILE_MEMO`` values, so a caller that asks again
-    for a profile it has seen pays a lookup.
-    """
-    if any(c < 1 or mu < 0 for c, mu in profile.items()):
-        raise ValueError(f"a profile maps counts >= 1 to multiplicities >= 0, got {profile}")
-    log_p = _latest_source(theta.values.tobytes(), theta.counts.tobytes())
-    return log_p(tuple(profile), tuple(profile.values()))
-
-
-@lru_cache(maxsize=1)
-def _latest_source(values: bytes, counts: bytes):
-    """ProfileProbability of the source stored in ``values`` and ``counts``,
-    memoised by profile."""
-    theta = ParamVector(np.frombuffer(values), np.frombuffer(counts, dtype=np.int64))
-    return lru_cache(maxsize=PROFILE_MEMO)(ProfileProbability(theta))
-
-
 def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> float:
     """Probability that n i.i.d. draws from ``theta`` produce pattern ``psi``.
 
-    The exponential of :func:`log_profile_probability` at the pattern's
-    profile: k!/(k-m)! * k**-n for a uniform source, one DP transition.
+    The exponential of :class:`ProfileProbability` at the pattern's
+    occurrence counts: k!/(k-m)! * k**-n for a uniform source, one DP
+    transition.
     """
     if not isinstance(psi, Pattern):
         psi = Pattern(tuple(psi))
@@ -331,7 +303,7 @@ def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> flo
         warnings.warn(f"pattern needs {m} distinct letters but the alphabet has {theta.k}; "
                       "probability 0")
         return 0.0
-    return math.exp(log_profile_probability(theta, profile_of(psi)))
+    return math.exp(ProfileProbability(theta)(list(Counter(psi).values())))
 
 
 def bin_sequence(theta: ParamVector, grid: Grid, x: Sequence[int]) -> BinSeq:

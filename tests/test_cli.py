@@ -26,6 +26,9 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# a valid bounds config that the malformed cases below spoil one key of
+UNIFORM2 = {"source": {"family": "uniform", "params": {"k": 2}}, "n": 8, "bounds": ["ub1"]}
+
 SINGLETON_ALPHABET = {
     "source": {"family": "uniform", "params": {"k": 1}},
     "n": 4, "epsilon": 0.3,
@@ -169,6 +172,23 @@ class TestBoundsCommand:
         ({"verify": {"suite": ["stirling"]}}, "config.verify: unknown key 'suite'"),
         ({"source": {"probs": [0.5, 0.5]}, "n": 4, "output": {"fromat": "json"}},
          "config.output: unknown key 'fromat'"),
+        ({**UNIFORM2, "epsilon": math.inf}, "config.epsilon: expected a finite number, got inf"),
+        ({**UNIFORM2, "epsilon": math.nan}, "config.epsilon: expected a finite number, got nan"),
+        ({**UNIFORM2, "epsilon1": -math.inf, "bounds": ["range"]},
+         "config.epsilon1: expected a finite number, got -inf"),
+        ({"n": 100, "region": {"n_pow_eps1": math.inf, "k_values": [10]}},
+         "config.region.n_pow_eps1: expected a finite number, got inf"),
+        ({"source": {"family": "geometric", "params": {"k": 4, "decay": math.nan}}, "n": 8},
+         "config.source.params.decay: expected a finite number, got nan"),
+        ({**UNIFORM2, "n": True}, "config.n: expected a number, got True"),
+        ({**UNIFORM2, "n": math.nan}, "config.n: expected a finite number, got nan"),
+        ({**UNIFORM2, "n": math.inf}, "config.n: expected a finite number, got inf"),
+        ({"source": {"family": "zipf", "params": {"k": 2.7, "exponent": 1.1}}, "n": 8},
+         "config.source.params.k: expected an integer, got 2.7"),
+        ({"source": {"family": "uniform", "params": {"k": 2.5}}, "n": 8},
+         "config.source.params.k: expected an integer, got 2.5"),
+        ({"source": {"family": "geometric", "params": {"k": math.inf, "decay": 0.5}}, "n": 8},
+         "config.source.params.k: expected a finite number, got inf"),
     ], ids=["n_pow_eps1_without_n", "n_pow_eps1_with_n1", "geometric_decay", "geometric_k",
             "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key",
             "source_params_not_object", "n_pow_eps1_zero", "bounds_not_list",
@@ -180,7 +200,9 @@ class TestBoundsCommand:
             "k_values_zero", "k_values_string", "k_values_empty", "region_unknown_key",
             "oracle_not_bool", "mc_unknown_key", "mc_samples_fraction", "code_seed_negative",
             "epsilon_bool", "epsilon_overflow", "family_param_string", "code_unknown_key",
-            "verify_unknown_key", "output_unknown_key"])
+            "verify_unknown_key", "output_unknown_key", "epsilon_inf", "epsilon_nan",
+            "epsilon1_inf", "n_pow_eps1_inf", "family_param_nan", "n_bool", "n_nan", "n_inf",
+            "zipf_k_fraction", "uniform_k_fraction", "geometric_k_inf"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, where):
         assert cli.main(["bounds", "--config", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err

@@ -238,9 +238,9 @@ class TestExactEntropies:
         seen = []
         real = patterns.ProfileProbability.__call__
 
-        def counting(self, cs, mus):
-            seen.append((tuple(cs), tuple(mus)))
-            return real(self, cs, mus)
+        def counting(self, parts):
+            seen.append(tuple(parts))
+            return real(self, parts)
 
         monkeypatch.setattr(patterns.ProfileProbability, "__call__", counting)
         theta = _geometric4()

@@ -15,15 +15,14 @@ from pattern_entropy.patterns import (
     ENUMERATION_CAP,
     PROFILE_DP_CAP,
     Pattern,
+    ProfileProbability,
     _count_patterns,
     bin_sequence,
     count_partitions,
     enumerate_partitions,
     enumerate_patterns,
     extract_pattern,
-    log_profile_probability,
     pattern_probability,
-    profile_of,
 )
 
 
@@ -191,10 +190,6 @@ class TestPartitions:
 
 
 class TestProfileProbability:
-    def test_profile_of(self):
-        assert profile_of(Pattern((1, 2, 1, 3, 3, 1))) == {3: 1, 1: 1, 2: 1}
-        assert profile_of([1, 1, 1]) == {3: 1}
-
     def test_matches_bitmask_reference_on_tied_sources(self):
         # one pattern of every profile, k <= 6 and n <= 8, against the 2**k reference injection sum
         rng = np.random.default_rng(5)
@@ -202,9 +197,10 @@ class TestProfileProbability:
         for _ in range(150):
             k, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
             pv = _random_tied_source(rng, k)
+            log_p = ProfileProbability(pv)
             for parts in enumerate_partitions(n, min(k, n)):
                 psi = _pattern_with_profile(parts)
-                got = math.exp(log_profile_probability(pv, profile_of(psi)))
+                got = math.exp(log_p(list(Counter(psi).values())))
                 want = _reference._injection_sum_probability(pv, psi)
                 worst = max(worst, abs(got - want) / want)
         assert worst <= 1e-12
@@ -220,12 +216,26 @@ class TestProfileProbability:
     def test_no_underflow(self):
         # uniform k = 10 at n = 400: P = 10! * 10**-400, far below float64's range
         pv = ParamVector.from_groups([0.1], [10])
-        got = log_profile_probability(pv, {40: 10})
+        got = ProfileProbability(pv)([40] * 10)
         assert got == pytest.approx(math.log(math.factorial(10)) - 400 * math.log(10), rel=1e-15)
         assert math.exp(got) == 0.0
 
     def test_more_indices_than_letters(self):
-        assert log_profile_probability(ParamVector.from_groups([0.1, 0.4], [2, 2]), {1: 5}) == -math.inf
+        assert ProfileProbability(ParamVector.from_groups([0.1, 0.4], [2, 2]))([1] * 5) == -math.inf
+
+    def test_every_order_of_the_counts_gives_the_same_bits(self):
+        # ascending (exact enumeration), descending (Monte Carlo rows), first
+        # appearance in a pattern (pattern_probability) and shuffled orders
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            k, n = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            log_p = ProfileProbability(_random_tied_source(rng, k))
+            for parts in enumerate_partitions(n, min(k + 1, n)):
+                want = log_p(parts)
+                seq = rng.permutation(np.repeat(np.arange(len(parts)), parts))
+                orders = [parts[::-1], list(Counter(extract_pattern(seq)).values()),
+                          tuple(parts), *(rng.permutation(parts).tolist() for _ in range(3))]
+                assert all(log_p(order) == want for order in orders), (k, parts)
 
 
 class TestPatternProbability:
@@ -281,7 +291,7 @@ class TestPatternProbability:
         weights = np.arange(1.0, 201.0)
         many = ParamVector.from_probs(weights / weights.sum())  # 200 groups of one letter
         with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP") as err:
-            log_profile_probability(many, {1: 20, 2: 20, 3: 20})
+            ProfileProbability(many)([1] * 20 + [2] * 20 + [3] * 20)
         assert str(PROFILE_DP_CAP) in str(err.value)
 
     def test_cap_counts_the_transitions_made(self):
@@ -290,7 +300,7 @@ class TestPatternProbability:
         # per group came to more than 10**6
         pv = ParamVector.from_groups([0.05, 0.1, 0.2], [4, 4, 2])
         parts = [*range(1, 10), 155]
-        got = log_profile_probability(pv, dict.fromkeys(parts, 1))
+        got = ProfileProbability(pv)(parts)
         want = _reference._injection_sum_probability(pv, _pattern_with_profile(parts))
         assert abs(got - math.log(want)) <= 1e-13 * abs(got)
         assert 1e-150 < want < 1e-149
@@ -301,15 +311,15 @@ class TestPatternProbability:
         want = k * (k - 1) / k ** 2
         got = pattern_probability(ParamVector.from_groups([1.0 / k], [k]), [1, 2])
         assert abs(got - want) <= 1e-15 * want
-        k, profile = 10**6, {1: 1000, 2: 1000, 3: 1000}
-        got = log_profile_probability(ParamVector.from_groups([1.0 / k], [k]), profile)
+        k, parts = 10**6, [1] * 1000 + [2] * 1000 + [3] * 1000
+        got = ProfileProbability(ParamVector.from_groups([1.0 / k], [k]))(parts)
         want = math.log(math.perm(k, 3000)) - 6000 * math.log(k)
         assert abs(got - want) <= 1e-15 * abs(want)
         # the same profile over three groups of letters trips the cap
         j = 333_333
         three = ParamVector.from_groups([v / (3 * j) for v in (0.5, 1.0, 1.5)], [j] * 3)
         with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
-            log_profile_probability(three, profile)
+            ProfileProbability(three)(parts)
 
     def test_too_many_indices_warns_before_cap(self):
         # m > k returns 0 with a warning before any DP runs
