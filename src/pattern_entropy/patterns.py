@@ -8,9 +8,11 @@ The probability of a pattern depends only on its profile {mu_c}, where mu_c
 indices occur exactly c times; the profiles of length-n patterns are the
 integer partitions of n.  ``ProfileProbability(theta)(parts)`` is the one
 route to ln P: ``parts`` are the pattern's occurrence counts, a partition of
-n in any order, and a log-space DP over the source's probability groups
-turns them into ln P, so it never underflows and never reads the per-letter
-probabilities.  :func:`enumerate_partitions` lists the profiles.
+n in any order.  A one-group source (k letters of value v) gives the closed
+form ln (k)_m + n ln v of the number m of counts; more groups run a
+log-space DP over the source's probability groups.  Either way ln P never
+underflows and the per-letter probabilities are never read.
+:func:`enumerate_partitions` lists the profiles.
 Enumerating the patterns themselves (:func:`enumerate_patterns`) is kept as
 the reference route.
 """
@@ -191,7 +193,13 @@ def enumerate_partitions(n: int, max_parts: int) -> Iterator[list[int]]:
 
 
 def _log_sum_exp(terms: list[float]) -> float:
-    """ln sum_i exp(terms[i]), the exponentials scaled by the largest and summed with fsum."""
+    """ln sum_i exp(terms[i]), the exponentials scaled by the largest and summed with fsum.
+
+    One term comes back as ``terms[0] + 0.0``, the bits the scaled route gives
+    it (exp(0) = 1, fsum([1.0]) = 1.0 and ln 1.0 = 0.0), with no exp or log.
+    """
+    if len(terms) == 1:
+        return terms[0] + 0.0
     top = max(terms, default=-math.inf)
     if top == -math.inf:
         return top
@@ -208,37 +216,65 @@ class ProfileProbability:
     the same, bit for bit, for every order of them.  It is -inf when there
     are more counts than ``theta`` has letters.
 
+    The route is chosen once, from the number of groups of ``theta``.  One
+    group (k letters of value v) gives every pattern with m distinct indices
+    the same P = (k)_m v**n, so the call returns :meth:`log_q` of n and
+    m = len(parts), with no DP and no cap.  Two or more groups run the DP
+    below.
+
     The distinct counts c, in order of first appearance, and the number mu_c
-    of indices that occur each of them form the profile.  A DP runs over the
+    of indices that occur each of them form the profile.  The DP runs over the
     groups of ``theta``; its state is the number of still-unplaced indices of
     each count, at most prod_c(mu_c + 1) states.  Group g (value v_g, k_g
     letters) takes a_c of the r_c remaining count-c indices, A = sum_c a_c of
     them in all, and multiplies by prod_c C(r_c, a_c) * (k_g)_A *
     v_g**(sum_c c * a_c): the ways to choose the indices, to inject them into
-    the group's letters, and their probability.  The last group takes every remaining index.  Terms
-    meeting in a state are summed in log space (log-sum-exp with fsum), so no
-    probability underflows.  The binomial and falling-factorial factors are
-    exact integers before their one log; falling factorials are memoised.
+    the group's letters, and their probability.  The last group takes every
+    remaining index.  Terms meeting in a state are summed in log space
+    (log-sum-exp with fsum), so no probability underflows.  The binomial and
+    falling-factorial factors are exact integers before their one log;
+    falling factorials are memoised.
 
     The DP counts its transitions as it makes them, one per (state, take)
     pair and one per state for the last group, and raises ResourceCapError
-    naming ``PROFILE_DP_CAP`` once they pass it; one group is one transition,
-    whatever k and the profile.
+    naming ``PROFILE_DP_CAP`` once they pass it.
     """
 
     def __init__(self, theta: ParamVector):
         groups = [(math.log(v), k_g) for v, k_g in theta.groups()]
         self._groups, self._last = groups[:-1], groups[-1]  # (ln v_g, k_g); the last takes the rest
-        self._log_falling: dict[int, list[float]] = {}
+        # k_g -> (ln (k_g)_A for A < len, the exact (k_g)_len that extends it)
+        self._log_falling: dict[int, tuple[list[float], int]] = {}
+        self._route = self._dp if self._groups else self._one_group
+
+    def __call__(self, parts: Sequence[int]) -> float:
+        return self._route(parts)
+
+    def log_q(self, n: int, m: int) -> float:
+        """ln q_m = ln (k)_m + n ln v, the ln P of every length-n pattern with m
+        distinct indices when ``theta`` is one group (k letters of value v);
+        -inf when m > k.
+
+        The float operations are those of the DP's last-group step, so the
+        bits are the same; the trailing ``+ 0.0`` is its log-sum-exp's, which
+        turns -0.0 into 0.0.
+        """
+        lv, k = self._last
+        if m > k:
+            return -math.inf
+        return self._falling(k, m)[m] + n * lv + 0.0
+
+    def _one_group(self, parts: Sequence[int]) -> float:
+        return self.log_q(sum(parts), len(parts))
 
     def _falling(self, k_g: int, most: int) -> list[float]:
         """ln (k_g)_A for A = 0, 1, ..., at least up to ``most``, from exact integers."""
-        table = self._log_falling.setdefault(k_g, [])
+        table, perm = self._log_falling.get(k_g, ([], 1))
         if len(table) <= most:
-            perm = math.perm(k_g, len(table))
             for a in range(len(table), most + 1):
                 table.append(math.log(perm))
                 perm *= k_g - a
+            self._log_falling[k_g] = table, perm
         return table
 
     def _moves(self, cs: tuple[int, ...], r: tuple[int, ...], most: int, budget: int) -> list:
@@ -253,7 +289,7 @@ class ProfileProbability:
                      for nxt, a, e, ways in moves for x in range(min(r_c, most - a) + 1)]
         return [(nxt, a, e, math.log(ways)) for nxt, a, e, ways in moves]
 
-    def __call__(self, parts: Sequence[int]) -> float:
+    def _dp(self, parts: Sequence[int]) -> float:
         cs = tuple(dict.fromkeys(parts))
         start = tuple(map(parts.count, cs))
         m = len(parts)
@@ -293,8 +329,8 @@ def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> flo
     """Probability that n i.i.d. draws from ``theta`` produce pattern ``psi``.
 
     The exponential of :class:`ProfileProbability` at the pattern's
-    occurrence counts: k!/(k-m)! * k**-n for a uniform source, one DP
-    transition.
+    occurrence counts: k!/(k-m)! * k**-n for a uniform source, in closed
+    form.
     """
     if not isinstance(psi, Pattern):
         psi = Pattern(tuple(psi))

@@ -11,11 +11,12 @@ import inspect
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import LOG2E, log2_factorial
+from ._common import LOG2E, exact_sum, log2_factorial
 from ._reference import (
     _injection_sum_probability,
     brute_force_permutation_count,
@@ -23,6 +24,7 @@ from ._reference import (
 )
 from .bounds import (
     SourceAnalysis,
+    distinct_count_pmf,
     epsilon_n,
     lb_theorem2,
     lb_theorem4,
@@ -41,7 +43,7 @@ from .grids import (
     closed_form_B,
     occurrence_stats,
 )
-from .oracle import exact_entropies, exact_pattern_entropy, mc_pattern_entropy
+from .oracle import exact_entropies, exact_pattern_entropy, mc_pattern_entropy, occupancy_pmf
 from .patterns import (
     bin_sequence,
     enumerate_patterns,
@@ -323,6 +325,11 @@ def check_example_reproduction() -> CheckResult:
     Formula-level only: grouped sources, no enumeration.  Each family's
     computed bounds at n = 10^6 must match its leading expression within 5 %
     and the tightest/loosest ordering among variants must come out right.
+
+    Report only, gating nothing: ``data["ex1_occupancy_tv"]`` maps n = 10^3
+    and 10^4 to the total-variation distance between the independent-occurrence
+    surrogate :func:`~pattern_entropy.bounds.distinct_count_pmf` (which c2_exact
+    uses) and the exact occupancy pmf on ex1's one occupied tau bin.
     """
     t0 = time.time()
     col = _Collector()
@@ -353,6 +360,12 @@ def check_example_reproduction() -> CheckResult:
                    f"ex1 {v}: {b[v]:.5g} vs displayed {want:.5g}")
     col.expect(b["c2_loosened"] < min(b["ub3"], b["c1"], b["c21"]),
                "ex1: the loosened occurrence-credit bound must be tightest")
+    occupancy_tv = {}
+    for n_tv in (10**3, 10**4):
+        theta = make_distribution(SourceSpec("uniform", {"nu": nu}, n_tv))
+        analysis = SourceAnalysis(theta, n_tv, eps)
+        surrogate = distinct_count_pmf(analysis, int(analysis.tau_stats.group_bin[0]))
+        occupancy_tv[n_tv] = 0.5 * exact_sum(np.abs(surrogate - occupancy_pmf(theta.k, n_tv)))
 
     # two levels: low mass at 1/n^(1+mu), second level at 1/n^(1-nu)
     p = _EXAMPLE_PARAMS["ex2"]
@@ -409,7 +422,8 @@ def check_example_reproduction() -> CheckResult:
                "ex4: the merged-pack bound must be tightest")
     col.expect(b["ub3"] < min(b["c21"], b["c2_loosened"]),
                "ex4: the split-pack bound must be second")
-    return col.result("example_reproduction", t0, extra=f"four families at n={n}")
+    return col.result("example_reproduction", t0, extra=f"four families at n={n}",
+                      data={"ex1_occupancy_tv": occupancy_tv})
 
 
 def check_region_sweep() -> CheckResult:
@@ -567,7 +581,11 @@ _TIED_SOURCES = {
 
 def check_pattern_properties(seed: int = DEFAULT_SEED) -> CheckResult:
     """Pattern laws: total probability 1, agreement with the injection sum,
-    idempotence, prefix consistency."""
+    idempotence, prefix consistency.
+
+    Every pattern of one profile has the same P, so ``pattern_probability``
+    runs once per sorted count tuple; each pattern is still compared with its
+    own injection sum."""
     t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
@@ -575,8 +593,12 @@ def check_pattern_properties(seed: int = DEFAULT_SEED) -> CheckResult:
         for k in range(1, 5):
             for theta in [_dirichlet_source(rng, k, 1e-6), *_TIED_SOURCES.get(k, [])]:
                 masses = []
+                by_profile: dict[tuple[int, ...], float] = {}  # sorted counts -> P
                 for psi in enumerate_patterns(n, min(k, n)):
-                    got = pattern_probability(theta, psi)
+                    profile = tuple(sorted(Counter(psi).values()))
+                    got = by_profile.get(profile)
+                    if got is None:
+                        got = by_profile[profile] = pattern_probability(theta, psi)
                     want = _injection_sum_probability(theta, psi)
                     col.expect(abs(got - want) <= 1e-12 * want,
                                f"P({psi}) = {got} but the injection sum gives {want} "

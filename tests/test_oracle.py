@@ -3,12 +3,13 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pattern_entropy import _reference, oracle, patterns
-from pattern_entropy._common import ResourceCapError
+from pattern_entropy._common import ResourceCapError, exact_sum, ln_factorial
 from pattern_entropy._reference import (
     brute_force_permutation_count,
     exact_distinct_count_pmf,
@@ -17,8 +18,19 @@ from pattern_entropy._reference import (
 from pattern_entropy.coder import CoderModel, sequence_codelength
 from pattern_entropy.distributions import ParamVector, SourceSpec, iid_entropy, make_distribution
 from pattern_entropy.grids import bin_index, build_grid
-from pattern_entropy.oracle import exact_entropies, mc_pattern_entropy
-from pattern_entropy.patterns import enumerate_patterns, extract_pattern, pattern_probability
+from pattern_entropy.oracle import (
+    OCCUPANCY_CHAIN_CAP,
+    exact_entropies,
+    mc_pattern_entropy,
+    occupancy_pmf,
+)
+from pattern_entropy.patterns import (
+    ProfileProbability,
+    enumerate_partitions,
+    enumerate_patterns,
+    extract_pattern,
+    pattern_probability,
+)
 
 
 def _grid(n):
@@ -301,6 +313,99 @@ class TestExactEntropies:
             marg[key] = marg.get(key, 0.0) + p
         h = -math.fsum(p * math.log2(p) for p in marg.values() if p > 0)
         assert abs(h - ee.h_pattern) <= 1e-10
+
+
+def _uniform(k):
+    return ParamVector.from_groups([1.0 / k], [k])
+
+
+def _partition_route(theta, n):
+    """H(pattern) in bits summed over the partitions of n, one ln P each."""
+    log_p = ProfileProbability(theta)
+    ln_n = ln_factorial(n)
+    terms = []
+    for parts in enumerate_partitions(n, min(theta.k, n)):
+        ln_p = log_p(parts)
+        mus = map(parts.count, dict.fromkeys(parts))
+        ln_ways = ln_n - sum(map(ln_factorial, parts)) - sum(map(ln_factorial, mus))
+        terms.append(math.exp(ln_ways + ln_p) * (0.0 - ln_p) / math.log(2.0))
+    return math.fsum(terms)
+
+
+def _mass_bound(n):
+    # each chain step rounds each entry at most 3 times, the final sum once
+    return 4 * n * 2.0 ** -53
+
+
+class TestOccupancyChain:
+    def test_matches_the_partition_route(self):
+        for k in (1, 2, 3, 10, 1000):
+            theta = _uniform(k)
+            for n in range(1, 41):
+                got = oracle.exact_pattern_entropy(theta, n)
+                want = _partition_route(theta, n)
+                # relative, and absolute where H is 0 (n = 1, or k = 1)
+                assert abs(got - want) <= 1e-12 * max(want, 1.0), (k, n)
+                assert abs(exact_sum(occupancy_pmf(k, n)) - 1.0) <= _mass_bound(n), (k, n)
+
+    def test_mass_defect_at_the_paper_scale(self):
+        # ex1 (nu = 0.2) at n = 10^4: k = 1,585 letters
+        theta = make_distribution(SourceSpec("uniform", {"nu": 0.2}, 10**4))
+        pmf = occupancy_pmf(theta.k, 10**4)
+        assert pmf.size == theta.k + 1
+        assert abs(exact_sum(pmf) - 1.0) <= _mass_bound(10**4)
+        assert oracle.exact_pattern_entropy(theta, 10**4) > 0.0
+
+    def test_pmf_matches_inclusion_exclusion(self):
+        for k in range(1, 7):
+            for n in range(0, 11):
+                got = occupancy_pmf(k, n)
+                assert got.size == min(n, k) + 1
+                # the reference lists m up to k and carries its own rounding
+                # noise of about 1e-15, where m > n for instance
+                want = exact_distinct_count_pmf([1.0 / k] * k, n)
+                padded = np.concatenate([got, np.zeros(k + 1 - got.size)])
+                assert np.allclose(padded, want, rtol=1e-12, atol=1e-14), (k, n)
+
+    def test_cap_names_its_constant(self):
+        k = 10**9
+        n = OCCUPANCY_CHAIN_CAP // 10**4 + 1  # n * min(n, k) passes the cap at once
+        with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP") as err:
+            occupancy_pmf(k, n)
+        assert str(OCCUPANCY_CHAIN_CAP) in str(err.value)
+        with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP"):
+            oracle.exact_pattern_entropy(_uniform(k), n)
+
+    def test_one_group_walks_no_partition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no partition is enumerated for one group")
+
+        monkeypatch.setattr(oracle, "enumerate_partitions", refuse)
+        assert oracle.exact_pattern_entropy(_uniform(1000), 200) > 0.0
+
+
+class TestRowProfiles:
+    @staticmethod
+    def _reference(draws):
+        # descending occurrence counts of each row, zero-padded, then np.unique
+        rows = [sorted(Counter(row).values(), reverse=True) for row in draws.tolist()]
+        width = max(map(len, rows))
+        table = np.array([r + [0] * (width - len(r)) for r in rows], dtype=np.int64)
+        return np.unique(table, axis=0, return_counts=True)
+
+    def test_matches_unique_rows(self):
+        rng = np.random.default_rng(21)
+        cases = [rng.integers(1, int(rng.integers(1, 12)) + 1,
+                              size=(int(rng.integers(2, 200)), int(rng.integers(1, 40))))
+                 for _ in range(60)]
+        cases += [np.ones((5, 9), dtype=np.int64),  # one letter: every row the same
+                  np.tile(rng.integers(1, 4, size=12), (7, 1)),  # equal rows, several letters
+                  np.array([[3, 1], [2, 2]])]
+        for draws in cases:
+            got_rows, got_counts = oracle._row_profiles(draws)
+            want_rows, want_counts = self._reference(draws)
+            assert got_rows.tolist() == want_rows.tolist()
+            assert got_counts.tolist() == want_counts.tolist()
 
 
 class TestMC:

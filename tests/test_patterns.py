@@ -238,6 +238,30 @@ class TestProfileProbability:
                 assert all(log_p(order) == want for order in orders), (k, parts)
 
 
+class TestOneGroup:
+    def test_matches_injection_sum_on_every_pattern(self):
+        # ln (k)_m + n ln v against the injection sum over letters, n <= 8, k <= 4
+        for k in range(1, 5):
+            theta = ParamVector.from_groups([1.0 / k], [k])
+            log_p = ProfileProbability(theta)
+            for n in range(1, 9):
+                for psi in enumerate_patterns(n, min(k, n)):
+                    got = math.exp(log_p(list(Counter(psi).values())))
+                    want = _reference._injection_sum_probability(theta, psi)
+                    assert abs(got - want) <= 1e-12 * want, (k, psi)
+
+    def test_closed_form_has_the_dp_bits(self):
+        # the DP's last-group step run on its own gives the closed form's bits,
+        # -inf past k and the sign of zero included
+        for k in [*range(1, 13), 1000, 10**6]:
+            log_p = ProfileProbability(ParamVector.from_groups([1.0 / k], [k]))
+            for n in range(1, 11):
+                for parts in enumerate_partitions(n, n):
+                    got, want = log_p(parts), log_p._dp(parts)
+                    assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+        assert ProfileProbability(ParamVector.from_groups([0.2], [5]))([1] * 6) == -math.inf
+
+
 class TestPatternProbability:
     def test_two_letter_cases(self):
         pv = ParamVector.from_probs([0.25, 0.75])
@@ -306,7 +330,7 @@ class TestPatternProbability:
         assert 1e-150 < want < 1e-149
 
     def test_guard_holds_for_one_group_above_cap(self):
-        # one group is one DP transition, (k)_m * v**n, whatever k and the profile
+        # one group takes the closed form (k)_m * v**n, whatever k and the profile
         k = 13
         want = k * (k - 1) / k ** 2
         got = pattern_probability(ParamVector.from_groups([1.0 / k], [k]), [1, 2])
