@@ -16,7 +16,7 @@ import numpy as np
 
 from ._common import (LOG2E, ResourceCapError, elementwise, exact_sum, log2_binomial,
                       log2_factorial, xlog2x)
-from .distributions import ParamVector, binary_entropy, entropy_terms, iid_entropy
+from .distributions import ParamVector, binary_entropy, entropy_terms
 from .grids import BinStats, Grid, absent_probability, bin_stats, build_grid, low_thresholds
 
 DEFAULT_VARTHETA_MINUS = math.exp(-5.5)
@@ -718,11 +718,11 @@ def range_decreases(k: int, n, epsilon: float, epsilon1: float) -> dict:
     return out
 
 
-def range_theorem5(theta: ParamVector, n, epsilon: float,
-                   epsilon1: float) -> tuple[BoundReport, BoundReport]:
-    """Entropy range from the alphabet size: (lower, upper) absolute bounds."""
-    h_block = (("block_entropy", float(n) * iid_entropy(theta)),)
-    row = range_decreases(theta.k, n, epsilon, epsilon1)
+def range_theorem5(analysis: SourceAnalysis, epsilon1: float) -> tuple[BoundReport, BoundReport]:
+    """Entropy range from the alphabet size: (lower, upper) absolute bounds,
+    each the block entropy n * ``analysis.h_x`` less a deduction in k."""
+    h_block = (("block_entropy", float(analysis.n) * analysis.h_x),)
+    row = range_decreases(analysis.theta.k, analysis.n, analysis.epsilon, epsilon1)
     lower = BoundReport(
         name="range_lower",
         terms=h_block + (("mapping_deduction", -row["lower_logkfact"]),),

@@ -39,7 +39,7 @@ from .bounds import (
     ub_theorem3_family,
 )
 from .coder import CoderModel, roundtrip
-from .distributions import SourceSpec, make_distribution, sample_sequence
+from .distributions import FAMILY_PARAMS, SourceSpec, make_distribution, sample_sequence
 from .grids import build_grid
 from .oracle import exact_entropies, mc_pattern_entropy
 from .patterns import bin_sequence, extract_pattern
@@ -74,7 +74,7 @@ class RunConfig:
 def _range(analysis: SourceAnalysis, cfg: RunConfig) -> tuple[BoundReport, BoundReport]:
     if cfg.epsilon1 is None:
         raise ValueError("the range bound needs 'epsilon1' in the config")
-    return range_theorem5(analysis.theta, analysis.n, cfg.epsilon, cfg.epsilon1)
+    return range_theorem5(analysis, cfg.epsilon1)
 
 
 # config key -> (names of the reports it gives, their evaluator); lb4's names
@@ -180,15 +180,27 @@ def parse_config(doc: dict) -> RunConfig:
     if "source" in doc:
         s = _expect_type(doc["source"], ".source", dict, "an object")
         if "probs" in s and "family" not in s:
-            s = {"family": "explicit", "params": {"probs": s["probs"]}}
+            s = {"family": "explicit", **s}
         fam = _expect_type(s.get("family"), ".source.family", str, "a family name")
+        if fam not in FAMILY_PARAMS:
+            _fail(".source.family", f"unknown family {fam!r}; available: {tuple(FAMILY_PARAMS)}")
+        # the flat form lists the parameters beside the family
+        where = ".source.params" if "params" in s else ".source"
+        if "params" in s:
+            _block(s, ".source", ("family", "params"))
         params = dict(_expect_type(s.get("params", {k: v for k, v in s.items() if k != "family"}),
                                    ".source.params", dict, "an object"))
         for name, value in params.items():
-            if name not in ("probs", "level1"):
-                _number(value, f".source.params.{name}")
-        if fam in ("uniform", "geometric", "zipf") and "k" in params:
-            _whole(params["k"], ".source.params.k", 1)
+            path = f"{where}.{name}"
+            if name not in FAMILY_PARAMS[fam]:
+                _fail(path, f"not a {fam} parameter; available: {FAMILY_PARAMS[fam]}")
+            if name == "probs":
+                for i, p in enumerate(_expect_type(value, path, list, "a list of numbers")):
+                    _number(p, f"{path}[{i}]")
+            elif name != "level1":
+                _number(value, path)
+        if "k" in params:  # the uniform, geometric and zipf letter count
+            _whole(params["k"], f"{where}.k", 1)
         source = SourceSpec(family=fam, params=params, n=doc.get("n"))
 
     n = doc.get("n")
@@ -221,7 +233,7 @@ def parse_config(doc: dict) -> RunConfig:
         _block(mc, ".mc", ("samples", "seed"))
         if "samples" not in mc:
             _fail(".mc", "needs 'samples'")
-        mc = {"samples": _whole(mc["samples"], ".mc.samples", 0),
+        mc = {"samples": _whole(mc["samples"], ".mc.samples", 2),
               "seed": _whole(mc.get("seed", 0), ".mc.seed", 0)}
 
     output = _block(doc.get("output", {}), ".output", ("format", "path"))
@@ -301,13 +313,21 @@ def _bound_row(name: str, rep: BoundReport | None, errors: list[str],
     return row
 
 
+def _theta(cfg: RunConfig):
+    """The configured source; an error building it is a config error on ``source``."""
+    try:
+        return make_distribution(cfg.source)
+    except ValueError as exc:
+        _fail(".source", str(exc))
+
+
 def run_bounds(cfg: RunConfig) -> list[dict]:
     """One row per report of each selected bound, with oracle columns when enabled."""
     if cfg.source is None or cfg.n is None:
         raise ValueError("the bounds command needs 'source' and 'n'")
     if not isinstance(cfg.n, int):
         raise ValueError("the bounds command needs an integer horizon n")
-    theta = make_distribution(cfg.source)
+    theta = _theta(cfg)
     analysis = SourceAnalysis(theta, cfg.n, cfg.epsilon)
     oracle_cols: dict = {}
     skipped = []
@@ -372,7 +392,7 @@ def run_code(cfg: RunConfig) -> tuple[list[dict], bool]:
     """Round-trip sampled sequences through the coder; returns (rows, all_ok)."""
     if cfg.source is None or cfg.n is None or cfg.code is None:
         raise ValueError("the code command needs 'source', 'n' and 'code'")
-    theta = make_distribution(cfg.source)
+    theta = _theta(cfg)
     rng = np.random.default_rng(cfg.code["seed"])
     grid = build_grid("eta", cfg.n, cfg.epsilon)
     model = CoderModel.from_source(theta, grid, cfg.n)
@@ -393,7 +413,7 @@ def run_code(cfg: RunConfig) -> tuple[list[dict], bool]:
 def run_oracle(cfg: RunConfig) -> list[dict]:
     if cfg.source is None or cfg.n is None:
         raise ValueError("the oracle command needs 'source' and 'n'")
-    theta = make_distribution(cfg.source)
+    theta = _theta(cfg)
     grid = build_grid("eta", cfg.n, cfg.epsilon)
     ee = exact_entropies(theta, grid, cfg.n)
     row = {

@@ -72,25 +72,26 @@ class DecodeError(ValueError):
 class CoderModel:
     """Frozen per-bin parameters of the probability assignment.
 
-    ``phi`` and ``rho`` are read-only arrays; ``phi_floats`` and
-    ``rho_floats`` hold the same values as Python floats, built once, and are
-    what a coder step reads.
+    The per-bin fields take any sequence or array and are stored as tuples of
+    Python numbers (floats for ``phi``, ``rho`` and ``L``, ints for ``kbins``
+    and ``ell``), built once; a coder step indexes them directly.
     """
 
     n: int
-    phi: np.ndarray
-    rho: np.ndarray
-    kbins: np.ndarray
-    ell: np.ndarray
-    L: np.ndarray
-    phi_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    rho_floats: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    phi: tuple[float, ...]
+    rho: tuple[float, ...]
+    kbins: tuple[int, ...]
+    ell: tuple[int, ...]
+    L: tuple[float, ...]
     num_bins: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        rho = np.asarray(self.rho, dtype=float)
-        if np.any(rho < 0.0):
+        for name, dtype in (("phi", float), ("rho", float), ("kbins", np.int64),
+                            ("ell", np.int64), ("L", float)):
+            values = np.asarray(getattr(self, name), dtype=dtype)
+            object.__setattr__(self, name, tuple(values.tolist()))
+        phi, rho = self.phi, self.rho
+        if any(r < 0.0 for r in rho):
             raise ValueError("per-letter rates must be non-negative")
         for b in (0, 1):
             if b < len(phi) and self.kbins[b] > 0:
@@ -99,12 +100,6 @@ class CoderModel:
                     raise ValueError(
                         f"bin {b}: rate leaves no first-occurrence mass ({remaining})"
                     )
-        phi.setflags(write=False)
-        rho.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "phi_floats", tuple(phi.tolist()))
-        object.__setattr__(self, "rho_floats", tuple(rho.tolist()))
         object.__setattr__(self, "num_bins", len(phi))
 
     @classmethod
@@ -172,10 +167,10 @@ def next_symbol_prob(model: CoderModel, state: CoderState, psi_j: int, beta_j: i
         raise ValueError(f"pattern index {psi_j} skips ahead of {state.max_index + 1}")
     known_bin = state.index_to_bin.get(psi_j)
     if known_bin is not None:
-        return model.rho_floats[beta_j] if known_bin == beta_j else 0.0
+        return model.rho[beta_j] if known_bin == beta_j else 0.0
     # psi_j == max_index + 1: first occurrence
     seen = state.seen_per_bin.get(beta_j, 0)
-    mass = model.phi_floats[beta_j] - seen * model.rho_floats[beta_j]
+    mass = model.phi[beta_j] - seen * model.rho[beta_j]
     if mass < 0.0:
         warnings.warn(f"new-occurrence mass clamped to 0 in bin {beta_j}")
         return 0.0
@@ -271,7 +266,7 @@ class _Steps:
     """
 
     def __init__(self, model: CoderModel):
-        self.phi, self.rho = model.phi_floats, model.rho_floats
+        self.phi, self.rho = model.phi, model.rho
         self.rate = [_dyadic(r) if r > 0.0 else None for r in self.rho]
         self.top = max((shift for _, shift in filter(None, self.rate)), default=0)
         self.rate_shift: int | None = None  # largest rate shift among known indices

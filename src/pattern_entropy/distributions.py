@@ -8,7 +8,7 @@ per-letter array.  All formulas downstream consume the grouped form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -18,7 +18,14 @@ from ._common import ResourceCapError, elementwise, exact_sum
 SUM_TOL = 1e-12
 MATERIALIZE_CAP = 10_000_000
 
-_FAMILIES = ("explicit", "uniform", "two-level", "geometric", "zipf")
+# family -> the parameter names it reads; make_distribution rejects any other
+FAMILY_PARAMS = {
+    "explicit": ("probs",),
+    "uniform": ("k", "nu"),
+    "two-level": ("phi0", "mu", "nu", "level1"),
+    "geometric": ("k", "decay"),
+    "zipf": ("k", "exponent"),
+}
 _TWO_LEVEL_KINDS = ("below", "above", "unit")
 
 
@@ -34,7 +41,6 @@ class ParamVector:
 
     values: np.ndarray
     counts: np.ndarray
-    build_info: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -56,7 +62,7 @@ class ParamVector:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def from_probs(cls, probs: Sequence[float], build_info: dict | None = None) -> "ParamVector":
+    def from_probs(cls, probs: Sequence[float]) -> "ParamVector":
         """Build from an explicit per-letter probability list."""
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1:
@@ -64,11 +70,10 @@ class ParamVector:
         if arr.size == 0:
             raise ValueError("probability list is empty")
         values, counts = np.unique(arr, return_counts=True)
-        return cls(values, counts.astype(np.int64), build_info)
+        return cls(values, counts.astype(np.int64))
 
     @classmethod
-    def from_groups(cls, values: Sequence[float], counts: Sequence[int],
-                    build_info: dict | None = None) -> "ParamVector":
+    def from_groups(cls, values: Sequence[float], counts: Sequence[int]) -> "ParamVector":
         """Build from (value, multiplicity) groups, merging equal values."""
         v = np.asarray(values, dtype=float)
         c = np.asarray(counts, dtype=np.int64)
@@ -77,7 +82,7 @@ class ParamVector:
         uv, inverse = np.unique(v, return_inverse=True)
         uc = np.zeros(uv.shape, dtype=np.int64)
         np.add.at(uc, inverse, c)
-        return cls(uv, uc, build_info)
+        return cls(uv, uc)
 
     @property
     def k(self) -> int:
@@ -113,24 +118,30 @@ class SourceSpec:
     n: int | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
+        if self.family not in FAMILY_PARAMS:
+            raise ValueError(f"unknown family {self.family!r}; "
+                             f"expected one of {tuple(FAMILY_PARAMS)}")
 
 
 def make_distribution(spec: SourceSpec) -> ParamVector:
     """Construct the ParamVector described by ``spec``.
 
+    Each family reads the parameter names ``FAMILY_PARAMS`` lists for it; any
+    other name, and a missing or out-of-range value, raises ValueError.
     n-relative families round letter counts to integers and rescale the second
-    level's per-letter mass so the total is exactly 1; the applied factor is
-    reported in ``build_info["renorm_factor"]``.  A factor off by more than 10%
-    is treated as a parameter error.
+    level's per-letter mass so the total is exactly 1.  A rescaling factor off
+    by more than 10% is treated as a parameter error.
     """
     family, params, n = spec.family, dict(spec.params), spec.n
+    for name in params:
+        if name not in FAMILY_PARAMS[family]:
+            raise ValueError(f"{family} family takes no parameter {name!r}; "
+                             f"expected one of {FAMILY_PARAMS[family]}")
     if family == "explicit":
         probs = params.get("probs")
         if not probs:
             raise ValueError("explicit family requires a 'probs' list")
-        return ParamVector.from_probs(probs, build_info={"family": family})
+        return ParamVector.from_probs(probs)
     if family == "uniform":
         if "k" in params:
             k = int(params["k"])
@@ -142,7 +153,7 @@ def make_distribution(spec: SourceSpec) -> ParamVector:
             raise ValueError("uniform family requires 'k' or 'nu'")
         if k < 1:
             raise ValueError(f"letter count rounds to {k} < 1")
-        return ParamVector.from_groups([1.0 / k], [k], build_info={"family": family, "k": k})
+        return ParamVector.from_groups([1.0 / k], [k])
     if family == "two-level":
         return _two_level(params, n)
     if family == "geometric":
@@ -151,13 +162,12 @@ def make_distribution(spec: SourceSpec) -> ParamVector:
         if not 0.0 < decay < 1.0:
             raise ValueError("geometric decay must be in (0, 1)")
         raw = decay ** np.arange(k, dtype=float)
-        return _normalized(raw, {"family": family, "k": k, "decay": decay})
-    if family == "zipf":
-        k = int(_required(params, "k", family))
-        s = float(_required(params, "exponent", family))
-        raw = np.arange(1, k + 1, dtype=float) ** (-s)
-        return _normalized(raw, {"family": family, "k": k, "exponent": s})
-    raise ValueError(f"unknown family {family!r}")
+        return _normalized(raw)
+    # zipf, the last family SourceSpec admits
+    k = int(_required(params, "k", family))
+    s = float(_required(params, "exponent", family))
+    raw = np.arange(1, k + 1, dtype=float) ** (-s)
+    return _normalized(raw)
 
 
 def _required(params: dict, name: str, family: str):
@@ -166,11 +176,11 @@ def _required(params: dict, name: str, family: str):
     return params[name]
 
 
-def _normalized(raw: np.ndarray, info: dict) -> ParamVector:
+def _normalized(raw: np.ndarray) -> ParamVector:
     total = exact_sum(raw)
     if total <= 0:
         raise ValueError("non-positive total mass")
-    return ParamVector.from_probs(raw / total, build_info=info)
+    return ParamVector.from_probs(raw / total)
 
 
 def _two_level(params: dict, n: int | None) -> ParamVector:
@@ -204,7 +214,6 @@ def _two_level(params: dict, n: int | None) -> ParamVector:
         nu = float(_required(params, "nu", "two-level"))
         v1_nominal = nf ** -(1.0 + nu)
     else:
-        nu = None
         v1_nominal = 1.0 / nf
     k1 = int(round((1.0 - phi0) / v1_nominal))
     if k1 < 1:
@@ -218,12 +227,7 @@ def _two_level(params: dict, n: int | None) -> ParamVector:
         )
     if v1 <= theta0:
         raise ValueError("the two levels collide; pick parameters separating them")
-    info = {
-        "family": "two-level", "level1": kind, "phi0": phi0, "mu": mu, "nu": nu,
-        "k0": k0, "k1": k1, "renorm_factor": factor,
-        "nominal_level1_value": v1_nominal,
-    }
-    return ParamVector.from_groups([theta0, v1], [k0, k1], build_info=info)
+    return ParamVector.from_groups([theta0, v1], [k0, k1])
 
 
 def entropy_terms(theta: ParamVector) -> np.ndarray:

@@ -185,8 +185,6 @@ class BinStats:
     ``kappa_prime`` (0 on bin 0).
     """
 
-    kind: str
-    n: int
     group_bin: np.ndarray
     bins: np.ndarray
     counts: np.ndarray
@@ -247,8 +245,8 @@ def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = 
         window = (cum[np.searchsorted(values, hi, side="right")]
                   - cum[np.searchsorted(values, lo, side="right")])
         kappa_prime = np.where(bins >= 1, window, 0)
-    return BinStats(kind=grid.kind, n=n, group_bin=group_bin, bins=bins, counts=counts,
-                    phi=phi, L=L, kappa_prime=kappa_prime)
+    return BinStats(group_bin=group_bin, bins=bins, counts=counts, phi=phi, L=L,
+                    kappa_prime=kappa_prime)
 
 
 @dataclass(frozen=True)

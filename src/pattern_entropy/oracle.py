@@ -48,6 +48,10 @@ from .patterns import ENUMERATION_CAP, ProfileProbability, bin_sequence, enumera
 # cells n * min(n, k) of the occupancy chain (see occupancy_pmf); this many
 # take about 3 s on a 2-vCPU host
 OCCUPANCY_CHAIN_CAP = 300_000_000
+# cells samples * n of the one draw behind a Monte Carlo estimate, checked
+# before drawing: the draw peaks at 24 bytes a cell (tracemalloc, uniform
+# k = 10 and k = 1000), so this many take about 0.5 GB
+MC_CELLS_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -294,10 +298,15 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
     one-group source, one log-space DP otherwise (it raises
     ResourceCapError past ``PROFILE_DP_CAP``).  The mean and the
     variance are taken about the smallest value, so equal values give a
-    standard error of exactly 0.
+    standard error of exactly 0.  The samples are drawn at once, so more
+    than ``MC_CELLS_CAP`` cells samples * n raise ResourceCapError before any
+    draw.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if samples * n > MC_CELLS_CAP:
+        raise ResourceCapError(f"{samples} samples of length {n} are {samples * n} cells, "
+                               f"past MC_CELLS_CAP = {MC_CELLS_CAP}")
     profiles, counts = _row_profiles(sample_sequence(theta, (samples, n), seed))
     log_p = ProfileProbability(theta)
     values = [(0.0 - log_p([c for c in padded if c])) / LN2

@@ -214,7 +214,7 @@ class ProfileProbability:
     in any order; they sum to n).  P(psi) depends on psi only through these
     counts (Orlitsky, Santhanam and Zhang, IEEE T-IT 2004), and the value is
     the same, bit for bit, for every order of them.  It is -inf when there
-    are more counts than ``theta`` has letters.
+    are more counts than ``theta`` has letters, and never above 0.0.
 
     The route is chosen once, from the number of groups of ``theta``.  One
     group (k letters of value v) gives every pattern with m distinct indices
@@ -257,12 +257,13 @@ class ProfileProbability:
 
         The float operations are those of the DP's last-group step, so the
         bits are the same; the trailing ``+ 0.0`` is its log-sum-exp's, which
-        turns -0.0 into 0.0.
+        turns -0.0 into 0.0.  Both cut a value above 0 to 0.0: P <= 1, and
+        only rounding puts ln P above 0 (ln 10 + ln 0.1 = 4.4e-16).
         """
         lv, k = self._last
         if m > k:
             return -math.inf
-        return self._falling(k, m)[m] + n * lv + 0.0
+        return min(self._falling(k, m)[m] + n * lv + 0.0, 0.0)
 
     def _one_group(self, parts: Sequence[int]) -> float:
         return self.log_q(sum(parts), len(parts))
@@ -317,8 +318,8 @@ class ProfileProbability:
             raise self._over_cap()
         lv, k_g = self._last
         falling = self._falling(k_g, min(k_g, m))
-        return _log_sum_exp([w + falling[a] + sum(map(mul, cs, r)) * lv
-                             for r, w in layer.items() if (a := sum(r)) <= k_g])
+        return min(_log_sum_exp([w + falling[a] + sum(map(mul, cs, r)) * lv
+                                 for r, w in layer.items() if (a := sum(r)) <= k_g]), 0.0)
 
     def _over_cap(self) -> ResourceCapError:
         return ResourceCapError(f"the profile DP over {len(self._groups) + 1} groups passed "

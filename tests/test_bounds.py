@@ -438,12 +438,13 @@ class TestRange:
     def test_below_threshold_branch(self):
         row = range_decreases(10, 10**6, 0.2, 0.2)
         assert row["upper_nonasym"] == 0.0 and not row["upper_valid"]
-        _, upper = range_theorem5(ParamVector.from_groups([0.1], [10]), 10**6, 0.2, 0.2)
+        _, upper = range_theorem5(SourceAnalysis(ParamVector.from_groups([0.1], [10]), 10**6, 0.2),
+                                  0.2)
         assert not upper.valid
 
     def test_reports_with_theta(self):
         pv = ParamVector.from_probs([0.25] * 4)
-        lower, upper = range_theorem5(pv, 30, 0.2, 0.3)
+        lower, upper = range_theorem5(SourceAnalysis(pv, 30, 0.2), 0.3)
         h_block = 30 * 2.0
         assert abs(lower.value - (h_block - math.log2(24))) <= 1e-9
         assert upper.term("block_entropy") == h_block

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from pattern_entropy import bounds, cli
+from pattern_entropy import bounds, cli, oracle
 from pattern_entropy.coder import CODER_N_CAP
 from pattern_entropy.grids import build_grid
 from pattern_entropy.oracle import ExactEntropies
@@ -118,12 +118,18 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("doc, where", [
         ({"region": {"n_pow_eps1": 20, "k_values": [10]}}, "region.n_pow_eps1"),
         ({"n": 1, "region": {"n_pow_eps1": 20, "k_values": [10]}}, "region.n_pow_eps1"),
-        ({"source": {"family": "geometric", "params": {"k": 5}}, "n": 10}, "'decay'"),
-        ({"source": {"family": "geometric", "params": {"decay": 0.5}}, "n": 10}, "'k'"),
-        ({"source": {"family": "zipf", "params": {"k": 5}}, "n": 10}, "'exponent'"),
-        ({"source": {"family": "two-level", "params": {"mu": 0.4, "nu": 0.3}}, "n": 100}, "'phi0'"),
-        ({"source": {"family": "two-level", "params": {"phi0": 0.5, "nu": 0.3}}, "n": 100}, "'mu'"),
-        ({"source": {"family": "two-level", "params": {"phi0": 0.5, "mu": 0.4}}, "n": 100}, "'nu'"),
+        ({"source": {"family": "geometric", "params": {"k": 5}}, "n": 10},
+         "config.source: geometric family requires 'decay'"),
+        ({"source": {"family": "geometric", "params": {"decay": 0.5}}, "n": 10},
+         "config.source: geometric family requires 'k'"),
+        ({"source": {"family": "zipf", "params": {"k": 5}}, "n": 10},
+         "config.source: zipf family requires 'exponent'"),
+        ({"source": {"family": "two-level", "params": {"mu": 0.4, "nu": 0.3}}, "n": 100},
+         "config.source: two-level family requires 'phi0'"),
+        ({"source": {"family": "two-level", "params": {"phi0": 0.5, "nu": 0.3}}, "n": 100},
+         "config.source: two-level family requires 'mu'"),
+        ({"source": {"family": "two-level", "params": {"phi0": 0.5, "mu": 0.4}}, "n": 100},
+         "config.source: two-level family requires 'nu'"),
         ({"source": {"probs": [0.5, 0.5]}, "n": 4, "lb4": {"bogus": 1}}, "'bogus'"),
         ({"source": {"family": "zipf", "params": 5}, "n": 10}, "config.source.params:"),
         ({"n": 100, "region": {"n_pow_eps1": 0, "k_values": [10]}},
@@ -189,6 +195,22 @@ class TestBoundsCommand:
          "config.source.params.k: expected an integer, got 2.5"),
         ({"source": {"family": "geometric", "params": {"k": math.inf, "decay": 0.5}}, "n": 8},
          "config.source.params.k: expected a finite number, got inf"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "mc": {"samples": 0}},
+         "config.mc.samples: must be >= 2, got 0"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "mc": {"samples": 1}},
+         "config.mc.samples: must be >= 2, got 1"),
+        ({"source": {"probs": [0.5, "a"]}, "n": 4},
+         "config.source.probs[1]: expected a number, got 'a'"),
+        ({"source": {"family": "zipf", "params": {"k": 10, "exponent": 1.1, "exponant": 2}},
+          "n": 8}, "config.source.params.exponant: not a zipf parameter"),
+        ({"source": {"family": "zipf", "k": 10, "exponent": 1.1, "exponant": 2}, "n": 8},
+         "config.source.exponant: not a zipf parameter"),
+        ({"source": {"family": "zipf", "params": {"k": 10, "exponent": 1.1}, "k": 3}, "n": 8},
+         "config.source: unknown key 'k'"),
+        ({"source": {"family": "zipff", "params": {"k": 10}}, "n": 8},
+         "config.source.family: unknown family 'zipff'"),
+        ({"source": {"family": "zipf", "k": 2.7, "exponent": 1.1}, "n": 8},
+         "config.source.k: expected an integer, got 2.7"),
     ], ids=["n_pow_eps1_without_n", "n_pow_eps1_with_n1", "geometric_decay", "geometric_k",
             "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key",
             "source_params_not_object", "n_pow_eps1_zero", "bounds_not_list",
@@ -202,7 +224,10 @@ class TestBoundsCommand:
             "epsilon_bool", "epsilon_overflow", "family_param_string", "code_unknown_key",
             "verify_unknown_key", "output_unknown_key", "epsilon_inf", "epsilon_nan",
             "epsilon1_inf", "n_pow_eps1_inf", "family_param_nan", "n_bool", "n_nan", "n_inf",
-            "zipf_k_fraction", "uniform_k_fraction", "geometric_k_inf"])
+            "zipf_k_fraction", "uniform_k_fraction", "geometric_k_inf", "mc_samples_zero",
+            "mc_samples_one", "probs_entry_string", "family_param_unknown",
+            "flat_family_param_unknown", "params_beside_flat_key", "family_unknown",
+            "flat_k_fraction"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, where):
         assert cli.main(["bounds", "--config", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
@@ -506,6 +531,21 @@ class TestOracleCommand:
             "n": 30, "epsilon": 0.3,
         })
         assert cli.main(["oracle", "--config", cfg]) == 3
+
+    def test_mc_cell_cap(self, tmp_path, monkeypatch, capsys):
+        # 10 samples of length 4 pass a cap of 39 cells: bounds rows say so,
+        # and the oracle command exits 3
+        monkeypatch.setattr(oracle, "MC_CELLS_CAP", 39)
+        cfg = write_config(tmp_path, {
+            "source": {"probs": [0.5, 0.5]}, "n": 4, "bounds": ["simple"], "mc": {"samples": 10},
+        })
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        errors = [r["error"] for r in read_csv(out)]
+        assert len(errors) == 2
+        assert all(e.startswith("mc skipped:") and "MC_CELLS_CAP" in e for e in errors)
+        assert cli.main(["oracle", "--config", cfg]) == 3
+        assert "MC_CELLS_CAP" in capsys.readouterr().err
 
 
     def test_mc_underflow_exit_3(self, tmp_path, monkeypatch, capsys):

@@ -357,18 +357,6 @@ class TestModelValidation:
                        kbins=np.array([0, 4]), ell=np.array([0, 4]),
                        L=np.array([0.0, 2.0]))
 
-    def test_float_values_match_read_only_arrays(self):
-        pv = ParamVector.from_groups([1e-4, 0.249, 0.25], [10, 1, 3])
-        for model in (three_letter_single_bin_model(),
-                      CoderModel.from_source(pv, build_grid("eta", 100, 0.25), 100)):
-            assert list(model.phi_floats) == model.phi.tolist()
-            assert list(model.rho_floats) == model.rho.tolist()
-            assert model.num_bins == len(model.phi) and type(model.num_bins) is int
-            for arr in (model.phi, model.rho):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 0.5
-
     def test_from_source_rho_values(self):
         pv = ParamVector.from_groups([1e-4, 0.249, 0.25], [10, 1, 3])
         n = 100
@@ -388,6 +376,9 @@ class TestModelValidation:
             else:
                 assert model.rho[b] == pytest.approx((n * phi_b - L_b) / (n * min(kb, n)))
         assert np.array_equal(model.ell, np.minimum(model.kbins, n))
+        assert model.num_bins == len(model.phi) and type(model.num_bins) is int
+        with pytest.raises(TypeError):
+            model.phi[0] = 0.5
 
 
 def _emit_by_division(low: int, width: int, P: int) -> Bitstring:

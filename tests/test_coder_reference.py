@@ -24,7 +24,7 @@ from pattern_entropy.patterns import bin_sequence, extract_pattern
 
 def _step_events(model, state):
     """Positive-probability events at a state: (psi, beta, prob), fixed order."""
-    phi, rho = model.phi.tolist(), model.rho.tolist()
+    phi, rho = model.phi, model.rho
     events = []
     for idx in range(1, state.max_index + 1):
         b = state.index_to_bin[idx]

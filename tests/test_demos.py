@@ -19,6 +19,7 @@ def test_demos_found():
 def test_demo_runs(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-W", "error::UserWarning", str(path)], env=env,
-                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    out = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-W", "error::RuntimeWarning", str(path)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr

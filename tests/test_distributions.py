@@ -28,11 +28,11 @@ class TestParamVector:
     def test_two_level_sums_to_one(self):
         pv = make_distribution(
             SourceSpec("two-level", {"phi0": 0.5, "mu": 1.0, "nu": 0.2}, n=100))
-        assert pv.build_info["k0"] == 5000
+        assert list(pv.counts) == [5000, 20]
         assert pv.values[0] == 1e-4
         total = math.fsum(c * v for v, c in pv.groups())
         assert abs(total - 1.0) <= 1e-12
-        assert abs(pv.build_info["renorm_factor"] - 1.0) < 0.1
+        assert abs(pv.values[1] / 100 ** -(1 - 0.2) - 1.0) < 0.1
 
     def test_grouping_merges_duplicates(self):
         pv = ParamVector.from_probs([0.25, 0.5, 0.25])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pattern_entropy import bounds, cli, grids
+from pattern_entropy import bounds, cli, distributions, grids
 from pattern_entropy._common import LOG2E, xlog2x
 from pattern_entropy.bounds import (DEFAULT_VARTHETA_MINUS, DEFAULT_VARTHETA_PLUS, SourceAnalysis,
                                     lb_theorem4, packed_entropies)
@@ -226,6 +226,27 @@ def test_default_table_evaluates_each_group_sum_once(monkeypatch):
     assert len(created) == 1
     assert calls == [100_000]
     assert max(numpy_sizes, default=0) < 100_000
+
+
+def test_range_reads_the_analysis_entropy(monkeypatch):
+    """The range bound takes H(X) from the analysis: with it in the table,
+    the per-group c * v * log2(v) terms are still made once."""
+    calls = []
+    real = distributions.entropy_terms
+
+    def counting(theta):
+        calls.append(len(theta.values))
+        return real(theta)
+
+    for module in (distributions, bounds):
+        monkeypatch.setattr(module, "entropy_terms", counting)
+    cfg = cli.parse_config({
+        "source": {"family": "zipf", "params": {"k": 100_000, "exponent": 1.1}},
+        "n": 10**6, "epsilon": 0.4, "epsilon1": 0.2, "bounds": [*cli.DEFAULT_BOUNDS, "range"],
+    })
+    rows = cli.run_bounds(cfg)
+    assert len(rows) == 12 and all(r["error"] == "" for r in rows)
+    assert calls == [100_000]
 
 
 def _recording(ufunc, sizes):

@@ -19,6 +19,7 @@ from pattern_entropy.coder import CoderModel, sequence_codelength
 from pattern_entropy.distributions import ParamVector, SourceSpec, iid_entropy, make_distribution
 from pattern_entropy.grids import bin_index, build_grid
 from pattern_entropy.oracle import (
+    MC_CELLS_CAP,
     OCCUPANCY_CHAIN_CAP,
     exact_entropies,
     mc_pattern_entropy,
@@ -376,6 +377,12 @@ class TestOccupancyChain:
         with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP"):
             oracle.exact_pattern_entropy(_uniform(k), n)
 
+    def test_one_draw_has_zero_entropy(self):
+        # ln 10 + ln 0.1 rounds to 4.4e-16 > 0; ln P is cut to 0.0
+        theta = _uniform(10)
+        assert ProfileProbability(theta)([1]) == 0.0
+        assert oracle.exact_pattern_entropy(theta, 1) == 0.0
+
     def test_one_group_walks_no_partition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("no partition is enumerated for one group")
@@ -483,6 +490,17 @@ class TestMC:
         got = mc_pattern_entropy(pv, 200, 8, 4)
         want = math.fsum(values) / 8
         assert abs(got.estimate - want) <= 1e-12 * want
+
+    def test_caps_the_sample_matrix_before_drawing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no sample is drawn past the cap")
+
+        monkeypatch.setattr(oracle, "sample_sequence", refuse)
+        with pytest.raises(ResourceCapError, match="MC_CELLS_CAP") as err:
+            mc_pattern_entropy(_uniform(1000), 10**7, samples=100, seed=0)
+        assert str(MC_CELLS_CAP) in str(err.value)
+        with pytest.raises(ResourceCapError, match="MC_CELLS_CAP"):
+            mc_pattern_entropy(_uniform(10), MC_CELLS_CAP // 2 + 1, samples=2, seed=0)
 
     def test_caps_the_profile_dp(self):
         # 200 letters of distinct probabilities: a sampled profile's DP is too large

@@ -213,7 +213,7 @@ def test_oracle_takes_coder_steps_only_through_the_coder():
     # the walk's step table calls coder.next_symbol_prob; reading the model's
     # per-bin floats directly would fork the step rule
     oracle = {"oracle": (ROOT / "src" / "pattern_entropy" / "oracle.py").read_text(encoding="utf-8")}
-    for attr in ("phi_floats", "rho_floats"):
+    for attr in ("phi", "rho"):
         assert list(_attribute_sites(attr, oracle)) == []
 
 
