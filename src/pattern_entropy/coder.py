@@ -25,17 +25,21 @@ anew, in O(B+) small-integer operations for the B+ bins with phi_b > 0, only
 after a step that adds an index; any other step costs a few small-integer
 operations, plus an O(log m) bisection when decoding.
 
-A step reduces to a triple (den, cum, w) of integers of about 64 bits, and no
-step loop multiplies a growing integer.  Encode folds the n triples in a
-balanced product tree into the exact interval, whose integers have about
-64 n bits: at most O(log n) multiplications of that size, then two divisions
-with quotients of L bits to emit the stream, L being about -log2 Q.  Decode
-tracks the code point's offset inside the current interval as a fixed-point
-integer of L + log2 n + O(1) bits, exact on every canonical stream, so its
-step loop costs O(n L) bit operations; it then folds its own triples and
-accepts the stream only if it is the canonical dyadic encode would emit for
-what it decodes to.  Sequences longer than CODER_N_CAP raise
-ResourceCapError.
+A step reduces to integers of about 64 bits: its denominator a * 2**e (a odd)
+and the start cum and weight w of the coded event, and no step loop
+multiplies a growing integer.  The float weights of a
+``CoderModel.from_source`` model total at most 1 at every state its source
+reaches, so each such step has a = 1 and the interval's denominator P is a
+power of two.  Encode folds the n steps in a balanced product tree into the
+exact interval, whose integers have about 64 n bits: O(log n) levels that
+multiply only the widths and the offsets and shift by the exponents.  It
+takes the stream's length L, about -log2 Q, from bit lengths, and its code
+point from a shift and a division by the odd part a.  Decode tracks the code
+point's offset inside the current interval as a fixed-point integer of
+L + log2 n + O(1) bits, exact on every canonical stream, so its step loop
+costs O(n L) bit operations; it then folds its own steps and accepts the
+stream only if it is the canonical dyadic encode would emit for what it
+decodes to.  Sequences longer than CODER_N_CAP raise ResourceCapError.
 """
 
 from __future__ import annotations
@@ -57,10 +61,10 @@ __all__ = [
 ]
 
 # Longest sequence the exact coder accepts.  A round trip at this length
-# (zipf k = 200, L = 76,582 bits) takes 0.9-1.0 s to encode and 2.2-2.4 s to
-# decode on a 2-vCPU x86-64 host, and the cost grows about quadratically with
-# n: the interval's integers and the decoder's fixed-point offset grow
-# linearly.
+# (zipf k = 200, exponent 1.3, L = 76,066 bits) takes 0.14-0.15 s to encode
+# and 0.83-0.85 s to decode on a 2-vCPU x86-64 host with Python 3.11, and the
+# cost grows about quadratically with n: the interval's integers and the
+# decoder's fixed-point offset grow linearly.
 CODER_N_CAP = 16_384
 
 
@@ -104,21 +108,53 @@ class CoderModel:
 
     @classmethod
     def from_source(cls, theta: ParamVector, grid: Grid, n: int) -> "CoderModel":
-        """Build the model for a known source over an eta grid (n <= CODER_N_CAP)."""
+        """Build the model for a known source over an eta grid (n <= CODER_N_CAP).
+
+        The model is strictly sub-stochastic in floats: at every state a
+        length-n source sequence can reach (seen_b <= ell_b = min(k_b, n) in
+        every bin), the exact sum of the event weights is at most 1, so every
+        coder step has the power-of-two denominator 2**s.
+
+        Bound.  Let u = 2**-53 and x = seen * rho_b.  A bin contributes
+        T_b = x + f_b, where f_b = fl(phi_b - fl(x)) when that is positive and
+        0 otherwise.  If f_b > 0, then fl(x) < phi_b, so x <= phi_b / (1 - u)
+        and T_b <= phi_b + u x + u (phi_b - fl(x)) <= phi_b (1 + 2u).  If
+        f_b = 0, T_b = x <= ell_b rho_b: rho_b = fl(phi_b / k_b) gives
+        x <= phi_b (1 + u), and the bin-0/1 rate fl(fl(fl(n phi_b) - L_b) /
+        (n ell_b)) with L_b >= 0 gives x <= phi_b (1 + u)**3.  So
+        T_b <= phi_b (1 + 4u) in every bin, and T_b = phi_b exactly in a bin
+        b >= 2 holding one letter, where rho_b = phi_b and f_b is phi_b at
+        seen = 0 and 0 at seen = 1.
+
+        Margin.  Let S be the exact sum of the source's per-bin masses.  If
+        S <= 1, the one-letter bins b >= 2 keep phi_b and every other bin
+        takes phi_b' = fl(phi_b c) with c = 1 - 2**-50 = 1 - 8u, so
+        phi_b' (1 + 4u) <= phi_b (1 - 8u)(1 + u)(1 + 4u) < phi_b and the state
+        total is below S <= 1.  If S > 1, every bin takes c = fl((1 - 8u) /
+        fl(S)), and the total is at most (1 + 4u)(1 + u)**2 (1 - 8u) / (1 - u)
+        <= 1 - u.  The rates are derived from the scaled masses.  A source of
+        probability 1 keeps its 0-bit codelength.
+        """
         if n != grid.n:
             raise ValueError(f"grid was built for n={grid.n}, not {n}")
         _check_cap(n)
         stats = bin_stats(grid, theta)
         occupied = stats.bins
+        total_num, total_shift = _dyadic_sum(stats.phi.tolist())
+        if total_num <= 1 << total_shift:
+            scale, exact = 1.0 - 2.0**-50, (occupied >= 2) & (stats.counts == 1)
+        else:
+            scale, exact = (1.0 - 2.0**-50) / (total_num / (1 << total_shift)), False
         phi = np.zeros(grid.num_bins, dtype=float)
         kbins = np.zeros(grid.num_bins, dtype=np.int64)
         L = np.zeros(grid.num_bins, dtype=float)
         rho = np.zeros(grid.num_bins, dtype=float)
-        phi[occupied], kbins[occupied], L[occupied] = stats.phi, stats.counts, stats.L
+        phi_occ = np.where(exact, stats.phi, stats.phi * scale)
+        phi[occupied], kbins[occupied], L[occupied] = phi_occ, stats.counts, stats.L
         ell = np.minimum(kbins, n)
         rho[occupied] = np.where(occupied <= 1,
-                                 (n * stats.phi - stats.L) / (n * ell[occupied]),
-                                 stats.phi / stats.counts)
+                                 (n * phi_occ - stats.L) / (n * ell[occupied]),
+                                 phi_occ / stats.counts)
         return cls(n=n, phi=phi, rho=rho, kbins=kbins, ell=ell, L=L)
 
 
@@ -242,6 +278,14 @@ def _dyadic(x: float) -> tuple[int, int]:
     return num >> strip, shift - strip
 
 
+def _dyadic_sum(xs) -> tuple[int, int]:
+    """Exact (num, s) with sum(xs) = num / 2**s and s >= 0, for finite floats
+    xs >= 0."""
+    parts = [_dyadic(x) for x in xs if x]
+    s = max([0] + [shift for _, shift in parts])
+    return sum(num << (s - shift) for num, shift in parts), s
+
+
 def _shift(x: int, k: int) -> int:
     """x * 2**k for k >= 0, floor(x / 2**-k) otherwise."""
     return x << k if k >= 0 else x >> -k
@@ -254,8 +298,9 @@ class _Steps:
     the known indices (in index order, weight rho of the index's bin) followed
     by one first occurrence per bin with positive remaining mass (in bin
     order).  Each weight is a dyadic num / 2**shift; a step puts them all over
-    2**s with s the largest shift present, and its denominator is
-    max(2**s, weight total).  The table keeps:
+    2**s with s the largest shift present, and its denominator
+    max(2**s, weight total) is kept as (a, e), a odd, with den = a * 2**e:
+    (1, s) whenever the weights total at most 1.  The table keeps:
 
     - ``starts``: prefix sums of the re-occurrence weights over the indices,
       at the fixed scale ``top`` (the largest rate shift), so one shift
@@ -272,7 +317,7 @@ class _Steps:
         self.rate_shift: int | None = None  # largest rate shift among known indices
         self.starts = [0]
         self.state = CoderState()
-        self.den: int | None = None  # None until the current state is weighed
+        self.den: tuple[int, int] | None = None  # None until the state is weighed
         # a bin's mass never exceeds phi_b, so only bins with phi_b > 0 can hold one
         self.fresh = {}
         for b, x in enumerate(self.phi):
@@ -286,8 +331,8 @@ class _Steps:
         else:
             self.fresh.pop(b, None)
 
-    def begin(self, j: int) -> int:
-        """Denominator of step j's events at this state.
+    def begin(self, j: int) -> tuple[int, int]:
+        """Denominator (a, e) = a * 2**e of step j's events at this state.
 
         The events are weighed anew only after an update that added an index;
         a re-occurrence leaves every weight and the denominator unchanged.
@@ -306,7 +351,11 @@ class _Steps:
         self.reoccur = _shift(self.starts[-1], s - self.top)
         self.fresh_w = [(b, num << (s - shift)) for b, (num, shift) in self.fresh.items()]
         total = self.reoccur + sum(w for _, w in self.fresh_w)
-        self.den = max(1 << s, total)
+        if total <= 1 << s:
+            self.den = 1, s
+        else:
+            zeros = (total & -total).bit_length() - 1
+            self.den = total >> zeros, zeros
 
     def _rate_at(self, b: int) -> int:
         num, shift = self.rate[b]
@@ -364,37 +413,46 @@ def _check_cap(n: int) -> None:
             f"sequence length {n} exceeds the exact coder's cap CODER_N_CAP ({CODER_N_CAP})")
 
 
-def _fold(triples: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-    """Interval (low, width, P) after the steps (den, cum, w), from [0, 1).
+def _fold(steps: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
+    """Interval (low, width, a, e) after the steps (a, e, cum, w), from [0, 1);
+    the interval is [low/P, (low+width)/P) with P = a * 2**e.
 
-    A step maps [low/P, (low+width)/P) to low' = low*den + cum*width,
-    width' = width*w, P' = P*den.  A run of steps is one such map (A, B, W):
-    low' = low*A + width*B, width' = width*W, P' = P*A; two runs compose as
-    (A1*A2, B1*A2 + W1*B2, W1*W2).  Composing neighbours level by level keeps
-    the two factors of every product about equally long, so no step's small
-    integers are multiplied into a number as long as the whole interval.
+    A step of denominator den = a * 2**e maps [low/P, (low+width)/P) to
+    low' = low*den + cum*width, width' = width*w, P' = P*den.  A run of steps
+    is one such map (a, e, B, W): low' = low*a*2**e + width*B,
+    width' = width*W, P' = P*a*2**e; two runs compose as
+    (a1*a2, e1+e2, (B1*a2)*2**e2 + W1*B2, W1*W2), so a power-of-two
+    denominator (a = 1) costs a shift, not a multiplication.  Composing
+    neighbours level by level keeps the two factors of every product about
+    equally long, so no step's small integers are multiplied into a number as
+    long as the whole interval.
     """
-    segs = triples
+    segs = steps
     while len(segs) > 1:
         odd = segs[-1:] if len(segs) % 2 else []
-        segs = [(a1 * a2, b1 * a2 + w1 * b2, w1 * w2)
-                for (a1, b1, w1), (a2, b2, w2) in zip(segs[::2], segs[1::2])] + odd
-    P, low, width = segs[0]
-    return low, width, P
+        segs = [(a1 * a2, e1 + e2, ((b1 * a2) << e2) + w1 * b2, w1 * w2)
+                for (a1, e1, b1, w1), (a2, e2, b2, w2) in zip(segs[::2], segs[1::2])] + odd
+    a, e, low, width = segs[0]
+    return low, width, a, e
 
 
-def _emit(low: int, width: int, P: int) -> Bitstring:
-    """Canonical dyadic of [low/P, (low+width)/P): the smallest length L with
-    width * 2**(L-1) >= P, and the code point c = ceil(low * 2**L / P).
+def _emit(low: int, width: int, a: int, e: int) -> Bitstring:
+    """Canonical dyadic of [low/P, (low+width)/P) with P = a * 2**e: the
+    smallest length L with width * 2**(L-1) >= P, and the code point
+    c = ceil(low * 2**L / P).
 
     L comes from bit lengths: width << d has P's bit length for
     d = P.bit_length() - width.bit_length(), so the smallest shift m with
-    width << m >= P is d or d + 1 (0 when width >= P)."""
+    width << m >= P is d or d + 1 (0 when width >= P).  The code point is
+    ceil(ceil(low * 2**L / 2**e) / a): a shift, then a division by a, which
+    is 1 for a power-of-two P."""
+    P = a << e
     m = max(P.bit_length() - width.bit_length(), 0)
     if (width << m) < P:
         m += 1
     L = m + 1
-    c_num = ((low << L) + P - 1) // P
+    scaled = low << (L - e) if L >= e else -(-low >> (e - L))
+    c_num = -(-scaled // a)
     nbytes = (L + 7) // 8
     return Bitstring((c_num << (8 * nbytes - L)).to_bytes(nbytes, "big"), L)
 
@@ -412,15 +470,15 @@ def encode(model: CoderModel, psi, beta) -> Bitstring:
         raise ValueError("need non-empty (psi, beta) of equal length")
     _check_cap(len(psi))
     steps = _Steps(model)
-    triples = []
+    maps = []
     for j, (p, b) in enumerate(zip(psi, beta)):
         den = steps.begin(j)
         target = steps.locate(p, b)
         if target is None:
             raise ValueError(f"zero-probability step at position {j}: ({p}, {b})")
-        triples.append((den, *target))
+        maps.append((*den, *target))
         steps.update(p, b)
-    return _emit(*_fold(triples))
+    return _emit(*_fold(maps))
 
 
 def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -450,20 +508,20 @@ def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...],
     steps = _Steps(model)
     psi: list[int] = []
     beta: list[int] = []
-    triples = []
+    maps = []
     for j in range(n):
-        den = steps.begin(j)
-        X *= den
+        a, e = steps.begin(j)
+        X = (X * a) << e
         event = steps.find(X >> K)
         if event is None:
             raise DecodeError("code point escapes every event interval")
         p, b, cum, w = event
         X = -(((cum << K) - X) // w)
-        triples.append((den, cum, w))
+        maps.append((a, e, cum, w))
         psi.append(p)
         beta.append(b)
         steps.update(p, b)
-    if _emit(*_fold(triples)) != bits:
+    if _emit(*_fold(maps)) != bits:
         raise DecodeError("bitstream is not the canonical encoding of its decode")
     return tuple(psi), tuple(beta)
 

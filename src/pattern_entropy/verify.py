@@ -33,7 +33,7 @@ from .bounds import (
     ub_theorem1,
     ub_theorem3_family,
 )
-from .coder import CoderModel, CoderState, next_symbol_prob, roundtrip
+from .coder import CoderModel, CoderState, _dyadic_sum, next_symbol_prob, roundtrip
 from .distributions import (ParamVector, SourceSpec, binary_entropy, iid_entropy,
                             make_distribution, sample_sequence)
 from .grids import (
@@ -487,7 +487,8 @@ def check_coder_roundtrip(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
     """Per-state conditional masses sum to at most 1, exactly 1 while every bin
-    still has unseen letters."""
+    still has unseen letters.  The exact dyadic total of every event weight of
+    a state is at most 1 too, so each coder step has the denominator 2**s."""
     t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
@@ -502,22 +503,25 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
         beta = bin_sequence(theta, grid, x)
         state = CoderState()
         for p, b in zip(psi, beta):
-            total = math.fsum(
-                next_symbol_prob(model, state, idx, state.index_to_bin[idx])
-                for idx in range(1, state.max_index + 1)
-            )
+            reoccur = [next_symbol_prob(model, state, idx, state.index_to_bin[idx])
+                       for idx in range(1, state.max_index + 1)]
             bins_total = []
+            exhausted = []
             all_unseen = True
             for bb in range(model.num_bins):
                 if model.phi[bb] <= 0.0:
                     continue
-                seen = state.seen_per_bin.get(bb, 0)
-                if seen >= model.kbins[bb]:
+                mass = next_symbol_prob(model, state, state.max_index + 1, bb)
+                if state.seen_per_bin.get(bb, 0) >= model.kbins[bb]:
                     all_unseen = False
-                    continue
-                bins_total.append(next_symbol_prob(model, state, state.max_index + 1, bb))
-            total += math.fsum(bins_total)
-            col.expect(total <= 1.0 + 1e-12, f"conditional mass {total} > 1")
+                    exhausted.append(mass)
+                else:
+                    bins_total.append(mass)
+            total = math.fsum(reoccur) + math.fsum(bins_total)
+            # every event the coder weighs, exhausted bins' rounding leftovers too
+            num, shift = _dyadic_sum(reoccur + bins_total + exhausted)
+            col.expect(total <= 1.0 + 1e-12 and num <= 1 << shift,
+                       f"conditional mass {total} > 1 (exact total {num} / 2**{shift})")
             if all_unseen:
                 col.expect(abs(total - 1.0) <= 1e-9,
                            f"conditional mass {total} != 1 with unseen letters everywhere")

@@ -488,8 +488,8 @@ class TestCodeCommand:
         assert cli.main(["code", "--config", cfg, "--out", out]) == 0
         rows = read_csv(out)
         assert [float(r["codelength_bits"]) for r in rows] == [
-            217.91604897404008, 191.57910067998003, 194.01473202798437,
-            199.80667564229577, 211.29093146886464]
+            217.91604897404011, 191.57910067998009, 194.01473202798439,
+            199.80667564229583, 211.29093146886467]
         assert [int(r["emitted_bits"]) for r in rows] == [219, 193, 196, 201, 213]
 
     def test_cap_exit_3(self, tmp_path, capsys):

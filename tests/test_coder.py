@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pattern_entropy import coder, grids, verify
 from pattern_entropy._common import ResourceCapError
@@ -17,7 +19,7 @@ from pattern_entropy.coder import (
     next_symbol_prob,
     sequence_codelength,
 )
-from pattern_entropy.distributions import ParamVector
+from pattern_entropy.distributions import ParamVector, SourceSpec, make_distribution, sample_sequence
 from pattern_entropy.grids import build_grid
 from pattern_entropy.oracle import exact_entropies
 from pattern_entropy.patterns import bin_sequence, extract_pattern
@@ -382,12 +384,26 @@ class TestModelValidation:
 
 
 def _emit_by_division(low: int, width: int, P: int) -> Bitstring:
-    """The canonical dyadic with L from the long division ceil(P / width)."""
+    """The canonical dyadic with L from the long division ceil(P / width) and
+    the code point from the long division ceil(low * 2**L / P)."""
     q = -(-P // width)
     L = (q - 1).bit_length() + 1
     c_num = ((low << L) + P - 1) // P
     nbytes = (L + 7) // 8
     return Bitstring((c_num << (8 * nbytes - L)).to_bytes(nbytes, "big"), L)
+
+
+def _odd_times_power_of_two(P: int) -> tuple[int, int]:
+    e = (P & -P).bit_length() - 1
+    return P >> e, e
+
+
+def _fold_by_products(steps):
+    """(low, width, P) after the steps (den, cum, w), one step at a time."""
+    low, width, P = 0, 1, 1
+    for den, cum, w in steps:
+        low, width, P = low * den + cum * width, width * w, P * den
+    return low, width, P
 
 
 def test_emit_length_from_bit_lengths_matches_the_division():
@@ -407,4 +423,109 @@ def test_emit_length_from_bit_lengths_matches_the_division():
                 cases += [(0, width + 1, P)] if width < P else []
         cases += [(0, P + 1, P), (0, 2 * P, P), (0, P << 70, P)]  # width above P
     for low, width, P in cases:
-        assert coder._emit(low, width, P) == _emit_by_division(low, width, P), (low, width, P)
+        got = coder._emit(low, width, *_odd_times_power_of_two(P))
+        assert got == _emit_by_division(low, width, P), (low, width, P)
+
+
+@st.composite
+def _step_maps(draw):
+    """(a, e, cum, w) with a odd, a > 1 drawn often, and 0 <= cum < cum + w <= a * 2**e."""
+    a = draw(st.one_of(st.just(1), st.integers(0, 2**70).map(lambda x: 2 * x + 1)))
+    e = draw(st.integers(0, 90))
+    den = a << e
+    w = draw(st.integers(1, den))
+    return a, e, draw(st.integers(0, den - w)), w
+
+
+@given(st.lists(_step_maps(), min_size=1, max_size=40))
+def test_fold_and_emit_match_the_product_of_the_denominators(steps):
+    old = [(a << e, cum, w) for a, e, cum, w in steps]
+    low, width, a, e = coder._fold(steps)
+    assert a % 2 == 1 and (low, width, a << e) == _fold_by_products(old)
+    assert coder._emit(low, width, a, e) == _emit_by_division(*_fold_by_products(old))
+
+
+def _step_denominators(model, psi, beta):
+    """The (a, e) of every step of the stream, a * 2**e being its denominator."""
+    steps = coder._Steps(model)
+    dens = []
+    for j, (p, b) in enumerate(zip(psi, beta)):
+        dens.append(steps.begin(j))
+        steps.update(p, b)
+    return dens
+
+
+def _source_stream(theta, n, epsilon, seed):
+    grid = build_grid("eta", n, epsilon)
+    x = sample_sequence(theta, n, seed)
+    return CoderModel.from_source(theta, grid, n), extract_pattern(x).indices, bin_sequence(
+        theta, grid, x)
+
+
+def _zipf(k, exponent):
+    return make_distribution(SourceSpec("zipf", {"k": k, "exponent": exponent}))
+
+
+class TestPowerOfTwoSteps:
+    """Every step of a from_source stream has the denominator 2**s."""
+
+    def assert_power_of_two_steps(self, model, psi, beta):
+        dens = _step_denominators(model, psi, beta)
+        assert all(a == 1 for a, _ in dens), [j for j, (a, _) in enumerate(dens) if a != 1]
+        bits = encode(model, psi, beta)
+        assert decode(model, bits, len(psi)) == (tuple(psi), tuple(beta))
+        cl = sequence_codelength(model, psi, beta)
+        assert cl - 1e-9 <= len(bits) <= cl + 2.0 + 1e-9
+
+    @pytest.mark.parametrize("exponent", [1.28, 1.3, 1.313776874061002, 1.32, 1.34])
+    def test_zipf_k200_n512(self, exponent):
+        theta = _zipf(200, exponent)
+        for seed in range(3):
+            self.assert_power_of_two_steps(*_source_stream(theta, 512, 0.3, seed))
+
+    def test_zipf_k200_n4096(self):
+        # the stream on which the unscaled model had a 258,029-bit P
+        self.assert_power_of_two_steps(*_source_stream(_zipf(200, 1.3), 4096, 0.3, 0))
+
+    @pytest.mark.parametrize("name, level1", [("ex2", "below"), ("ex3", "above"), ("ex4", "unit")])
+    def test_two_level_sources(self, name, level1):
+        p = verify._EXAMPLE_PARAMS[name]
+        params = {key: p[key] for key in ("mu", "nu", "phi0") if key in p}
+        params["level1"] = level1
+        n = 256
+        theta = make_distribution(SourceSpec("two-level", params, n))
+        for seed in range(2):
+            self.assert_power_of_two_steps(*_source_stream(theta, n, p["eps"], seed))
+
+    def test_dirichlet_sources(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            k = int(rng.integers(1, 9))
+            n = int(rng.integers(2, 65))
+            theta = verify._dirichlet_source(rng, k, 1e-6)
+            epsilon = float(rng.choice([0.2, 0.3, 0.45]))
+            self.assert_power_of_two_steps(*_source_stream(theta, n, epsilon, rng))
+
+    def test_every_reachable_state_sums_to_at_most_one_exactly(self):
+        # a source reaches seen_b <= min(k_b, n) in each bin; the largest
+        # exact bin total over those counts, summed over the bins, bounds
+        # every such state
+        geometric = make_distribution(SourceSpec("geometric", {"k": 12, "decay": 0.7}))
+        for theta, n in ((_zipf(200, 1.3), 4096), (geometric, 64),
+                         (ParamVector.from_probs([0.5, 0.25, 0.25]), 8)):
+            model = CoderModel.from_source(theta, build_grid("eta", n, 0.3), n)
+            worst = Fraction(0)
+            for phi_b, rho_b, ell_b in zip(model.phi, model.rho, model.ell):
+                if phi_b > 0.0:
+                    worst += max(seen * Fraction(rho_b) + Fraction(max(phi_b - seen * rho_b, 0.0))
+                                 for seen in range(ell_b + 1))
+            assert worst <= 1
+
+    def test_probability_one_source_keeps_its_zero_codelength(self):
+        theta = ParamVector.from_probs([1.0])
+        for n in (4, 12, 64):
+            grid = build_grid("eta", n, 0.3)
+            model = CoderModel.from_source(theta, grid, n)
+            assert [x for x in model.phi if x] == [1.0]
+            assert exact_entropies(theta, grid, min(n, 12), model=model).expected_codelength == 0.0
+            assert sequence_codelength(model, (1,) * n, (model.num_bins - 1,) * n) == 0.0

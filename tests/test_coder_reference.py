@@ -257,8 +257,14 @@ def test_edge_streams_are_at_the_edges():
     assert psi[:3] == (1, 2, 3) and beta[0] == np.flatnonzero(model.phi).max()
     assert len(EDGE_STREAMS["single_step"][1]) == 1
     assert len(encode(*EDGE_STREAMS["one_bit"])) == 1
-    over_one = EDGE_STREAMS["total_over_one"][0]
+    over_one, psi, beta = EDGE_STREAMS["total_over_one"]
     assert sum(q for *_, q in _step_events(over_one, CoderState())) > 1.0
+    steps = coder._Steps(over_one)
+    odd_parts = []
+    for j, (p, b) in enumerate(zip(psi, beta)):
+        odd_parts.append(steps.begin(j)[0])
+        steps.update(p, b)
+    assert max(odd_parts) > 1  # the fold's general denominator a * 2**e, a > 1
 
 
 @pytest.mark.parametrize("name", EDGE_STREAMS)

@@ -235,7 +235,7 @@ class TestExactEntropies:
         finally:
             tracemalloc.stop()
         assert ee.h_joint == 17.040557169805158
-        assert ee.expected_codelength == 18.087957540296962
+        assert ee.expected_codelength == 18.087957540296966
         assert peak <= 90 * 2 ** 20
 
     def test_zero_probability_step_warns(self):
