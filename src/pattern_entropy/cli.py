@@ -51,6 +51,11 @@ LB4_DEFAULTS = {name: p.default for name, p in inspect.signature(lb_theorem4).pa
 
 DEFAULT_BOUNDS = ("simple", "ub1", "lb2a", "lb2b", "ub3", "c1", "c21", "c2_loosened", "lb4")
 
+# a region row costs about 14 us and a coded symbol 8-20 us (60 us at n = 16384)
+# on a 2-vCPU host, so each cap keeps a run to a few seconds
+REGION_K_CAP = 100_000  # alphabet sizes one region sweep visits
+CODE_SYMBOLS_CAP = 250_000  # symbols, code.count * n, that one code run samples
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -125,6 +130,7 @@ def _whole(doc, path, minimum):
         _fail(path, f"expected an integer, got {doc!r}")
     if doc < minimum:
         _fail(path, f"must be >= {minimum}, got {doc!r}")
+    _number(doc, path)  # an integer feeds float arithmetic, so it must fit a float
     return doc
 
 
@@ -136,6 +142,14 @@ def _block(doc, path, keys):
     return doc
 
 
+def _region_cap(count: int) -> int:
+    """``count``, or ResourceCapError when a sweep would visit more alphabet sizes."""
+    if count > REGION_K_CAP:
+        raise ResourceCapError(f"a region sweep over {count} alphabet sizes exceeds "
+                               f"REGION_K_CAP ({REGION_K_CAP})")
+    return count
+
+
 def _region_ks(region: dict) -> tuple[int, ...]:
     """The alphabet sizes a ``region`` block lists or spaces over a range."""
     _block(region, ".region", ("n_pow_eps1", "k_values", "k_range"))
@@ -143,6 +157,7 @@ def _region_ks(region: dict) -> tuple[int, ...]:
         values = region["k_values"]
         if not isinstance(values, list) or not values:
             _fail(".region.k_values", "expected a non-empty list of integers")
+        _region_cap(len(values))
         return tuple(_whole(k, ".region.k_values", 1) for k in values)
     if "k_range" not in region:
         _fail(".region", "needs 'k_values' or 'k_range'")
@@ -155,7 +170,7 @@ def _region_ks(region: dict) -> tuple[int, ...]:
         if not 0.0 < end < math.inf:
             _fail(f".region.k_range.{key}", f"must be a finite number > 0, got {end!r}")
         ends.append(end)
-    num = _whole(spec.get("num", 50), ".region.k_range.num", 1)
+    num = _region_cap(_whole(spec.get("num", 50), ".region.k_range.num", 1))
     log = _expect_type(spec.get("log", True), ".region.k_range.log", bool, "true or false")
     ks = sorted({int(round(k)) for k in (np.geomspace if log else np.linspace)(*ends, num)})
     if ks[0] < 1:
@@ -169,6 +184,20 @@ def _names(doc, path, known, what):
         if not isinstance(name, str) or name not in known:
             _fail(path, f"unknown {what} {name!r}; available: {tuple(known)}")
     return tuple(doc)
+
+
+def _lb4(doc) -> dict:
+    """``lb_theorem4``'s keywords: its defaults under an ``lb4`` block's checked overrides."""
+    lb4 = {**LB4_DEFAULTS, **_block(doc, ".lb4", LB4_DEFAULTS)}
+    for key in ("s1_variant", "s2_variant"):
+        if lb4[key] not in ("b1", "b2"):
+            _fail(f".lb4.{key}", f"must be 'b1' or 'b2', got {lb4[key]!r}")
+    if not 0.0 < _number(lb4["vartheta_minus"], ".lb4.vartheta_minus") < 1.0:
+        _fail(".lb4.vartheta_minus", f"must be in (0, 1), got {lb4['vartheta_minus']!r}")
+    if not _number(lb4["vartheta_plus"], ".lb4.vartheta_plus") > 1.0:
+        _fail(".lb4.vartheta_plus", f"must be > 1, got {lb4['vartheta_plus']!r}")
+    _expect_type(lb4["s3_from_origin"], ".lb4.s3_from_origin", bool, "true or false")
+    return lb4
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -205,14 +234,18 @@ def parse_config(doc: dict) -> RunConfig:
 
     n = doc.get("n")
     if n is not None:
-        _number(n, ".n")
-        if isinstance(n, float):
-            # huge horizons (1e50 sweeps) stay floats; modest ones normalize
-            if n < 2**53 and n.is_integer():
-                n = int(n)
+        # horizons from 2**53 on (1e50 sweeps) are floats, which only the region
+        # sweep takes; integral ones below that normalize to int
+        n = _number(n, ".n")
+        if n < 2**53 and n.is_integer():
+            n = int(n)
         if n < 1:
             _fail(".n", "must be >= 1")
     epsilon = _number(doc.get("epsilon", 0.25), ".epsilon")
+    try:  # eta's denominator n^(1 + 2 eps) is the largest power of n the commands take
+        float(n or 1) ** (1.0 + 2.0 * abs(epsilon))
+    except OverflowError:
+        _fail(".epsilon", f"n^(1 + 2|epsilon|) is outside the float range at n = {n!r}")
     region = doc.get("region")
     region_ks = None if region is None else _region_ks(region)
     epsilon1 = doc.get("epsilon1")
@@ -256,12 +289,11 @@ def parse_config(doc: dict) -> RunConfig:
         _names(verify_cfg.get("suites", []), ".verify.suites", CHECKS, "suite")
         _whole(verify_cfg.get("seed", 0), ".verify.seed", 0)
 
-    lb4 = {**LB4_DEFAULTS, **_block(doc.get("lb4", {}), ".lb4", LB4_DEFAULTS)}
     return RunConfig(
         source=source, n=n, epsilon=epsilon, epsilon1=epsilon1, bounds=bounds,
         oracle=_expect_type(doc.get("oracle", False), ".oracle", bool, "true or false"), mc=mc,
         out_format=out_format, out_path=out_path,
-        region_ks=region_ks, code=code, verify=verify_cfg, lb4=lb4,
+        region_ks=region_ks, code=code, verify=verify_cfg, lb4=_lb4(doc.get("lb4", {})),
     )
 
 
@@ -313,8 +345,15 @@ def _bound_row(name: str, rep: BoundReport | None, errors: list[str],
     return row
 
 
-def _theta(cfg: RunConfig):
-    """The configured source; an error building it is a config error on ``source``."""
+def _theta(cfg: RunConfig, command: str, *blocks: str):
+    """The source of ``command``, which needs one, an integer horizon n and the config
+    ``blocks``; an error building the source is a config error on ``source``."""
+    needs = ("source", "n", *blocks)
+    if any(getattr(cfg, key) is None for key in needs):
+        *head, last = (f"'{key}'" for key in needs)
+        raise ValueError(f"the {command} command needs {', '.join(head)} and {last}")
+    if not isinstance(cfg.n, int):
+        raise ValueError(f"the {command} command needs an integer horizon n")
     try:
         return make_distribution(cfg.source)
     except ValueError as exc:
@@ -323,11 +362,7 @@ def _theta(cfg: RunConfig):
 
 def run_bounds(cfg: RunConfig) -> list[dict]:
     """One row per report of each selected bound, with oracle columns when enabled."""
-    if cfg.source is None or cfg.n is None:
-        raise ValueError("the bounds command needs 'source' and 'n'")
-    if not isinstance(cfg.n, int):
-        raise ValueError("the bounds command needs an integer horizon n")
-    theta = _theta(cfg)
+    theta = _theta(cfg, "bounds")
     analysis = SourceAnalysis(theta, cfg.n, cfg.epsilon)
     oracle_cols: dict = {}
     skipped = []
@@ -390,12 +425,13 @@ def run_region_sweep(cfg: RunConfig) -> list[dict]:
 
 def run_code(cfg: RunConfig) -> tuple[list[dict], bool]:
     """Round-trip sampled sequences through the coder; returns (rows, all_ok)."""
-    if cfg.source is None or cfg.n is None or cfg.code is None:
-        raise ValueError("the code command needs 'source', 'n' and 'code'")
-    theta = _theta(cfg)
+    theta = _theta(cfg, "code", "code")
     rng = np.random.default_rng(cfg.code["seed"])
     grid = build_grid("eta", cfg.n, cfg.epsilon)
     model = CoderModel.from_source(theta, grid, cfg.n)
+    if cfg.code["count"] * cfg.n > CODE_SYMBOLS_CAP:
+        raise ResourceCapError(f"{cfg.code['count']} streams of {cfg.n} symbols exceed "
+                               f"CODE_SYMBOLS_CAP ({CODE_SYMBOLS_CAP})")
     rows = []
     all_ok = True
     for trial in range(cfg.code["count"]):
@@ -411,9 +447,7 @@ def run_code(cfg: RunConfig) -> tuple[list[dict], bool]:
 
 
 def run_oracle(cfg: RunConfig) -> list[dict]:
-    if cfg.source is None or cfg.n is None:
-        raise ValueError("the oracle command needs 'source' and 'n'")
-    theta = _theta(cfg)
+    theta = _theta(cfg, "oracle")
     grid = build_grid("eta", cfg.n, cfg.epsilon)
     ee = exact_entropies(theta, grid, cfg.n)
     row = {

@@ -49,12 +49,13 @@ class ParamVector:
             raise ValueError("values and counts must be matching, non-empty 1-d arrays")
         if np.any(counts <= 0):
             raise ValueError("multiplicities must be positive integers")
-        if np.any(values <= 0.0) or np.any(values > 1.0):
+        # written so that NaN fails each check: every comparison with it is false
+        if not np.all((values > 0.0) & (values <= 1.0)):
             raise ValueError("probabilities must lie in (0, 1]")
         if values.size > 1 and np.any(np.diff(values) <= 0.0):
             raise ValueError("values must be strictly ascending with duplicates merged")
         total = exact_sum(counts * values)
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         values.setflags(write=False)
         counts.setflags(write=False)
@@ -76,7 +77,10 @@ class ParamVector:
     def from_groups(cls, values: Sequence[float], counts: Sequence[int]) -> "ParamVector":
         """Build from (value, multiplicity) groups, merging equal values."""
         v = np.asarray(values, dtype=float)
-        c = np.asarray(counts, dtype=np.int64)
+        try:
+            c = np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"multiplicities must be below 2**63, got {max(counts)!r}") from None
         if v.ndim != 1 or v.shape != c.shape:
             raise ValueError("values and counts must be 1-d with matching shapes")
         uv, inverse = np.unique(v, return_inverse=True)
@@ -148,7 +152,8 @@ def make_distribution(spec: SourceSpec) -> ParamVector:
         elif "nu" in params:
             if n is None:
                 raise ValueError("uniform family with 'nu' requires the horizon n")
-            k = int(round(float(n) ** (1.0 - float(params["nu"]))))
+            nu = float(params["nu"])
+            k = int(round(_n_power(n, 1.0 - nu, f"uniform nu = {nu!r}")))
         else:
             raise ValueError("uniform family requires 'k' or 'nu'")
         if k < 1:
@@ -156,15 +161,17 @@ def make_distribution(spec: SourceSpec) -> ParamVector:
         return ParamVector.from_groups([1.0 / k], [k])
     if family == "two-level":
         return _two_level(params, n)
+    # geometric and zipf, the last families SourceSpec admits, list every letter
+    k = int(_required(params, "k", family))
+    if k > MATERIALIZE_CAP:
+        raise ResourceCapError(f"{family} k = {k} letters exceed the materialization cap "
+                               f"MATERIALIZE_CAP ({MATERIALIZE_CAP})")
     if family == "geometric":
-        k = int(_required(params, "k", family))
         decay = float(_required(params, "decay", family))
         if not 0.0 < decay < 1.0:
             raise ValueError("geometric decay must be in (0, 1)")
         raw = decay ** np.arange(k, dtype=float)
         return _normalized(raw)
-    # zipf, the last family SourceSpec admits
-    k = int(_required(params, "k", family))
     s = float(_required(params, "exponent", family))
     raw = np.arange(1, k + 1, dtype=float) ** (-s)
     return _normalized(raw)
@@ -174,6 +181,18 @@ def _required(params: dict, name: str, family: str):
     if name not in params:
         raise ValueError(f"{family} family requires {name!r}")
     return params[name]
+
+
+def _n_power(n, exponent: float, what: str) -> float:
+    """n ** exponent, or a ValueError naming ``what`` when it leaves the
+    positive float range (an overflow, or an underflow to 0)."""
+    try:
+        power = float(n) ** exponent
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"{what} puts n^{exponent:g} outside the float range")
+    return power
 
 
 def _normalized(raw: np.ndarray) -> ParamVector:
@@ -199,8 +218,8 @@ def _two_level(params: dict, n: int | None) -> ParamVector:
         raise ValueError(f"level1 must be one of {_TWO_LEVEL_KINDS}")
     if not 0.0 < phi0 < 1.0:
         raise ValueError("phi0 must be in (0, 1)")
-    theta0 = nf ** -(1.0 + mu)
-    k0 = int(round(phi0 * nf ** (1.0 + mu)))
+    theta0 = _n_power(nf, -(1.0 + mu), f"two-level mu = {mu!r}")
+    k0 = int(round(phi0 * _n_power(nf, 1.0 + mu, f"two-level mu = {mu!r}")))
     if k0 < 1:
         raise ValueError("low-level letter count rounds to zero")
     mass0 = k0 * theta0
@@ -209,10 +228,10 @@ def _two_level(params: dict, n: int | None) -> ParamVector:
         raise ValueError("low level consumes all probability mass")
     if kind == "below":
         nu = float(_required(params, "nu", "two-level"))
-        v1_nominal = nf ** -(1.0 - nu)
+        v1_nominal = _n_power(nf, -(1.0 - nu), f"two-level nu = {nu!r}")
     elif kind == "above":
         nu = float(_required(params, "nu", "two-level"))
-        v1_nominal = nf ** -(1.0 + nu)
+        v1_nominal = _n_power(nf, -(1.0 + nu), f"two-level nu = {nu!r}")
     else:
         v1_nominal = 1.0 / nf
     k1 = int(round((1.0 - phi0) / v1_nominal))
@@ -261,4 +280,5 @@ def sample_sequence(theta: ParamVector, size: int | tuple[int, ...],
     if np.min(size) < 1:
         raise ValueError("sequence length must be >= 1")
     rng = np.random.default_rng(seed)
-    return rng.choice(np.arange(1, theta.k + 1), size=size, p=theta.probs)
+    probs = theta.probs  # the materialization cap, before any k-element array
+    return rng.choice(np.arange(1, theta.k + 1), size=size, p=probs)

@@ -193,17 +193,13 @@ class BinStats:
     kappa_prime: np.ndarray | None = None
 
 
-def absent_probability(theta, n: int):
-    """(1 - theta)^n, evaluated stably as exp(n * log1p(-theta)), for a float or an array."""
-    if isinstance(theta, np.ndarray):
-        absent = np.zeros(theta.shape)
-        can_miss = theta < 1.0
-        log_absent = float(n) * elementwise(math.log1p, -theta[can_miss])
-        absent[can_miss] = elementwise(math.exp, log_absent)
-        return absent
-    if theta >= 1.0:
-        return 0.0
-    return math.exp(n * math.log1p(-theta))
+def absent_probability(theta: np.ndarray, n: int) -> np.ndarray:
+    """(1 - theta)^n per element, evaluated stably as exp(n * log1p(-theta))."""
+    absent = np.zeros(theta.shape)
+    can_miss = theta < 1.0
+    log_absent = float(n) * elementwise(math.log1p, -theta[can_miss])
+    absent[can_miss] = elementwise(math.exp, log_absent)
+    return absent
 
 
 def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = None) -> BinStats:
@@ -282,7 +278,7 @@ def occurrence_stats(theta_i: float, n: int) -> OccurrenceStats:
     if n < 1:
         raise ValueError("n must be >= 1")
     t = float(theta_i)
-    p_absent = absent_probability(t, n)
+    p_absent = float(absent_probability(np.array([t]), n)[0])
     small = t <= 0.6
     absent_lo = math.exp(-n * (t + t * t)) if small else 0.0
     absent_hi = math.exp(-n * t)

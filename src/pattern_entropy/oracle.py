@@ -235,7 +235,8 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     (pattern, bin string).
     """
     k = theta.k
-    if k ** n > ENUMERATION_CAP:
+    # k**64 > ENUMERATION_CAP for every k >= 2, so the exponent need not pass 64
+    if k ** min(n, 64) > ENUMERATION_CAP:
         raise ResourceCapError(f"{k}^{n} sequences exceed the enumeration cap ({ENUMERATION_CAP})")
     h_x_block = n * iid_entropy(theta)
     h_pattern = exact_pattern_entropy(theta, n)

@@ -29,18 +29,20 @@ from .bounds import (
     lb_theorem2,
     lb_theorem4,
     range_decreases,
+    simple_bounds,
     stirling_bounds,
     ub_theorem1,
     ub_theorem3_family,
 )
 from .coder import CoderModel, CoderState, _dyadic_sum, next_symbol_prob, roundtrip
-from .distributions import (ParamVector, SourceSpec, binary_entropy, iid_entropy,
+from .distributions import (ParamVector, SourceSpec, binary_entropy,
                             make_distribution, sample_sequence)
 from .grids import (
     bin_index,
     build_grid,
     closed_form_A,
     closed_form_B,
+    low_thresholds,
     occurrence_stats,
 )
 from .oracle import exact_entropies, exact_pattern_entropy, mc_pattern_entropy, occupancy_pmf
@@ -65,9 +67,10 @@ class CheckResult:
 
 
 class _Collector:
-    """Counts assertions and keeps the first few failure messages."""
+    """Counts assertions, keeps the first few failure messages, times the suite."""
 
     def __init__(self):
+        self.start = time.perf_counter()
         self.checks = 0
         self.failures: list[str] = []
 
@@ -76,11 +79,11 @@ class _Collector:
         if not cond and len(self.failures) < 8:
             self.failures.append(msg)
 
-    def result(self, name: str, t0: float, extra: str = "", data: dict | None = None) -> CheckResult:
+    def result(self, name: str, extra: str = "", data: dict | None = None) -> CheckResult:
         ok = not self.failures
         details = extra if ok else "; ".join(self.failures) + (f" | {extra}" if extra else "")
-        return CheckResult(name=name, passed=ok, checks=self.checks,
-                           details=details, elapsed=time.time() - t0, data=data or {})
+        return CheckResult(name=name, passed=ok, checks=self.checks, details=details,
+                           elapsed=time.perf_counter() - self.start, data=data or {})
 
 
 def _dirichlet_source(rng: np.random.Generator, k: int, floor: float) -> ParamVector:
@@ -104,23 +107,18 @@ def instance_matrix(seed: int = DEFAULT_SEED) -> list[tuple[int, int, ParamVecto
 
 def check_sandwich(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 1: block-entropy sandwich on the 200-instance matrix."""
-    t0 = time.time()
     col = _Collector()
-    tol = 1e-9
+    tol, eps = 1e-9, 0.25  # simple_bounds reads no grid, so any eps will do
     for n, k, theta in instance_matrix(seed):
-        h_block = n * iid_entropy(theta)
-        deduct = log2_factorial(k) - log2_factorial(max(0, k - n))
+        lower, upper = (rep.value for rep in simple_bounds(SourceAnalysis(theta, n, eps)))
         h_pat = exact_pattern_entropy(theta, n)
-        col.expect(h_block - deduct - tol <= h_pat,
-                   f"lower violated at n={n} k={k}: {h_block - deduct} > {h_pat}")
-        col.expect(h_pat <= h_block + tol,
-                   f"upper violated at n={n} k={k}: {h_pat} > {h_block}")
-    return col.result("sandwich", t0, extra="200 instances, n in 2..7, k in 1..4")
+        col.expect(lower - tol <= h_pat, f"lower violated at n={n} k={k}: {lower} > {h_pat}")
+        col.expect(h_pat <= upper + tol, f"upper violated at n={n} k={k}: {h_pat} > {upper}")
+    return col.result("sandwich", extra="200 instances, n in 2..7, k in 1..4")
 
 
 def check_coder_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 2: E[-log Q] >= H(joint) >= H(pattern), two codelength routes agree."""
-    t0 = time.time()
     col = _Collector()
     tol = 1e-9
     epsilon = 0.3
@@ -140,12 +138,11 @@ def check_coder_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
         col.expect(abs(other - ee.expected_codelength) <= tol,
                    f"codelength routes disagree at n={n} k={k}: "
                    f"{other} vs {ee.expected_codelength}")
-    return col.result("coder_dominance", t0, extra=f"{count} instances, n <= 6")
+    return col.result("coder_dominance", extra=f"{count} instances, n <= 6")
 
 
 def check_permutation_count(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 3: brute-force in-bin permutation count equals prod(count_b!)."""
-    t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -156,12 +153,11 @@ def check_permutation_count(seed: int = DEFAULT_SEED) -> CheckResult:
         for b in set(bins):
             want *= math.factorial(bins.count(b))
         col.expect(got == want, f"bins={bins}: {got} != {want}")
-    return col.result("permutation_count", t0, extra="100 random assignments, k <= 7")
+    return col.result("permutation_count", extra="100 random assignments, k <= 7")
 
 
 def check_occurrence_formulas(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 4: occurrence/re-occurrence quantities sit inside their bounds."""
-    t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
     tol = 1e-12
@@ -194,13 +190,12 @@ def check_occurrence_formulas(seed: int = DEFAULT_SEED) -> CheckResult:
         col.expect(st.mean_reoccur_lo == 5 * theta - 1.0,
                    f"re-occurrence lower must drop the exponential at theta={theta}")
         col.expect(st.p_absent <= st.p_absent_hi, f"absent upper fails at theta={theta}")
-    return col.result("occurrence_formulas", t0, extra=f"{trials} random (theta, n) pairs")
+    return col.result("occurrence_formulas", extra=f"{trials} random (theta, n) pairs")
 
 
 def check_grid_laws() -> CheckResult:
     """Criterion 5: spacing identity/inequalities, closed-form sizes, and the
     closed-form bin lookup against searchsorted over every point."""
-    t0 = time.time()
     col = _Collector()
     for n in (10**2, 10**4, 10**6):
         for eps in (0.1, 0.25):
@@ -239,12 +234,11 @@ def check_grid_laws() -> CheckResult:
                 bad = np.count_nonzero(bin_index(g, probes) != np.searchsorted(gpts, probes) - 1)
                 col.expect(bad == 0, f"{g.kind} bin_index differs from searchsorted on {bad} of "
                                      f"{probes.size} probes at n={n} eps={eps}")
-    return col.result("grid_laws", t0, extra="n in {1e2,1e4,1e6} x eps in {0.1,0.25}")
+    return col.result("grid_laws", extra="n in {1e2,1e4,1e6} x eps in {0.1,0.25}")
 
 
 def check_mc_estimator(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 6: the Monte Carlo estimate brackets the enumerated value."""
-    t0 = time.time()
     col = _Collector()
     theta = ParamVector.from_probs([1.0 / 3.0] * 3)
     n = 10
@@ -252,7 +246,7 @@ def check_mc_estimator(seed: int = DEFAULT_SEED) -> CheckResult:
     mc = mc_pattern_entropy(theta, n, samples=100_000, seed=seed)
     col.expect(abs(mc.estimate - exact) <= 3.0 * mc.stderr,
                f"|{mc.estimate} - {exact}| > 3*{mc.stderr}")
-    return col.result("mc_estimator", t0,
+    return col.result("mc_estimator",
                       extra=f"exact={exact:.6f}, mc={mc.estimate:.6f} +- {mc.stderr:.6f}",
                       data={"exact": exact, "mc": mc.estimate, "stderr": mc.stderr})
 
@@ -265,7 +259,6 @@ def check_stirling() -> CheckResult:
     large m; comparisons therefore carry a magnitude-scaled slop (1e-13
     relative) that stays three orders of magnitude below the bracket width.
     """
-    t0 = time.time()
     col = _Collector()
     for m in range(1, 10_001):
         lo, hi = stirling_bounds(m)
@@ -275,13 +268,12 @@ def check_stirling() -> CheckResult:
         col.expect(lf <= hi + slop, f"Stirling upper fails at m={m}")
         col.expect(abs((hi - lo) - LOG2E / (12.0 * m)) <= 4.0 * math.ulp(lo),
                    f"bracket width mismatch at m={m}")
-    return col.result("stirling", t0, extra="m in 1..10^4 vs log-gamma")
+    return col.result("stirling", extra="m in 1..10^4 vs log-gamma")
 
 
 def check_degenerate_collapse() -> CheckResult:
     """Criterion 8: with no low letters, ub3 collapses to the bounded-away
     upper bound per-term."""
-    t0 = time.time()
     col = _Collector()
     cases = [
         (50, 0.2, [0.2, 0.3, 0.5]),
@@ -290,8 +282,7 @@ def check_degenerate_collapse() -> CheckResult:
     ]
     for n, eps, probs in cases:
         theta = ParamVector.from_probs(probs)
-        thr2 = float(n) ** -(1.0 - eps)
-        col.expect(min(probs) > thr2, f"case n={n} is not degenerate")
+        col.expect(min(probs) > low_thresholds(n, eps)[1], f"case n={n} is not degenerate")
         analysis = SourceAnalysis(theta, n, eps)
         ub3 = ub_theorem3_family(analysis, "ub3")
         ub1 = ub_theorem1(analysis)
@@ -308,7 +299,7 @@ def check_degenerate_collapse() -> CheckResult:
         lb2a, _ = lb_theorem2(analysis)
         col.expect(abs(lb4.value - lb2a.value) <= 1e-9,
                    f"lb4 does not reduce to lb2 variant A at n={n}")
-    return col.result("degenerate_collapse", t0, extra=f"{len(cases)} bounded-away sources")
+    return col.result("degenerate_collapse", extra=f"{len(cases)} bounded-away sources")
 
 
 _EXAMPLE_PARAMS = {
@@ -331,7 +322,6 @@ def check_example_reproduction() -> CheckResult:
     surrogate :func:`~pattern_entropy.bounds.distinct_count_pmf` (which c2_exact
     uses) and the exact occupancy pmf on ex1's one occupied tau bin.
     """
-    t0 = time.time()
     col = _Collector()
     n, rel_tol = 10**6, 0.05
     nf = float(n)
@@ -422,13 +412,12 @@ def check_example_reproduction() -> CheckResult:
                "ex4: the merged-pack bound must be tightest")
     col.expect(b["ub3"] < min(b["c21"], b["c2_loosened"]),
                "ex4: the split-pack bound must be second")
-    return col.result("example_reproduction", t0, extra=f"four families at n={n}",
+    return col.result("example_reproduction", extra=f"four families at n={n}",
                       data={"ex1_occupancy_tv": occupancy_tv})
 
 
 def check_region_sweep() -> CheckResult:
     """Criterion 10: threshold clamping, monotonicity, and frontier agreement."""
-    t0 = time.time()
     col = _Collector()
     n, eps = 10**6, 0.2
     eps1 = math.log(20.0) / math.log(n)
@@ -461,13 +450,12 @@ def check_region_sweep() -> CheckResult:
         rel = abs(r["upper_stirling"] - r["upper_nonasym"]) / r["upper_stirling"]
         worst = max(worst, rel)
         col.expect(rel <= 0.01, f"frontier disagreement {rel:.4g} at k={kk:.3g}")
-    return col.result("region_sweep", t0,
+    return col.result("region_sweep",
                       extra=f"left panel n=1e6, right panel n=1e50; worst agreement {worst:.3g}")
 
 
 def check_coder_roundtrip(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 11: decode inverts encode; emitted bits within [-log2 Q, -log2 Q + 2]."""
-    t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
     eps = 0.3
@@ -482,14 +470,13 @@ def check_coder_roundtrip(seed: int = DEFAULT_SEED) -> CheckResult:
         cl, bits, ok, within = roundtrip(model, extract_pattern(x), bin_sequence(theta, grid, x))
         col.expect(ok, f"round trip failed at n={n} k={k}")
         col.expect(within, f"length {len(bits)} outside [{cl}, {cl}+2] at n={n} k={k}")
-    return col.result("coder_roundtrip", t0, extra=f"{trials} sampled sequences, n <= 64, k <= 8")
+    return col.result("coder_roundtrip", extra=f"{trials} sampled sequences, n <= 64, k <= 8")
 
 
 def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
     """Per-state conditional masses sum to at most 1, exactly 1 while every bin
     still has unseen letters.  The exact dyadic total of every event weight of
     a state is at most 1 too, so each coder step has the denominator 2**s."""
-    t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
     for _ in range(60):
@@ -526,21 +513,20 @@ def check_coder_normalization(seed: int = DEFAULT_SEED) -> CheckResult:
                 col.expect(abs(total - 1.0) <= 1e-9,
                            f"conditional mass {total} != 1 with unseen letters everywhere")
             state.update(p, b)
-    return col.result("coder_normalization", t0, extra="60 random sources")
+    return col.result("coder_normalization", extra="60 random sources")
 
 
 def check_theorem12_bracket(seed: int = DEFAULT_SEED) -> CheckResult:
     """The bounded-away main terms (ub_theorem1 / lb_theorem2) bracket the exact
     pattern entropy within the documented desk-scale slack budgets; observed
     slack is reported."""
-    t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
     epsilon = 0.1
     worst_ub = worst_lb = 0.0
     tested = 0
     for n in range(2, 7):
-        thr = float(n) ** -(1.0 - epsilon)
+        thr = low_thresholds(n, epsilon)[1]
         for k in range(1, 5):
             if k * thr >= 0.9:
                 continue
@@ -569,7 +555,7 @@ def check_theorem12_bracket(seed: int = DEFAULT_SEED) -> CheckResult:
                 col.expect(slack_lb <= budget_lb,
                            f"LB slack {slack_lb} over budget {budget_lb} at n={n} k={k}")
     return col.result(
-        "theorem12_bracket", t0,
+        "theorem12_bracket",
         extra=f"{tested} bounded-away instances; worst UB slack {worst_ub:.4g} bits, "
               f"worst LB slack {worst_lb:.4g} bits (budgets are the documented "
               f"desk-scale o(k)/o(1) allowances)")
@@ -590,7 +576,6 @@ def check_pattern_properties(seed: int = DEFAULT_SEED) -> CheckResult:
     Every pattern of one profile has the same P, so ``pattern_probability``
     runs once per sorted count tuple; each pattern is still compared with its
     own injection sum."""
-    t0 = time.time()
     col = _Collector()
     rng = np.random.default_rng(seed)
     for n in range(1, 9):
@@ -621,7 +606,7 @@ def check_pattern_properties(seed: int = DEFAULT_SEED) -> CheckResult:
         relabel = rng.permutation(6)
         col.expect(extract_pattern([int(relabel[v]) for v in x]).indices == psi.indices,
                    "not relabeling-invariant")
-    return col.result("pattern_properties", t0,
+    return col.result("pattern_properties",
                       extra="total-mass law and injection-sum agreement n<=8 k<=4 "
                             "(random, uniform and two-level sources) plus structure laws")
 

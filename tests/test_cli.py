@@ -2,14 +2,17 @@ import csv
 import io
 import json
 import math
+import re
 import time
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from pattern_entropy import bounds, cli, oracle
 from pattern_entropy.coder import CODER_N_CAP
+from pattern_entropy.distributions import MATERIALIZE_CAP
 from pattern_entropy.grids import build_grid
 from pattern_entropy.oracle import ExactEntropies
 from pattern_entropy.verify import _EXAMPLE_PARAMS, DEFAULT_SEED, CheckResult
@@ -28,6 +31,20 @@ def read_csv(path):
 
 # a valid bounds config that the malformed cases below spoil one key of
 UNIFORM2 = {"source": {"family": "uniform", "params": {"k": 2}}, "n": 8, "bounds": ["ub1"]}
+
+# the commands that read each top-level config key
+READERS = {
+    "source": ("bounds", "code", "oracle"),
+    "n": ("bounds", "code", "oracle", "region"),
+    "epsilon": ("bounds", "code", "oracle", "region"),
+    "epsilon1": ("bounds", "region"),
+    "bounds": ("bounds",), "oracle": ("bounds",), "lb4": ("bounds",),
+    "mc": ("bounds", "oracle"),
+    "region": ("region",), "code": ("code",), "verify": ("verify",),
+    "output": tuple(cli.COMMANDS),
+}
+# what a command needs beyond a source and n, added where a config lacks it
+NEEDS = {"code": {"code": {"count": 1}}}
 
 SINGLETON_ALPHABET = {
     "source": {"family": "uniform", "params": {"k": 1}},
@@ -116,8 +133,8 @@ class TestBoundsCommand:
         assert cli.main(["bounds", "--config", cfg]) == 1
 
     @pytest.mark.parametrize("doc, where", [
-        ({"region": {"n_pow_eps1": 20, "k_values": [10]}}, "region.n_pow_eps1"),
-        ({"n": 1, "region": {"n_pow_eps1": 20, "k_values": [10]}}, "region.n_pow_eps1"),
+        ({"region": {"n_pow_eps1": 20, "k_values": [10]}}, "config.region.n_pow_eps1"),
+        ({"n": 1, "region": {"n_pow_eps1": 20, "k_values": [10]}}, "config.region.n_pow_eps1"),
         ({"source": {"family": "geometric", "params": {"k": 5}}, "n": 10},
          "config.source: geometric family requires 'decay'"),
         ({"source": {"family": "geometric", "params": {"decay": 0.5}}, "n": 10},
@@ -130,7 +147,8 @@ class TestBoundsCommand:
          "config.source: two-level family requires 'mu'"),
         ({"source": {"family": "two-level", "params": {"phi0": 0.5, "mu": 0.4}}, "n": 100},
          "config.source: two-level family requires 'nu'"),
-        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "lb4": {"bogus": 1}}, "'bogus'"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "lb4": {"bogus": 1}},
+         "config.lb4: unknown key 'bogus'"),
         ({"source": {"family": "zipf", "params": 5}, "n": 10}, "config.source.params:"),
         ({"n": 100, "region": {"n_pow_eps1": 0, "k_values": [10]}},
          "config.region.n_pow_eps1: must be > 0"),
@@ -211,6 +229,32 @@ class TestBoundsCommand:
          "config.source.family: unknown family 'zipff'"),
         ({"source": {"family": "zipf", "k": 2.7, "exponent": 1.1}, "n": 8},
          "config.source.k: expected an integer, got 2.7"),
+        ({**UNIFORM2, "lb4": {"vartheta_minus": "x"}},
+         "config.lb4.vartheta_minus: expected a number, got 'x'"),
+        ({**UNIFORM2, "lb4": {"vartheta_minus": 1.0}},
+         "config.lb4.vartheta_minus: must be in (0, 1), got 1.0"),
+        ({**UNIFORM2, "lb4": {"vartheta_plus": 1}}, "config.lb4.vartheta_plus: must be > 1, got 1"),
+        ({**UNIFORM2, "lb4": {"vartheta_plus": math.nan}},
+         "config.lb4.vartheta_plus: expected a finite number, got nan"),
+        ({**UNIFORM2, "lb4": {"s3_from_origin": "yes"}},
+         "config.lb4.s3_from_origin: expected true or false"),
+        ({**UNIFORM2, "lb4": {"s2_variant": "b3"}},
+         "config.lb4.s2_variant: must be 'b1' or 'b2', got 'b3'"),
+        ({**UNIFORM2, "epsilon": 1e300},
+         "config.epsilon: n^(1 + 2|epsilon|) is outside the float range at n = 8"),
+        ({**UNIFORM2, "epsilon": -1e300},
+         "config.epsilon: n^(1 + 2|epsilon|) is outside the float range at n = 8"),
+        ({"source": {"family": "two-level", "params": {"phi0": 0.5, "mu": 1e300, "nu": 0.3}},
+          "n": 100}, "config.source: two-level mu = 1e+300 puts n^"),
+        ({"source": {"family": "two-level",
+                     "params": {"phi0": 0.5, "mu": 0.4, "nu": 1e300, "level1": "above"}},
+          "n": 100}, "config.source: two-level nu = 1e+300 puts n^"),
+        ({"source": {"family": "uniform", "params": {"nu": -1e300}}, "n": 100},
+         "config.source: uniform nu = -1e+300 puts n^"),
+        ({"source": {"family": "uniform", "params": {"k": 10**30}}, "n": 8},
+         "config.source: multiplicities must be below 2**63, got 10000"),
+        ({"region": {"k_values": [10, 10**400]}}, "config.region.k_values: 10000"),
+        ({"code": {"count": 10**400}}, "config.code.count: 10000"),
     ], ids=["n_pow_eps1_without_n", "n_pow_eps1_with_n1", "geometric_decay", "geometric_k",
             "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key",
             "source_params_not_object", "n_pow_eps1_zero", "bounds_not_list",
@@ -227,11 +271,52 @@ class TestBoundsCommand:
             "zipf_k_fraction", "uniform_k_fraction", "geometric_k_inf", "mc_samples_zero",
             "mc_samples_one", "probs_entry_string", "family_param_unknown",
             "flat_family_param_unknown", "params_beside_flat_key", "family_unknown",
-            "flat_k_fraction"])
+            "flat_k_fraction", "lb4_vartheta_minus_string", "lb4_vartheta_minus_one",
+            "lb4_vartheta_plus_one", "lb4_vartheta_plus_nan", "lb4_s3_from_origin_string",
+            "lb4_variant_unknown", "epsilon_power_overflow", "epsilon_negative_power_overflow",
+            "two_level_mu_overflow", "two_level_nu_underflow", "uniform_nu_overflow",
+            "uniform_k_past_int64", "k_values_past_float", "code_count_past_float"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, where):
-        assert cli.main(["bounds", "--config", write_config(tmp_path, doc)]) == 1
+        # every command that reads the spoiled key fails on it, given what else it needs
+        for command in READERS[re.match(r"config\.(\w+)", where).group(1)]:
+            cfg = write_config(tmp_path, {**NEEDS.get(command, {}), **doc})
+            assert cli.main([command, "--config", cfg]) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and where in err and "Traceback" not in err, command
+
+    @pytest.mark.parametrize("n", [4.5, 10**30])
+    @pytest.mark.parametrize("command", ["bounds", "code", "oracle"])
+    def test_fractional_or_float_horizon_exit_1(self, tmp_path, capsys, command, n):
+        cfg = write_config(tmp_path, {**UNIFORM2, **NEEDS.get(command, {}), "n": n})
+        assert cli.main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and where in err and "Traceback" not in err
+        assert err == f"error: the {command} command needs an integer horizon n\n"
+
+    @pytest.mark.parametrize("doc, commands, cap", [
+        ({"source": {"family": "geometric", "params": {"k": MATERIALIZE_CAP + 1, "decay": 0.5}},
+          "n": 8}, ("bounds", "code", "oracle"), "MATERIALIZE_CAP"),
+        ({"source": {"family": "zipf", "params": {"k": MATERIALIZE_CAP + 1, "exponent": 1.1}},
+          "n": 8}, ("bounds", "code", "oracle"), "MATERIALIZE_CAP"),
+        ({"n": 100, "epsilon1": 0.2,
+          "region": {"k_range": {"start": 1, "stop": 10, "num": cli.REGION_K_CAP + 1}}},
+         ("region",), "REGION_K_CAP"),
+        ({"n": 100, "epsilon1": 0.2, "region": {"k_values": [7] * (cli.REGION_K_CAP + 1)}},
+         ("region",), "REGION_K_CAP"),
+        ({**UNIFORM2, "n": 64, "code": {"count": cli.CODE_SYMBOLS_CAP // 64 + 1}},
+         ("code",), "CODE_SYMBOLS_CAP"),
+    ], ids=["geometric_k", "zipf_k", "k_range_num", "k_values_length", "code_symbols"])
+    def test_cap_exit_3_before_allocating(self, tmp_path, capsys, monkeypatch, doc, commands, cap):
+        # a letter array, a sweep's k points or a sampled stream past the cap is never built
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started past the cap")
+        for name in ("arange", "geomspace", "linspace"):
+            monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(cli, "sample_sequence", refuse)
+        for command in commands:
+            cfg = write_config(tmp_path, {**NEEDS.get(command, {}), **doc})
+            assert cli.main([command, "--config", cfg]) == 3, command
+            err = capsys.readouterr().err
+            assert err.startswith("resource cap:") and cap in err and "Traceback" not in err
 
     @pytest.mark.parametrize("eps, noted", [(0.3, True), (0.4, False)])
     def test_epsilon_floor_note_on_every_row(self, tmp_path, monkeypatch, eps, noted):

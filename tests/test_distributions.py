@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pattern_entropy._common import ResourceCapError
 from pattern_entropy.distributions import (
+    MATERIALIZE_CAP,
     ParamVector,
     SourceSpec,
     binary_entropy,
@@ -53,6 +55,36 @@ class TestParamVector:
             ParamVector.from_probs([0.4, 0.5])
         with pytest.raises(ValueError):
             ParamVector.from_probs([0.4, -0.1, 0.7])
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: ParamVector.from_probs([math.nan]), "lie in"),
+        (lambda: ParamVector.from_probs([0.5, math.nan]), "lie in"),
+        (lambda: ParamVector.from_groups([math.nan], [1]), "lie in"),
+        (lambda: make_distribution(SourceSpec("zipf", {"k": 3, "exponent": math.nan})), "lie in"),
+        (lambda: make_distribution(SourceSpec("geometric", {"k": 3, "decay": math.nan})), "decay"),
+        (lambda: ParamVector.from_groups([1e-30], [10**30]), "below 2\\*\\*63"),
+    ], ids=["nan_letter", "nan_beside_a_half", "nan_group", "zipf_nan_exponent",
+            "geometric_nan_decay", "count_past_int64"])
+    def test_rejects_non_finite_and_out_of_range_input(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize("family, params", [
+        ("geometric", {"k": MATERIALIZE_CAP + 1, "decay": 0.5}),
+        ("zipf", {"k": MATERIALIZE_CAP + 1, "exponent": 1.1}),
+    ])
+    def test_letter_cap_before_any_array(self, monkeypatch, family, params):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("a k-element array was built past the cap")
+        monkeypatch.setattr(np, "arange", no_arange)
+        with pytest.raises(ResourceCapError, match="MATERIALIZE_CAP"):
+            make_distribution(SourceSpec(family, params))
+
+    def test_sampling_checks_the_cap_before_any_array(self, monkeypatch):
+        theta = make_distribution(SourceSpec("uniform", {"k": MATERIALIZE_CAP + 1}))
+        monkeypatch.setattr(np, "arange", lambda *a, **kw: pytest.fail("arange before the cap"))
+        with pytest.raises(ResourceCapError, match="materialization cap"):
+            sample_sequence(theta, 4, 0)
 
     @pytest.mark.parametrize("build", [
         lambda: ParamVector.from_probs([[0.5], [0.5]]),

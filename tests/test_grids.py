@@ -15,6 +15,7 @@ from pattern_entropy.grids import (
     low_thresholds,
     occurrence_stats,
 )
+from pattern_entropy.verify import DEFAULT_SEED
 
 
 class TestBuildGrid:
@@ -254,6 +255,17 @@ class TestOccurrenceStats:
         st_ = occurrence_stats(0.37, 19)
         want = 19 * 0.37 - 1.0 + (1.0 - 0.37) ** 19
         assert abs(st_.mean_reoccur - want) <= 1e-12
+
+    def test_absent_probability_is_the_scalar_formula_bit_for_bit(self):
+        # the (theta, n) draws of verify's criterion 4 (occurrence_formulas)
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for _ in range(10_000):
+            theta = min(float(np.exp(rng.uniform(np.log(1e-7), 0.0))), 1.0)
+            n = int(rng.integers(1, 10_000))
+            want = 0.0 if theta >= 1.0 else math.exp(n * math.log1p(-theta))
+            got = absent_probability(np.array([theta]), n)[0]
+            assert got.hex() == want.hex(), (theta, n)
+            assert occurrence_stats(theta, n).p_absent.hex() == want.hex(), (theta, n)
 
     @given(
         st.floats(min_value=1e-9, max_value=1.0),
