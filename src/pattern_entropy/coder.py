@@ -17,28 +17,29 @@ arithmetic coder in this module realizes the assignment exactly: interval
 arithmetic is done on integers (every float is a dyadic rational), so the
 emitted length is within 2 bits of -log2 Q on every sequence.
 
-Encode and decode share one per-stream event table (``_Steps``): an
-append-only prefix sum of the re-occurrence weights over the known indices,
-and the dyadic first-occurrence mass of each bin that still has one,
-refreshed only when that bin receives a new index.  The events are weighed
-anew, in O(B+) small-integer operations for the B+ bins with phi_b > 0, only
-after a step that adds an index; any other step costs a few small-integer
-operations, plus an O(log m) bisection when decoding.
+Encode and decode share one per-stream event table (``_Steps``).  Every
+event weight is an integer over one stream-wide 2**S, S being the largest
+dyadic shift among the model's positive phi_b and rho_b, so no weight is
+ever rescaled: the table is an append-only prefix sum of the re-occurrence
+weights over the known indices, plus the first-occurrence weight of each bin
+that still has one.  A new index changes one bin's weight and a running
+total; any other step costs a few small-integer operations, plus an
+O(log m) bisection when decoding.
 
-A step reduces to integers of about 64 bits: its denominator a * 2**e (a odd)
-and the start cum and weight w of the coded event, and no step loop
-multiplies a growing integer.  The float weights of a
+A step is the map (a, e, cum, w): its denominator a * 2**e (a odd), and the
+start and weight of the coded event.  The float weights of a
 ``CoderModel.from_source`` model total at most 1 at every state its source
 reaches, so each such step has a = 1 and the interval's denominator P is a
-power of two.  Encode folds the n steps in a balanced product tree into the
-exact interval, whose integers have about 64 n bits: O(log n) levels that
-multiply only the widths and the offsets and shift by the exponents.  It
-takes the stream's length L, about -log2 Q, from bit lengths, and its code
-point from a shift and a division by the odd part a.  Decode tracks the code
-point's offset inside the current interval as a fixed-point integer of
-L + log2 n + O(1) bits, exact on every canonical stream, so its step loop
-costs O(n L) bit operations; it then folds its own steps and accepts the
-stream only if it is the canonical dyadic encode would emit for what it
+power of two.  Each recorded map drops the power of two common to 2**e, cum
+and w, and encode folds the n maps in a balanced product tree into the exact
+interval: O(log n) levels that multiply only the widths and the offsets and
+shift by the exponents.  It takes the stream's length L, about -log2 Q, from
+bit lengths, and its code point from a shift and a division by the odd part
+a.  Decode tracks the code point's offset inside the current interval in
+fixed point, with L - clb_j + log2 n + O(1) fractional bits after step j,
+clb_j being a lower bound on the codelength so far, so its step loop costs
+O(sum_j (L - clb_j)) bit operations; it then folds its own maps and accepts
+the stream only if it is the canonical dyadic encode would emit for what it
 decodes to.  Sequences longer than CODER_N_CAP raise ResourceCapError.
 """
 
@@ -61,9 +62,9 @@ __all__ = [
 ]
 
 # Longest sequence the exact coder accepts.  A round trip at this length
-# (zipf k = 200, exponent 1.3, L = 76,066 bits) takes 0.14-0.15 s to encode
-# and 0.83-0.85 s to decode on a 2-vCPU x86-64 host with Python 3.11, and the
-# cost grows about quadratically with n: the interval's integers and the
+# (zipf k = 200, exponent 1.3, L = 76,066 bits) takes 0.11 s to encode and
+# 0.47 s to decode on a 2-vCPU x86-64 host with Python 3.11, and the cost
+# grows about quadratically with n: the interval's integers and the
 # decoder's fixed-point offset grow linearly.
 CODER_N_CAP = 16_384
 
@@ -126,12 +127,12 @@ class CoderModel:
         b >= 2 holding one letter, where rho_b = phi_b and f_b is phi_b at
         seen = 0 and 0 at seen = 1.
 
-        Margin.  Let S be the exact sum of the source's per-bin masses.  If
-        S <= 1, the one-letter bins b >= 2 keep phi_b and every other bin
+        Margin.  Let M be the exact sum of the source's per-bin masses.  If
+        M <= 1, the one-letter bins b >= 2 keep phi_b and every other bin
         takes phi_b' = fl(phi_b c) with c = 1 - 2**-50 = 1 - 8u, so
         phi_b' (1 + 4u) <= phi_b (1 - 8u)(1 + u)(1 + 4u) < phi_b and the state
-        total is below S <= 1.  If S > 1, every bin takes c = fl((1 - 8u) /
-        fl(S)), and the total is at most (1 + 4u)(1 + u)**2 (1 - 8u) / (1 - u)
+        total is below M <= 1.  If M > 1, every bin takes c = fl((1 - 8u) /
+        fl(M)), and the total is at most (1 + 4u)(1 + u)**2 (1 - 8u) / (1 - u)
         <= 1 - u.  The rates are derived from the scaled masses.  A source of
         probability 1 keeps its 0-bit codelength.
         """
@@ -286,107 +287,93 @@ def _dyadic_sum(xs) -> tuple[int, int]:
     return sum(num << (s - shift) for num, shift in parts), s
 
 
-def _shift(x: int, k: int) -> int:
-    """x * 2**k for k >= 0, floor(x / 2**-k) otherwise."""
-    return x << k if k >= 0 else x >> -k
-
-
 class _Steps:
     """Incremental event table of one stream, shared by encode and decode.
 
     At every state the positive-probability events are the re-occurrences of
     the known indices (in index order, weight rho of the index's bin) followed
     by one first occurrence per bin with positive remaining mass (in bin
-    order).  Each weight is a dyadic num / 2**shift; a step puts them all over
-    2**s with s the largest shift present, and its denominator
-    max(2**s, weight total) is kept as (a, e), a odd, with den = a * 2**e:
-    (1, s) whenever the weights total at most 1.  The table keeps:
-
-    - ``starts``: prefix sums of the re-occurrence weights over the indices,
-      at the fixed scale ``top`` (the largest rate shift), so one shift
-      rescales any of them to the step's scale; this is exact because every
-      summed weight has shift <= s;
-    - ``fresh``: the dyadic first-occurrence mass of each bin that still has
-      one, recomputed only when that bin's seen count changes.
+    order).  Every weight is an integer over one stream-wide 2**S, S being the
+    largest dyadic shift among the model's positive phi_b and rho_b; this is
+    exact, as fl(phi_b - fl(seen * rho_b)) is a multiple of 2**-S (rounding
+    never adds fraction bits).  ``den`` holds the state's denominator
+    max(2**S, weight total) as (a, e), a odd, den = a * 2**e: (1, S) whenever
+    the weights total at most 1, None when no event has positive probability.
+    The table keeps ``starts``, the prefix sums of the re-occurrence weights
+    over the indices; ``fresh``, the first-occurrence weight of each bin that
+    still has one, and their sum ``fresh_total``, so a new index changes one
+    bin's weight; and ``maps``, each re-occurrence's step map while ``den``
+    stays the same.
     """
 
     def __init__(self, model: CoderModel):
         self.phi, self.rho = model.phi, model.rho
-        self.rate = [_dyadic(r) if r > 0.0 else None for r in self.rho]
-        self.top = max((shift for _, shift in filter(None, self.rate)), default=0)
-        self.rate_shift: int | None = None  # largest rate shift among known indices
+        self.S = max([0] + [_dyadic(x)[1] for x in (*self.phi, *self.rho) if x > 0.0])
+        self.rate = [self._scaled(r) if r > 0.0 else 0 for r in self.rho]
         self.starts = [0]
         self.state = CoderState()
-        self.den: tuple[int, int] | None = None  # None until the state is weighed
         # a bin's mass never exceeds phi_b, so only bins with phi_b > 0 can hold one
-        self.fresh = {}
-        for b, x in enumerate(self.phi):
-            if x > 0.0:
-                self._weigh_fresh(b)
+        self.fresh = {b: self._scaled(x) for b, x in enumerate(self.phi) if x > 0.0}
+        self.fresh_total = sum(self.fresh.values())
+        self.den, self.maps = None, {}
+        self._weigh()
 
-    def _weigh_fresh(self, b: int) -> None:
-        mass = self.phi[b] - self.state.seen_per_bin.get(b, 0) * self.rho[b]
-        if mass > 0.0:
-            self.fresh[b] = _dyadic(mass)
-        else:
-            self.fresh.pop(b, None)
+    def _scaled(self, x: float) -> int:
+        """x * 2**S, an integer for every weight of the stream."""
+        num, shift = _dyadic(x)
+        return num << (self.S - shift)
 
-    def begin(self, j: int) -> tuple[int, int]:
-        """Denominator (a, e) = a * 2**e of step j's events at this state.
-
-        The events are weighed anew only after an update that added an index;
-        a re-occurrence leaves every weight and the denominator unchanged.
-        """
-        if self.den is None:
-            self._weigh(j)
-        return self.den
-
-    def _weigh(self, j: int) -> None:
-        shifts = [shift for _, shift in self.fresh.values()]
-        if self.rate_shift is not None:
-            shifts.append(self.rate_shift)
-        if not shifts:
-            raise ValueError(f"no event has positive probability at position {j}")
-        s = self.s = max(shifts)
-        self.reoccur = _shift(self.starts[-1], s - self.top)
-        self.fresh_w = [(b, num << (s - shift)) for b, (num, shift) in self.fresh.items()]
-        total = self.reoccur + sum(w for _, w in self.fresh_w)
-        if total <= 1 << s:
-            self.den = 1, s
+    def _weigh(self) -> None:
+        total = self.starts[-1] + self.fresh_total
+        if total <= 1 << self.S:
+            den = (1, self.S) if total else None
         else:
             zeros = (total & -total).bit_length() - 1
-            self.den = total >> zeros, zeros
+            den = total >> zeros, zeros
+        if den != self.den:
+            self.den, self.maps = den, {}
 
-    def _rate_at(self, b: int) -> int:
-        num, shift = self.rate[b]
-        return num << (self.s - shift)
+    def _map(self, cum: int, w: int) -> tuple[int, int, int, int]:
+        """The step map (a, e, cum, w) of an event at this state, without the
+        power of two common to 2**e, cum and w: the same rationals cum/den and
+        w/den over a smaller denominator."""
+        a, e = self.den
+        x = cum | w | 1 << e
+        g = (x & -x).bit_length() - 1
+        return a, e - g, cum >> g, w >> g
 
-    def locate(self, p: int, b: int) -> tuple[int, int] | None:
-        """(start, weight) of the event (p, b), or None if it has probability 0."""
+    def _reoccurrence(self, p: int, b: int) -> tuple[int, int, int, int]:
+        """Step map of the re-occurrence of p, in bin b, kept in ``maps``."""
+        self.maps[p] = self._map(self.starts[p - 1], self.rate[b])
+        return self.maps[p]
+
+    def locate(self, p: int, b: int) -> tuple[int, int, int, int] | None:
+        """Step map of the event (p, b), or None if it has probability 0."""
         m = self.state.max_index
         if 1 <= p <= m:
-            if self.state.index_to_bin[p] != b or self.rate[b] is None:
+            if self.state.index_to_bin[p] != b or not self.rate[b]:
                 return None
-            return _shift(self.starts[p - 1], self.s - self.top), self._rate_at(b)
+            return self.maps.get(p) or self._reoccurrence(p, b)
         if p == m + 1:
-            cum = self.reoccur
-            for fb, w in self.fresh_w:
+            cum = self.starts[-1]
+            for fb, w in self.fresh.items():
                 if fb == b:
-                    return cum, w
+                    return self._map(cum, w)
                 cum += w
         return None
 
-    def find(self, t: int) -> tuple[int, int, int, int] | None:
-        """(p, b, start, weight) of the event whose span holds t, or None if
-        t is at or beyond the weight total."""
-        if t < self.reoccur:
-            p = bisect_right(self.starts, _shift(t, self.top - self.s))
+    def find(self, t: int) -> tuple[int, int, int, int, tuple] | None:
+        """(p, b, start, weight, step map) of the event whose span holds t, or
+        None if t is at or beyond the weight total."""
+        cum = self.starts[-1]
+        if t < cum:
+            p = bisect_right(self.starts, t)
             b = self.state.index_to_bin[p]
-            return p, b, _shift(self.starts[p - 1], self.s - self.top), self._rate_at(b)
-        cum = self.reoccur
-        for b, w in self.fresh_w:
+            return (p, b, self.starts[p - 1], self.rate[b],
+                    self.maps.get(p) or self._reoccurrence(p, b))
+        for b, w in self.fresh.items():
             if t < cum + w:
-                return self.state.max_index + 1, b, cum, w
+                return self.state.max_index + 1, b, cum, w, self._map(cum, w)
             cum += w
         return None
 
@@ -395,22 +382,27 @@ class _Steps:
         if p <= self.state.max_index:
             return
         self.state.update(p, b)
-        self.den = None
-        self._weigh_fresh(b)
-        rate = self.rate[b]
-        if rate is None:
-            self.starts.append(self.starts[-1])
-            return
-        num, shift = rate
-        if self.rate_shift is None or shift > self.rate_shift:
-            self.rate_shift = shift
-        self.starts.append(self.starts[-1] + (num << (self.top - shift)))
+        mass = self.phi[b] - self.state.seen_per_bin[b] * self.rho[b]
+        w = self._scaled(mass) if mass > 0.0 else 0
+        self.fresh_total += w - self.fresh[b]
+        if w:
+            self.fresh[b] = w
+        else:
+            del self.fresh[b]
+        self.starts.append(self.starts[-1] + self.rate[b])
+        self._weigh()
 
 
 def _check_cap(n: int) -> None:
     if n > CODER_N_CAP:
         raise ResourceCapError(
             f"sequence length {n} exceeds the exact coder's cap CODER_N_CAP ({CODER_N_CAP})")
+
+
+def _precision(L: int, clb: int, n: int) -> int:
+    """Fractional bits decode keeps in its offset once at least clb bits of
+    an L-bit stream of n symbols are coded."""
+    return max(L - clb, 0) + n.bit_length() + 2
 
 
 def _fold(steps: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
@@ -472,11 +464,10 @@ def encode(model: CoderModel, psi, beta) -> Bitstring:
     steps = _Steps(model)
     maps = []
     for j, (p, b) in enumerate(zip(psi, beta)):
-        den = steps.begin(j)
         target = steps.locate(p, b)
         if target is None:
             raise ValueError(f"zero-probability step at position {j}: ({p}, {b})")
-        maps.append((*den, *target))
+        maps.append(target)
         steps.update(p, b)
     return _emit(*_fold(maps))
 
@@ -494,30 +485,38 @@ def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...],
     L = bits.nbits
     if L < 1:
         raise DecodeError("empty bitstream")
-    # X / 2**K estimates the code point's offset inside the current interval,
-    # as a fraction of its width: exact at the start and rounded up at each
-    # step, so it is never too low and, after j steps, at most
-    # j * 2**(cl_j - K) too high, cl_j being the first j steps' codelength.
-    # On a canonical stream the code point lies in the left half of the final
-    # interval, so after step j it lies more than 2**(cl_j - cl_n - 1) of the
-    # interval's width below its end; as cl_n <= L - 1, every decision is
-    # exact once 2**K >= n * 2**L.  Any other stream fails the final
-    # comparison with what encode emits.
-    K = L + n.bit_length() + 2
+    # X / 2**K is the code point's offset inside the current interval, as a
+    # fraction of its width: exact at the start and rounded up once a step,
+    # so never too low.  Step j's division also drops the bits that
+    # K = _precision(L, clb, n) no longer holds, clb <= cl_j being a lower
+    # bound on the first j steps' codelength: a step costs log2(a * 2**e / w)
+    # bits, at least 0 and at least e + bit_length(a) - 1 - bit_length(w - 1).
+    # Its rounding moves the code point's estimate by less than
+    # 2**-(K + cl_j) <= 2**-(L + bit_length(n) + 2), so all n of them by less
+    # than 2**-(L + 2).  On a canonical stream the code point lies more than
+    # 2**-L below the end of the final interval (c < low * 2**L / P + 1 and
+    # width * 2**L >= 2 * P), so every decision is exact.  Any other stream
+    # fails the final comparison with what encode emits.
+    K = _precision(L, 0, n)
     X = bits._value() << (K - L)
     steps = _Steps(model)
-    psi: list[int] = []
-    beta: list[int] = []
-    maps = []
+    psi, beta, maps, clb = [], [], [], 0
     for j in range(n):
-        a, e = steps.begin(j)
-        X = (X * a) << e
+        if steps.den is None:
+            raise ValueError(f"no event has positive probability at position {j}")
+        a, e = steps.den
+        X = (X * a if a > 1 else X) << e
         event = steps.find(X >> K)
         if event is None:
             raise DecodeError("code point escapes every event interval")
-        p, b, cum, w = event
-        X = -(((cum << K) - X) // w)
-        maps.append((a, e, cum, w))
+        p, b, cum, w, step_map = event
+        cost = e - (w - 1).bit_length() + (a.bit_length() - 1 if a > 1 else 0)
+        if cost > 0:
+            clb += cost
+        K1 = _precision(L, clb, n)
+        X = -(((cum << K) - X) // (w << (K - K1)))
+        K = K1
+        maps.append(step_map)
         psi.append(p)
         beta.append(b)
         steps.update(p, b)

@@ -29,6 +29,15 @@ FAMILY_PARAMS = {
 _TWO_LEVEL_KINDS = ("below", "above", "unit")
 
 
+def _int64_counts(counts) -> np.ndarray:
+    """Multiplicities as int64; a count beyond int64 raises ValueError."""
+    try:
+        return np.asarray(counts, dtype=np.int64)
+    except OverflowError:
+        flat = np.asarray(counts, dtype=object).ravel().tolist()
+        raise ValueError(f"multiplicities must be below 2**63, got {max(flat, key=abs)!r}") from None
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """Sorted probability vector of a finite i.i.d. source.
@@ -44,7 +53,7 @@ class ParamVector:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _int64_counts(self.counts)
         if values.ndim != 1 or values.shape != counts.shape or values.size == 0:
             raise ValueError("values and counts must be matching, non-empty 1-d arrays")
         if np.any(counts <= 0):
@@ -77,15 +86,13 @@ class ParamVector:
     def from_groups(cls, values: Sequence[float], counts: Sequence[int]) -> "ParamVector":
         """Build from (value, multiplicity) groups, merging equal values."""
         v = np.asarray(values, dtype=float)
-        try:
-            c = np.asarray(counts, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"multiplicities must be below 2**63, got {max(counts)!r}") from None
+        c = _int64_counts(counts)
         if v.ndim != 1 or v.shape != c.shape:
             raise ValueError("values and counts must be 1-d with matching shapes")
         uv, inverse = np.unique(v, return_inverse=True)
-        uc = np.zeros(uv.shape, dtype=np.int64)
-        np.add.at(uc, inverse, c)
+        # merged in Python ints, so a sum beyond int64 is refused, not wrapped
+        uc = np.zeros(uv.shape, dtype=object)
+        np.add.at(uc, inverse, c.astype(object))
         return cls(uv, uc)
 
     @property

@@ -278,9 +278,9 @@ class TestArithmeticCoder:
         weighings = []
         real = coder._Steps._weigh
 
-        def counting(self, j):
-            weighings.append(j)
-            return real(self, j)
+        def counting(self):
+            weighings.append(self.state.max_index)
+            return real(self)
 
         monkeypatch.setattr(coder._Steps, "_weigh", counting)
         pv = ParamVector.from_probs([0.2, 0.3, 0.5])
@@ -449,8 +449,8 @@ def _step_denominators(model, psi, beta):
     """The (a, e) of every step of the stream, a * 2**e being its denominator."""
     steps = coder._Steps(model)
     dens = []
-    for j, (p, b) in enumerate(zip(psi, beta)):
-        dens.append(steps.begin(j))
+    for p, b in zip(psi, beta):
+        dens.append(steps.den)
         steps.update(p, b)
     return dens
 
@@ -529,3 +529,54 @@ class TestPowerOfTwoSteps:
             assert [x for x in model.phi if x] == [1.0]
             assert exact_entropies(theta, grid, min(n, 12), model=model).expected_codelength == 0.0
             assert sequence_codelength(model, (1,) * n, (model.num_bins - 1,) * n) == 0.0
+
+
+class TestDecodePrecision:
+    """Decode keeps only the fractional bits its remaining decisions need."""
+
+    @staticmethod
+    def decoded_precisions(monkeypatch, model, psi, beta):
+        """Stream length L and the K of decode's offset: at the start, then
+        after each step."""
+        ks = []
+        real = coder._precision
+
+        def recording(L, clb, n):
+            ks.append(real(L, clb, n))
+            return ks[-1]
+
+        monkeypatch.setattr(coder, "_precision", recording)
+        bits = encode(model, psi, beta)
+        assert decode(model, bits, len(psi)) == (tuple(psi), tuple(beta))
+        assert len(ks) == len(psi) + 1
+        return len(bits), ks
+
+    def test_rule(self):
+        assert coder._precision(100, 0, 64) == 100 + 9
+        assert coder._precision(100, 98, 64) == 2 + 9
+        assert coder._precision(100, 150, 64) == 9
+
+    def test_dyadic_source_falls_to_the_floor(self, monkeypatch):
+        # every weight is a power of two or a hair below one, so the lower
+        # bound clb misses the codelength by far less than a bit; the last K
+        # is bit_length(n) + 2 plus L - clb_n = 2, the least a codelength
+        # that is not an integer allows (L >= cl_n + 1)
+        n = 256
+        theta = ParamVector.from_probs([0.5, 0.25, 0.125, 0.125])
+        L, ks = self.decoded_precisions(monkeypatch, *_source_stream(theta, n, 0.3, 0))
+        assert ks[0] == L + n.bit_length() + 2
+        assert ks[-1] == n.bit_length() + 4
+        assert ks == sorted(ks, reverse=True)
+
+    def test_precision_covers_every_decision(self, monkeypatch):
+        # after step j, K + cl_j >= L + bit_length(n) + 2: each rounding moves
+        # the code point's estimate by less than 2**-(L + bit_length(n) + 2)
+        n = 4096
+        model, psi, beta = _source_stream(_zipf(200, 1.3), n, 0.3, 0)
+        L, ks = self.decoded_precisions(monkeypatch, model, psi, beta)
+        state, cl = CoderState(), 0.0
+        for j, (p, b) in enumerate(zip(psi, beta)):
+            cl -= math.log2(next_symbol_prob(model, state, p, b))
+            state.update(p, b)
+            assert ks[j + 1] + cl >= L + n.bit_length() + 2 - 1e-6, j
+        assert ks[-1] < ks[0] / 4

@@ -17,7 +17,7 @@ from pattern_entropy import coder
 from pattern_entropy.coder import (
     Bitstring, CoderModel, CoderState, DecodeError, _dyadic, decode, encode,
 )
-from pattern_entropy.distributions import ParamVector
+from pattern_entropy.distributions import ParamVector, SourceSpec, make_distribution, sample_sequence
 from pattern_entropy.grids import build_grid
 from pattern_entropy.patterns import bin_sequence, extract_pattern
 
@@ -184,6 +184,39 @@ def _synthetic_streams(count, seed):
     return out
 
 
+def _general_streams(count, seed):
+    """Random per-bin models whose phi often sums above 1, so that many steps'
+    weights total more than 2**S (a > 1), with rates below and above
+    phi_b / k_b; each stream walks the reference's own events."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        nbins = int(rng.integers(1, 6))
+        phi = rng.random(nbins) * rng.choice([0.5, 1.0, 2.5]) * (rng.random(nbins) < 0.85)
+        if phi.sum() == 0.0:
+            phi[0] = 0.5
+        kbins = rng.integers(1, 6, size=nbins) * (phi > 0)
+        # bins 0 and 1 must keep first-occurrence mass for all their letters
+        top = np.where(np.arange(nbins) < 2, 1.0, 1.7)
+        rho = np.where(rng.random(nbins) < 0.15, 0.0,
+                       phi / np.maximum(kbins, 1) * rng.uniform(0.2, top))
+        model = CoderModel(n=32, phi=phi, rho=rho, kbins=kbins, ell=kbins, L=np.zeros(nbins))
+        psi, beta = _walk(model, int(rng.integers(1, 33)),
+                          lambda events: events[int(rng.integers(0, len(events)))])
+        out.append((model, psi, beta))
+    return out
+
+
+def _geometric_stream(n):
+    """A geometric (k = 30, decay 0.5) source's stream: the largest shifts S
+    belong to bins of letters the stream never draws."""
+    theta = make_distribution(SourceSpec("geometric", {"k": 30, "decay": 0.5}))
+    grid = build_grid("eta", n, 0.3)
+    x = sample_sequence(theta, n, 0)
+    return (CoderModel.from_source(theta, grid, n), extract_pattern(x).indices,
+            bin_sequence(theta, grid, x))
+
+
 def _walk(model, length, pick):
     """(psi, beta) of up to ``length`` steps, each the event ``pick(events)``
     among the reference's events; stops where no event is left."""
@@ -224,11 +257,12 @@ def _edge_streams():
 
 SOURCE_STREAMS = _source_streams(300, seed=20)
 SYNTHETIC_STREAMS = _synthetic_streams(80, seed=21)
+GENERAL_STREAMS = _general_streams(60, seed=23) + [_geometric_stream(64)]
 EDGE_STREAMS = _edge_streams()
 
 
-@pytest.mark.parametrize("streams", [SOURCE_STREAMS, SYNTHETIC_STREAMS],
-                         ids=["sources", "synthetic"])
+@pytest.mark.parametrize("streams", [SOURCE_STREAMS, SYNTHETIC_STREAMS, GENERAL_STREAMS],
+                         ids=["sources", "synthetic", "general"])
 def test_bits_and_decodes_match_reference(streams):
     for model, psi, beta in streams:
         bits = encode(model, psi, beta)
@@ -236,8 +270,8 @@ def test_bits_and_decodes_match_reference(streams):
         assert decode(model, bits, len(psi)) == (tuple(psi), tuple(beta))
 
 
-@pytest.mark.parametrize("streams", [SOURCE_STREAMS, SYNTHETIC_STREAMS],
-                         ids=["sources", "synthetic"])
+@pytest.mark.parametrize("streams", [SOURCE_STREAMS, SYNTHETIC_STREAMS, GENERAL_STREAMS],
+                         ids=["sources", "synthetic", "general"])
 def test_corrupted_stream_verdicts_match_reference(streams):
     tried = rejected = 0
     for model, psi, beta in streams:
@@ -261,8 +295,8 @@ def test_edge_streams_are_at_the_edges():
     assert sum(q for *_, q in _step_events(over_one, CoderState())) > 1.0
     steps = coder._Steps(over_one)
     odd_parts = []
-    for j, (p, b) in enumerate(zip(psi, beta)):
-        odd_parts.append(steps.begin(j)[0])
+    for p, b in zip(psi, beta):
+        odd_parts.append(steps.den[0])
         steps.update(p, b)
     assert max(odd_parts) > 1  # the fold's general denominator a * 2**e, a > 1
 
@@ -309,3 +343,24 @@ def test_decode_never_calls_encode(monkeypatch):
         for candidate in [bits] + _corruptions(bits)[:4]:
             _verdict(coder.decode, model, candidate, len(psi))
     assert calls == []
+
+
+def test_general_streams_reach_the_edges():
+    # weights totalling more than 2**S: the fold's general denominator a * 2**e, a > 1
+    over = [(model, psi, beta) for model, psi, beta in GENERAL_STREAMS if sum(model.phi) > 1.0]
+    odd_parts = []
+    for model, psi, beta in over:
+        steps = coder._Steps(model)
+        for p, b in zip(psi, beta):
+            odd_parts.append(steps.den[0])
+            steps.update(p, b)
+    assert len(over) >= 10 and sum(a > 1 for a in odd_parts) >= 50
+    # most steps of the geometric stream weigh far coarser than 2**-S, so
+    # their maps drop a power of two before the fold
+    model, psi, beta = GENERAL_STREAMS[-1]
+    steps = coder._Steps(model)
+    exponents = []
+    for p, b in zip(psi, beta):
+        exponents.append(steps.locate(p, b)[1])
+        steps.update(p, b)
+    assert sum(e <= steps.S - 20 for e in exponents) > len(psi) // 2

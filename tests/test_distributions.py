@@ -40,6 +40,15 @@ class TestParamVector:
         pv = ParamVector.from_probs([0.25, 0.5, 0.25])
         assert list(pv.counts) == [2, 1]
 
+    def test_counts_beyond_int64_are_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"below 2\*\*63, got 10{30}$"):
+            ParamVector([1.0], [10**30])
+        # the merged count 2**63 would wrap to -2**63 in int64
+        with pytest.raises(ValueError, match=r"below 2\*\*63, got 9223372036854775808$"):
+            ParamVector.from_groups([0.25, 0.25], [2**62, 2**62])
+        pv = ParamVector.from_groups([0.25, 0.5, 0.25], [1, 1, 1])
+        assert list(pv.counts) == [2, 1] and pv.counts.dtype == np.int64
+
     def test_array_input_matches_list_input(self):
         rng = np.random.default_rng(5)
         probs = np.repeat(rng.dirichlet(np.ones(50)), 3) / 3.0

@@ -258,3 +258,35 @@ def test_array_sum_guard_sees_both_forms():
             "ok = math.fsum(t for t in terms) + math.fsum(parts) + math.fsum([1.0, 2.0])\n"
             "ok2 = math.fsum([math.exp(t) for t in terms]) + exact_sum(x)\n")
     assert _array_fsum_sites(text) == [(2, None), (4, "f"), (4, "f"), (5, None), (6, None), (7, None)]
+
+
+def _silenced_warning_sites(text):
+    """Line of every ``simplefilter`` or ``filterwarnings`` call whose action
+    is ``"ignore"``: a blanket filter in the package would also hide real
+    warnings, such as a zero-probability coder step."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        func = getattr(node, "func", None)
+        if getattr(func, "attr", getattr(func, "id", None)) not in ("simplefilter", "filterwarnings"):
+            continue
+        actions = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "action"]
+        if any(isinstance(a, ast.Constant) and a.value == "ignore" for a in actions):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_no_warning_is_silenced(path):
+    assert _silenced_warning_sites(path.read_text(encoding="utf-8")) == []
+
+
+def test_silenced_warning_guard_sees_every_form():
+    text = ("import warnings\n"
+            "warnings.simplefilter('ignore')\n"
+            "simplefilter('ignore', RuntimeWarning)\n"
+            "warnings.filterwarnings(action='ignore', category=UserWarning)\n"
+            "with warnings.catch_warnings():\n"
+            "    warnings.simplefilter('ignore')\n"
+            "warnings.simplefilter('error')\n"
+            "warnings.filterwarnings('default')\n")
+    assert _silenced_warning_sites(text) == [2, 3, 4, 6]
