@@ -17,7 +17,8 @@ import numpy as np
 from ._common import (LOG2E, ResourceCapError, elementwise, exact_sum, log2_binomial,
                       log2_factorial, xlog2x)
 from .distributions import ParamVector, binary_entropy, entropy_terms
-from .grids import BinStats, Grid, absent_probability, bin_stats, build_grid, low_thresholds
+from .grids import (BinStats, Grid, absent_lower_bound, absent_probability, bin_stats, build_grid,
+                    low_thresholds)
 
 DEFAULT_VARTHETA_MINUS = math.exp(-5.5)
 DEFAULT_VARTHETA_PLUS = math.exp(1.4)
@@ -538,9 +539,10 @@ def lb_theorem4(analysis: SourceAnalysis,
         last_val = float(lv[-1])
         split_last = last_val > 0.6
         # per low group: log2(phi01 / v) and the lower bound n v - 1 + exp(-n (v + v^2))
-        # on one letter's mean re-occurrence count
+        # on one letter's mean re-occurrence count; a letter above 3/5, where the
+        # bound drops its exponential, leaves the sum below
         gain = elementwise(math.log2, low.phi01 / lv)
-        reocc = nf * lv - 1.0 + elementwise(math.exp, -nf * (lv + lv * lv))
+        reocc = nf * lv - 1.0 + absent_lower_bound(lv, n)
         reocc_counts = lc.copy()
         if split_last or s2_variant == "b2":
             reocc_counts[-1] -= 1  # the last low letter leaves the sum
@@ -649,10 +651,9 @@ def gamma_fixed_point(ln_ratio: float) -> tuple[float | None, float | None]:
 
     if residual(2.0) > 0.0:
         return None, None
-    lo, hi = 2.0, max(c, 2.0 + GAMMA_TOL)
-    if residual(hi) < 0.0:
-        while residual(hi) < 0.0:
-            hi *= 2.0
+    # residual(2) = 2 - c + ln 8 <= 0 puts c at 2 + ln 8 or above, where
+    # residual(c) = ln(c^3 / (c - 1)^2) > 0, so [2, c] brackets the root
+    lo, hi = 2.0, c
     for _ in range(GAMMA_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if residual(mid) <= 0.0:
@@ -686,7 +687,7 @@ def range_decreases(k: int, n, epsilon: float, epsilon1: float) -> dict:
         "threshold": threshold,
         "upper_valid": k >= threshold,
         "lower_logkfact": log2_factorial(k),
-        "lower_stirling": stirling_bounds(k)[0] if k >= 1 else 0.0,
+        "lower_stirling": stirling_bounds(k)[0],
         "gamma": None,
         "gamma_residual": None,
         "beta_opt": None,

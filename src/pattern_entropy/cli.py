@@ -312,11 +312,7 @@ def _write_rows(rows: list[dict], out_format: str, stream) -> None:
     """
     rows = [{key: 0.0 if isinstance(val, float) and val == 0.0 else val for key, val in row.items()}
             for row in rows]
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     if out_format == "json":
         json.dump(rows, stream, indent=2, default=str)
         stream.write("\n")

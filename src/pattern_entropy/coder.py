@@ -4,7 +4,9 @@ Each bin starts with its total mass phi_b.  A re-occurrence of a known index
 costs the bin's per-letter rate rho_b; a new index occurring in bin b receives
 the bin's remaining first-occurrence mass phi_b - seen_b * rho_b.  For bins 0
 and 1 the rate is the optimized (n*phi_b - L_b)/(n * min(k_b, n)), which keeps
-the first-occurrence mass positive throughout; higher bins use phi_b / k_b.
+the first-occurrence mass positive throughout; higher bins use phi_b / k_b, and
+so do bins 0 and 1 where rounding leaves n*phi_b - L_b at or below 0 (a letter
+so rare that n^2 theta^2 / 2 is below about 1e-16).
 
 A step reads the model's per-bin values as Python floats, built once with
 the model, and the state's index count as a plain int, so a step of the
@@ -122,7 +124,8 @@ class CoderModel:
         and T_b <= phi_b + u x + u (phi_b - fl(x)) <= phi_b (1 + 2u).  If
         f_b = 0, T_b = x <= ell_b rho_b: rho_b = fl(phi_b / k_b) gives
         x <= phi_b (1 + u), and the bin-0/1 rate fl(fl(fl(n phi_b) - L_b) /
-        (n ell_b)) with L_b >= 0 gives x <= phi_b (1 + u)**3.  So
+        (n ell_b)) with L_b >= 0 gives x <= phi_b (1 + u)**3 (where its
+        numerator is not positive, bins 0 and 1 take phi_b / k_b too).  So
         T_b <= phi_b (1 + 4u) in every bin, and T_b = phi_b exactly in a bin
         b >= 2 holding one letter, where rho_b = phi_b and f_b is phi_b at
         seen = 0 and 0 at seen = 1.
@@ -153,8 +156,8 @@ class CoderModel:
         phi_occ = np.where(exact, stats.phi, stats.phi * scale)
         phi[occupied], kbins[occupied], L[occupied] = phi_occ, stats.counts, stats.L
         ell = np.minimum(kbins, n)
-        rho[occupied] = np.where(occupied <= 1,
-                                 (n * phi_occ - stats.L) / (n * ell[occupied]),
+        reserve = n * phi_occ - stats.L
+        rho[occupied] = np.where((occupied <= 1) & (reserve > 0.0), reserve / (n * ell[occupied]),
                                  phi_occ / stats.counts)
         return cls(n=n, phi=phi, rho=rho, kbins=kbins, ell=ell, L=L)
 
@@ -510,7 +513,7 @@ def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...],
         if event is None:
             raise DecodeError("code point escapes every event interval")
         p, b, cum, w, step_map = event
-        cost = e - (w - 1).bit_length() + (a.bit_length() - 1 if a > 1 else 0)
+        cost = e - (w - 1).bit_length() + a.bit_length() - 1
         if cost > 0:
             clb += cost
         K1 = _precision(L, clb, n)

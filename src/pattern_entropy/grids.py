@@ -182,7 +182,8 @@ class BinStats:
     (the c/k/kappa counters, depending on the grid kind), ``phi`` the total
     probability mass and ``L`` the expected number of distinct bin letters
     appearing in n draws.  xi grids also carry the overlap counters
-    ``kappa_prime`` (0 on bin 0).
+    ``kappa_prime``: the letters of bins b-1..b+1 (of bins 1..2 for bin 1, 0 on
+    bin 0).
     """
 
     group_bin: np.ndarray
@@ -200,6 +201,13 @@ def absent_probability(theta: np.ndarray, n: int) -> np.ndarray:
     log_absent = float(n) * elementwise(math.log1p, -theta[can_miss])
     absent[can_miss] = elementwise(math.exp, log_absent)
     return absent
+
+
+def absent_lower_bound(theta: np.ndarray, n: int) -> np.ndarray:
+    """exp(-n (theta + theta^2)) per element, a lower bound on (1 - theta)^n
+    where theta <= 3/5, and 0 above, where that form fails."""
+    bound = elementwise(math.exp, -float(n) * (theta + theta * theta))
+    return np.where(theta <= 0.6, bound, 0.0)
 
 
 def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = None) -> BinStats:
@@ -220,26 +228,21 @@ def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = 
     np.not_equal(group_bin[1:], group_bin[:-1], out=run_start[1:])
     bins = group_bin[run_start]
     row = np.cumsum(run_start) - 1
-    counts = np.zeros(len(bins), dtype=np.int64)
-    phi = np.zeros(len(bins), dtype=float)
-    L = np.zeros(len(bins), dtype=float)
     occ = occupancy
     if occ is None:
         occ = 1.0 - absent_probability(values, n)
-    np.add.at(counts, row, mult)
-    np.add.at(phi, row, mult * values)
-    np.add.at(L, row, mult * occ)
+    counts = np.add.reduceat(mult, np.flatnonzero(run_start))
+    # bincount adds each row's groups in group order, as a sequential sum does
+    phi = np.bincount(row, weights=mult * values)
+    L = np.bincount(row, weights=mult * occ)
 
     kappa_prime = None
     if grid.kind == "xi":
-        # kappa'_b counts the letters in (point(b-1), point(b+2)] (from point(1)
-        # for bin 1, none for bin 0); values ascend, so each window is a
-        # difference of two cumulative letter counts
-        lo = grid.point(np.maximum(bins - 1, 1))
-        hi = grid.point(np.minimum(bins + 2, grid.num_bins))
-        cum = np.concatenate([[0], np.cumsum(mult)])
-        window = (cum[np.searchsorted(values, hi, side="right")]
-                  - cum[np.searchsorted(values, lo, side="right")])
+        # kappa'_b counts the letters of bins b-1..b+1 (bins 1..2 for bin 1, none
+        # for bin 0): a difference of cumulative counts over the occupied bins
+        cum = np.concatenate([[0], np.cumsum(counts)])
+        window = (cum[np.searchsorted(bins, bins + 1, side="right")]
+                  - cum[np.searchsorted(bins, np.maximum(bins - 1, 1))])
         kappa_prime = np.where(bins >= 1, window, 0)
     return BinStats(group_bin=group_bin, bins=bins, counts=counts, phi=phi, L=L,
                     kappa_prime=kappa_prime)
@@ -279,12 +282,11 @@ def occurrence_stats(theta_i: float, n: int) -> OccurrenceStats:
         raise ValueError("n must be >= 1")
     t = float(theta_i)
     p_absent = float(absent_probability(np.array([t]), n)[0])
-    small = t <= 0.6
-    absent_lo = math.exp(-n * (t + t * t)) if small else 0.0
+    absent_lo = float(absent_lower_bound(np.array([t]), n)[0])
     absent_hi = math.exp(-n * t)
     p_present = 1.0 - p_absent
     present_lo = 1.0 - absent_hi
-    present_hi = (1.0 - absent_lo) if small else 1.0
+    present_hi = 1.0 - absent_lo
     mean_re = n * t - 1.0 + p_absent
     re_lo = n * t - 1.0 + absent_lo
     re_hi = n * t - 1.0 + absent_hi

@@ -216,11 +216,10 @@ class ProfileProbability:
     the same, bit for bit, for every order of them.  It is -inf when there
     are more counts than ``theta`` has letters, and never above 0.0.
 
-    The route is chosen once, from the number of groups of ``theta``.  One
-    group (k letters of value v) gives every pattern with m distinct indices
-    the same P = (k)_m v**n, so the call returns :meth:`log_q` of n and
-    m = len(parts), with no DP and no cap.  Two or more groups run the DP
-    below.
+    One group (k letters of value v) gives every pattern with m distinct
+    indices the same P = (k)_m v**n, so the call returns :meth:`log_q` of n
+    and m = len(parts), with no DP and no cap.  Two or more groups run the
+    DP below.
 
     The distinct counts c, in order of first appearance, and the number mu_c
     of indices that occur each of them form the profile.  The DP runs over the
@@ -245,10 +244,9 @@ class ProfileProbability:
         self._groups, self._last = groups[:-1], groups[-1]  # (ln v_g, k_g); the last takes the rest
         # k_g -> (ln (k_g)_A for A < len, the exact (k_g)_len that extends it)
         self._log_falling: dict[int, tuple[list[float], int]] = {}
-        self._route = self._dp if self._groups else self._one_group
 
     def __call__(self, parts: Sequence[int]) -> float:
-        return self._route(parts)
+        return self._dp(parts) if self._groups else self.log_q(sum(parts), len(parts))
 
     def log_q(self, n: int, m: int) -> float:
         """ln q_m = ln (k)_m + n ln v, the ln P of every length-n pattern with m
@@ -264,9 +262,6 @@ class ProfileProbability:
         if m > k:
             return -math.inf
         return min(self._falling(k, m)[m] + n * lv + 0.0, 0.0)
-
-    def _one_group(self, parts: Sequence[int]) -> float:
-        return self.log_q(sum(parts), len(parts))
 
     def _falling(self, k_g: int, most: int) -> list[float]:
         """ln (k_g)_A for A = 0, 1, ..., at least up to ``most``, from exact integers."""

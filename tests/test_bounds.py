@@ -1,11 +1,14 @@
+import json
 import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pattern_entropy import cli
 from pattern_entropy._common import EXACT_FACTORIAL_BELOW, LN2, LOG2E, log2_factorial
 from pattern_entropy._reference import exact_distinct_count_pmf
 from pattern_entropy.bounds import (
@@ -25,9 +28,12 @@ from pattern_entropy.bounds import (
     ub_theorem1,
     ub_theorem3_family,
 )
-from pattern_entropy.distributions import ParamVector, iid_entropy
+from pattern_entropy.distributions import ParamVector, iid_entropy, make_distribution
 from pattern_entropy.grids import bin_stats, build_grid
 from pattern_entropy.patterns import enumerate_patterns, pattern_probability
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CONFIGS = sorted(p.name.removesuffix(".config.json") for p in GOLDEN.glob("*.config.json"))
 
 
 def _h_pattern(theta, n):
@@ -367,6 +373,15 @@ class TestLbTheorem4:
         rep = lb_theorem4(SourceAnalysis(pv, 2, 0.55))
         assert any("split" in note for note in rep.notes)
 
+    @pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+    def test_s1_b2_is_the_overlap_deduction_of_lb2b(self, name):
+        # both deduct log2(kappa'_b!) over xi bins 1..A; on zipf k = 2000 the
+        # occupied bins 1..4 are adjacent, so kappa' differs from kappa there
+        cfg = cli.parse_config(json.loads((GOLDEN / f"{name}.config.json").read_text()))
+        analysis = SourceAnalysis(make_distribution(cfg.source), cfg.n, cfg.epsilon)
+        s1 = lb_theorem4(analysis, s1_variant="b2").term("first_occurrence_deduction_S1")
+        assert s1 == lb_theorem2(analysis)[1].term("overlap_permutation_deduction")
+
 
 class TestContributionLimits:
     def test_no_low_letters(self):
@@ -429,6 +444,16 @@ class TestRange:
         g, resid = gamma_fixed_point(10.0)  # ln(e k^3 / A) = 11
         assert abs(g - 8.60093) <= 1e-4
         assert abs(resid) < 1e-9
+
+    def test_gamma_has_no_root_for_a_small_alphabet(self):
+        # residual(2) = 1 - ln_ratio + ln 8 is positive below ln_ratio = 1 + ln 8
+        edge = 1.0 + math.log(8.0)
+        assert gamma_fixed_point(0.0) == gamma_fixed_point(edge - 1e-9) == (None, None)
+        g, resid = gamma_fixed_point(edge + 1e-6)
+        assert 2.0 <= g < 2.01 and abs(resid) < 1e-9
+        # k = 120 clears n^(1/3 + eps) at n = 10^6, eps = 0.01, with ln_ratio about 0.4
+        row = range_decreases(120, 10**6, 0.01, 0.2)
+        assert row["upper_valid"] and row["gamma"] is None and row["beta_gamma"] is None
 
     def test_gamma_monotone_interface(self):
         g1, _ = gamma_fixed_point(8.0)

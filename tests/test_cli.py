@@ -19,8 +19,9 @@ from pattern_entropy.verify import _EXAMPLE_PARAMS, DEFAULT_SEED, CheckResult
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
+    """Write ``doc`` as JSON, or as it stands when it is a string."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -43,8 +44,23 @@ READERS = {
     "region": ("region",), "code": ("code",), "verify": ("verify",),
     "output": tuple(cli.COMMANDS),
 }
+# the commands that fail with each message that names no config key
+MESSAGE_READERS = {
+    "config is not valid JSON": tuple(cli.COMMANDS),
+    "the code command": ("code",),
+    "the range bound": ("bounds",),
+}
 # what a command needs beyond a source and n, added where a config lacks it
 NEEDS = {"code": {"code": {"count": 1}}}
+
+
+def _readers(where):
+    """The commands that fail with the message ``where``."""
+    key = re.match(r"config\.(\w+)", where)
+    if key:
+        return READERS[key.group(1)]
+    return next(commands for start, commands in MESSAGE_READERS.items() if where.startswith(start))
+
 
 SINGLETON_ALPHABET = {
     "source": {"family": "uniform", "params": {"k": 1}},
@@ -255,6 +271,16 @@ class TestBoundsCommand:
          "config.source: multiplicities must be below 2**63, got 10000"),
         ({"region": {"k_values": [10, 10**400]}}, "config.region.k_values: 10000"),
         ({"code": {"count": 10**400}}, "config.code.count: 10000"),
+        ('{"n": 8', "config is not valid JSON"),
+        ({"n": 8}, "the code command needs 'source', 'n' and 'code'"),
+        ({**UNIFORM2, "bounds": ["range"]}, "the range bound needs 'epsilon1' in the config"),
+        # the integral float 10.0 passes as 10, so the seed is the first error
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "mc": {"samples": 10.0, "seed": "x"}},
+         "config.mc.seed: expected an integer, got 'x'"),
+        ({"n": 100, "region": {"n_pow_eps1": 20}}, "config.region: needs 'k_values' or 'k_range'"),
+        ({**UNIFORM2, "n": 0}, "config.n: must be >= 1"),
+        ({"source": {"probs": [0.5, 0.5]}, "n": 4, "mc": {"seed": 3}}, "config.mc: needs 'samples'"),
+        ({"output": {"format": "xml"}}, "config.output.format: must be 'csv' or 'json'"),
     ], ids=["n_pow_eps1_without_n", "n_pow_eps1_with_n1", "geometric_decay", "geometric_k",
             "zipf_exponent", "two_level_phi0", "two_level_mu", "two_level_nu", "lb4_unknown_key",
             "source_params_not_object", "n_pow_eps1_zero", "bounds_not_list",
@@ -275,11 +301,15 @@ class TestBoundsCommand:
             "lb4_vartheta_plus_one", "lb4_vartheta_plus_nan", "lb4_s3_from_origin_string",
             "lb4_variant_unknown", "epsilon_power_overflow", "epsilon_negative_power_overflow",
             "two_level_mu_overflow", "two_level_nu_underflow", "uniform_nu_overflow",
-            "uniform_k_past_int64", "k_values_past_float", "code_count_past_float"])
+            "uniform_k_past_int64", "k_values_past_float", "code_count_past_float",
+            "invalid_json", "code_without_source", "range_without_epsilon1",
+            "mc_samples_integral_float", "region_without_k", "n_zero", "mc_without_samples",
+            "output_format_unknown"])
     def test_malformed_config_exit_1(self, tmp_path, capsys, doc, where):
         # every command that reads the spoiled key fails on it, given what else it needs
-        for command in READERS[re.match(r"config\.(\w+)", where).group(1)]:
-            cfg = write_config(tmp_path, {**NEEDS.get(command, {}), **doc})
+        for command in _readers(where):
+            cfg = write_config(tmp_path, doc if isinstance(doc, str)
+                               else {**NEEDS.get(command, {}), **doc})
             assert cli.main([command, "--config", cfg]) == 1, command
             err = capsys.readouterr().err
             assert err.startswith("error:") and where in err and "Traceback" not in err, command
@@ -576,6 +606,16 @@ class TestCodeCommand:
             217.91604897404011, 191.57910067998009, 194.01473202798439,
             199.80667564229583, 211.29093146886467]
         assert [int(r["emitted_bits"]) for r in rows] == [219, 193, 196, 201, 213]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("code", {}), ("oracle", {}), ("bounds", {"oracle": True})])
+    def test_rare_letter_source_runs(self, tmp_path, capsys, command, extra):
+        # a letter of 1e-17 leaves its coder bin a rate numerator that is
+        # rounding noise; the model takes phi_b / k_b there and every command runs
+        cfg = write_config(tmp_path, {"source": {"probs": [1e-17, 0.5, 0.5]}, "n": 10,
+                                      "epsilon": 0.3, "code": {"count": 2}, **extra})
+        assert cli.main([command, "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_cap_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

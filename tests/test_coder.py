@@ -382,6 +382,20 @@ class TestModelValidation:
         with pytest.raises(TypeError):
             model.phi[0] = 0.5
 
+    @pytest.mark.parametrize("n", [2, 10, 1000, 16384])
+    def test_rare_letter_source_is_accepted(self, n):
+        # below about n^2 theta^2 / 2 = 1e-16 the rounded fl(n phi_b) - L_b of
+        # the rare letter's bin is noise, often <= 0; such a bin takes phi_b / k_b
+        grid = build_grid("eta", n, 0.3)
+        for theta in np.geomspace(5.6e-18, 1e-9, 200).tolist():
+            model = CoderModel.from_source(ParamVector.from_probs([theta, 1.0 - theta]), grid, n)
+            for b in range(min(2, model.num_bins)):
+                phi_b, k_b, ell_b = model.phi[b], model.kbins[b], model.ell[b]
+                if k_b:
+                    reserve = n * phi_b - model.L[b]
+                    assert model.rho[b] == (reserve / (n * ell_b) if reserve > 0.0 else phi_b / k_b)
+                    assert model.rho[b] > 0.0
+
 
 def _emit_by_division(low: int, width: int, P: int) -> Bitstring:
     """The canonical dyadic with L from the long division ceil(P / width) and
@@ -512,7 +526,8 @@ class TestPowerOfTwoSteps:
         # every such state
         geometric = make_distribution(SourceSpec("geometric", {"k": 12, "decay": 0.7}))
         for theta, n in ((_zipf(200, 1.3), 4096), (geometric, 64),
-                         (ParamVector.from_probs([0.5, 0.25, 0.25]), 8)):
+                         (ParamVector.from_probs([0.5, 0.25, 0.25]), 8),
+                         (ParamVector.from_probs([1e-17, 0.5, 0.5]), 10)):
             model = CoderModel.from_source(theta, build_grid("eta", n, 0.3), n)
             worst = Fraction(0)
             for phi_b, rho_b, ell_b in zip(model.phi, model.rho, model.ell):

@@ -167,6 +167,43 @@ def test_array_sums_are_bit_identical(case):
             assert rep.term("low_first_occurrence_gain_S3") == (0.0 if s3 == 0.0 else s3)
 
 
+def _kappa_prime_by_points(grid, theta: ParamVector, bins: np.ndarray) -> list[int]:
+    """kappa'_b as the letters in (point(b-1), point(b+2)], from point(1) for
+    bin 1 and 0 on bin 0: the definition ``bin_stats`` used to evaluate."""
+    out = []
+    for b in bins.tolist():
+        lo, hi = grid.point(max(b - 1, 1)), grid.point(min(b + 2, grid.num_bins))
+        out.append(sum(c for v, c in theta.groups() if lo < v <= hi) if b >= 1 else 0)
+    return out
+
+
+@given(grouped_sources())
+@example((ParamVector.from_probs([0.05, 0.06, 0.1, 0.79]), 100, 0.05))
+def test_kappa_prime_counts_the_letters_between_points(case):
+    theta, n, epsilon = case
+    grid = grids.build_grid("xi", n, epsilon)
+    stats = bin_stats(grid, theta)
+    assert stats.kappa_prime.tolist() == _kappa_prime_by_points(grid, theta, stats.bins)
+
+
+# the paper's four example families (ex1-ex4), each with its own epsilon
+_FAMILIES = [
+    ("uniform", {"nu": 0.2}, 0.25),
+    ("two-level", {"phi0": 0.5, "mu": 0.4, "nu": 0.3, "level1": "below"}, 0.4),
+    ("two-level", {"phi0": 0.5, "mu": 0.5, "nu": 0.45, "level1": "above"}, 0.5),
+    ("two-level", {"phi0": 0.5, "mu": 0.5, "level1": "unit"}, 0.4),
+]
+
+
+@pytest.mark.parametrize("n", [100, 10**4, 10**6])
+@pytest.mark.parametrize("family, params, epsilon", _FAMILIES)
+def test_family_kappa_prime_counts_the_letters_between_points(family, params, epsilon, n):
+    theta = distributions.make_distribution(distributions.SourceSpec(family, params, n))
+    grid = grids.build_grid("xi", n, epsilon)
+    stats = bin_stats(grid, theta)
+    assert stats.kappa_prime.tolist() == _kappa_prime_by_points(grid, theta, stats.bins)
+
+
 def test_split_branch_is_taken():
     rep = lb_theorem4(SourceAnalysis(_SPLIT_LAST, 2, 0.3))
     assert "last low letter exceeds 3/5; split form applied" in rep.notes

@@ -194,6 +194,13 @@ def test_letters_are_drawn_in_one_place():
     assert _package_sites("choice") == {("distributions", "sample_sequence")}
 
 
+def test_grid_points_are_read_in_few_places():
+    # bin_index places each group by the points; the per-bin statistics,
+    # kappa' among them, read the group bins and not the points again
+    assert _package_sites("point") == {("grids", "_Points"), ("grids", "bin_index"),
+                                       ("verify", "check_grid_laws")}
+
+
 def test_per_letter_probabilities_are_read_in_few_places():
     sites = _package_sites("probs")
     assert ("distributions", "sample_sequence") in sites
