@@ -166,8 +166,8 @@ def expected_codelength_stepwise(theta: ParamVector, grid: Grid, n: int,
     """E[-log2 Q] summed per step over the joint prefix tree.
 
     Node probabilities are injection sums constrained to bin-consistent
-    letters, so this is an independent computation path from the raw-sequence
-    enumeration in :func:`~pattern_entropy.oracle.exact_entropies`.  A step of
+    letters, so this is an independent computation path from the per-bin
+    sums in :func:`~pattern_entropy.oracle.exact_entropies`.  A step of
     positive probability that the coder gives probability 0 makes the result
     inf, with a warning.
     """

@@ -9,8 +9,8 @@ so do bins 0 and 1 where rounding leaves n*phi_b - L_b at or below 0 (a letter
 so rare that n^2 theta^2 / 2 is below about 1e-16).
 
 A step reads the model's per-bin values as Python floats, built once with
-the model, and the state's index count as a plain int, so a step of the
-exact oracle's k**n walk touches no numpy scalar.
+the model, and the state's index count as a plain int, so a step touches no
+numpy scalar.
 
 The assignment is sub-stochastic by construction (mass reserved for new
 occurrences in a bin whose letters are all seen is never claimable), which is

@@ -1,34 +1,23 @@
 """Ground-truth entropy computations: exact at small scale, Monte Carlo beyond.
 
-Everything here is an independent oracle: exact pattern probabilities and
-exhaustive enumeration over raw sequences.  Bound evaluations are validated
-against these values.  The slower brute-force routes that cross-check these
-oracles live in :mod:`pattern_entropy._reference`.
+Everything here is an independent oracle, and nothing is enumerated
+sequence by sequence.  Bound evaluations are validated against these
+values; the slower brute-force routes that cross-check the oracles live in
+:mod:`pattern_entropy._reference`.
 
 The pattern side works on profiles, never on patterns: a pattern's
-probability depends only on its profile, so :func:`exact_pattern_entropy`
-sums over the integer partitions of n, each weighted by its number of
-patterns, and :func:`mc_pattern_entropy` reads each sample's occurrence
-counts from its sorted run lengths.  Both hand the occurrence counts, one
-partition of n per profile, to the one entry that turns them into ln P,
-``ProfileProbability(theta)(parts)``
-(:class:`~pattern_entropy.patterns.ProfileProbability`): a closed form for
-a source of one group, one log-space DP per profile for more groups.  On a
-one-group source P depends only on the number m of distinct indices, so
-:func:`exact_pattern_entropy` weights each ln P by the exact occupancy pmf
-of m (:func:`occupancy_pmf`) instead of walking the partitions.
+probability depends only on its profile, the occurrence counts that
+``ProfileProbability(theta)(parts)`` turns into ln P
+(:class:`~pattern_entropy.patterns.ProfileProbability`).
+:func:`exact_pattern_entropy` walks the partitions of n, or on a one-group
+source the occupancy pmf of m (:func:`occupancy_pmf`), and
+:func:`mc_pattern_entropy` reads each sample's sorted run lengths.
 
-The raw-sequence enumeration of :func:`exact_entropies` walks the k-ary
-prefix tree of sequences one depth at a time in numpy: each depth expands
-all k**d prefixes by all k letters at once, extending each prefix's
-probability, codelength, int64 key of its (pattern, bin) prefix and small
-letter-to-index and indices-per-bin maps.  The coder's step costs come from
-a table of -log2 q filled once by
-:func:`~pattern_entropy.coder.next_symbol_prob`, one call per (bin, indices
-seen in it) state and per bin's re-occurrence, so the number of coder calls
-does not grow with n once n reaches the largest bin's letter count.  The
-leaves are grouped by key with a stable sort, so each key's probability is
-summed in the order of :func:`itertools.product`.
+The joint side works bin by bin.  The grid's bins split the alphabet, so
+P(pattern, bins) = prod_b P_b(mu_b), mu_b being bin b's own pattern, and a
+coder step's probability depends only on its bin and on how many indices
+that bin has seen.  So :func:`exact_entropies` sums expectations under each
+bin's law of its draw count N_b and index count M_b.
 """
 
 from __future__ import annotations
@@ -39,14 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import LN2, ResourceCapError, elementwise, exact_sum, ln_factorial
+from ._common import LN2, ResourceCapError, exact_sum, ln_factorial
 from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector, iid_entropy, sample_sequence
-from .grids import Grid
-from .patterns import ENUMERATION_CAP, ProfileProbability, bin_sequence, enumerate_partitions
+from .grids import Grid, bin_index
+from .patterns import (ENUMERATION_CAP, PROFILE_DP_CAP, ProfileProbability, _partition_counts,
+                       count_partitions, enumerate_partitions)
 
-# cells n * min(n, k) of the occupancy chain (see occupancy_pmf); this many
-# take about 3 s on a 2-vCPU host
+# cells n * min(n, k) of the occupancy chains one call runs (see
+# occupancy_pmf); this many take about 0.3 s on a 2-vCPU host, and each
+# chain step costs about 1.5 us more
 OCCUPANCY_CHAIN_CAP = 300_000_000
 # cells samples * n of the one draw behind a Monte Carlo estimate, checked
 # before drawing: the draw peaks at 24 bytes a cell (tracemalloc, uniform
@@ -64,25 +55,27 @@ class ExactEntropies:
     expected_codelength: float
 
 
-def occupancy_pmf(k: int, n: int) -> np.ndarray:
-    """Exact pmf of the number M of distinct letters in n uniform draws from k.
+def occupancy_pmf(k: int, n: int, r: float = 0.0) -> np.ndarray:
+    """Exact pmf of the number M of distinct letters of a group seen in n draws.
 
-    Entry m is P(M = m) = S(n, m) (k)_m / k**n, for m = 0, ..., min(n, k).
-    The occupancy chain P_t(m) = P_{t-1}(m) m/k + P_{t-1}(m-1) (k-m+1)/k
-    runs over t = 1..n, one linear-scale numpy row per t.  Every term is
-    positive, so each step moves each entry by at most 3 roundings and the
-    route's error is its mass defect: |sum_m P(m) - 1| <= 3 n 2**-53 to
-    first order (measured: at most 1.4e-15 for k <= 1000 and n <= 50,
-    8.9e-15 at k = 1,585 and n = 10^4).  Raises ResourceCapError, naming
-    ``OCCUPANCY_CHAIN_CAP``, when the n * min(n, k) cells pass it.
+    The k letters have value v and the source puts r * v outside them, so
+    the occupancy chain P_t(m) = P_{t-1}(m) (m + r)/(k + r) +
+    P_{t-1}(m-1) (k-m+1)/(k + r), m <= min(n, k), runs over t = 1..n, one
+    linear-scale numpy row per t; r = 0 gives S(n, m) (k)_m / k**n, and
+    r = inf (outside / v overflows for a subnormal v) the limit in which the
+    group is never drawn.  Every term is positive, so each step moves each
+    entry by at most 3 roundings and the route's error is its mass defect:
+    |sum_m P(m) - 1| <= 3 n 2**-53 to first order (measured: at most 1.4e-15
+    for k <= 1000 and n <= 50, 8.9e-15 at k = 1,585 and n = 10^4).  Raises
+    ResourceCapError, naming ``OCCUPANCY_CHAIN_CAP``, when the n * min(n, k)
+    cells pass it.
     """
     top = min(n, k)
-    if n * top > OCCUPANCY_CHAIN_CAP:
-        raise ResourceCapError(f"the occupancy chain's {n * top} cells (n = {n}, k = {k}) "
-                               f"exceed OCCUPANCY_CHAIN_CAP = {OCCUPANCY_CHAIN_CAP}")
+    _check_chain_cells(n * top)
     m = np.arange(top + 1)
-    stay = m / k  # the draw repeats one of m letters seen
-    move = (k - m[:-1]) / k  # the draw is new: m -> m + 1
+    # the draw repeats one of m letters seen, or falls outside
+    stay = (m + r) / (k + r) if r < math.inf else np.ones(top + 1)
+    move = (k - m[:-1]) / (k + r)  # the draw is new: m -> m + 1
     row, nxt = np.zeros(top + 1), np.empty(top + 1)
     row[0] = 1.0
     for _ in range(n):
@@ -90,6 +83,24 @@ def occupancy_pmf(k: int, n: int) -> np.ndarray:
         nxt[1:] += row[:-1] * move
         row, nxt = nxt, row
     return row
+
+
+def _check_chain_cells(cells: int) -> None:
+    if cells > OCCUPANCY_CHAIN_CAP:
+        raise ResourceCapError(f"the occupancy chains' {cells} cells n * min(n, k) "
+                               f"exceed OCCUPANCY_CHAIN_CAP = {OCCUPANCY_CHAIN_CAP}")
+
+
+def _classes(log_p: ProfileProbability, n: int, top: int, table: list[float]):
+    """(P(class), -ln P(pattern), m) of each profile class of the length-n
+    patterns with at most ``top`` distinct indices, ``table`` being ln i!
+    for i <= n: one class per partition of n (see exact_pattern_entropy)."""
+    ln_fact = table.__getitem__
+    for parts in enumerate_partitions(n, top):
+        ln_p = log_p(parts)
+        mus = map(parts.count, dict.fromkeys(parts))
+        ln_ways = table[n] - sum(map(ln_fact, parts)) - sum(map(ln_fact, mus))
+        yield math.exp(ln_ways + ln_p), 0.0 - ln_p, len(parts)
 
 
 def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
@@ -108,148 +119,125 @@ def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
     ln N(mu) comes from a table of ln m! (exact integers below
     ``EXACT_FACTORIAL_BELOW``, log-gamma above), so no integer grows with n.
     Raises ResourceCapError past the enumeration cap on the number of
-    partitions, or for one group past ``OCCUPANCY_CHAIN_CAP``.
+    partitions, once the DPs of all partitions pass ``PROFILE_DP_CAP``
+    transitions in all, or for one group past ``OCCUPANCY_CHAIN_CAP``.
     """
-    log_p = ProfileProbability(theta)
+    return _pattern_entropy(theta, n, ProfileProbability(theta))
+
+
+def _pattern_entropy(theta: ParamVector, n: int, log_p: ProfileProbability) -> float:
     if len(theta.values) == 1:
         pmf = occupancy_pmf(theta.k, n)[1:]
         ln_q = np.array([log_p.log_q(n, m) for m in range(1, pmf.size + 1)])
         return exact_sum(pmf * (0.0 - ln_q)) / LN2
     table = [ln_factorial(i) for i in range(n + 1)]
-    ln_fact = table.__getitem__
-    terms = []
-    for parts in enumerate_partitions(n, min(theta.k, n)):
-        ln_p = log_p(parts)
-        mus = map(parts.count, dict.fromkeys(parts))
-        ln_ways = table[n] - sum(map(ln_fact, parts)) - sum(map(ln_fact, mus))
-        terms.append(math.exp(ln_ways + ln_p) * (0.0 - ln_p) / LN2)
-    return math.fsum(terms)
+    return math.fsum(p * nats / LN2 for p, nats, _ in _classes(log_p, n, min(theta.k, n), table))
 
 
-def _step_bits(model: CoderModel, bins: list[int], letters_in: list[int],
-               n: int) -> np.ndarray:
-    """-log2 q of every coder step the walk takes, one row per bin rank.
-
-    Entry [r, s] for s < n is a new index in bins[r] after s indices of that
-    bin; the last entry, [r, n], is a re-occurrence in bins[r].  Each comes
-    from one :func:`~pattern_entropy.coder.next_symbol_prob` call on a state
-    the walk reaches with a finite codelength, so the table never forks the
-    coder's step rule and never asks about a state the walk cannot meet: a
-    new index of bins[r] follows s < min(letters in bins[r], n) earlier
-    ones, each of positive probability.  A step of probability 0, and every
-    entry past it, is inf.
-    """
-    table = np.full((len(bins), n + 1), math.inf)
-    for r, (b, letters) in enumerate(zip(bins, letters_in)):
-        state = CoderState()
-        for seen in range(min(letters, n)):
-            q = next_symbol_prob(model, state, seen + 1, b)
-            if q <= 0.0:
-                break
-            table[r, seen] = -math.log2(q)
-            state.update(seen + 1, b)
-        if state.max_index:
-            q = next_symbol_prob(model, state, 1, b)
-            if q > 0.0:
-                table[r, n] = -math.log2(q)
-    return table
+def _binomial_pmf(n: int, p: float, q: float) -> list[float]:
+    """C(n, j) p**j q**(n-j) for j = 0..n from exact integers, each rounded
+    once; q is given apart, not as 1 - p.  Going down from j = n keeps
+    every quotient exact, q = 0 included."""
+    a, s = p.as_integer_ratio()
+    c, t = q.as_integer_ratio()
+    num, den = a ** n, s ** n
+    out = [num / den]
+    for j in range(n, 0, -1):
+        num = num * j * c // ((n - j + 1) * a)
+        den = den // s * t
+        out.append(num / den)
+    return out[::-1]
 
 
-def _walk_sequences(probs: np.ndarray, letter_bin: tuple[int, ...], n: int,
-                    model: CoderModel) -> tuple[np.ndarray, np.ndarray]:
-    """Probability and codelength of every (pattern, bin string) of length n.
-
-    Walks the k-ary prefix tree of sequences one depth at a time: the rows at
-    depth d are the k**d prefixes in the lexicographic order of
-    itertools.product, and each depth expands every row by all k letters at
-    once.  A row carries its prefix probability (multiplied left to right),
-    its codelength (the sum of the steps' -log2 q from :func:`_step_bits`,
-    inf after a zero-probability step), an int64 key of its (pattern, bin)
-    prefix, its index count, and int8 maps letter -> pattern index (0 while
-    unseen) and bin -> indices seen.  The key has one base-k*nbins digit per
-    step, (index - 1) * nbins plus the rank of the step's bin among the
-    nbins distinct bins of the letters, so distinct pairs get distinct keys,
-    all below k**(2n) <= ENUMERATION_CAP**2 < 2**63.
-
-    Returns one entry per distinct key, in ascending key order: the summed
-    probability of its sequences, added in visit order, and the codelength
-    of its first sequence (all of its sequences share it).  Warns once per
-    depth at which a step of finite codelength has probability 0.
-    """
-    k = len(probs)
-    bins, digit = np.unique(letter_bin, return_inverse=True)
-    nbins = len(bins)
-    bits_of = _step_bits(model, bins.tolist(), np.bincount(digit).tolist(), n)
-    letters = np.arange(k)
-    prob, bits, key = np.ones(1), np.zeros(1), np.zeros(1, dtype=np.int64)
-    dead = 0  # rows whose codelength is inf
-    count = np.zeros(1, dtype=np.int8)  # indices seen
-    index_of = np.zeros((1, k), dtype=np.int8)  # letter -> pattern index, 0 if unseen
-    seen = np.zeros((1, nbins), dtype=np.int8)  # bin rank -> indices seen
-    for d in range(n):
-        # entry [r, s] below is child s of row r, the prefix r followed by letter s
-        new = index_of == 0
-        idx = np.where(new, count[:, None] + 1, index_of)
-        bits = (bits[:, None] + bits_of[digit, np.where(new, seen[:, digit], -1)]).ravel()
-        dead, parents_dead = np.count_nonzero(np.isinf(bits)), dead
-        if dead > k * parents_dead:  # a prefix of finite codelength took a zero step
-            warnings.warn(f"zero-probability step at position {d}")
-        prob = (prob[:, None] * probs).ravel()
-        key = ((key[:, None] * k + (idx - 1)) * nbins + digit).ravel()
-        if d < n - 1:
-            index_of = np.repeat(index_of[:, None, :], k, axis=1)
-            index_of[:, letters, letters] = idx
-            index_of = index_of.reshape(-1, k)
-            seen = np.repeat(seen[:, None, :], k, axis=1)
-            seen[:, letters, digit] += new
-            seen = seen.reshape(-1, nbins)
-            count = (count[:, None] + new).ravel()
-    order = np.argsort(key, kind="stable")  # equal keys stay in visit order
-    key = key[order]
-    head = np.empty(key.size, dtype=bool)  # the first leaf of each key
-    head[0] = True
-    np.not_equal(key[1:], key[:-1], out=head[1:])
-    del key  # frees the sorted keys before the sums
-    return np.bincount(np.cumsum(head) - 1, weights=prob[order]), bits[order[head]]
+def _step_bits(model: CoderModel, b: int, top: int) -> list[float]:
+    """-log2 q of a new index in bin b after s < ``top`` earlier ones (entry s),
+    then of a re-occurrence in b: one coder call per step kind, on a state a
+    sequence reaches.  A zero step, and every new index after it, is inf."""
+    state, q = CoderState(), []
+    while len(q) < top and (p := next_symbol_prob(model, state, len(q) + 1, b)) > 0.0:
+        q.append(p)
+        state.update(len(q), b)
+    q += [0.0] * (top - len(q))
+    q.append(next_symbol_prob(model, state, 1, b) if state.max_index else 0.0)
+    return [0.0 - math.log2(p) if p > 0.0 else math.inf for p in q]
 
 
 def exact_entropies(theta: ParamVector, grid: Grid, n: int,
                     model: CoderModel | None = None) -> ExactEntropies:
-    """Exact pattern / joint / codelength quantities by exhaustive enumeration.
+    """Exact H(X^n), H(pattern), H(pattern, bins) and E[-log2 Q], in bits.
 
-    The pattern entropy is computed from the pattern side
-    (:func:`exact_pattern_entropy`); the joint entropy
-    and expected codelength enumerate all k^n raw sequences, since the bin
-    string is a function of the sequence rather than of its pattern.  That
-    enumeration is the level walk of :func:`_walk_sequences`: no pattern is
-    extracted or coded from scratch.  H(joint) takes each key's log2 from
-    ``math`` (libm's bits) and both sums are ``exact_sum``, correctly rounded
-    exact sums with ``math.fsum``'s bits, so the results do not depend on the
-    order of the keys.
+    H(pattern) is :func:`exact_pattern_entropy`.  The others are sums over
+    bins: H(pattern, bins) = sum_b E[-log2 P_b(mu_b)] and E[-log2 Q] =
+    sum_b E[(N_b - M_b) c_b + sum_{s < M_b} c_b(s)] (:func:`_step_bits`).
+    A bin of k letters of value v has P_b = (k)_{M_b} v**N_b, M_b's law
+    being :func:`occupancy_pmf` with the mass outside the bin.  A bin of
+    several groups and mass phi has N_b ~ Binomial(n, phi) and, given
+    N_b = j, the profile classes of j draws from theta_b / phi.
 
-    Memory: the walk holds three 8-byte values per leaf (probability,
-    codelength, key) and groups them by key with a stable argsort, so its
-    tracemalloc peak is 44-49 bytes per leaf (49 MiB for geometric k = 4 at
-    n = 10), about 500 MB at ``ENUMERATION_CAP`` = 10^7 leaves.  The
-    entropy sums that follow need under 60 bytes per distinct
-    (pattern, bin string).
+    Before any DP or chain, the partitions of every profile walk are counted
+    against ``ENUMERATION_CAP`` and the chain cells n * min(n, k_b) against
+    ``OCCUPANCY_CHAIN_CAP``; all the DPs share one ``PROFILE_DP_CAP``.
+    Memory: a row of min(n, k_b) + 1 floats per bin, and two floats per
+    profile class of a several-group bin.  A zero-probability step that a
+    sequence of positive probability reaches makes E[-log2 Q] inf, with one
+    warning naming the earliest such position.
     """
-    k = theta.k
-    # k**64 > ENUMERATION_CAP for every k >= 2, so the exponent need not pass 64
-    if k ** min(n, 64) > ENUMERATION_CAP:
-        raise ResourceCapError(f"{k}^{n} sequences exceed the enumeration cap ({ENUMERATION_CAP})")
-    h_x_block = n * iid_entropy(theta)
-    h_pattern = exact_pattern_entropy(theta, n)
-    letter_bin = bin_sequence(theta, grid, range(1, k + 1))
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
-    joint, codelength = _walk_sequences(theta.probs, letter_bin, n, model)
-    positive = joint > 0.0
-    joint, codelength = joint[positive], codelength[positive]
-    h_joint = -exact_sum(joint * elementwise(math.log2, joint))
-    expected_codelength = exact_sum(joint * codelength)
-    return ExactEntropies(h_x_block=h_x_block, h_pattern=h_pattern,
-                          h_joint=h_joint, expected_codelength=expected_codelength)
+    bins, starts = np.unique(bin_index(grid, theta.values), return_index=True)
+    groups = [(theta.values[lo:hi].tolist(), theta.counts[lo:hi].tolist())
+              for lo, hi in zip(starts, [*starts[1:], len(theta.values)])]
+    one = len(theta.values) == 1
+    partitions = (0 if one else count_partitions(n, min(theta.k, n))) + sum(
+        sum(_partition_counts(n, sum(counts))[1:]) for values, counts in groups if len(values) > 1)
+    _check_chain_cells((n * min(n, theta.k) if one else 0) + sum(
+        n * min(n, counts[0]) for values, counts in groups if len(values) == 1))
+    if partitions > ENUMERATION_CAP:
+        raise ResourceCapError(f"{partitions} or more partitions exceed the enumeration cap "
+                               f"(ENUMERATION_CAP = {ENUMERATION_CAP})")
+
+    log_p = ProfileProbability(theta)
+    h_pattern = _pattern_entropy(theta, n, log_p)
+    table = [ln_factorial(i) for i in range(n + 1)]
+    phis = [math.fsum(k * v for v, k in zip(*group)) for group in groups]
+    joint, code, zero_at = [], [], math.inf
+    for i, (b, (values, counts)) in enumerate(zip(bins.tolist(), groups)):
+        phi, k_b, ideal = phis[i], sum(counts), None
+        outside, top = math.fsum(p for j, p in enumerate(phis) if j != i), min(n, k_b)
+        if len(values) == 1:
+            v = values[0]
+            pmf = occupancy_pmf(k_b, n, outside / v)
+            # -log2 of the source's own steps: (k - s) v for a new index, v for a repeat
+            ideal = [0.0 - math.log2((k_b - s) * v) for s in range(top)] + [0.0 - math.log2(v)]
+        else:
+            sub = ProfileProbability(ParamVector.from_groups(np.divide(values, phi), counts))
+            sub.budget = log_p.budget
+            w = _binomial_pmf(n, phi, outside)
+            by_m = [[] for _ in range(top + 1)]  # P(M_b = m) in parts; m = 0 is never read
+            for j in range(1, n + 1):
+                for p, nats, m in _classes(sub, j, min(k_b, j), table) if w[j] else ():
+                    by_m[m].append(w[j] * p)
+                    joint.append(w[j] * p * nats / LN2)
+            log_p.budget = sub.budget
+            joint.append(n * phi * (0.0 - math.log2(phi)))
+            pmf = np.array([math.fsum(ps) for ps in by_m])
+        tail = np.cumsum(pmf[:0:-1])[::-1]  # P(M_b > s) for s < top
+        # E[N_b - M_b]: draw t repeats an earlier letter l with probability
+        # theta_l (1 - (1 - theta_l)**t), taken as -expm1
+        repeats = math.fsum(k * v * math.fsum(-math.expm1(t * math.log1p(-v)) if v < 1.0 else 1.0
+                                              for t in range(1, n)) for v, k in zip(values, counts))
+        weights = np.append(tail, repeats)[:top + (n > 1)]  # a re-occurrence needs n > 1
+        bits = _step_bits(model, b, top)[:weights.size]
+        # a re-occurrence's earliest position is 1
+        zero_at = min([zero_at, *(s if s < top else 1 for s, c in enumerate(bits) if c == math.inf)])
+        for steps, out in ((ideal, joint), (bits, code)):
+            if steps and math.inf not in steps[:weights.size]:
+                out.append(exact_sum(weights * np.array(steps[:weights.size])))
+    if zero_at < math.inf:
+        warnings.warn(f"zero-probability step at position {zero_at}")
+    return ExactEntropies(h_x_block=n * iid_entropy(theta), h_pattern=h_pattern,
+                          h_joint=math.fsum(joint),
+                          expected_codelength=math.fsum(code) if zero_at == math.inf else math.inf)
 
 
 @dataclass(frozen=True)
@@ -310,8 +298,10 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
                                f"past MC_CELLS_CAP = {MC_CELLS_CAP}")
     profiles, counts = _row_profiles(sample_sequence(theta, (samples, n), seed))
     log_p = ProfileProbability(theta)
-    values = [(0.0 - log_p([c for c in padded if c])) / LN2
-              for padded in profiles.tolist()]
+    values = []
+    for padded in profiles.tolist():
+        log_p.budget = PROFILE_DP_CAP  # each profile has a budget of its own
+        values.append((0.0 - log_p([c for c in padded if c])) / LN2)
     counts = counts.tolist()
     base = min(values)
     mean = base + math.fsum(c * (v - base) for v, c in zip(values, counts)) / samples

@@ -33,7 +33,7 @@ from .distributions import ParamVector
 from .grids import Grid, bin_index
 
 ENUMERATION_CAP = 10_000_000
-# transitions of one profile DP (see ProfileProbability)
+# DP transitions of one ProfileProbability over all its calls (see its budget)
 PROFILE_DP_CAP = 1_000_000
 
 BinSeq = tuple[int, ...]
@@ -147,13 +147,19 @@ def count_partitions(n: int, max_parts: int) -> int:
     """
     if n < 0 or max_parts < 0:
         raise ValueError("need n >= 0 and max_parts >= 0")
+    return _partition_counts(n, max_parts)[n]
+
+
+def _partition_counts(n: int, max_parts: int) -> list[int]:
+    """Entry j <= n is the number of partitions of j into at most ``max_parts``
+    parts; once entry n passes ``ENUMERATION_CAP`` all stop at partial counts."""
     ways = [1] + [0] * n
     for part in range(1, min(max_parts, n) + 1):
         for total in range(part, n + 1):
             ways[total] += ways[total - part]
         if ways[n] > ENUMERATION_CAP:
             break
-    return ways[n]
+    return ways
 
 
 def enumerate_partitions(n: int, max_parts: int) -> Iterator[list[int]]:
@@ -236,7 +242,8 @@ class ProfileProbability:
 
     The DP counts its transitions as it makes them, one per (state, take)
     pair and one per state for the last group, and raises ResourceCapError
-    naming ``PROFILE_DP_CAP`` once they pass it.
+    naming ``PROFILE_DP_CAP`` once they pass ``budget``, the transitions left
+    to this object over all its calls (``PROFILE_DP_CAP`` at first).
     """
 
     def __init__(self, theta: ParamVector):
@@ -244,6 +251,7 @@ class ProfileProbability:
         self._groups, self._last = groups[:-1], groups[-1]  # (ln v_g, k_g); the last takes the rest
         # k_g -> (ln (k_g)_A for A < len, the exact (k_g)_len that extends it)
         self._log_falling: dict[int, tuple[list[float], int]] = {}
+        self.budget = PROFILE_DP_CAP
 
     def __call__(self, parts: Sequence[int]) -> float:
         return self._dp(parts) if self._groups else self.log_q(sum(parts), len(parts))
@@ -298,9 +306,9 @@ class ProfileProbability:
             for r, w in layer.items():
                 key = (r, min(k_g, sum(r)))
                 if key not in moves:
-                    moves[key] = self._moves(cs, *key, PROFILE_DP_CAP - work)
+                    moves[key] = self._moves(cs, *key, self.budget - work)
                 work += len(moves[key])
-                if work > PROFILE_DP_CAP:
+                if work > self.budget:
                     raise self._over_cap()
                 for nxt, a, e, lb in moves[key]:
                     t = w + lb + falling[a] + e * lv
@@ -309,8 +317,9 @@ class ProfileProbability:
                     else:
                         terms[nxt] = [t]
             layer = {r: _log_sum_exp(ts) for r, ts in terms.items()}
-        if work + len(layer) > PROFILE_DP_CAP:
+        if work + len(layer) > self.budget:
             raise self._over_cap()
+        self.budget -= work + len(layer)
         lv, k_g = self._last
         falling = self._falling(k_g, min(k_g, m))
         return min(_log_sum_exp([w + falling[a] + sum(map(mul, cs, r)) * lv

@@ -400,15 +400,28 @@ class TestBoundsCommand:
         assert built == Counter(xi=1, tau=1)
 
     def test_per_row_cap_reported_run_continues(self, tmp_path):
-        # the oracle breaches its cap; bounds still evaluate and exit is 0
+        # uniform k = 3 at n = 30 (3^30 sequences) now computes: one group in
+        # one bin, so H(pattern, bins) = H(pattern)
         cfg = write_config(tmp_path, {
             "source": {"family": "uniform", "params": {"k": 3}},
             "n": 30, "epsilon": 0.3, "bounds": ["simple"], "oracle": True,
         })
         out = str(tmp_path / "out.csv")
         assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        row = read_csv(out)[0]
+        h_pattern, h_joint = float(row["exact_h_pattern"]), float(row["exact_h_joint"])
+        assert row["error"] == "" and abs(h_joint - h_pattern) <= 1e-13 * h_pattern
+        assert float(row["exact_codelength"]) >= h_joint
+        # four groups at n = 2000 pass the enumeration cap; bounds still
+        # evaluate and exit is 0
+        cfg = write_config(tmp_path, {
+            "source": {"probs": [0.1, 0.2, 0.3, 0.4]},
+            "n": 2000, "epsilon": 0.3, "bounds": ["simple"], "oracle": True,
+        })
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
         rows = read_csv(out)
-        assert rows and all("oracle skipped" in r["error"] for r in rows)
+        assert rows and all("oracle skipped" in r["error"] and "ENUMERATION_CAP" in r["error"]
+                            for r in rows)
         assert float(rows[0]["value"]) > 0
 
     def test_mc_underflow_reported_run_continues(self, tmp_path):
@@ -650,12 +663,25 @@ class TestOracleCommand:
         assert abs(float(row["mc_estimate"]) - float(row["h_pattern"])) \
             <= 4 * float(row["mc_stderr"]) + 1e-9
 
-    def test_cap_exit_3(self, tmp_path):
+    def test_cap_exit_3(self, tmp_path, capsys):
+        # uniform k = 3 at n = 30 (3^30 sequences) now computes
         cfg = write_config(tmp_path, {
             "source": {"family": "uniform", "params": {"k": 3}},
             "n": 30, "epsilon": 0.3,
         })
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["oracle", "--config", cfg, "--out", out]) == 0
+        row = read_csv(out)[0]
+        h_pattern, h_joint = float(row["h_pattern"]), float(row["h_joint"])
+        assert abs(h_joint - h_pattern) <= 1e-13 * h_pattern
+        assert float(row["expected_codelength"]) >= h_joint
+        # the two-level source at n = 30 passes the shared profile DP budget
+        cfg = write_config(tmp_path, {
+            "source": {"family": "explicit", "params": {"probs": [1e-4] * 5000 + [1e-2] * 50}},
+            "n": 30, "epsilon": 0.3,
+        })
         assert cli.main(["oracle", "--config", cfg]) == 3
+        assert "PROFILE_DP_CAP" in capsys.readouterr().err
 
     def test_mc_cell_cap(self, tmp_path, monkeypatch, capsys):
         # 10 samples of length 4 pass a cap of 39 cells: bounds rows say so,
@@ -674,11 +700,8 @@ class TestOracleCommand:
 
 
     def test_mc_underflow_exit_3(self, tmp_path, monkeypatch, capsys):
-        # 10^400 sequences exceed the enumeration cap, so stand in for the exact
-        # part to reach the Monte Carlo one.  Uniform k=10 at n=400 no longer
-        # underflows; a profile DP past its cap still exits 3
-        monkeypatch.setattr(cli, "exact_entropies", lambda theta, grid, n: ExactEntropies(
-            h_x_block=0.0, h_pattern=0.0, h_joint=0.0, expected_codelength=0.0))
+        # uniform k=10 at n=400 no longer underflows, and its exact part
+        # computes; a profile DP past its cap still exits 3
         cfg = write_config(tmp_path, {
             "source": {"family": "uniform", "params": {"k": 10}},
             "n": 400, "epsilon": 0.3, "mc": {"samples": 10},
@@ -686,7 +709,13 @@ class TestOracleCommand:
         out = str(tmp_path / "o.csv")
         assert cli.main(["oracle", "--config", cfg, "--out", out]) == 0
         want = 400 * math.log2(10) - math.log2(math.factorial(10))
-        assert abs(float(read_csv(out)[0]["mc_estimate"]) - want) <= 1e-12 * want
+        row = read_csv(out)[0]
+        assert abs(float(row["mc_estimate"]) - want) <= 1e-12 * want
+        assert abs(float(row["h_pattern"]) - want) <= 1e-12 * want
+        # zipf k = 200 at n = 400 passes the enumeration cap, so stand in for
+        # the exact part to reach the Monte Carlo one
+        monkeypatch.setattr(cli, "exact_entropies", lambda theta, grid, n: ExactEntropies(
+            h_x_block=0.0, h_pattern=0.0, h_joint=0.0, expected_codelength=0.0))
         cfg = write_config(tmp_path, {
             "source": {"family": "zipf", "params": {"k": 200, "exponent": 1.3}},
             "n": 400, "epsilon": 0.3, "mc": {"samples": 10},

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -128,9 +129,14 @@ class TestExactEntropies:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_cap_guard(self):
-        pv = ParamVector.from_probs([0.25] * 4)
-        with pytest.raises(ResourceCapError):
-            exact_entropies(pv, _grid(30), 30)
+        # 4^30 sequences were past the old sequence cap; one group in one bin
+        # gives h_joint = h_pattern
+        ee = exact_entropies(ParamVector.from_probs([0.25] * 4), _grid(30), 30)
+        assert abs(ee.h_joint - ee.h_pattern) <= 1e-13 * ee.h_pattern
+        assert ee.expected_codelength >= ee.h_joint
+        # four groups at n = 2000: about 5.6e7 partitions of n into at most 4 parts
+        with pytest.raises(ResourceCapError, match="ENUMERATION_CAP"):
+            exact_entropies(ParamVector.from_probs([0.1, 0.2, 0.3, 0.4]), _grid(2000), 2000)
 
     def test_bins_the_alphabet_once(self, monkeypatch):
         calls = {"bin_index": 0, "bin_sequence": 0}
@@ -152,7 +158,7 @@ class TestExactEntropies:
         n = 5
         grid = _grid(n)
         ee = exact_entropies(pv, grid, n, model=CoderModel.from_source(pv, grid, n))
-        assert calls == {"bin_index": 1, "bin_sequence": 1}
+        assert calls == {"bin_index": 1, "bin_sequence": 0}
         assert ee.h_pattern <= ee.h_joint + 1e-9
 
     def test_matches_reference_loop(self):
@@ -174,11 +180,12 @@ class TestExactEntropies:
                 grid = _grid(n)
                 got = exact_entropies(theta, grid, n, model=model)
                 want = reference_exact_entropies(theta, grid, n, model=model)
-                # the walk's three fields are bit-identical; h_pattern sums over
-                # profiles in log space instead of over patterns
-                assert (got.h_x_block, got.h_joint, got.expected_codelength) == (
-                    want.h_x_block, want.h_joint, want.expected_codelength)
-                assert abs(got.h_pattern - want.h_pattern) <= 1e-13 * want.h_pattern
+                # h_joint and the codelength are regrouped into per-bin sums,
+                # and h_pattern sums over profiles in log space
+                assert got.h_x_block == want.h_x_block
+                for field in ("h_pattern", "h_joint", "expected_codelength"):
+                    g, w = getattr(got, field), getattr(want, field)
+                    assert g == w if w == math.inf else abs(g - w) <= 1e-13 * w, field
                 bins = bin_index(grid, theta.probs).tolist()
                 cases["tied"] += int(theta.counts.max() > 1)
                 cases["shared_bin"] += int(len(set(bins)) < len(bins))
@@ -187,7 +194,7 @@ class TestExactEntropies:
         assert min(cases.values()) >= 10, cases
 
     def test_step_table_does_not_grow_with_n(self, monkeypatch):
-        # the walk asks the coder once per (bin, indices seen) step and once per
+        # the coder is asked once per (bin, indices seen) step and once per
         # bin's re-occurrence; every bin of geometric k = 4 has at most 4 < 5
         # letters, so n = 5 and n = 7 ask the same questions
         calls = {"next_symbol_prob": 0, "extract_pattern": 0}
@@ -207,25 +214,9 @@ class TestExactEntropies:
         assert counts[0] == counts[1] > 0
         assert calls["extract_pattern"] == 0
 
-    def test_leaf_codes_do_not_collide(self):
-        rng = np.random.default_rng(10)
-        shared_bin = 0
-        for _ in range(120):
-            k, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
-            theta = _random_source(rng, k)
-            grid = _grid(n)
-            letter_bin = bin_index(grid, theta.probs).tolist()
-            joint, codelength = oracle._walk_sequences(
-                theta.probs, letter_bin, n, CoderModel.from_source(theta, grid, n))
-            want = _raw_joint(theta, grid, n)
-            assert len(joint) == len(codelength) == len(want)
-            assert sorted(joint.tolist()) == sorted(want.values())
-            shared_bin += int(len(set(letter_bin)) < k)
-        assert shared_bin >= 20
-
     def test_four_letters_at_n10_bit_for_bit(self):
-        # the bits a per-sequence dict walk gives, summing each key's
-        # probabilities in itertools.product order; that walk peaked at 81.8 MiB
+        # the reference values are the bits a per-sequence dict walk gives,
+        # summing each key's probabilities in itertools.product order
         n = 10
         theta, grid = _geometric4(), _grid(n)
         tracemalloc.start()
@@ -234,9 +225,79 @@ class TestExactEntropies:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ee.h_joint == 17.040557169805158
-        assert ee.expected_codelength == 18.087957540296966
-        assert peak <= 90 * 2 ** 20
+        assert abs(ee.h_joint - 17.040557169805158) <= 1e-14 * 17.040557169805158
+        assert abs(ee.expected_codelength - 18.087957540296966) <= 1e-14 * 18.087957540296966
+        assert peak <= 2 ** 20
+
+    def test_one_letter_per_bin_gives_the_block_entropy(self):
+        # with one letter in each bin, (pattern, bins) determines the sequence;
+        # the last source's rare letter loses about 1e-10 relative in a sum of
+        # -p log2 p over sequence probabilities near 1, and nothing here
+        cases = [(_geometric4(), 20), (ParamVector.from_probs([0.3, 0.7]), 1000),
+                 (ParamVector.from_probs([0.2, 0.3, 0.5]), 100),
+                 (ParamVector.from_probs([1e-9, 1 - 1e-9]), 5)]
+        for theta, n in cases:
+            grid = _grid(n)
+            assert len(set(bin_index(grid, theta.values).tolist())) == theta.k
+            ee = exact_entropies(theta, grid, n)
+            assert abs(ee.h_joint - ee.h_x_block) <= 1e-13 * ee.h_x_block, (theta.k, n)
+            assert ee.h_pattern <= ee.h_joint <= ee.expected_codelength
+
+    def test_subnormal_letter(self):
+        # outside / v overflows for v = 1e-310, and the chain takes its limit,
+        # in which the bin is never drawn; what that drops is below 1e-300 bits
+        theta, n = ParamVector.from_probs([1e-310, 0.25, 0.75]), 4
+        got = exact_entropies(theta, _grid(n), n)
+        want = reference_exact_entropies(theta, _grid(n), n)
+        for field in ("h_joint", "expected_codelength"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert abs(g - w) <= 1e-13 * w, field
+
+    @pytest.mark.parametrize("theta, n", [
+        (_geometric4(), 20), (ParamVector.from_probs([0.3, 0.7]), 1000),
+        (make_distribution(SourceSpec("uniform", {"nu": 0.2}, 10**4)), 10**4),
+        (ParamVector.from_probs([1.0]), 16384),
+    ], ids=["geometric4_n20", "explicit_n1000", "ex1_n1e4", "one_letter_n16384"])
+    def test_reach(self, theta, n):
+        # 4^20, 2^1000 and 1585^10000 sequences, and one long sequence
+        t0 = time.perf_counter()
+        ee = exact_entropies(theta, _grid(n), n)
+        assert time.perf_counter() - t0 < 1.0
+        slack = 1e-9 * ee.h_x_block
+        assert ee.h_pattern <= ee.h_joint + slack and ee.h_joint <= ee.expected_codelength + slack
+
+    @pytest.mark.parametrize("theta, n, cap", [
+        # 10,001,002 partitions of n into at most 3 parts, one letter a bin
+        (ParamVector.from_probs([0.2, 0.3, 0.5]), 10_952, "ENUMERATION_CAP"),
+        # the chains of H(pattern) and of the one bin: 2 * n * n cells
+        (ParamVector.from_groups([1e-6], [10**6]), 12_248, "OCCUPANCY_CHAIN_CAP"),
+        # about 1.2e6 DP transitions for H(pattern) alone
+        (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]), 30, "PROFILE_DP_CAP"),
+    ], ids=["partitions", "chain_cells", "dp_transitions"])
+    def test_budget_just_over_raises(self, theta, n, cap):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=cap):
+            exact_entropies(theta, _grid(n), n)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_budgets_are_checked_before_any_chain_or_dp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain or DP ran past a budget")
+
+        monkeypatch.setattr(oracle, "occupancy_pmf", refuse)
+        monkeypatch.setattr(ProfileProbability, "__call__", refuse)
+        for theta, n in ((ParamVector.from_probs([0.2, 0.3, 0.5]), 10_952),
+                         (ParamVector.from_groups([1e-6], [10**6]), 12_248)):
+            with pytest.raises(ResourceCapError):
+                exact_entropies(theta, _grid(n), n)
+
+    def test_pattern_entropy_shares_one_dp_budget(self):
+        # n = 30 needs about 1.2e6 transitions over its 5,604 profiles, each far
+        # below PROFILE_DP_CAP; n = 25 needs about 2.6e5
+        theta = ParamVector.from_groups([1e-4, 1e-2], [5000, 50])
+        with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
+            oracle.exact_pattern_entropy(theta, 30)
+        assert oracle.exact_pattern_entropy(theta, 25) > 0.0
 
     def test_zero_probability_step_warns(self):
         # a fair coin coded with the model of a one-letter source
@@ -367,6 +428,16 @@ class TestOccupancyChain:
                 want = exact_distinct_count_pmf([1.0 / k] * k, n)
                 padded = np.concatenate([got, np.zeros(k + 1 - got.size)])
                 assert np.allclose(padded, want, rtol=1e-12, atol=1e-14), (k, n)
+
+    def test_outside_mass_matches_inclusion_exclusion(self):
+        # k letters of value v among other letters of mass 1 - k v
+        for k in range(1, 6):
+            for v in (0.02, 0.1, 1.0 / (k + 1)):
+                for n in range(0, 9):
+                    got = occupancy_pmf(k, n, (1.0 - k * v) / v)
+                    want = exact_distinct_count_pmf([v] * k, n)
+                    padded = np.concatenate([got, np.zeros(k + 1 - got.size)])
+                    assert np.allclose(padded, want, rtol=1e-12, atol=1e-14), (k, v, n)
 
     def test_cap_names_its_constant(self):
         k = 10**9

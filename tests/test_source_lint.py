@@ -205,7 +205,7 @@ def test_per_letter_probabilities_are_read_in_few_places():
     sites = _package_sites("probs")
     assert ("distributions", "sample_sequence") in sites
     assert {(module, top) for module, top in sites
-            if module not in ("distributions", "_reference")} == {("oracle", "exact_entropies")}
+            if module not in ("distributions", "_reference")} == set()
 
 
 def test_attribute_sites_name_the_enclosing_definition():
@@ -217,7 +217,7 @@ def test_attribute_sites_name_the_enclosing_definition():
 
 
 def test_oracle_takes_coder_steps_only_through_the_coder():
-    # the walk's step table calls coder.next_symbol_prob; reading the model's
+    # the per-bin step costs come from coder.next_symbol_prob; reading the model's
     # per-bin floats directly would fork the step rule
     oracle = {"oracle": (ROOT / "src" / "pattern_entropy" / "oracle.py").read_text(encoding="utf-8")}
     for attr in ("phi", "rho"):
