@@ -6,18 +6,16 @@ values; the slower brute-force routes that cross-check the oracles live in
 :mod:`pattern_entropy._reference`.
 
 The pattern side works on profiles, never on patterns: a pattern's
-probability depends only on its profile, the occurrence counts that
+probability depends only on its occurrence counts, which
 ``ProfileProbability(theta)(parts)`` turns into ln P
-(:class:`~pattern_entropy.patterns.ProfileProbability`).
-:func:`exact_pattern_entropy` walks the partitions of n, or on a one-group
-source the occupancy pmf of m (:func:`occupancy_pmf`), and
+(:class:`~pattern_entropy.patterns.ProfileProbability`);
 :func:`mc_pattern_entropy` reads each sample's sorted run lengths.
 
-The joint side works bin by bin.  The grid's bins split the alphabet, so
-P(pattern, bins) = prod_b P_b(mu_b), mu_b being bin b's own pattern, and a
-coder step's probability depends only on its bin and on how many indices
-that bin has seen.  So :func:`exact_entropies` sums expectations under each
-bin's law of its draw count N_b and index count M_b.
+The exact side sums one per-bin law (:func:`_bin_law`).  The grid's bins
+split the alphabet, so P(pattern, bins) = prod_b P_b(mu_b), mu_b being bin
+b's own pattern, and a coder step depends only on its bin and on how many
+indices that bin has seen.  H(pattern) is the law of the whole alphabet as
+one bin, which a grid of one bin reuses.
 """
 
 from __future__ import annotations
@@ -28,17 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import LN2, ResourceCapError, exact_sum, ln_factorial
+from ._common import LN2, ResourceCapError, exact_sum
 from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector, iid_entropy, sample_sequence
 from .grids import Grid, bin_index
-from .patterns import (ENUMERATION_CAP, PROFILE_DP_CAP, ProfileProbability, _partition_counts,
-                       count_partitions, enumerate_partitions)
+from .patterns import ENUMERATION_CAP, ProfileProbability, _partition_counts, enumerate_partitions
 
-# cells n * min(n, k) of the occupancy chains one call runs (see
-# occupancy_pmf); this many take about 0.3 s on a 2-vCPU host, and each
-# chain step costs about 1.5 us more
+# cells n * min(n, k) of one call's occupancy chains (occupancy_pmf), plus
+# CHAIN_STEP_CELLS a step: a cell costs 1-16 ns, a step 3-5 us more (Python 3.11,
+# 2-vCPU Xeon); k = 10^6 at n = 15,435 takes 0.7 s, one letter at 74,981 0.4 s
 OCCUPANCY_CHAIN_CAP = 300_000_000
+CHAIN_STEP_CELLS = 4_000
 # cells samples * n of the one draw behind a Monte Carlo estimate, checked
 # before drawing: the draw peaks at 24 bytes a cell (tracemalloc, uniform
 # k = 10 and k = 1000), so this many take about 0.5 GB
@@ -67,11 +65,11 @@ def occupancy_pmf(k: int, n: int, r: float = 0.0) -> np.ndarray:
     entry by at most 3 roundings and the route's error is its mass defect:
     |sum_m P(m) - 1| <= 3 n 2**-53 to first order (measured: at most 1.4e-15
     for k <= 1000 and n <= 50, 8.9e-15 at k = 1,585 and n = 10^4).  Raises
-    ResourceCapError, naming ``OCCUPANCY_CHAIN_CAP``, when the n * min(n, k)
-    cells pass it.
+    ResourceCapError, naming ``OCCUPANCY_CHAIN_CAP``, when the cells
+    n * (min(n, k) + ``CHAIN_STEP_CELLS``) pass it.
     """
     top = min(n, k)
-    _check_chain_cells(n * top)
+    _check_chain_cells(n * (top + CHAIN_STEP_CELLS))
     m = np.arange(top + 1)
     # the draw repeats one of m letters seen, or falls outside
     stay = (m + r) / (k + r) if r < math.inf else np.ones(top + 1)
@@ -87,51 +85,20 @@ def occupancy_pmf(k: int, n: int, r: float = 0.0) -> np.ndarray:
 
 def _check_chain_cells(cells: int) -> None:
     if cells > OCCUPANCY_CHAIN_CAP:
-        raise ResourceCapError(f"the occupancy chains' {cells} cells n * min(n, k) "
-                               f"exceed OCCUPANCY_CHAIN_CAP = {OCCUPANCY_CHAIN_CAP}")
+        raise ResourceCapError(f"the occupancy chains' cells n * (min(n, k) + CHAIN_STEP_CELLS), "
+                               f"{cells}, exceed OCCUPANCY_CHAIN_CAP = {OCCUPANCY_CHAIN_CAP}")
 
 
-def _classes(log_p: ProfileProbability, n: int, top: int, table: list[float]):
+def _classes(log_p: ProfileProbability, n: int, top: int):
     """(P(class), -ln P(pattern), m) of each profile class of the length-n
-    patterns with at most ``top`` distinct indices, ``table`` being ln i!
-    for i <= n: one class per partition of n (see exact_pattern_entropy)."""
-    ln_fact = table.__getitem__
+    patterns with at most ``top`` distinct indices: one per partition mu of n,
+    of n! / prod_c((c!)**mu_c * mu_c!) patterns with ln P ``log_p(mu)``."""
+    table = log_p._ln_factorials(n)
     for parts in enumerate_partitions(n, top):
         ln_p = log_p(parts)
         mus = map(parts.count, dict.fromkeys(parts))
-        ln_ways = table[n] - sum(map(ln_fact, parts)) - sum(map(ln_fact, mus))
+        ln_ways = table[n] - sum(map(table.__getitem__, parts)) - sum(map(table.__getitem__, mus))
         yield math.exp(ln_ways + ln_p), 0.0 - ln_p, len(parts)
-
-
-def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
-    """H(pattern) in bits.
-
-    A source of one group (k letters of value v) gives each of the S(n, m)
-    patterns with m distinct indices the probability q_m = (k)_m v**n, so
-    H = sum_m P(M = m) * -log2 q_m with the exact occupancy pmf of
-    :func:`occupancy_pmf`, in O(n min(n, k)) time and linear space; ln q_m
-    is ``ProfileProbability.log_q``, and the error is the pmf's mass defect.
-
-    Otherwise H is summed over the profiles of length-n patterns.  A profile
-    {mu_c} is a partition of n into at most min(k, n) parts; its
-    N(mu) = n! / prod_c((c!)**mu_c * mu_c!) patterns share one probability
-    P(mu), so H = sum_mu -N(mu) * P(mu) * log2 P(mu), one DP per partition.
-    ln N(mu) comes from a table of ln m! (exact integers below
-    ``EXACT_FACTORIAL_BELOW``, log-gamma above), so no integer grows with n.
-    Raises ResourceCapError past the enumeration cap on the number of
-    partitions, once the DPs of all partitions pass ``PROFILE_DP_CAP``
-    transitions in all, or for one group past ``OCCUPANCY_CHAIN_CAP``.
-    """
-    return _pattern_entropy(theta, n, ProfileProbability(theta))
-
-
-def _pattern_entropy(theta: ParamVector, n: int, log_p: ProfileProbability) -> float:
-    if len(theta.values) == 1:
-        pmf = occupancy_pmf(theta.k, n)[1:]
-        ln_q = np.array([log_p.log_q(n, m) for m in range(1, pmf.size + 1)])
-        return exact_sum(pmf * (0.0 - ln_q)) / LN2
-    table = [ln_factorial(i) for i in range(n + 1)]
-    return math.fsum(p * nats / LN2 for p, nats, _ in _classes(log_p, n, min(theta.k, n), table))
 
 
 def _binomial_pmf(n: int, p: float, q: float) -> list[float]:
@@ -147,6 +114,75 @@ def _binomial_pmf(n: int, p: float, q: float) -> list[float]:
         den = den // s * t
         out.append(num / den)
     return out[::-1]
+
+
+def _check_budgets(n: int, laws: list[tuple]) -> None:
+    """Refuse the laws (values, counts, phi, outside) past a budget, before any chain or DP."""
+    _check_chain_cells(sum(n * (min(n, counts[0]) + CHAIN_STEP_CELLS)
+                           for values, counts, _, _ in laws if len(values) == 1))
+    # a bin walks the partitions of every N_b = j <= n, the whole alphabet those of n
+    walks = [(_partition_counts(n, sum(counts)), outside)
+             for values, counts, _, outside in laws if len(values) > 1]
+    partitions = sum(sum(ways[1:]) if outside else ways[n] for ways, outside in walks)
+    if partitions > ENUMERATION_CAP:
+        raise ResourceCapError(f"{partitions} or more partitions exceed the enumeration cap "
+                               f"(ENUMERATION_CAP = {ENUMERATION_CAP})")
+
+
+def _bin_law(n: int, values: list, counts: list, phi: float, outside: float,
+             log_p: ProfileProbability, weigh: bool = True) -> tuple[np.ndarray | None, list]:
+    """(weights, terms) of the bin of groups (``values``, ``counts``) and mass
+    ``phi``, with ``outside`` elsewhere, after n draws: how often its coder
+    takes each step, P(M_b > s) for s < min(n, k_b) then E[N_b - M_b] if
+    n > 1, M_b and N_b being its index and draw counts; and terms summing to
+    E[-log2 P_b(mu_b)] in bits.  Nothing outside is the whole alphabet
+    (phi = 1), of law ``log_p``, whose DP budget every bin shares; ``weigh``
+    False skips the weights of several groups.
+    """
+    k_b = sum(counts)
+    top = min(n, k_b)
+    if len(values) == 1:  # P_b = (k_b)_{M_b} v**N_b
+        pmf = occupancy_pmf(k_b, n, outside / values[0])
+    else:  # N_b ~ Binomial(n, phi)
+        sub = log_p if not outside else ProfileProbability(
+            ParamVector.from_groups(np.divide(values, phi), counts))
+        sub.budget = log_p.budget
+        w = _binomial_pmf(n, phi, outside)
+        by_m = [[] for _ in range(top + 1)]  # P(M_b = m) in parts; m = 0 is never read
+        terms = [n * phi * (0.0 - math.log2(phi))]
+        for j in range(1, n + 1):
+            for p, nats, m in _classes(sub, j, min(k_b, j)) if w[j] else ():
+                by_m[m].append(w[j] * p)
+                terms.append(w[j] * p * nats / LN2)
+        log_p.budget = sub.budget
+        if not weigh:
+            return None, terms
+        pmf = np.array([math.fsum(ps) for ps in by_m])
+    tail = np.cumsum(pmf[:0:-1])[::-1]  # P(M_b > s) for s < top
+    # E[N_b - M_b]: draw t repeats an earlier letter l with probability
+    # theta_l (1 - (1 - theta_l)**t), taken as -expm1
+    repeats = math.fsum(k * v * math.fsum(-math.expm1(t * math.log1p(-v)) if v < 1.0 else 1.0
+                                          for t in range(1, n)) for v, k in zip(values, counts))
+    weights = np.append(tail, repeats)[:top + (n > 1)]  # a re-occurrence needs n > 1
+    if len(values) == 1:  # -log2 of the source's steps: (k_b - s) v new, v repeated
+        v = values[0]
+        steps = [0.0 - math.log2((k_b - s) * v) for s in range(top)] + [0.0 - math.log2(v)]
+        terms = [exact_sum(weights * np.array(steps[:weights.size]))]
+    return weights, terms
+
+
+def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
+    """H(pattern) in bits: the whole alphabet as one bin (:func:`_bin_law`),
+    so one group runs one occupancy chain (O(n min(n, k)) time, linear space,
+    its error the pmf's mass defect) and more groups one DP per partition of
+    n.  Raises ResourceCapError past ``ENUMERATION_CAP`` partitions or
+    ``OCCUPANCY_CHAIN_CAP`` cells, both checked before any chain or DP runs,
+    or once the DPs pass ``PROFILE_DP_CAP`` transitions in all.
+    """
+    whole = (theta.values.tolist(), theta.counts.tolist(), 1.0, 0.0)
+    _check_budgets(n, [whole])
+    _, terms = _bin_law(n, *whole, ProfileProbability(theta), weigh=False)
+    return math.fsum(terms)
 
 
 def _step_bits(model: CoderModel, b: int, top: int) -> list[float]:
@@ -166,17 +202,12 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
                     model: CoderModel | None = None) -> ExactEntropies:
     """Exact H(X^n), H(pattern), H(pattern, bins) and E[-log2 Q], in bits.
 
-    H(pattern) is :func:`exact_pattern_entropy`.  The others are sums over
-    bins: H(pattern, bins) = sum_b E[-log2 P_b(mu_b)] and E[-log2 Q] =
-    sum_b E[(N_b - M_b) c_b + sum_{s < M_b} c_b(s)] (:func:`_step_bits`).
-    A bin of k letters of value v has P_b = (k)_{M_b} v**N_b, M_b's law
-    being :func:`occupancy_pmf` with the mass outside the bin.  A bin of
-    several groups and mass phi has N_b ~ Binomial(n, phi) and, given
-    N_b = j, the profile classes of j draws from theta_b / phi.
-
-    Before any DP or chain, the partitions of every profile walk are counted
-    against ``ENUMERATION_CAP`` and the chain cells n * min(n, k_b) against
-    ``OCCUPANCY_CHAIN_CAP``; all the DPs share one ``PROFILE_DP_CAP``.
+    H(pattern) is :func:`exact_pattern_entropy`'s.  H(pattern, bins) =
+    sum_b E[-log2 P_b(mu_b)] and E[-log2 Q] = sum_b E[(N_b - M_b) c_b +
+    sum_{s < M_b} c_b(s)] (:func:`_step_bits`) sum the grid's bin laws
+    (:func:`_bin_law`); a grid of one occupied bin reuses the whole
+    alphabet's, so its chain or DP walk runs once.  The budgets are those of
+    :func:`exact_pattern_entropy`, over all the laws of the call.
     Memory: a row of min(n, k_b) + 1 floats per bin, and two floats per
     profile class of a several-group bin.  A zero-probability step that a
     sequence of positive probability reaches makes E[-log2 Q] inf, with one
@@ -187,56 +218,28 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     bins, starts = np.unique(bin_index(grid, theta.values), return_index=True)
     groups = [(theta.values[lo:hi].tolist(), theta.counts[lo:hi].tolist())
               for lo, hi in zip(starts, [*starts[1:], len(theta.values)])]
-    one = len(theta.values) == 1
-    partitions = (0 if one else count_partitions(n, min(theta.k, n))) + sum(
-        sum(_partition_counts(n, sum(counts))[1:]) for values, counts in groups if len(values) > 1)
-    _check_chain_cells((n * min(n, theta.k) if one else 0) + sum(
-        n * min(n, counts[0]) for values, counts in groups if len(values) == 1))
-    if partitions > ENUMERATION_CAP:
-        raise ResourceCapError(f"{partitions} or more partitions exceed the enumeration cap "
-                               f"(ENUMERATION_CAP = {ENUMERATION_CAP})")
-
-    log_p = ProfileProbability(theta)
-    h_pattern = _pattern_entropy(theta, n, log_p)
-    table = [ln_factorial(i) for i in range(n + 1)]
     phis = [math.fsum(k * v for v, k in zip(*group)) for group in groups]
-    joint, code, zero_at = [], [], math.inf
-    for i, (b, (values, counts)) in enumerate(zip(bins.tolist(), groups)):
-        phi, k_b, ideal = phis[i], sum(counts), None
-        outside, top = math.fsum(p for j, p in enumerate(phis) if j != i), min(n, k_b)
-        if len(values) == 1:
-            v = values[0]
-            pmf = occupancy_pmf(k_b, n, outside / v)
-            # -log2 of the source's own steps: (k - s) v for a new index, v for a repeat
-            ideal = [0.0 - math.log2((k_b - s) * v) for s in range(top)] + [0.0 - math.log2(v)]
-        else:
-            sub = ProfileProbability(ParamVector.from_groups(np.divide(values, phi), counts))
-            sub.budget = log_p.budget
-            w = _binomial_pmf(n, phi, outside)
-            by_m = [[] for _ in range(top + 1)]  # P(M_b = m) in parts; m = 0 is never read
-            for j in range(1, n + 1):
-                for p, nats, m in _classes(sub, j, min(k_b, j), table) if w[j] else ():
-                    by_m[m].append(w[j] * p)
-                    joint.append(w[j] * p * nats / LN2)
-            log_p.budget = sub.budget
-            joint.append(n * phi * (0.0 - math.log2(phi)))
-            pmf = np.array([math.fsum(ps) for ps in by_m])
-        tail = np.cumsum(pmf[:0:-1])[::-1]  # P(M_b > s) for s < top
-        # E[N_b - M_b]: draw t repeats an earlier letter l with probability
-        # theta_l (1 - (1 - theta_l)**t), taken as -expm1
-        repeats = math.fsum(k * v * math.fsum(-math.expm1(t * math.log1p(-v)) if v < 1.0 else 1.0
-                                              for t in range(1, n)) for v, k in zip(values, counts))
-        weights = np.append(tail, repeats)[:top + (n > 1)]  # a re-occurrence needs n > 1
+    laws = [(*group, phi, math.fsum(p for j, p in enumerate(phis) if j != i))
+            for i, (group, phi) in enumerate(zip(groups, phis))]
+    whole = (theta.values.tolist(), theta.counts.tolist(), 1.0, 0.0)
+    one_bin = len(laws) == 1
+    _check_budgets(n, [whole] if one_bin else [whole, *laws])
+    log_p = ProfileProbability(theta)
+    weights, terms = _bin_law(n, *whole, log_p, weigh=one_bin)
+    h_pattern = math.fsum(terms)
+    results = [(weights, terms)] if one_bin else [_bin_law(n, *law, log_p) for law in laws]
+    code, zero_at = [], math.inf
+    for b, (_, counts, _, _), (weights, _) in zip(bins.tolist(), laws, results):
+        top = min(n, sum(counts))
         bits = _step_bits(model, b, top)[:weights.size]
         # a re-occurrence's earliest position is 1
         zero_at = min([zero_at, *(s if s < top else 1 for s, c in enumerate(bits) if c == math.inf)])
-        for steps, out in ((ideal, joint), (bits, code)):
-            if steps and math.inf not in steps[:weights.size]:
-                out.append(exact_sum(weights * np.array(steps[:weights.size])))
+        if math.inf not in bits:
+            code.append(exact_sum(weights * np.array(bits)))
     if zero_at < math.inf:
         warnings.warn(f"zero-probability step at position {zero_at}")
     return ExactEntropies(h_x_block=n * iid_entropy(theta), h_pattern=h_pattern,
-                          h_joint=math.fsum(joint),
+                          h_joint=math.fsum([t for _, terms in results for t in terms]),
                           expected_codelength=math.fsum(code) if zero_at == math.inf else math.inf)
 
 
@@ -284,8 +287,8 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
     only on the pattern's profile, read from the sorted sample's run lengths,
     so no pattern is built and each distinct profile makes one
     ``ProfileProbability`` call: the closed form ln (k)_m + n ln v on a
-    one-group source, one log-space DP otherwise (it raises
-    ResourceCapError past ``PROFILE_DP_CAP``).  The mean and the
+    one-group source, one log-space DP otherwise, all of them on one budget
+    (ResourceCapError past ``PROFILE_DP_CAP`` transitions).  The mean and the
     variance are taken about the smallest value, so equal values give a
     standard error of exactly 0.  The samples are drawn at once, so more
     than ``MC_CELLS_CAP`` cells samples * n raise ResourceCapError before any
@@ -298,10 +301,7 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
                                f"past MC_CELLS_CAP = {MC_CELLS_CAP}")
     profiles, counts = _row_profiles(sample_sequence(theta, (samples, n), seed))
     log_p = ProfileProbability(theta)
-    values = []
-    for padded in profiles.tolist():
-        log_p.budget = PROFILE_DP_CAP  # each profile has a budget of its own
-        values.append((0.0 - log_p([c for c in padded if c])) / LN2)
+    values = [(0.0 - log_p([c for c in padded if c])) / LN2 for padded in profiles.tolist()]
     counts = counts.tolist()
     base = min(values)
     mean = base + math.fsum(c * (v - base) for v, c in zip(values, counts)) / samples

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._common import ResourceCapError
+from ._common import ResourceCapError, ln_factorial
 from .distributions import ParamVector
 from .grids import Grid, bin_index
 
@@ -223,12 +223,11 @@ class ProfileProbability:
     are more counts than ``theta`` has letters, and never above 0.0.
 
     One group (k letters of value v) gives every pattern with m distinct
-    indices the same P = (k)_m v**n, so the call returns :meth:`log_q` of n
-    and m = len(parts), with no DP and no cap.  Two or more groups run the
-    DP below.
+    indices P = (k)_m v**n, so the call returns ln (k)_m + n ln v with no DP
+    and no cap: the DP's last-group step alone, with its bits.
 
-    The distinct counts c, in order of first appearance, and the number mu_c
-    of indices that occur each of them form the profile.  The DP runs over the
+    The distinct counts c, in ascending order, and the number mu_c of
+    indices that occur each of them form the profile.  The DP runs over the
     groups of ``theta``; its state is the number of still-unplaced indices of
     each count, at most prod_c(mu_c + 1) states.  Group g (value v_g, k_g
     letters) takes a_c of the r_c remaining count-c indices, A = sum_c a_c of
@@ -236,9 +235,11 @@ class ProfileProbability:
     v_g**(sum_c c * a_c): the ways to choose the indices, to inject them into
     the group's letters, and their probability.  The last group takes every
     remaining index.  Terms meeting in a state are summed in log space
-    (log-sum-exp with fsum), so no probability underflows.  The binomial and
-    falling-factorial factors are exact integers before their one log;
-    falling factorials are memoised.
+    (log-sum-exp with fsum), so no probability underflows.  ln C(r_c, a_c)
+    comes from a memoised table of ln i!, summed over c in ascending order,
+    so a transition costs the same at any n and every order of the counts
+    gives the same bits; the falling factorials are exact integers before
+    their one log, and memoised.
 
     The DP counts its transitions as it makes them, one per (state, take)
     pair and one per state for the last group, and raises ResourceCapError
@@ -251,25 +252,22 @@ class ProfileProbability:
         self._groups, self._last = groups[:-1], groups[-1]  # (ln v_g, k_g); the last takes the rest
         # k_g -> (ln (k_g)_A for A < len, the exact (k_g)_len that extends it)
         self._log_falling: dict[int, tuple[list[float], int]] = {}
+        self._ln_fact: list[float] = []
         self.budget = PROFILE_DP_CAP
 
     def __call__(self, parts: Sequence[int]) -> float:
-        return self._dp(parts) if self._groups else self.log_q(sum(parts), len(parts))
-
-    def log_q(self, n: int, m: int) -> float:
-        """ln q_m = ln (k)_m + n ln v, the ln P of every length-n pattern with m
-        distinct indices when ``theta`` is one group (k letters of value v);
-        -inf when m > k.
-
-        The float operations are those of the DP's last-group step, so the
-        bits are the same; the trailing ``+ 0.0`` is its log-sum-exp's, which
-        turns -0.0 into 0.0.  Both cut a value above 0 to 0.0: P <= 1, and
-        only rounding puts ln P above 0 (ln 10 + ln 0.1 = 4.4e-16).
-        """
-        lv, k = self._last
-        if m > k:
+        if self._groups:
+            return self._dp(parts)
+        lv, k = self._last  # the float operations of the DP's last-group step
+        if (m := len(parts)) > k:
             return -math.inf
-        return min(self._falling(k, m)[m] + n * lv + 0.0, 0.0)
+        return min(self._falling(k, m)[m] + sum(parts) * lv + 0.0, 0.0)
+
+    def _ln_factorials(self, most: int) -> list[float]:
+        """ln i! for i = 0, 1, ..., at least up to ``most``."""
+        if len(self._ln_fact) <= most:
+            self._ln_fact.extend(map(ln_factorial, range(len(self._ln_fact), most + 1)))
+        return self._ln_fact
 
     def _falling(self, k_g: int, most: int) -> list[float]:
         """ln (k_g)_A for A = 0, 1, ..., at least up to ``most``, from exact integers."""
@@ -285,16 +283,17 @@ class ProfileProbability:
         """(next state, A, sum_c c * a_c, ln prod_c C(r_c, a_c)) of every take
         a <= r of A <= ``most`` indices.  Raises ResourceCapError rather than
         build more than ``budget`` of them."""
-        moves = [((), 0, 0, 1)]
+        lf = self._ln_factorials(max(r))
+        moves = [((), 0, 0, 0.0)]
         for c, r_c in zip(cs, r):
             if sum(min(r_c, most - a) + 1 for _, a, _, _ in moves) > budget:
                 raise self._over_cap()
-            moves = [(nxt + (r_c - x,), a + x, e + c * x, ways * math.comb(r_c, x))
-                     for nxt, a, e, ways in moves for x in range(min(r_c, most - a) + 1)]
-        return [(nxt, a, e, math.log(ways)) for nxt, a, e, ways in moves]
+            moves = [(nxt + (r_c - x,), a + x, e + c * x, lb + (lf[r_c] - lf[x] - lf[r_c - x]))
+                     for nxt, a, e, lb in moves for x in range(min(r_c, most - a) + 1)]
+        return moves
 
     def _dp(self, parts: Sequence[int]) -> float:
-        cs = tuple(dict.fromkeys(parts))
+        cs = tuple(sorted(set(parts)))
         start = tuple(map(parts.count, cs))
         m = len(parts)
         layer = {start: 0.0}

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pattern_entropy import _reference, oracle, patterns
+from pattern_entropy import _reference, oracle, patterns, verify
 from pattern_entropy._common import ResourceCapError, exact_sum, ln_factorial
 from pattern_entropy._reference import (
     brute_force_permutation_count,
@@ -17,9 +17,11 @@ from pattern_entropy._reference import (
     expected_codelength_stepwise,
 )
 from pattern_entropy.coder import CoderModel, sequence_codelength
-from pattern_entropy.distributions import ParamVector, SourceSpec, iid_entropy, make_distribution
+from pattern_entropy.distributions import (ParamVector, SourceSpec, iid_entropy, make_distribution,
+                                           sample_sequence)
 from pattern_entropy.grids import bin_index, build_grid
 from pattern_entropy.oracle import (
+    CHAIN_STEP_CELLS,
     MC_CELLS_CAP,
     OCCUPANCY_CHAIN_CAP,
     exact_entropies,
@@ -269,8 +271,9 @@ class TestExactEntropies:
     @pytest.mark.parametrize("theta, n, cap", [
         # 10,001,002 partitions of n into at most 3 parts, one letter a bin
         (ParamVector.from_probs([0.2, 0.3, 0.5]), 10_952, "ENUMERATION_CAP"),
-        # the chains of H(pattern) and of the one bin: 2 * n * n cells
-        (ParamVector.from_groups([1e-6], [10**6]), 12_248, "OCCUPANCY_CHAIN_CAP"),
+        # the one chain, which H(pattern) and the one bin share: n * (n + 4,000)
+        # cells, 15,435 the last n under the cap
+        (ParamVector.from_groups([1e-6], [10**6]), 15_436, "OCCUPANCY_CHAIN_CAP"),
         # about 1.2e6 DP transitions for H(pattern) alone
         (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]), 30, "PROFILE_DP_CAP"),
     ], ids=["partitions", "chain_cells", "dp_transitions"])
@@ -287,7 +290,7 @@ class TestExactEntropies:
         monkeypatch.setattr(oracle, "occupancy_pmf", refuse)
         monkeypatch.setattr(ProfileProbability, "__call__", refuse)
         for theta, n in ((ParamVector.from_probs([0.2, 0.3, 0.5]), 10_952),
-                         (ParamVector.from_groups([1e-6], [10**6]), 12_248)):
+                         (ParamVector.from_groups([1e-6], [10**6]), 15_436)):
             with pytest.raises(ResourceCapError):
                 exact_entropies(theta, _grid(n), n)
 
@@ -298,6 +301,30 @@ class TestExactEntropies:
         with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
             oracle.exact_pattern_entropy(theta, 30)
         assert oracle.exact_pattern_entropy(theta, 25) > 0.0
+
+    @pytest.mark.parametrize("theta, n, runs", [
+        (ParamVector.from_groups([1e-6], [10**6]), 5_000, ("occupancy_pmf", 1)),
+        # 1,575 partitions of 24, one DP each
+        (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]), 24, ("__call__", 1_575)),
+    ], ids=["one_group", "two_groups"])
+    def test_one_bin_runs_its_chain_or_walk_once(self, monkeypatch, theta, n, runs):
+        grid = _grid(n)
+        assert len(set(bin_index(grid, theta.values).tolist())) == 1
+        calls = {"occupancy_pmf": 0, "__call__": 0}
+        for owner, name in ((oracle, "occupancy_pmf"), (ProfileProbability, "__call__")):
+            def counting(*args, _name=name, _real=getattr(owner, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        ee = exact_entropies(theta, grid, n)
+        assert calls[runs[0]] == runs[1] and sum(calls.values()) == runs[1]
+        assert ee.h_joint == ee.h_pattern > 0.0
+
+    def test_pattern_entropy_is_the_whole_alphabet_law(self):
+        for n, _, theta in verify.instance_matrix():
+            want = exact_entropies(theta, _grid(n), n).h_pattern
+            assert oracle.exact_pattern_entropy(theta, n) == want, (n, theta)
 
     def test_zero_probability_step_warns(self):
         # a fair coin coded with the model of a one-letter source
@@ -448,6 +475,22 @@ class TestOccupancyChain:
         with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP"):
             oracle.exact_pattern_entropy(_uniform(k), n)
 
+    def test_chain_steps_are_charged(self, monkeypatch):
+        # one letter: n * (1 + CHAIN_STEP_CELLS) cells, however few the letters
+        last = OCCUPANCY_CHAIN_CAP // (1 + CHAIN_STEP_CELLS)
+        with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP"):
+            occupancy_pmf(1, last + 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(oracle, "occupancy_pmf", refuse)
+        one = ParamVector.from_probs([1.0])
+        with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP"):
+            oracle.exact_pattern_entropy(one, last + 1)
+        with pytest.raises(AssertionError, match="the chain ran"):
+            oracle.exact_pattern_entropy(one, last)
+
     def test_one_draw_has_zero_entropy(self):
         # ln 10 + ln 0.1 rounds to 4.4e-16 > 0; ln P is cut to 0.0
         theta = _uniform(10)
@@ -572,6 +615,22 @@ class TestMC:
         assert str(MC_CELLS_CAP) in str(err.value)
         with pytest.raises(ResourceCapError, match="MC_CELLS_CAP"):
             mc_pattern_entropy(_uniform(10), MC_CELLS_CAP // 2 + 1, samples=2, seed=0)
+
+    def test_profiles_share_one_dp_budget(self, monkeypatch):
+        # each profile's DP fits under the cap, their total does not
+        theta, n, samples, seed = _geometric4(), 12, 200, 5
+        profiles, _ = oracle._row_profiles(sample_sequence(theta, (samples, n), seed))
+        costs = []
+        for padded in profiles.tolist():
+            log_p = ProfileProbability(theta)
+            log_p([c for c in padded if c])
+            costs.append(patterns.PROFILE_DP_CAP - log_p.budget)
+        assert max(costs) < sum(costs)
+        monkeypatch.setattr(patterns, "PROFILE_DP_CAP", sum(costs) - 1)
+        with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
+            mc_pattern_entropy(theta, n, samples, seed)
+        monkeypatch.setattr(patterns, "PROFILE_DP_CAP", sum(costs))
+        assert mc_pattern_entropy(theta, n, samples, seed).samples == samples
 
     def test_caps_the_profile_dp(self):
         # 200 letters of distinct probabilities: a sampled profile's DP is too large

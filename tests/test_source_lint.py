@@ -224,6 +224,35 @@ def test_oracle_takes_coder_steps_only_through_the_coder():
         assert list(_attribute_sites(attr, oracle)) == []
 
 
+def _call_sites(name, text):
+    """(line, top-level definition) of every call of ``name``, bare or as an
+    attribute, and of every ``from ... import name``, in ``text``."""
+    for top in ast.parse(text).body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            called = getattr(func, "id", getattr(func, "attr", None)) == name
+            imported = isinstance(node, ast.ImportFrom) and name in (a.name for a in node.names)
+            if called or imported:
+                yield node.lineno, getattr(top, "name", None)
+
+
+def test_chains_and_partition_walks_start_in_the_bin_law():
+    # one per-bin law runs every chain and profile walk of the exact oracle,
+    # and the profile DP takes its binomials from a table of ln i!
+    text = (ROOT / "src" / "pattern_entropy" / "oracle.py").read_text(encoding="utf-8")
+    for name in ("occupancy_pmf", "_classes"):
+        assert {top for _, top in _call_sites(name, text)} == {"_bin_law"}, name
+    patterns = (ROOT / "src" / "pattern_entropy" / "patterns.py").read_text(encoding="utf-8")
+    assert list(_call_sites("comb", patterns)) == []
+
+
+def test_call_site_guard_sees_every_form():
+    text = ("from math import comb\n"
+            "def f(n):\n    return math.comb(n, 2) + comb(n, 3)\n"
+            "x = comb\n")
+    assert list(_call_sites("comb", text)) == [(1, None), (3, "f"), (3, "f")]
+
+
 def _array_fsum_sites(text):
     """(line, top-level definition) of every ``math.fsum`` (or bare ``fsum``)
     whose argument is ``<expr>.tolist()`` or a numpy expression: arithmetic,
