@@ -52,8 +52,12 @@ def xlog2x(x: float) -> float:
 
 
 def elementwise(f, x: np.ndarray) -> np.ndarray:
-    """``f`` (a ``math`` function) on every element of ``x``: libm's bits, not numpy's."""
-    return np.fromiter(map(f, x.tolist()), float, x.size)
+    """``f`` (a ``math`` function) on every element of ``x``, in x's shape:
+    libm's bits, not numpy's.  The elements are read as Python floats through
+    a memoryview of a contiguous float64 view (a copy only if ``x`` is not
+    one), so no list of them is built."""
+    flat = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    return np.fromiter(map(f, memoryview(flat)), float, flat.size).reshape(np.shape(x))
 
 
 def exact_sum(x: np.ndarray) -> float:

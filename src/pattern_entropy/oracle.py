@@ -8,8 +8,12 @@ values; the slower brute-force routes that cross-check the oracles live in
 The pattern side works on profiles, never on patterns: a pattern's
 probability depends only on its occurrence counts, which
 ``ProfileProbability(theta)(parts)`` turns into ln P
-(:class:`~pattern_entropy.patterns.ProfileProbability`);
-:func:`mc_pattern_entropy` reads each sample's sorted run lengths.
+(:class:`~pattern_entropy.patterns.ProfileProbability`), by the fold of the
+groups' generating function or by the DP over the distinct counts, whichever
+costs less.  Its object keeps the folded cells of the last profile's
+prefixes, so the exact walks (partitions in lexicographic order) and
+:func:`mc_pattern_entropy` (each sample's sorted run lengths, the profiles in
+lexicographic order) fold only each profile's changed tail.
 
 The exact side sums one per-bin law (:func:`_bin_law`).  The grid's bins
 split the alphabet, so P(pattern, bins) = prod_b P_b(mu_b), mu_b being bin
@@ -37,6 +41,12 @@ from .patterns import ENUMERATION_CAP, ProfileProbability, _partition_counts, en
 # 2-vCPU Xeon); k = 10^6 at n = 15,435 takes 0.7 s, one letter at 74,981 0.4 s
 OCCUPANCY_CHAIN_CAP = 300_000_000
 CHAIN_STEP_CELLS = 4_000
+# a bin of several groups draws its binomial pmf (_binomial_pmf) from the
+# same cells: its n steps multiply and divide integers of up to about n B
+# bits by integers of about B bits, B the bits of p's and q's integer
+# ratios, in 0.85 ps per n^2 B (B + 384) (B = 6 to 2,206, same host), and
+# PMF_BIT_CELLS of those are charged a cell, so the cap holds them near 2 s
+PMF_BIT_CELLS = 8_192
 # cells samples * n of the one draw behind a Monte Carlo estimate, checked
 # before drawing: the draw peaks at 24 bytes a cell (tracemalloc, uniform
 # k = 10 and k = 1000), so this many take about 0.5 GB
@@ -85,8 +95,9 @@ def occupancy_pmf(k: int, n: int, r: float = 0.0) -> np.ndarray:
 
 def _check_chain_cells(cells: int) -> None:
     if cells > OCCUPANCY_CHAIN_CAP:
-        raise ResourceCapError(f"the occupancy chains' cells n * (min(n, k) + CHAIN_STEP_CELLS), "
-                               f"{cells}, exceed OCCUPANCY_CHAIN_CAP = {OCCUPANCY_CHAIN_CAP}")
+        raise ResourceCapError(f"the occupancy chains' cells n * (min(n, k) + CHAIN_STEP_CELLS) "
+                               f"and the binomial pmfs', {cells}, exceed OCCUPANCY_CHAIN_CAP = "
+                               f"{OCCUPANCY_CHAIN_CAP}")
 
 
 def _classes(log_p: ProfileProbability, n: int, top: int):
@@ -116,10 +127,18 @@ def _binomial_pmf(n: int, p: float, q: float) -> list[float]:
     return out[::-1]
 
 
+def _pmf_cells(n: int, p: float, q: float) -> int:
+    """The cells :func:`_binomial_pmf` (n, p, q) is charged (``PMF_BIT_CELLS``)."""
+    bits = sum(i.bit_length() for x in (p, q) for i in x.as_integer_ratio())
+    return n * n * bits * (bits + 384) // PMF_BIT_CELLS
+
+
 def _check_budgets(n: int, laws: list[tuple]) -> None:
-    """Refuse the laws (values, counts, phi, outside) past a budget, before any chain or DP."""
-    _check_chain_cells(sum(n * (min(n, counts[0]) + CHAIN_STEP_CELLS)
-                           for values, counts, _, _ in laws if len(values) == 1))
+    """Refuse the laws (values, counts, phi, outside) past a budget, before any
+    chain, pmf or profile probability."""
+    _check_chain_cells(sum(n * (min(n, counts[0]) + CHAIN_STEP_CELLS) if len(values) == 1
+                           else _pmf_cells(n, phi, outside)
+                           for values, counts, phi, outside in laws))
     # a bin walks the partitions of every N_b = j <= n, the whole alphabet those of n
     walks = [(_partition_counts(n, sum(counts)), outside)
              for values, counts, _, outside in laws if len(values) > 1]
@@ -136,7 +155,7 @@ def _bin_law(n: int, values: list, counts: list, phi: float, outside: float,
     takes each step, P(M_b > s) for s < min(n, k_b) then E[N_b - M_b] if
     n > 1, M_b and N_b being its index and draw counts; and terms summing to
     E[-log2 P_b(mu_b)] in bits.  Nothing outside is the whole alphabet
-    (phi = 1), of law ``log_p``, whose DP budget every bin shares; ``weigh``
+    (phi = 1), of law ``log_p``, whose budget every bin shares; ``weigh``
     False skips the weights of several groups.
     """
     k_b = sum(counts)
@@ -174,10 +193,11 @@ def _bin_law(n: int, values: list, counts: list, phi: float, outside: float,
 def exact_pattern_entropy(theta: ParamVector, n: int) -> float:
     """H(pattern) in bits: the whole alphabet as one bin (:func:`_bin_law`),
     so one group runs one occupancy chain (O(n min(n, k)) time, linear space,
-    its error the pmf's mass defect) and more groups one DP per partition of
-    n.  Raises ResourceCapError past ``ENUMERATION_CAP`` partitions or
-    ``OCCUPANCY_CHAIN_CAP`` cells, both checked before any chain or DP runs,
-    or once the DPs pass ``PROFILE_DP_CAP`` transitions in all.
+    its error the pmf's mass defect) and more groups one profile probability
+    per partition of n.  Raises ResourceCapError past ``ENUMERATION_CAP``
+    partitions or ``OCCUPANCY_CHAIN_CAP`` cells, both checked before any
+    chain or profile probability, or once the profile probabilities pass
+    ``PROFILE_DP_CAP`` transitions in all.
     """
     whole = (theta.values.tolist(), theta.counts.tolist(), 1.0, 0.0)
     _check_budgets(n, [whole])
@@ -206,8 +226,8 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     sum_b E[-log2 P_b(mu_b)] and E[-log2 Q] = sum_b E[(N_b - M_b) c_b +
     sum_{s < M_b} c_b(s)] (:func:`_step_bits`) sum the grid's bin laws
     (:func:`_bin_law`); a grid of one occupied bin reuses the whole
-    alphabet's, so its chain or DP walk runs once.  The budgets are those of
-    :func:`exact_pattern_entropy`, over all the laws of the call.
+    alphabet's, so its chain or partition walk runs once.  The budgets are
+    those of :func:`exact_pattern_entropy`, over all the laws of the call.
     Memory: a row of min(n, k_b) + 1 floats per bin, and two floats per
     profile class of a several-group bin.  A zero-probability step that a
     sequence of positive probability reaches makes E[-log2 Q] inf, with one
@@ -255,11 +275,14 @@ def _row_profiles(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A row's profile is the multiset of its letters' occurrence counts, the
     run lengths of the sorted row.  Each returned profile row lists them in
-    descending order, padded with zeros to the largest number of distinct
+    ascending order, padded with zeros to the largest number of distinct
     letters in a row, in ascending lexicographic order, as
-    ``np.unique(table, axis=0, return_counts=True)`` gives them: one lexsort
-    of the rows, and each profile's count is the distance between first
-    rows.  No array is larger than ``draws``.
+    ``np.unique(table, axis=0, return_counts=True)`` gives them: one sort of
+    the run lengths keyed by row, one lexsort of the rows, and each
+    profile's count is the distance between first rows.  So consecutive
+    profiles share their longest ascending prefixes, which
+    :class:`~pattern_entropy.patterns.ProfileProbability` keeps.  No array is
+    larger than ``draws``.
     """
     samples, n = draws.shape
     ordered = np.sort(draws, axis=1)
@@ -269,9 +292,9 @@ def _row_profiles(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.diff(first, append=ordered.size)
     row = first // n
     runs = np.bincount(row, minlength=samples)
-    order = np.lexsort((-lengths, row))
+    keyed = np.sort(row * (n + 1) + lengths)  # each row's run lengths, ascending
     table = np.zeros((samples, int(runs.max())), dtype=np.int64)
-    table[row, np.arange(row.size) - np.repeat(np.cumsum(runs) - runs, runs)] = lengths[order]
+    table[row, np.arange(row.size) - np.repeat(np.cumsum(runs) - runs, runs)] = keyed - row * (n + 1)
     table = table[np.lexsort(table.T[::-1])]  # the first column is the primary key
     first = np.ones(samples, dtype=bool)
     first[1:] = (table[1:] != table[:-1]).any(axis=1)
@@ -287,10 +310,14 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
     only on the pattern's profile, read from the sorted sample's run lengths,
     so no pattern is built and each distinct profile makes one
     ``ProfileProbability`` call: the closed form ln (k)_m + n ln v on a
-    one-group source, one log-space DP otherwise, all of them on one budget
-    (ResourceCapError past ``PROFILE_DP_CAP`` transitions).  The mean and the
-    variance are taken about the smallest value, so equal values give a
-    standard error of exactly 0.  The samples are drawn at once, so more
+    one-group source, otherwise the fold of the groups' generating function
+    or the DP, whichever costs less, all of them on one budget
+    (ResourceCapError past ``PROFILE_DP_CAP`` transitions).  The profiles
+    come in lexicographic order of their ascending counts, so the fold
+    redoes only each one's changed tail and keeps at most 4 isqrt(m) + 2
+    arrays of cells: ex2-ex4 return at n = 10^4 with 10 samples.  The mean
+    and the variance are taken about the smallest value, so equal values
+    give a standard error of exactly 0.  The samples are drawn at once, so more
     than ``MC_CELLS_CAP`` cells samples * n raise ResourceCapError before any
     draw.
     """
@@ -301,7 +328,8 @@ def mc_pattern_entropy(theta: ParamVector, n: int, samples: int, seed: int) -> M
                                f"past MC_CELLS_CAP = {MC_CELLS_CAP}")
     profiles, counts = _row_profiles(sample_sequence(theta, (samples, n), seed))
     log_p = ProfileProbability(theta)
-    values = [(0.0 - log_p([c for c in padded if c])) / LN2 for padded in profiles.tolist()]
+    widths = np.count_nonzero(profiles, axis=1).tolist()  # the counts lead each row
+    values = [(0.0 - log_p(row[:m])) / LN2 for row, m in zip(profiles.tolist(), widths)]
     counts = counts.tolist()
     base = min(values)
     mean = base + math.fsum(c * (v - base) for v, c in zip(values, counts)) / samples

@@ -274,8 +274,9 @@ class TestExactEntropies:
         # the one chain, which H(pattern) and the one bin share: n * (n + 4,000)
         # cells, 15,435 the last n under the cap
         (ParamVector.from_groups([1e-6], [10**6]), 15_436, "OCCUPANCY_CHAIN_CAP"),
-        # about 1.2e6 DP transitions for H(pattern) alone
-        (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]), 30, "PROFILE_DP_CAP"),
+        # the fold of W and the DP pass 10^6 transitions in all for H(pattern)
+        # alone at n = 42; n = 41 returns
+        (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]), 42, "PROFILE_DP_CAP"),
     ], ids=["partitions", "chain_cells", "dp_transitions"])
     def test_budget_just_over_raises(self, theta, n, cap):
         t0 = time.perf_counter()
@@ -295,12 +296,12 @@ class TestExactEntropies:
                 exact_entropies(theta, _grid(n), n)
 
     def test_pattern_entropy_shares_one_dp_budget(self):
-        # n = 30 needs about 1.2e6 transitions over its 5,604 profiles, each far
-        # below PROFILE_DP_CAP; n = 25 needs about 2.6e5
+        # n = 42 needs more than 10^6 transitions over its 53,174 profiles, each
+        # far below PROFILE_DP_CAP; n = 30 needs about 1.1e5
         theta = ParamVector.from_groups([1e-4, 1e-2], [5000, 50])
         with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
-            oracle.exact_pattern_entropy(theta, 30)
-        assert oracle.exact_pattern_entropy(theta, 25) > 0.0
+            oracle.exact_pattern_entropy(theta, 42)
+        assert oracle.exact_pattern_entropy(theta, 30) > 0.0
 
     @pytest.mark.parametrize("theta, n, runs", [
         (ParamVector.from_groups([1e-6], [10**6]), 5_000, ("occupancy_pmf", 1)),
@@ -491,6 +492,32 @@ class TestOccupancyChain:
         with pytest.raises(AssertionError, match="the chain ran"):
             oracle.exact_pattern_entropy(one, last)
 
+    def test_binomial_pmfs_are_charged(self, monkeypatch):
+        # a bin of two groups and mass phi = 0.6000001 draws its pmf from the
+        # chain cells: with 53-bit p and q (B = 215) and the other bin's chain
+        # they pass the cap at n = 4,304, where the pmf takes about 1.6 s; the
+        # partitions stay under their own cap
+        theta = ParamVector.from_probs([0.3, 0.3000001, 0.3999999])
+        last = 4_303
+        groups = [(theta.values[:2].tolist(), [1, 1]), (theta.values[2:].tolist(), [1])]
+        phis = [math.fsum(v) for v, _ in groups]
+        laws = [(v, k, phi, phis[1 - i]) for i, ((v, k), phi) in enumerate(zip(groups, phis))]
+        whole = (theta.values.tolist(), [1, 1, 1], 1.0, 0.0)
+        for n in (last, last + 1):
+            assert len(set(bin_index(_grid(n), theta.values).tolist())) == 2
+        oracle._check_budgets(last, [whole, *laws])
+        with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP"):
+            oracle._check_budgets(last + 1, [whole, *laws])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pmf, chain or DP ran past a budget")
+
+        for owner, name in ((oracle, "_binomial_pmf"), (oracle, "occupancy_pmf"),
+                            (ProfileProbability, "__call__")):
+            monkeypatch.setattr(owner, name, refuse)
+        with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP"):
+            exact_entropies(theta, _grid(last + 1), last + 1)
+
     def test_one_draw_has_zero_entropy(self):
         # ln 10 + ln 0.1 rounds to 4.4e-16 > 0; ln P is cut to 0.0
         theta = _uniform(10)
@@ -508,8 +535,8 @@ class TestOccupancyChain:
 class TestRowProfiles:
     @staticmethod
     def _reference(draws):
-        # descending occurrence counts of each row, zero-padded, then np.unique
-        rows = [sorted(Counter(row).values(), reverse=True) for row in draws.tolist()]
+        # ascending occurrence counts of each row, zero-padded, then np.unique
+        rows = [sorted(Counter(row).values()) for row in draws.tolist()]
         width = max(map(len, rows))
         table = np.array([r + [0] * (width - len(r)) for r in rows], dtype=np.int64)
         return np.unique(table, axis=0, return_counts=True)
@@ -617,20 +644,43 @@ class TestMC:
             mc_pattern_entropy(_uniform(10), MC_CELLS_CAP // 2 + 1, samples=2, seed=0)
 
     def test_profiles_share_one_dp_budget(self, monkeypatch):
-        # each profile's DP fits under the cap, their total does not
+        # each profile fits under the cap, their total does not; the total is
+        # what one object charges over the calls in turn, the fold of W
+        # redoing only each profile's changed tail
         theta, n, samples, seed = _geometric4(), 12, 200, 5
         profiles, _ = oracle._row_profiles(sample_sequence(theta, (samples, n), seed))
-        costs = []
+        shared, costs = ProfileProbability(theta), []
         for padded in profiles.tolist():
             log_p = ProfileProbability(theta)
             log_p([c for c in padded if c])
             costs.append(patterns.PROFILE_DP_CAP - log_p.budget)
-        assert max(costs) < sum(costs)
-        monkeypatch.setattr(patterns, "PROFILE_DP_CAP", sum(costs) - 1)
+            shared([c for c in padded if c])
+        total = patterns.PROFILE_DP_CAP - shared.budget
+        assert max(costs) < total <= sum(costs)
+        monkeypatch.setattr(patterns, "PROFILE_DP_CAP", total - 1)
         with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
             mc_pattern_entropy(theta, n, samples, seed)
-        monkeypatch.setattr(patterns, "PROFILE_DP_CAP", sum(costs))
+        monkeypatch.setattr(patterns, "PROFILE_DP_CAP", total)
         assert mc_pattern_entropy(theta, n, samples, seed).samples == samples
+
+    def test_ex3_at_n_1e4_in_bounded_time_and_memory(self):
+        # ex3 (k = 815,479) with ten samples: profiles of about 9,700 counts,
+        # of which the fold keeps at most 4 isqrt(m) + 2 layers of cells
+        theta = make_distribution(SourceSpec(
+            "two-level", {"phi0": 0.5, "mu": 0.5, "nu": 0.45, "level1": "above"}, 10**4))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            try:
+                assert math.isfinite(mc_pattern_entropy(theta, 10**4, 10, 0).estimate)
+            except ResourceCapError as err:
+                assert "PROFILE_DP_CAP" in str(err)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 10.0
+        assert peak < 100 * 2**20
 
     def test_caps_the_profile_dp(self):
         # 200 letters of distinct probabilities: a sampled profile's DP is too large

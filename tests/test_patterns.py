@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pattern_entropy import _reference
+from pattern_entropy import _reference, oracle
 from pattern_entropy._common import ResourceCapError
-from pattern_entropy.distributions import MATERIALIZE_CAP, ParamVector
+from pattern_entropy.distributions import (
+    MATERIALIZE_CAP,
+    ParamVector,
+    SourceSpec,
+    make_distribution,
+    sample_sequence,
+)
 from pattern_entropy.grids import bin_index, build_grid
 from pattern_entropy.patterns import (
     ENUMERATION_CAP,
@@ -260,6 +266,141 @@ class TestOneGroup:
                     got, want = log_p(parts), log_p._dp(parts)
                     assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
         assert ProfileProbability(ParamVector.from_groups([0.2], [5]))([1] * 6) == -math.inf
+
+
+def _recording_routes(monkeypatch):
+    """The names of ProfileProbability's routes, one per call, as they run."""
+    taken = []
+    for name in ("_fold", "_dp"):
+        def record(self, parts, _name=name, _real=getattr(ProfileProbability, name)):
+            taken.append(_name)
+            return _real(self, parts)
+
+        monkeypatch.setattr(ProfileProbability, name, record)
+    return taken
+
+
+def _source_of_four_letters(rng, groups):
+    """Random values on ``groups`` groups of 4 letters in all, for the 2**k reference."""
+    counts = rng.multinomial(4 - groups, np.ones(groups) / groups) + 1
+    weights = rng.uniform(0.2, 1.0, size=groups)
+    return ParamVector.from_groups(weights / float(weights @ counts), counts)
+
+
+class TestFold:
+    def test_matches_dp_and_injection_sum(self):
+        # every profile with n <= 30 on random sources of 2, 3 and 4 groups:
+        # ln P against the DP's, P against the 2**k injection sum
+        rng = np.random.default_rng(30)
+        for groups in (2, 3, 4):
+            theta = _source_of_four_letters(rng, groups)
+            fold, dp = ProfileProbability(theta), ProfileProbability(theta)
+            for n in range(1, 31):
+                for parts in enumerate_partitions(n, min(n, theta.k)):
+                    fold.budget = dp.budget = PROFILE_DP_CAP
+                    got, want = fold._fold(parts), dp._dp(parts)
+                    # n = 1 gives ln P = 0.0 from the DP and -1.1e-16 from the fold
+                    assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (groups, parts)
+                    ref = _reference._injection_sum_probability(theta, _pattern_with_profile(parts))
+                    assert abs(math.exp(got) - ref) <= 1e-13 * ref, (groups, parts)
+
+    def test_same_bits_in_every_order_and_history(self):
+        # a fresh object per profile, one object over the profiles in ascending,
+        # shuffled and descending order, and every order of the counts
+        rng = np.random.default_rng(31)
+        for theta in (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]),
+                      ParamVector.from_groups([0.1, 0.2, 0.3], [3, 2, 1])):
+            profiles = [p for n in range(1, 13) for p in enumerate_partitions(n, min(n, theta.k))]
+            want = [ProfileProbability(theta)._fold(parts) for parts in profiles]
+            for order in (range(len(profiles)), rng.permutation(len(profiles)),
+                          range(len(profiles) - 1, -1, -1)):
+                log_p = ProfileProbability(theta)
+                got = {i: log_p._fold(profiles[i]) for i in order}
+                assert [got[i] for i in range(len(profiles))] == want
+            log_p = ProfileProbability(theta)
+            for parts, value in zip(profiles, want):
+                shuffled = rng.permutation(parts).tolist()
+                assert log_p(shuffled) == log_p(parts[::-1]) == log_p(parts)
+                assert log_p._fold(sorted(shuffled)) == value
+
+    @pytest.mark.parametrize("theta, profiles, routes", [
+        # the oracle workload: geometric k = 4 at n = 7 takes the fold, its
+        # bin of two one-letter groups the DP
+        (make_distribution(SourceSpec("geometric", {"k": 4, "decay": 0.6})),
+         list(enumerate_partitions(7, 4)), ["_fold"] * 11),
+        (ParamVector.from_groups([0.3, 0.7], [1, 1]),
+         [p for j in range(1, 8) for p in enumerate_partitions(j, 2)], ["_dp"] * 19),
+        # the two-level source: 21 states for [1] * 20 in the DP, many more
+        # for distinct counts
+        (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]),
+         [[1] * 20, [1, 2, 3, 4, 10], [1] * 10 + [2] * 5], ["_dp", "_fold", "_fold"]),
+        # 100 letters of distinct probabilities: 2**99 cells a part for W
+        (ParamVector.from_probs(np.arange(1.0, 101.0) / 5050.0),
+         list(enumerate_partitions(6, 6)), ["_dp"] * 11),
+    ], ids=["geometric4_n7", "two_letter_bin", "two_level", "k100_n6"])
+    def test_route_choice(self, monkeypatch, theta, profiles, routes):
+        taken = _recording_routes(monkeypatch)
+        log_p = ProfileProbability(theta)
+        for parts in profiles:
+            log_p(parts)
+        assert taken == routes
+
+    def test_monte_carlo_profiles_take_the_fold(self, monkeypatch):
+        # ex2-ex4 at n = 10^3: the profiles of ten samples, each of about a
+        # thousand counts
+        for params in ({"phi0": 0.5, "mu": 0.4, "nu": 0.3, "level1": "below"},
+                       {"phi0": 0.5, "mu": 0.5, "nu": 0.45, "level1": "above"},
+                       {"phi0": 0.5, "mu": 0.5, "level1": "unit"}):
+            theta = make_distribution(SourceSpec("two-level", params, 1000))
+            profiles, _ = oracle._row_profiles(sample_sequence(theta, (10, 1000), 0))
+            taken = _recording_routes(monkeypatch)
+            log_p = ProfileProbability(theta)
+            for padded in profiles.tolist():
+                log_p([c for c in padded if c])
+            assert taken == ["_fold"] * len(profiles)
+
+    def test_zipf_k200_refuses_before_any_allocation(self, monkeypatch):
+        # 200 one-letter groups: the fold's charge, 2**199 cells a part, is
+        # counted in Python ints, and the DP refuses on its own count
+        theta = make_distribution(SourceSpec("zipf", {"k": 200, "exponent": 1.3}))
+        log_p = ProfileProbability(theta)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        for name in ("empty", "full", "zeros"):
+            monkeypatch.setattr(np, name, refuse)
+        parts = [1] * 20 + [2] * 20 + [3] * 20
+        for route in (log_p, log_p._fold):
+            with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
+                route(parts)
+        assert log_p.budget == PROFILE_DP_CAP
+
+    def test_charges_before_folding(self, monkeypatch):
+        # the tail's charge is checked against what is left before any part
+        theta = ParamVector.from_groups([1e-4, 1e-2], [5000, 50])
+        parts = list(range(1, 30))
+        log_p = ProfileProbability(theta)
+        log_p._fold(parts)
+        charge = PROFILE_DP_CAP - log_p.budget
+        assert charge == log_p._charge(len(parts) + 2)  # the parts, the set-up and the weighing
+        log_p = ProfileProbability(theta)
+        log_p.budget = charge - 1
+        monkeypatch.setattr(ProfileProbability, "_fold_part", lambda *args: pytest.fail("folded"))
+        with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
+            log_p._fold(parts)
+        assert log_p.budget == charge - 1
+
+    def test_keeps_few_layers(self):
+        # every layer j that isqrt(j) divides and the last isqrt(m) + 1:
+        # at most 4 isqrt(m) + 2 of them
+        theta = ParamVector.from_groups([1e-6, 1e-3], [500_000, 500])
+        log_p = ProfileProbability(theta)
+        for m in (2_000, 1_000, 2_500):
+            log_p._fold([1] * (m - 5) + [2, 2, 3, 4, 7])
+            kept = [j for j, layer in enumerate(log_p._layers) if layer is not None]
+            assert len(kept) <= 4 * math.isqrt(m) + 2, m
+            assert kept[-1] == m - 1
 
 
 class TestPatternProbability:
