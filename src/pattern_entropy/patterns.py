@@ -269,9 +269,9 @@ class ProfileProbability:
     counts a transition per (state, take) pair and one per state for the
     last group, as it makes them.  The fold charges each part it folds
     2G + 1 transitions, G being the number of groups, and one more per
-    ``FOLD_TERMS`` cell-terms (G per cell), and a call its set-up and
-    weighing as two parts more; the charge is counted in Python ints and
-    checked before any array is allocated.  The fold is taken when its whole charge from no stored
+    ``FOLD_TERMS`` cell-terms (G per cell), and a call its weighing as one
+    part more; the charge is counted in Python ints and checked before any
+    array is allocated.  The fold is taken when its whole charge from no stored
     cells is at most ``PROFILE_DP_CAP`` and its parts' charge at most the
     transitions the DP can make (:meth:`_dp_bound`).
     """
@@ -308,10 +308,10 @@ class ProfileProbability:
             return min(self._falling(k, m)[m] + sum(parts) * lv + 0.0, 0.0)
         if m > self._k:
             return -math.inf
-        if self._charge(m + 2) <= PROFILE_DP_CAP:
+        if self._charge(m + 1) <= PROFILE_DP_CAP:
             # the fold's parts against the most transitions the DP can make;
-            # the fixed work of a call, the fold's set-up and weighing or the
-            # DP's set-up, is left out on both sides.  N(K) <= prod_c(mu_c + 1) <= 2**m
+            # the fixed work of a call, the fold's weighing or the DP's set-up,
+            # is left out on both sides.  N(K) <= prod_c(mu_c + 1) <= 2**m
             # bounds _dp_bound before it is counted
             work, most = self._charges[m], 2 ** m
             if work <= most * (2 + (len(self._groups) - 1) * most) and work <= self._dp_bound(parts):
@@ -362,7 +362,7 @@ class ProfileProbability:
         p = min(p, m - 1)
         while self._layers[p] is None:
             p -= 1
-        charge = self._charge(m + 2) - self._charges[p]  # its set-up and weighing: two parts
+        charge = self._charge(m + 1) - self._charges[p]  # its weighing: one part more
         if charge > self.budget:
             raise self._over_cap("fold of W")
         self.budget -= charge

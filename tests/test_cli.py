@@ -675,10 +675,10 @@ class TestOracleCommand:
         h_pattern, h_joint = float(row["h_pattern"]), float(row["h_joint"])
         assert abs(h_joint - h_pattern) <= 1e-13 * h_pattern
         assert float(row["expected_codelength"]) >= h_joint
-        # the two-level source at n = 42 passes the shared profile DP budget
+        # the two-level source at n = 44 passes the shared profile DP budget
         cfg = write_config(tmp_path, {
             "source": {"family": "explicit", "params": {"probs": [1e-4] * 5000 + [1e-2] * 50}},
-            "n": 42, "epsilon": 0.3,
+            "n": 44, "epsilon": 0.3,
         })
         assert cli.main(["oracle", "--config", cfg]) == 3
         assert "PROFILE_DP_CAP" in capsys.readouterr().err

@@ -275,8 +275,8 @@ class TestExactEntropies:
         # cells, 15,435 the last n under the cap
         (ParamVector.from_groups([1e-6], [10**6]), 15_436, "OCCUPANCY_CHAIN_CAP"),
         # the fold of W and the DP pass 10^6 transitions in all for H(pattern)
-        # alone at n = 42; n = 41 returns
-        (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]), 42, "PROFILE_DP_CAP"),
+        # alone at n = 44; n = 43 returns
+        (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]), 44, "PROFILE_DP_CAP"),
     ], ids=["partitions", "chain_cells", "dp_transitions"])
     def test_budget_just_over_raises(self, theta, n, cap):
         t0 = time.perf_counter()
@@ -296,11 +296,11 @@ class TestExactEntropies:
                 exact_entropies(theta, _grid(n), n)
 
     def test_pattern_entropy_shares_one_dp_budget(self):
-        # n = 42 needs more than 10^6 transitions over its 53,174 profiles, each
-        # far below PROFILE_DP_CAP; n = 30 needs about 1.1e5
+        # n = 44 needs more than 10^6 transitions over its 75,175 profiles, each
+        # far below PROFILE_DP_CAP; n = 30 needs about 8.6e4
         theta = ParamVector.from_groups([1e-4, 1e-2], [5000, 50])
         with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
-            oracle.exact_pattern_entropy(theta, 42)
+            oracle.exact_pattern_entropy(theta, 44)
         assert oracle.exact_pattern_entropy(theta, 30) > 0.0
 
     @pytest.mark.parametrize("theta, n, runs", [

@@ -383,7 +383,7 @@ class TestFold:
         log_p = ProfileProbability(theta)
         log_p._fold(parts)
         charge = PROFILE_DP_CAP - log_p.budget
-        assert charge == log_p._charge(len(parts) + 2)  # the parts, the set-up and the weighing
+        assert charge == log_p._charge(len(parts) + 1)  # the parts, then the weighing
         log_p = ProfileProbability(theta)
         log_p.budget = charge - 1
         monkeypatch.setattr(ProfileProbability, "_fold_part", lambda *args: pytest.fail("folded"))
