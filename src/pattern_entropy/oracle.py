@@ -128,7 +128,11 @@ def _binomial_pmf(n: int, p: float, q: float) -> list[float]:
 
 
 def _pmf_cells(n: int, p: float, q: float) -> int:
-    """The cells :func:`_binomial_pmf` (n, p, q) is charged (``PMF_BIT_CELLS``)."""
+    """The cells :func:`_binomial_pmf` (n, p, q) is charged (``PMF_BIT_CELLS``).
+    q = 0, the whole alphabet's [0, ..., 0, 1], zeroes the numerator at the
+    first step, so it is charged nothing."""
+    if not q:
+        return 0
     bits = sum(i.bit_length() for x in (p, q) for i in x.as_integer_ratio())
     return n * n * bits * (bits + 384) // PMF_BIT_CELLS
 

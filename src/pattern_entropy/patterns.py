@@ -308,21 +308,22 @@ class ProfileProbability:
             return min(self._falling(k, m)[m] + sum(parts) * lv + 0.0, 0.0)
         if m > self._k:
             return -math.inf
-        if self._charge(m + 1) <= PROFILE_DP_CAP:
-            # the fold's parts against the most transitions the DP can make;
-            # the fixed work of a call, the fold's weighing or the DP's set-up,
-            # is left out on both sides.  N(K) <= prod_c(mu_c + 1) <= 2**m
-            # bounds _dp_bound before it is counted
-            work, most = self._charges[m], 2 ** m
-            if work <= most * (2 + (len(self._groups) - 1) * most) and work <= self._dp_bound(parts):
-                return self._fold(sorted(parts))
+        # the fold's parts against the most transitions the DP can make; the
+        # fixed work of a call, the fold's weighing or the DP's set-up, is
+        # left out on both sides
+        if self._charge(m + 1) <= PROFILE_DP_CAP and self._charges[m] <= self._dp_bound(parts):
+            return self._fold(sorted(parts))
         return self._dp(parts)
 
     def _charge(self, m: int) -> int:
         """The fold's charge for parts 1..m from no stored cells: 2G + 1 a
-        part, and its cell-terms, G per cell, one per ``FOLD_TERMS``."""
+        part, and its cell-terms, G per cell, one per ``FOLD_TERMS``.  It is
+        not counted past the first charge over ``PROFILE_DP_CAP``, which is
+        returned for every longer prefix: no such prefix is folded."""
         groups = len(self._axes) + 1
         for j in range(len(self._charges), m + 1):
+            if self._charges[-1] > PROFILE_DP_CAP:
+                return self._charges[-1]
             cells = math.prod(min(k_g, j) + 1 for _, k_g in self._axes)
             self._charges.append(self._charges[-1] + 2 * groups + 1 + groups * cells // FOLD_TERMS)
         return self._charges[m]

@@ -495,10 +495,10 @@ class TestOccupancyChain:
     def test_binomial_pmfs_are_charged(self, monkeypatch):
         # a bin of two groups and mass phi = 0.6000001 draws its pmf from the
         # chain cells: with 53-bit p and q (B = 215) and the other bin's chain
-        # they pass the cap at n = 4,304, where the pmf takes about 1.6 s; the
+        # they pass the cap at n = 4,323, where the pmf takes about 1.6 s; the
         # partitions stay under their own cap
         theta = ParamVector.from_probs([0.3, 0.3000001, 0.3999999])
-        last = 4_303
+        last = 4_322
         groups = [(theta.values[:2].tolist(), [1, 1]), (theta.values[2:].tolist(), [1])]
         phis = [math.fsum(v) for v, _ in groups]
         laws = [(v, k, phi, phis[1 - i]) for i, ((v, k), phi) in enumerate(zip(groups, phis))]
@@ -517,6 +517,18 @@ class TestOccupancyChain:
             monkeypatch.setattr(owner, name, refuse)
         with pytest.raises(ResourceCapError, match="OCCUPANCY_CHAIN_CAP"):
             exact_entropies(theta, _grid(last + 1), last + 1)
+
+    def test_whole_alphabet_pmf_is_not_charged(self):
+        # the whole alphabet's pmf is [0, ..., 0, 1]; charged as a bin's
+        # (B = 3) it would pass the cap from n = 46,010 on two letters, whose
+        # 23,006 partitions the DP finishes in under 0.5 s
+        theta = ParamVector.from_probs([0.3, 0.7])
+        n = 46_010
+        assert n * n * 3 * (3 + 384) // oracle.PMF_BIT_CELLS > OCCUPANCY_CHAIN_CAP
+        assert oracle._pmf_cells(n, 1.0, 0.0) == 0
+        h = oracle.exact_pattern_entropy(theta, n)
+        # the pattern and the first letter give the sequence: H(X^n) - 1 <= h <= H(X^n)
+        assert abs(h - n * iid_entropy(theta)) <= 1.0
 
     def test_one_draw_has_zero_entropy(self):
         # ln 10 + ln 0.1 rounds to 4.4e-16 > 0; ln P is cut to 0.0

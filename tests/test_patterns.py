@@ -13,6 +13,7 @@ from pattern_entropy.distributions import (
     MATERIALIZE_CAP,
     ParamVector,
     SourceSpec,
+    iid_entropy,
     make_distribution,
     sample_sequence,
 )
@@ -375,6 +376,19 @@ class TestFold:
             with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
                 route(parts)
         assert log_p.budget == PROFILE_DP_CAP
+        assert len(log_p._charges) == 2  # counted no further than the first charge past the cap
+
+    def test_two_letters_keep_the_dp(self):
+        # two one-letter groups: the DP makes at most 6 transitions a profile,
+        # the fold would charge 15 (5 a part, 5 its weighing).  At n = 150,000
+        # the 75,001 partitions would pass PROFILE_DP_CAP by the fold alone;
+        # the DP stays under it, as it did before the fold existed
+        theta = ParamVector.from_probs([0.3, 0.7])
+        n = 150_000
+        assert (n // 2 + 1) * ProfileProbability(theta)._charge(3) > PROFILE_DP_CAP
+        h = oracle.exact_pattern_entropy(theta, n)
+        # the pattern and the first letter give the sequence: H(X^n) - 1 <= h <= H(X^n)
+        assert abs(h - n * iid_entropy(theta)) <= 1.0
 
     def test_charges_before_folding(self, monkeypatch):
         # the tail's charge is checked against what is left before any part
