@@ -308,11 +308,15 @@ class ProfileProbability:
             return min(self._falling(k, m)[m] + sum(parts) * lv + 0.0, 0.0)
         if m > self._k:
             return -math.inf
-        # the fold's parts against the most transitions the DP can make; the
-        # fixed work of a call, the fold's weighing or the DP's set-up, is
-        # left out on both sides
-        if self._charge(m + 1) <= PROFILE_DP_CAP and self._charges[m] <= self._dp_bound(parts):
-            return self._fold(sorted(parts))
+        if self._charge(m + 1) <= PROFILE_DP_CAP:
+            # the fold's parts against the most transitions the DP can make;
+            # the fixed work of a call, the fold's weighing or the DP's set-up,
+            # is left out on both sides.  N(K) <= prod_c(mu_c + 1) <= 2**m
+            # bounds _dp_bound before it is counted, which spares a new
+            # object the count: two one-letter groups take the DP at once
+            work, most = self._charges[m], 2 ** m
+            if work <= most * (2 + (len(self._groups) - 1) * most) and work <= self._dp_bound(parts):
+                return self._fold(sorted(parts))
         return self._dp(parts)
 
     def _charge(self, m: int) -> int:
