@@ -24,7 +24,6 @@ import math
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -228,7 +227,7 @@ class ProfileProbability:
     counts (Orlitsky, Santhanam and Zhang, IEEE T-IT 2004), and the value is
     the same, bit for bit, for every order of them and every history of
     calls.  It is -inf when there are more counts than ``theta`` has letters,
-    and never above 0.0.
+    never above 0.0, and 0.0 for the profile [1] (P = 1) on several groups.
 
     One group (k letters of value v) gives every pattern with m distinct
     indices P = (k)_m v**n, so the call returns ln (k)_m + n ln v with no
@@ -272,8 +271,8 @@ class ProfileProbability:
     ``FOLD_TERMS`` cell-terms (G per cell), and a call its weighing as one
     part more; the charge is counted in Python ints and checked before any
     array is allocated.  The fold is taken when its whole charge from no stored
-    cells is at most ``PROFILE_DP_CAP`` and its parts' charge at most the
-    transitions the DP can make (:meth:`_dp_bound`).
+    cells is at most ``PROFILE_DP_CAP`` and its parts' charge at most an
+    exact-integer bound on the DP's transitions (:meth:`_dp_bound`).
     """
 
     def __init__(self, theta: ParamVector):
@@ -287,9 +286,6 @@ class ProfileProbability:
         base = max(range(len(groups)), key=lambda g: groups[g][1])
         self._base = groups[base]
         self._axes = groups[:base] + groups[base + 1:]
-        sizes = [k_g for _, k_g in self._groups]
-        self._dp_sizes = sizes + list(accumulate(sizes))  # k_g, then k_1 + ... + k_g
-        self._dp_bounds: dict[tuple[int, int, int], int] = {}  # see _dp_bound
         self._charges = [0]  # entry j: the fold's charge for parts 1..j, from no layer
         self._parts: list[int] = []  # the folded prefix, ascending
         self._layers: list = [np.zeros(1)]  # entry j: W's cells after parts 1..j, or None
@@ -308,16 +304,11 @@ class ProfileProbability:
             return min(self._falling(k, m)[m] + sum(parts) * lv + 0.0, 0.0)
         if m > self._k:
             return -math.inf
-        if self._charge(m + 1) <= PROFILE_DP_CAP:
-            # the fold's parts against the most transitions the DP can make;
-            # the fixed work of a call, the fold's weighing or the DP's set-up,
-            # is left out on both sides.  N(K) <= prod_c(mu_c + 1) <= 2**m
-            # bounds _dp_bound before it is counted, which spares a new
-            # object the count: two one-letter groups take the DP at once
-            work, most = self._charges[m], 2 ** m
-            if work <= most * (2 + (len(self._groups) - 1) * most) and work <= self._dp_bound(parts):
-                return self._fold(sorted(parts))
-        return self._dp(parts)
+        if self._charge(m + 1) <= PROFILE_DP_CAP and self._charges[m] <= self._dp_bound(parts):
+            log_p = self._fold(sorted(parts))
+        else:
+            log_p = self._dp(parts)
+        return 0.0 if m == 1 and parts[0] == 1 else log_p  # P([1]) = 1, which a route may round
 
     def _charge(self, m: int) -> int:
         """The fold's charge for parts 1..m from no stored cells: 2G + 1 a
@@ -333,27 +324,22 @@ class ProfileProbability:
         return self._charges[m]
 
     def _dp_bound(self, parts: Sequence[int]) -> int:
-        """At least the transitions :meth:`_dp` makes on ``parts``.  With N(K)
-        the vectors a <= mu (mu_c the indices of count c) of sum at most K,
-        the first group makes N(k_1) takes from the one start state, group g
-        at most N(k_g) from each of the N(k_1 + ... + k_{g-1}) states it can
-        meet, and the last group one per state it meets; N(m) =
-        prod_c(mu_c + 1) and N(K) <= C(K + d, d) for K < m, d being the number
-        of distinct counts, C from the table of ln i!.  Each N stops at
-        ``PROFILE_DP_CAP`` + 1, past any charge the fold is compared with.
-        Memoised by (m, d, N(m))."""
-        m = len(parts)
+        """At least the transitions :meth:`_dp` makes on ``parts``.  The first
+        K letters take, and so reach, at most N(K) = min(S, (d + 1)**K) of the
+        S = prod_c(mu_c + 1) states, d being the number of distinct counts: at
+        most C(K + d, d) <= (d + 1)**K takes a <= mu sum to K or less.  Each
+        group g but the last makes at most N(k_g) takes from each of the
+        N(k_1 + ... + k_{g-1}) states it meets, and the last group one per
+        state it meets."""
         ways = [parts.count(c) + 1 for c in set(parts)]  # mu_c + 1
-        lim = PROFILE_DP_CAP + 1
-        key = m, len(ways), min(lim, math.prod(ways))
-        if key not in self._dp_bounds:
-            _, d, whole = key
-            lf, top = self._ln_factorials(m + d), math.log(lim)
-            n = [whole if K >= m else min(whole, math.exp(min(top, lf[K + d] - lf[K] - lf[d])))
-                 for K in self._dp_sizes]
-            takes, reach = n[:len(self._groups)], n[len(self._groups):]
-            self._dp_bounds[key] = takes[0] + sum(map(mul, reach, takes[1:])) + reach[-1]
-        return self._dp_bounds[key]
+        d, states = len(ways), math.prod(ways)
+        top = states.bit_length()  # (d + 1)**top > S, so N(K) = min(S, (d + 1)**min(K, top))
+        bound, reach, before = 0, 1, 0
+        for _, k_g in self._groups:
+            bound += reach * min(states, (d + 1) ** min(k_g, top))
+            before += k_g
+            reach = min(states, (d + 1) ** min(before, top))
+        return bound + reach
 
     def _fold(self, parts: list[int]) -> float:
         """ln P of the ascending ``parts`` from W's cells, folding only the
@@ -384,11 +370,7 @@ class ProfileProbability:
                 self._loose.append(j)
             while self._loose and self._loose[0] < j - window:
                 self._layers[self._loose.popleft()] = None
-        terms = (layer + self._closing(m, parts[-1])).tolist()
-        top = max(terms)
-        if top == -math.inf:
-            return top
-        return min(top + math.log(math.fsum([math.exp(t - top) for t in terms])), 0.0)
+        return min(_log_sum_exp((layer + self._closing(m, parts[-1])).tolist()), 0.0)
 
     def _plan(self, j: int) -> tuple:
         """(shape before part j, shape after it, the old cells' box in the new

@@ -416,6 +416,37 @@ class TestFold:
             assert len(kept) <= 4 * math.isqrt(m) + 2, m
             assert kept[-1] == m - 1
 
+    def test_dp_bound_covers_the_dp(self):
+        # every partition of n <= 12 on random sources of 2-5 groups: the DP
+        # charges no more than _dp_bound, and exactly that on some profiles
+        rng = np.random.default_rng(32)
+        tight = 0
+        for _ in range(20):
+            groups = int(rng.integers(2, 6))
+            counts = rng.integers(1, 5, size=groups)
+            weights = rng.uniform(0.1, 1.0, size=groups)
+            theta = ParamVector.from_groups(weights / float(weights @ counts), counts)
+            log_p = ProfileProbability(theta)
+            for n in range(1, 13):
+                for parts in enumerate_partitions(n, min(n, theta.k)):
+                    log_p.budget = PROFILE_DP_CAP
+                    log_p._dp(parts)
+                    charge, bound = PROFILE_DP_CAP - log_p.budget, log_p._dp_bound(parts)
+                    assert charge <= bound, (counts, parts)
+                    tight += charge == bound
+        assert tight
+
+    def test_three_letters_return_at_n_753(self):
+        # (0.2, 0.3, 0.5) at n = 753 fits PROFILE_DP_CAP only while its 375
+        # profiles [a, a, b] take the DP, which makes 16 transitions on them:
+        # the bound, 18, stays below the fold's 21 for their parts
+        theta = ParamVector.from_probs([0.2, 0.3, 0.5])
+        log_p = ProfileProbability(theta)
+        assert log_p._dp_bound([1, 1, 2]) == 18 < log_p._charge(3) == 21
+        h = oracle.exact_pattern_entropy(theta, 753)
+        # the pattern and an injection of its 3 indices give the sequence
+        assert 753 * iid_entropy(theta) - math.log2(6) <= h <= 753 * iid_entropy(theta)
+
 
 class TestPatternProbability:
     def test_two_letter_cases(self):
@@ -426,6 +457,16 @@ class TestPatternProbability:
     def test_length_one(self):
         pv = ParamVector.from_probs([0.3, 0.7])
         assert pattern_probability(pv, [1]) == 1.0
+        # P([1]) = sum_g k_g v_g = 1, which the fold and the DP can round to
+        # 1 - 2**-53 on several groups; H(pattern) at n = 1 is 0.0
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            groups = int(rng.integers(2, 5))
+            counts = rng.integers(1, 4, size=groups)
+            weights = rng.uniform(0.1, 1.0, size=groups)
+            theta = ParamVector.from_groups(weights / float(weights @ counts), counts)
+            assert pattern_probability(theta, [1]) == 1.0, theta
+            assert oracle.exact_pattern_entropy(theta, 1) == 0.0, theta
 
     def test_too_many_indices_warns_zero(self):
         pv = ParamVector.from_probs([0.5, 0.5])

@@ -211,7 +211,7 @@ def test_per_letter_probabilities_are_read_in_few_places():
 def test_profile_routes_are_chosen_in_one_place():
     # ProfileProbability picks the fold of W or the DP by cost before any work;
     # a route called from elsewhere would skip that choice and its charge
-    for route in ("_fold", "_dp", "_fold_part", "_closing"):
+    for route in ("_fold", "_dp", "_fold_part", "_closing", "_dp_bound"):
         assert {module for module, _ in _package_sites(route)} <= {"patterns"}, route
     assert ("patterns", "ProfileProbability") in _package_sites("_fold")
 
