@@ -12,7 +12,8 @@ n in any order.  A one-group source (k letters of value v) gives the closed
 form ln (k)_m + n ln v of the number m of counts; more groups fold the
 groups' generating function in log space, or run a log-space DP over the
 distinct counts where that costs less.  Either way ln P never underflows
-and the per-letter probabilities are never read.
+and the per-letter probabilities are never read.  ln P is -inf for more
+counts than letters, 0.0 for the profile [1], and never above 0.0.
 :func:`enumerate_partitions` lists the profiles.
 Enumerating the patterns themselves (:func:`enumerate_patterns`) is kept as
 the reference route.
@@ -143,19 +144,6 @@ def enumerate_patterns(n: int, k: int) -> Iterator[Pattern]:
         top[j + 1:] = [top[j]] * (n - j - 1)
 
 
-def count_partitions(n: int, max_parts: int) -> int:
-    """Number of partitions of n into at most ``max_parts`` parts.
-
-    Counts partitions into parts of size at most 1, 2, ..., ``max_parts`` (the
-    conjugate count) and stops as soon as a partial count exceeds
-    ``ENUMERATION_CAP``, returning that partial count; so a huge count costs
-    a few passes over n.
-    """
-    if n < 0 or max_parts < 0:
-        raise ValueError("need n >= 0 and max_parts >= 0")
-    return _partition_counts(n, max_parts)[n]
-
-
 def _partition_counts(n: int, max_parts: int) -> list[int]:
     """Entry j <= n is the number of partitions of j into at most ``max_parts``
     parts; once entry n passes ``ENUMERATION_CAP`` all stop at partial counts."""
@@ -180,7 +168,7 @@ def enumerate_partitions(n: int, max_parts: int) -> Iterator[list[int]]:
     """
     if n < 1 or max_parts < 1:
         raise ValueError("need n >= 1 and max_parts >= 1")
-    total = count_partitions(n, max_parts)
+    total = _partition_counts(n, max_parts)[n]
     if total > ENUMERATION_CAP:
         raise ResourceCapError(f"{total} or more partitions exceed the enumeration cap "
                                f"({ENUMERATION_CAP})")
@@ -227,7 +215,7 @@ class ProfileProbability:
     counts (Orlitsky, Santhanam and Zhang, IEEE T-IT 2004), and the value is
     the same, bit for bit, for every order of them and every history of
     calls.  It is -inf when there are more counts than ``theta`` has letters,
-    never above 0.0, and 0.0 for the profile [1] (P = 1) on several groups.
+    never above 0.0, and 0.0 for the profile [1] (P = 1) on every source.
 
     One group (k letters of value v) gives every pattern with m distinct
     indices P = (k)_m v**n, so the call returns ln (k)_m + n ln v with no
@@ -297,18 +285,18 @@ class ProfileProbability:
 
     def __call__(self, parts: Sequence[int]) -> float:
         m = len(parts)
-        if not self._groups:
-            lv, k = self._last  # the float operations of the DP's last-group step
-            if m > k:
-                return -math.inf
-            return min(self._falling(k, m)[m] + sum(parts) * lv + 0.0, 0.0)
         if m > self._k:
             return -math.inf
-        if self._charge(m + 1) <= PROFILE_DP_CAP and self._charges[m] <= self._dp_bound(parts):
+        if m == 1 and parts[0] == 1:
+            return 0.0  # P([1]) = 1, which every route may round
+        if not self._groups:
+            lv, k = self._last  # the float operations of the DP's last-group step
+            log_p = self._falling(k, m)[m] + sum(parts) * lv + 0.0
+        elif self._charge(m + 1) <= PROFILE_DP_CAP and self._charges[m] <= self._dp_bound(parts):
             log_p = self._fold(sorted(parts))
         else:
             log_p = self._dp(parts)
-        return 0.0 if m == 1 and parts[0] == 1 else log_p  # P([1]) = 1, which a route may round
+        return min(log_p, 0.0)
 
     def _charge(self, m: int) -> int:
         """The fold's charge for parts 1..m from no stored cells: 2G + 1 a
@@ -370,7 +358,7 @@ class ProfileProbability:
                 self._loose.append(j)
             while self._loose and self._loose[0] < j - window:
                 self._layers[self._loose.popleft()] = None
-        return min(_log_sum_exp((layer + self._closing(m, parts[-1])).tolist()), 0.0)
+        return _log_sum_exp((layer + self._closing(m, parts[-1])).tolist())
 
     def _plan(self, j: int) -> tuple:
         """(shape before part j, shape after it, the old cells' box in the new
@@ -499,8 +487,8 @@ class ProfileProbability:
         self.budget -= work + len(layer)
         lv, k_g = self._last
         falling = self._falling(k_g, min(k_g, m))
-        return min(_log_sum_exp([w + falling[a] + sum(map(mul, cs, r)) * lv
-                                 for r, w in layer.items() if (a := sum(r)) <= k_g]), 0.0)
+        return _log_sum_exp([w + falling[a] + sum(map(mul, cs, r)) * lv
+                             for r, w in layer.items() if (a := sum(r)) <= k_g])
 
     def _over_cap(self, route: str = "profile DP") -> ResourceCapError:
         return ResourceCapError(f"the {route} over {len(self._groups) + 1} groups passed "
@@ -520,7 +508,6 @@ def pattern_probability(theta: ParamVector, psi: Pattern | Sequence[int]) -> flo
     if m > theta.k:
         warnings.warn(f"pattern needs {m} distinct letters but the alphabet has {theta.k}; "
                       "probability 0")
-        return 0.0
     return math.exp(ProfileProbability(theta)(list(Counter(psi).values())))
 
 

@@ -114,3 +114,9 @@ def test_run_suites_passes_the_seed_to_seeded_suites_only(monkeypatch):
         monkeypatch.setitem(verify.CHECKS, name, recorder(name, name in seeded))
     verify.run_suites(seed=7)
     assert calls == {name: {"seed": 7} if name in seeded else {} for name in verify.CHECKS}
+
+
+@pytest.mark.parametrize("selection", [["nope"], ("Sandwich",)], ids=["unknown", "case"])
+def test_unknown_suite_raises(selection):
+    with pytest.raises(ValueError, match=f"unknown suite {selection[0]!r}; available"):
+        verify.run_suites(selection)

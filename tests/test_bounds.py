@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from pattern_entropy import cli
-from pattern_entropy._common import EXACT_FACTORIAL_BELOW, LN2, LOG2E, log2_factorial
+from pattern_entropy._common import EXACT_FACTORIAL_BELOW, LN2, LOG2E, log2_binomial, log2_factorial
 from pattern_entropy._reference import exact_distinct_count_pmf
 from pattern_entropy.bounds import (
     _STIRLERR_TABLE,
+    BoundReport,
     SourceAnalysis,
     binomial_pmf,
     contribution_limits,
@@ -500,3 +501,20 @@ class TestRange:
         frontier = 1.5 * k * math.log2(
             k / (math.e ** (2 / 3) * float(n) ** ((1 - eps) / 3) * 3 ** (1 / 3)))
         assert abs(deduction / frontier - 1.0) <= 0.25
+
+
+def _two_letter_analysis():
+    return SourceAnalysis(ParamVector.from_probs([0.25, 0.75]), 10, 0.3)
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: BoundReport("b", (("a", 1.0),)).term("c"), KeyError, "c"),
+    (lambda: lb_theorem4(_two_letter_analysis(), s1_variant="b3"), ValueError, "variants must be"),
+    (lambda: lb_theorem4(_two_letter_analysis(), s2_variant="b0"), ValueError, "variants must be"),
+    (lambda: range_decreases(0, 10**6, 0.2, 0.22), ValueError, "k must be >= 1"),
+    (lambda: log2_binomial(2, 3), ValueError, "need 0 <= b <= a, got a=2, b=3"),
+    (lambda: log2_binomial(2, -1), ValueError, "need 0 <= b <= a, got a=2, b=-1"),
+], ids=["term", "s1_variant", "s2_variant", "range_k", "binomial_above", "binomial_negative"])
+def test_validation_raises(call, error, words):
+    with pytest.raises(error, match=words):
+        call()

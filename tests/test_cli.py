@@ -828,3 +828,12 @@ def test_one_letter_source_writes_no_negative_zero(tmp_path, command, block, fmt
         cells = [json.dumps(val) for row in json.loads(open(out).read()) for val in row.values()]
     assert "0" in cells or "0.0" in cells
     assert [cell for cell in cells if _negative_zero(cell)] == []
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 100, "epsilon": 0.2, "epsilon1": 0.22},
+    {"epsilon": 0.2, "epsilon1": 0.22, "region": {"k_values": [10]}},
+], ids=["no_region", "no_n"])
+def test_region_sweep_validation_raises(doc):
+    with pytest.raises(ValueError, match="the region command needs 'region' and 'n'"):
+        cli.run_region_sweep(cli.parse_config(doc))

@@ -595,3 +595,18 @@ class TestDecodePrecision:
             state.update(p, b)
             assert ks[j + 1] + cl >= L + n.bit_length() + 2 - 1e-6, j
         assert ks[-1] < ks[0] / 4
+
+
+def _two_letter_model(n=10):
+    return CoderModel.from_source(ParamVector.from_probs([0.25, 0.75]), build_grid("eta", 10, 0.3), n)
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: _two_letter_model(11), "grid was built for n=10, not 11"),
+    (lambda: sequence_codelength(_two_letter_model(), (1, 2), (1,)), "lengths differ"),
+    (lambda: encode(_two_letter_model(), (), ()), "need non-empty"),
+    (lambda: decode(_two_letter_model(), Bitstring(b"", 0), 0), "n must be >= 1"),
+], ids=["grid_n", "codelength_lengths", "encode_empty", "decode_n"])
+def test_validation_raises(call, words):
+    with pytest.raises(ValueError, match=words):
+        call()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pattern_entropy import distributions
 from pattern_entropy._common import ResourceCapError
 from pattern_entropy.distributions import (
     MATERIALIZE_CAP,
@@ -216,3 +217,37 @@ class TestOtherFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             SourceSpec("pareto", {})
+
+
+def _two_level(params, n=100):
+    return make_distribution(SourceSpec("two-level", params, n))
+
+
+@pytest.mark.parametrize("build, words", [
+    (lambda: ParamVector(np.array([0.5]), np.array([1, 1])), "matching, non-empty 1-d arrays"),
+    (lambda: ParamVector(np.array([0.5, 1.0]), np.array([0, 1])), "multiplicities must be positive"),
+    (lambda: ParamVector(np.array([0.5, 0.5]), np.array([1, 1])), "strictly ascending"),
+    (lambda: ParamVector.from_probs([]), "probability list is empty"),
+    (lambda: make_distribution(SourceSpec("uniform", {"k": 3, "x": 1})), "takes no parameter 'x'"),
+    (lambda: make_distribution(SourceSpec("explicit", {})), "requires a 'probs' list"),
+    (lambda: make_distribution(SourceSpec("uniform", {"nu": 0.5})), "'nu' requires the horizon n"),
+    (lambda: make_distribution(SourceSpec("uniform", {})), "requires 'k' or 'nu'"),
+    (lambda: make_distribution(SourceSpec("uniform", {"k": 0})), "letter count rounds to 0"),
+    (lambda: distributions._normalized(np.zeros(2)), "non-positive total mass"),
+    (lambda: _two_level({"phi0": 0.5, "mu": 0.5}, None), "two-level family requires the horizon n"),
+    (lambda: _two_level({"phi0": 0.5, "mu": 0.5, "level1": "middle"}), "level1 must be one of"),
+    (lambda: _two_level({"phi0": 1.5, "mu": 0.5}), "phi0 must be in"),
+    # n = 1: the one low letter has probability 1
+    (lambda: _two_level({"phi0": 0.9, "mu": 0.5, "level1": "unit"}, 1), "consumes all probability mass"),
+    # 0.01 of mass at 1/10 a letter rounds to no letter
+    (lambda: _two_level({"phi0": 0.99, "mu": 1.0, "level1": "unit"}, 10),
+     "second-level letter count rounds to zero"),
+    # 4 low letters of 1/9 leave 5/9 to 2 letters, 0.83 of the nominal 1/3 each
+    (lambda: _two_level({"phi0": 0.5, "mu": 1.0, "level1": "unit"}, 3), "renormalization factor 0.8333"),
+    (lambda: _two_level({"phi0": 0.5, "mu": 0.2, "nu": 0.5, "level1": "above"}), "the two levels collide"),
+], ids=["shape", "count", "order", "empty", "unknown_param", "explicit", "uniform_nu", "uniform",
+        "uniform_k0", "mass", "two_level_n", "level1", "phi0", "all_mass", "no_second_level",
+        "renormalization", "collide"])
+def test_validation_raises(build, words):
+    with pytest.raises(ValueError, match=words):
+        build()

@@ -291,3 +291,13 @@ class TestSpacing:
         for b in range(1, g.B):
             gap = g.point(b + 1) - g.point(b)
             assert gap >= 2 * math.sqrt(g.point(b)) / float(400) ** ((1 - 0.2) / 2) - 1e-18
+
+
+@pytest.mark.parametrize("theta_i, n, words", [
+    (0.0, 5, "theta must be in"),
+    (1.5, 5, "theta must be in"),
+    (0.5, 0, "n must be >= 1"),
+], ids=["theta_zero", "theta_above_one", "n_zero"])
+def test_occurrence_stats_validation_raises(theta_i, n, words):
+    with pytest.raises(ValueError, match=words):
+        occurrence_stats(theta_i, n)

@@ -824,3 +824,17 @@ class TestStepwiseCodelength:
             got = expected_codelength_stepwise(ParamVector.from_probs([0.5, 0.5]),
                                                _grid(n), n, model=model)
         assert got == math.inf
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: mc_pattern_entropy(ParamVector.from_probs([0.25, 0.75]), 10, samples=1, seed=0),
+     ValueError, "need at least 2 samples"),
+    (lambda: mc_pattern_entropy(ParamVector.from_probs([0.25, 0.75]), 10, samples=0, seed=0),
+     ValueError, "need at least 2 samples"),
+    (lambda: exact_distinct_count_pmf([1 / 17] * 17, 5), ResourceCapError, "guarded to 16 letters"),
+    (lambda: expected_codelength_stepwise(ParamVector.from_groups([1 / 7], [7]), _grid(10), 10),
+     ResourceCapError, "guarded to k <= 6"),
+], ids=["mc_one_sample", "mc_no_sample", "reference_subsets", "reference_tree"])
+def test_validation_raises(call, error, words):
+    with pytest.raises(error, match=words):
+        call()

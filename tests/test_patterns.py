@@ -24,8 +24,8 @@ from pattern_entropy.patterns import (
     Pattern,
     ProfileProbability,
     _count_patterns,
+    _partition_counts,
     bin_sequence,
-    count_partitions,
     enumerate_partitions,
     enumerate_patterns,
     extract_pattern,
@@ -176,7 +176,7 @@ class TestPartitions:
                 assert all(sum(p) == n and len(p) <= max_parts and list(p) == sorted(p)
                            for p in got)
                 want = sum(_partitions_with_exactly(n, j) for j in range(1, max_parts + 1))
-                assert len(got) == count_partitions(n, max_parts) == want, (n, max_parts)
+                assert len(got) == _partition_counts(n, max_parts)[n] == want, (n, max_parts)
 
     def test_every_profile_of_a_pattern(self):
         # the partitions are exactly the profiles of the length-n patterns
@@ -187,9 +187,9 @@ class TestPartitions:
 
     def test_count_stops_above_the_cap(self):
         # p(60) = 966467 is below the cap; p(100) = 190569292 and p(10**4) are not
-        assert count_partitions(60, 60) == 966_467
-        assert ENUMERATION_CAP < count_partitions(100, 100) < 190_569_292
-        assert count_partitions(10**4, 10**4) > ENUMERATION_CAP
+        assert _partition_counts(60, 60)[60] == 966_467
+        assert ENUMERATION_CAP < _partition_counts(100, 100)[100] < 190_569_292
+        assert _partition_counts(10**4, 10**4)[10**4] > ENUMERATION_CAP
 
     def test_cap_guard(self):
         with pytest.raises(ResourceCapError, match="enumeration cap"):
@@ -258,13 +258,14 @@ class TestOneGroup:
                     assert abs(got - want) <= 1e-12 * want, (k, psi)
 
     def test_closed_form_has_the_dp_bits(self):
-        # the DP's last-group step run on its own gives the closed form's bits,
-        # -inf past k and the sign of zero included
+        # the DP's last-group step run on its own, cut to 0.0 as the call cuts
+        # every route, gives the closed form's bits, -inf past k and the sign
+        # of zero included; [1] takes no route
         for k in [*range(1, 13), 1000, 10**6]:
             log_p = ProfileProbability(ParamVector.from_groups([1.0 / k], [k]))
-            for n in range(1, 11):
+            for n in range(2, 11):
                 for parts in enumerate_partitions(n, n):
-                    got, want = log_p(parts), log_p._dp(parts)
+                    got, want = log_p(parts), min(log_p._dp(parts), 0.0)
                     assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
         assert ProfileProbability(ParamVector.from_groups([0.2], [5]))([1] * 6) == -math.inf
 
@@ -326,11 +327,12 @@ class TestFold:
 
     @pytest.mark.parametrize("theta, profiles, routes", [
         # the oracle workload: geometric k = 4 at n = 7 takes the fold, its
-        # bin of two one-letter groups the DP
+        # bin of two one-letter groups the DP for every profile but [1],
+        # which takes no route
         (make_distribution(SourceSpec("geometric", {"k": 4, "decay": 0.6})),
          list(enumerate_partitions(7, 4)), ["_fold"] * 11),
         (ParamVector.from_groups([0.3, 0.7], [1, 1]),
-         [p for j in range(1, 8) for p in enumerate_partitions(j, 2)], ["_dp"] * 19),
+         [p for j in range(1, 8) for p in enumerate_partitions(j, 2)], ["_dp"] * 18),
         # the two-level source: 21 states for [1] * 20 in the DP, many more
         # for distinct counts
         (ParamVector.from_groups([1e-4, 1e-2], [5000, 50]),
@@ -405,6 +407,20 @@ class TestFold:
             log_p._fold(parts)
         assert log_p.budget == charge - 1
 
+    def test_dp_refuses_its_last_layer_before_charging(self):
+        # two groups, the first of 4 letters: [1, 1, 2] has 3 * 2 takes, each to
+        # its own state, so the DP makes 6 transitions and its last group 6 more.
+        # A budget of 6 to 11 passes the transitions and refuses the last layer
+        theta = ParamVector.from_groups([0.1, 0.2], [4, 3])
+        log_p = ProfileProbability(theta)
+        log_p._dp([1, 1, 2])
+        assert PROFILE_DP_CAP - log_p.budget == 12
+        for budget in (6, 11):
+            log_p.budget = budget
+            with pytest.raises(ResourceCapError, match="PROFILE_DP_CAP"):
+                log_p._dp([1, 1, 2])
+            assert log_p.budget == budget
+
     def test_keeps_few_layers(self):
         # every layer j that isqrt(j) divides and the last isqrt(m) + 1:
         # at most 4 isqrt(m) + 2 of them
@@ -457,6 +473,11 @@ class TestPatternProbability:
     def test_length_one(self):
         pv = ParamVector.from_probs([0.3, 0.7])
         assert pattern_probability(pv, [1]) == 1.0
+        # one group: ln k + ln(1/k) rounds below 0 for these k, yet [1] takes no route
+        for k in (7, 14, 18, 19, 49):
+            theta = ParamVector.from_groups([1.0 / k], [k])
+            assert ProfileProbability(theta)([1]) == 0.0, k
+            assert pattern_probability(theta, [1]) == 1.0, k
         # P([1]) = sum_g k_g v_g = 1, which the fold and the DP can round to
         # 1 - 2**-53 on several groups; H(pattern) at n = 1 is 0.0
         rng = np.random.default_rng(0)
@@ -641,3 +662,15 @@ class TestBinSequence:
         g = build_grid("eta", 1000, 0.3)
         b = bin_index(g, 1.0 / k)
         assert bin_sequence(pv, g, [1, 12345, k]) == (b, b, b)
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: Pattern(()), "pattern must be non-empty"),
+    (lambda: _count_patterns(0, 1), "need n >= 1 and k >= 1"),
+    (lambda: _count_patterns(3, 0), "need n >= 1 and k >= 1"),
+    (lambda: next(enumerate_partitions(0, 1)), "need n >= 1 and max_parts >= 1"),
+    (lambda: next(enumerate_partitions(3, 0)), "need n >= 1 and max_parts >= 1"),
+], ids=["empty_pattern", "count_n", "count_k", "partitions_n", "partitions_parts"])
+def test_validation_raises(call, words):
+    with pytest.raises(ValueError, match=words):
+        call()

@@ -216,6 +216,51 @@ def test_profile_routes_are_chosen_in_one_place():
     assert ("patterns", "ProfileProbability") in _package_sites("_fold")
 
 
+def _range_sites(text):
+    """(line, enclosing definition, as ``Class.method`` inside a class) of every
+    cut ``min(..., 0.0)``, also as ``np.minimum``, and every ``return -<...>.inf``
+    in ``text``."""
+    found = []
+    for top in ast.parse(text).body:
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        for member in members:
+            where = getattr(member, "name", None)
+            if member is not top:
+                where = f"{top.name}.{where}" if where else top.name
+            for node in ast.walk(member):
+                func = getattr(node, "func", None)
+                cut = (getattr(func, "id", getattr(func, "attr", None)) in ("min", "minimum")
+                       and any(isinstance(a, ast.Constant) and isinstance(a.value, float) and a.value == 0.0
+                               for a in node.args))
+                minus_inf = (isinstance(node, ast.Return) and isinstance(node.value, ast.UnaryOp)
+                             and isinstance(node.value.op, ast.USub)
+                             and getattr(node.value.operand, "attr", None) == "inf")
+                if cut or minus_inf:
+                    found.append((node.lineno, where))
+    return found
+
+
+def test_ln_p_range_is_decided_in_one_place():
+    # -inf past k, the profile [1] and the cut to 0.0 belong to the call alone,
+    # so that no route, present or added, can give ln P a range of its own
+    text = (ROOT / "src" / "pattern_entropy" / "patterns.py").read_text(encoding="utf-8")
+    sites = _range_sites(text)
+    assert sites and {where for _, where in sites} == {"ProfileProbability.__call__"}
+
+
+def test_range_guard_sees_every_form():
+    text = ("class C:\n"
+            "    def f(self, x):\n"
+            "        return min(x, 0.0)\n"
+            "    def g(self, x):\n"
+            "        if x:\n"
+            "            return -math.inf\n"
+            "        return np.minimum(x, 0.0) + min(0.0, x)\n"
+            "def h(x):\n"
+            "    return min(x, 1.0), max(x, 0.0), -math.inf, min(x, 0)\n")
+    assert _range_sites(text) == [(3, "C.f"), (6, "C.g"), (7, "C.g"), (7, "C.g")]
+
+
 def test_attribute_sites_name_the_enclosing_definition():
     text = ("x.probs\n"
             "def f(t):\n    return t.rng.choice(3)\n"
