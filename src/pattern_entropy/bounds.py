@@ -14,8 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._common import (LOG2E, ResourceCapError, elementwise, exact_sum, log2_binomial,
-                      log2_factorial, xlog2x)
+from ._common import LOG2E, ResourceCapError, exact_sum, log2_binomial, log2_factorial, xlog2x
 from .distributions import ParamVector, binary_entropy, entropy_terms
 from .grids import (BinStats, Grid, absent_lower_bound, absent_probability, bin_stats, build_grid,
                     low_thresholds)
@@ -165,8 +164,8 @@ class SourceAnalysis:
         i1, i2 = np.searchsorted(v, (thr1, thr2), side="right").tolist()
         k0 = int(c[:i1].sum())
         k1 = int(c[i1:i2].sum())
-        phi0 = float(np.sum(c[:i1] * v[:i1]))
-        phi1 = float(np.sum(c[i1:i2] * v[i1:i2]))
+        phi0 = exact_sum(c[:i1] * v[:i1])
+        phi1 = exact_sum(c[i1:i2] * v[i1:i2])
         L0 = exact_sum(c[:i1] * occ[:i1])
         L1 = exact_sum(c[i1:i2] * occ[i1:i2])
         return _LowStats(
@@ -175,7 +174,7 @@ class SourceAnalysis:
             phi0=phi0, phi1=phi1, phi01=phi0 + phi1,
             L0=L0, L1=L1, L01=L0 + L1,
             ell0=min(k0, n), ell1=min(k1, n), ell01=min(k0 + k1, n),
-            sq0=float(np.sum(c[:i1] * v[:i1] ** 2)),
+            sq0=exact_sum(c[:i1] * v[:i1] * v[:i1]),
             low_values=v[:i2], low_counts=c[:i2],
         )
 
@@ -538,10 +537,10 @@ def lb_theorem4(analysis: SourceAnalysis,
         nf = float(n)
         last_val = float(lv[-1])
         split_last = last_val > 0.6
-        # per low group: log2(phi01 / v) and the lower bound n v - 1 + exp(-n (v + v^2))
-        # on one letter's mean re-occurrence count; a letter above 3/5, where the
-        # bound drops its exponential, leaves the sum below
-        gain = elementwise(math.log2, low.phi01 / lv)
+        # per low group: log2(phi01) - log2(v), from the source's one log2 pass, and the
+        # lower bound n v - 1 + exp(-n (v + v^2)) on one letter's mean re-occurrence
+        # count; a letter above 3/5, where the bound drops its exponential, leaves the sum below
+        gain = math.log2(low.phi01) - theta.log2_values[:low.i2]
         reocc = nf * lv - 1.0 + absent_lower_bound(lv, n)
         reocc_counts = lc.copy()
         if split_last or s2_variant == "b2":
@@ -550,13 +549,12 @@ def lb_theorem4(analysis: SourceAnalysis,
         if s2_variant == "b1":
             s2 = exact_sum(pieces[reocc_counts > 0])
             if split_last:
-                s2 += (n * last_val - 1.0) * math.log2(low.phi01 / last_val)
+                s2 += (n * last_val - 1.0) * gain[-1]
                 notes.append("last low letter exceeds 3/5; split form applied")
         else:
             i1 = low.i1  # bin 0 is the head of the low region
-            # v ** 2 through libm's pow, which differs from numpy's v * v in the last bit
             head = (1.0 - nf ** -epsilon) * (n * n / 2.0) * exact_sum(
-                lc[:i1] * elementwise(lambda x: x ** 2, lv[:i1]) * gain[:i1])
+                lc[:i1] * lv[:i1] * lv[:i1] * gain[:i1])
             s2 = head + exact_sum(pieces[i1:][reocc_counts[i1:] > 0])
 
         # S3: worst-case first-occurrence penalty over the smallest low letters,

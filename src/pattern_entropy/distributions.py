@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -109,6 +110,13 @@ class ParamVector:
                 f"({MATERIALIZE_CAP}): use the grouped (values, counts) form"
             )
         return np.repeat(self.values, self.counts)
+
+    @cached_property
+    def log2_values(self) -> np.ndarray:
+        """libm's log2 of each value: the source's one log2 pass, read by H(X) and lb4."""
+        log2 = elementwise(math.log2, self.values)
+        log2.setflags(write=False)
+        return log2
 
     def groups(self) -> Iterator[tuple[float, int]]:
         for v, c in zip(self.values, self.counts):
@@ -258,7 +266,7 @@ def _two_level(params: dict, n: int | None) -> ParamVector:
 
 def entropy_terms(theta: ParamVector) -> np.ndarray:
     """Per-group c * v * log2(v); H(X) is minus their sum."""
-    return theta.counts * theta.values * elementwise(math.log2, theta.values)
+    return theta.counts * theta.values * theta.log2_values
 
 
 def iid_entropy(theta: ParamVector) -> float:

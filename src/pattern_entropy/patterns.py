@@ -128,20 +128,22 @@ def enumerate_patterns(n: int, k: int) -> Iterator[Pattern]:
     total = _count_patterns(n, k)
     if total > ENUMERATION_CAP:
         raise ResourceCapError(f"{total} patterns exceed the enumeration cap ({ENUMERATION_CAP})")
-    rgs = [1] * n
-    top = [1] * n  # top[j] = max(rgs[:j + 1])
-    while True:
-        yield Pattern(tuple(rgs))
-        # the next string raises the last entry that can grow and resets the rest to 1
-        j = n - 1
-        while j > 0 and rgs[j] >= min(top[j - 1] + 1, k):
-            j -= 1
-        if j == 0:
-            return
-        rgs[j] += 1
-        top[j] = max(top[j - 1], rgs[j])
-        rgs[j + 1:] = [1] * (n - j - 1)
-        top[j + 1:] = [top[j]] * (n - j - 1)
+    def walk():
+        rgs = [1] * n
+        top = [1] * n  # top[j] = max(rgs[:j + 1])
+        while True:
+            yield Pattern(tuple(rgs))
+            # the next string raises the last entry that can grow and resets the rest to 1
+            j = n - 1
+            while j > 0 and rgs[j] >= min(top[j - 1] + 1, k):
+                j -= 1
+            if j == 0:
+                return
+            rgs[j] += 1
+            top[j] = max(top[j - 1], rgs[j])
+            rgs[j + 1:] = [1] * (n - j - 1)
+            top[j + 1:] = [top[j]] * (n - j - 1)
+    return walk()
 
 
 def _partition_counts(n: int, max_parts: int) -> list[int]:
@@ -172,24 +174,26 @@ def enumerate_partitions(n: int, max_parts: int) -> Iterator[list[int]]:
     if total > ENUMERATION_CAP:
         raise ResourceCapError(f"{total} or more partitions exceed the enumeration cap "
                                f"({ENUMERATION_CAP})")
-    a = [0] * (n + 1)
-    j, y = 1, n - 1
-    while j:
-        x = a[j - 1] + 1
-        j -= 1
-        while 2 * x <= y and j + 3 <= max_parts:
-            a[j] = x
-            y -= x
-            j += 1
-        if j + 2 <= max_parts:
-            while x <= y:
-                a[j], a[j + 1] = x, y
-                yield a[:j + 2]
-                x += 1
-                y -= 1
-        a[j] = x + y
-        y = x + y - 1
-        yield a[:j + 1]
+    def walk():
+        a = [0] * (n + 1)
+        j, y = 1, n - 1
+        while j:
+            x = a[j - 1] + 1
+            j -= 1
+            while 2 * x <= y and j + 3 <= max_parts:
+                a[j] = x
+                y -= x
+                j += 1
+            if j + 2 <= max_parts:
+                while x <= y:
+                    a[j], a[j + 1] = x, y
+                    yield a[:j + 2]
+                    x += 1
+                    y -= 1
+            a[j] = x + y
+            y = x + y - 1
+            yield a[:j + 1]
+    return walk()
 
 
 def _log_sum_exp(terms: list[float]) -> float:

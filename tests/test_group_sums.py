@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pattern_entropy import bounds, cli, distributions, grids
+from pattern_entropy import _common, bounds, cli, distributions, grids
 from pattern_entropy._common import LOG2E, xlog2x
 from pattern_entropy.bounds import (DEFAULT_VARTHETA_MINUS, DEFAULT_VARTHETA_PLUS, SourceAnalysis,
                                     lb_theorem4, packed_entropies)
@@ -64,15 +64,15 @@ def _ref_s2_s3(analysis: SourceAnalysis, s2_variant: str, s3_from_origin: bool):
             if split_last and vv == last_val:
                 cc -= 1
             if cc > 0:
-                pieces.append(cc * _ref_s2_factor(vv, n) * math.log2(low.phi01 / vv))
+                pieces.append(cc * _ref_s2_factor(vv, n) * (math.log2(low.phi01) - math.log2(vv)))
         s2 = math.fsum(pieces)
         if split_last:
-            s2 += (n * last_val - 1.0) * math.log2(low.phi01 / last_val)
+            s2 += (n * last_val - 1.0) * (math.log2(low.phi01) - math.log2(last_val))
     else:
         bin0 = lv <= low.thr1
         head = (1.0 - float(n) ** -epsilon) * (n * n / 2.0) * math.fsum(
-            float(cc) * float(vv) ** 2 * math.log2(low.phi01 / float(vv))
-            for vv, cc in zip(lv[bin0], lc[bin0])
+            float(cc) * vv * vv * (math.log2(low.phi01) - math.log2(vv))
+            for vv, cc in zip(lv[bin0].tolist(), lc[bin0])
         )
         pieces = []
         for vv, cc in zip(lv[~bin0], lc[~bin0]):
@@ -80,7 +80,7 @@ def _ref_s2_s3(analysis: SourceAnalysis, s2_variant: str, s3_from_origin: bool):
             if vv == last_val:
                 cc -= 1
             if cc > 0:
-                pieces.append(cc * _ref_s2_factor(vv, n) * math.log2(low.phi01 / vv))
+                pieces.append(cc * _ref_s2_factor(vv, n) * (math.log2(low.phi01) - math.log2(vv)))
         s2 = head + math.fsum(pieces)
 
     L01 = low.L01
@@ -138,9 +138,9 @@ _SPLIT_LAST = ParamVector.from_probs([0.39, 0.61])
 @example((_SINGLE_LETTER, 5, 0.3))
 @example((_SPLIT_LAST, 2, 0.3))
 @example((ParamVector.from_groups([0.05, 0.1, 0.2], [4, 2, 3]), 20, 0.3))
-# a bin-0 letter whose libm square v ** 2 and numpy's v * v give different S2 bits
+# a bin-0 letter whose libm v ** 2 and v * v differ: b2's S2 squares with v * v, as sq0 does
 @example((_with_top_letter([1.9745215947955656e-06], [100]), 10**4, 0.1))
-# low letters where numpy's log2(phi01 / v) and libm's give different S2 bits
+# low letters where numpy's log2 and libm's differ: S2 reads libm's log2(v), as H(X) does
 @example((_with_top_letter([3.196558984255604e-05, 0.000473976416888107], [20, 28]), 10**4, 0.3))
 def test_array_sums_are_bit_identical(case):
     theta, n, epsilon = case
@@ -265,6 +265,45 @@ def test_default_table_evaluates_each_group_sum_once(monkeypatch):
     assert max(numpy_sizes, default=0) < 100_000
 
 
+# zipf (k, exponent, n, eps) where numpy's pairwise np.sum of phi1's products is not
+# their correctly rounded sum
+@pytest.mark.parametrize("k, exponent, n, epsilon", [
+    (50_000, 1.1, 10**6, 0.4), (2_000, 1.1, 10**4, 0.4), (100_000, 1.05, 10**6, 0.3)])
+def test_low_region_sums_are_correctly_rounded(k, exponent, n, epsilon):
+    theta = distributions.make_distribution(
+        distributions.SourceSpec("zipf", {"k": k, "exponent": exponent}))
+    low = SourceAnalysis(theta, n, epsilon).low
+    v, c, i1, i2 = theta.values, theta.counts, low.i1, low.i2
+    assert low.phi0 == math.fsum((c[:i1] * v[:i1]).tolist())
+    assert low.phi1 == math.fsum((c[i1:i2] * v[i1:i2]).tolist())
+    assert low.sq0 == math.fsum((c[:i1] * v[:i1] * v[:i1]).tolist())
+
+
+def test_default_table_makes_four_libm_passes(monkeypatch):
+    """The bounds-zipf table: log2 once over the groups (H(X) and lb4's S2 share
+    it), log1p and exp for the absent probabilities, and exp for lb4's
+    e^-n(v+v^2) over the low groups."""
+    cfg = cli.parse_config({
+        "source": {"family": "zipf", "params": {"k": 50_000, "exponent": 1.1}},
+        "n": 10**6, "epsilon": 0.4,
+    })
+    low_groups = SourceAnalysis(distributions.make_distribution(cfg.source), 10**6, 0.4).low.i2
+    passes = []
+    real = _common.elementwise
+
+    def recording(f, x):
+        passes.append((f.__name__, np.size(x)))
+        return real(f, x)
+
+    # bounds imports no elementwise; one put back there would be recorded too
+    for module in (distributions, grids, bounds):
+        monkeypatch.setattr(module, "elementwise", recording, raising=False)
+    rows = cli.run_bounds(cfg)
+    assert len(rows) == 10 and all(r["error"] == "" for r in rows)
+    assert sorted(passes) == [("exp", low_groups), ("exp", 50_000), ("log1p", 50_000),
+                              ("log2", 50_000)]
+
+
 def test_range_reads_the_analysis_entropy(monkeypatch):
     """The range bound takes H(X) from the analysis: with it in the table,
     the per-group c * v * log2(v) terms are still made once."""
@@ -332,9 +371,9 @@ def test_slices_select_what_the_threshold_masks_selected(case):
     m1 = (v > low.thr1) & (v <= low.thr2)
     mlow = v <= low.thr2
     assert (low.k0, low.k1) == (int(c[m0].sum()), int(c[m1].sum()))
-    assert low.phi0 == float(np.sum(c[m0] * v[m0]))
-    assert low.phi1 == float(np.sum(c[m1] * v[m1]))
-    assert low.sq0 == float(np.sum(c[m0] * v[m0] ** 2))
+    assert low.phi0 == math.fsum((c[m0] * v[m0]).tolist())
+    assert low.phi1 == math.fsum((c[m1] * v[m1]).tolist())
+    assert low.sq0 == math.fsum((c[m0] * v[m0] * v[m0]).tolist())
     assert low.L0 == math.fsum((c[m0] * occ[m0]).tolist())
     assert low.L1 == math.fsum((c[m1] * occ[m1]).tolist())
     assert np.array_equal(low.low_values, v[mlow]) and np.array_equal(low.low_counts, c[mlow])

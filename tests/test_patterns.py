@@ -131,8 +131,9 @@ class TestEnumerate:
             assert _count_patterns(n, n) == bell
 
     def test_cap_guard(self):
+        # the call raises, before any pattern is asked for
         with pytest.raises(ResourceCapError):
-            list(enumerate_patterns(40, 40))
+            enumerate_patterns(40, 40)
 
     def test_lexicographic_order_of_every_pattern(self):
         for n in range(1, 7):
@@ -193,7 +194,7 @@ class TestPartitions:
 
     def test_cap_guard(self):
         with pytest.raises(ResourceCapError, match="enumeration cap"):
-            next(enumerate_partitions(200, 200))
+            enumerate_partitions(200, 200)
 
 
 class TestProfileProbability:
@@ -668,9 +669,10 @@ class TestBinSequence:
     (lambda: Pattern(()), "pattern must be non-empty"),
     (lambda: _count_patterns(0, 1), "need n >= 1 and k >= 1"),
     (lambda: _count_patterns(3, 0), "need n >= 1 and k >= 1"),
-    (lambda: next(enumerate_partitions(0, 1)), "need n >= 1 and max_parts >= 1"),
-    (lambda: next(enumerate_partitions(3, 0)), "need n >= 1 and max_parts >= 1"),
-], ids=["empty_pattern", "count_n", "count_k", "partitions_n", "partitions_parts"])
+    (lambda: enumerate_patterns(0, 1), "need n >= 1 and k >= 1"),
+    (lambda: enumerate_partitions(0, 1), "need n >= 1 and max_parts >= 1"),
+    (lambda: enumerate_partitions(3, 0), "need n >= 1 and max_parts >= 1"),
+], ids=["empty_pattern", "count_n", "count_k", "patterns_n", "partitions_n", "partitions_parts"])
 def test_validation_raises(call, words):
     with pytest.raises(ValueError, match=words):
         call()

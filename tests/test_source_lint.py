@@ -216,27 +216,35 @@ def test_profile_routes_are_chosen_in_one_place():
     assert ("patterns", "ProfileProbability") in _package_sites("_fold")
 
 
-def _range_sites(text):
-    """(line, enclosing definition, as ``Class.method`` inside a class) of every
-    cut ``min(..., 0.0)``, also as ``np.minimum``, and every ``return -<...>.inf``
-    in ``text``."""
-    found = []
+def _members(text):
+    """(name, node) of every top-level statement of ``text``, with each member of
+    a top-level class apart and named ``Class.method``; None names a module-level
+    statement."""
     for top in ast.parse(text).body:
         members = top.body if isinstance(top, ast.ClassDef) else [top]
         for member in members:
             where = getattr(member, "name", None)
             if member is not top:
                 where = f"{top.name}.{where}" if where else top.name
-            for node in ast.walk(member):
-                func = getattr(node, "func", None)
-                cut = (getattr(func, "id", getattr(func, "attr", None)) in ("min", "minimum")
-                       and any(isinstance(a, ast.Constant) and isinstance(a.value, float) and a.value == 0.0
-                               for a in node.args))
-                minus_inf = (isinstance(node, ast.Return) and isinstance(node.value, ast.UnaryOp)
-                             and isinstance(node.value.op, ast.USub)
-                             and getattr(node.value.operand, "attr", None) == "inf")
-                if cut or minus_inf:
-                    found.append((node.lineno, where))
+            yield where, member
+
+
+def _range_sites(text):
+    """(line, enclosing definition, as ``Class.method`` inside a class) of every
+    cut ``min(..., 0.0)``, also as ``np.minimum``, and every ``return -<...>.inf``
+    in ``text``."""
+    found = []
+    for where, member in _members(text):
+        for node in ast.walk(member):
+            func = getattr(node, "func", None)
+            cut = (getattr(func, "id", getattr(func, "attr", None)) in ("min", "minimum")
+                   and any(isinstance(a, ast.Constant) and isinstance(a.value, float) and a.value == 0.0
+                           for a in node.args))
+            minus_inf = (isinstance(node, ast.Return) and isinstance(node.value, ast.UnaryOp)
+                         and isinstance(node.value.op, ast.USub)
+                         and getattr(node.value.operand, "attr", None) == "inf")
+            if cut or minus_inf:
+                found.append((node.lineno, where))
     return found
 
 
@@ -259,6 +267,39 @@ def test_range_guard_sees_every_form():
             "def h(x):\n"
             "    return min(x, 1.0), max(x, 0.0), -math.inf, min(x, 0)\n")
     assert _range_sites(text) == [(3, "C.f"), (6, "C.g"), (7, "C.g"), (7, "C.g")]
+
+
+def _elementwise_sites(text):
+    """(line, enclosing definition as in ``_range_sites``, function passed) of every
+    ``elementwise`` call in ``text``; the function is its last name, e.g. ``log2``
+    for ``math.log2``, and None for a lambda."""
+    for where, member in _members(text):
+        for node in ast.walk(member):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "elementwise":
+                f = node.args[0] if node.args else None
+                yield node.lineno, where, getattr(f, "attr", getattr(f, "id", None))
+
+
+def test_libm_log2_is_taken_once_per_source():
+    # ParamVector.log2_values caches the one libm log2 pass over a source's values;
+    # H(X) and lb4's S2 read it, and the bounds make no per-group libm pass of their own
+    sites = {p.stem: list(_elementwise_sites(p.read_text(encoding="utf-8"))) for p in SRC}
+    assert [(module, where) for module, found in sites.items()
+            for _, where, f in found if f == "log2"] == [("distributions", "ParamVector.log2_values")]
+    assert sites["bounds"] == []
+
+
+def test_elementwise_guard_sees_every_form():
+    text = ("class P:\n"
+            "    def log2_values(self):\n"
+            "        return elementwise(math.log2, self.values)\n"
+            "def f(v):\n"
+            "    return _common.elementwise(lambda x: x ** 2, v) + elementwise(log2, v)\n"
+            "g = elementwise(math.exp, w)\n"
+            "h = elementwise\n")
+    assert list(_elementwise_sites(text)) == [(3, "P.log2_values", "log2"), (5, "f", None),
+                                              (5, "f", "log2"), (6, None, "exp")]
 
 
 def test_attribute_sites_name_the_enclosing_definition():
