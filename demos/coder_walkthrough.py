@@ -30,7 +30,7 @@ print("per-bin model parameters (only occupied bins):")
 for b in range(model.num_bins):
     if model.kbins[b]:
         print(f"  bin {b}: k_b={model.kbins[b]}  phi_b={model.phi[b]:.4f}  "
-              f"rho_b={model.rho[b]:.5f}  L_b={model.L[b]:.4f}")
+              f"rho_b={model.rho[b]:.5f}  ell_b=min(k_b, n)={min(model.kbins[b], n)}")
 
 x = sample_sequence(theta, n, seed=seed)
 psi = extract_pattern(x)

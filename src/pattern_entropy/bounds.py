@@ -92,8 +92,8 @@ class SourceAnalysis:
 
     Each field is built on first read and kept for the life of the object, so
     a bound that never reads a grid never builds it, and a table of bounds
-    builds each grid, its bin statistics, the low split and the packed
-    entropies once.
+    builds each grid, its split by bin, each permutation deduction, the low
+    split and the packed entropies once.
     """
 
     theta: ParamVector
@@ -137,7 +137,7 @@ class SourceAnalysis:
 
     @cached_property
     def eta_stats(self) -> BinStats:
-        return bin_stats(self.eta_grid, self.theta, occupancy=self.occupancy)
+        return bin_stats(self.eta_grid, self.theta)
 
     @cached_property
     def xi_grid(self) -> Grid:
@@ -145,7 +145,7 @@ class SourceAnalysis:
 
     @cached_property
     def xi_stats(self) -> BinStats:
-        return bin_stats(self.xi_grid, self.theta, occupancy=self.occupancy)
+        return bin_stats(self.xi_grid, self.theta)
 
     @cached_property
     def tau_grid(self) -> Grid:
@@ -153,7 +153,22 @@ class SourceAnalysis:
 
     @cached_property
     def tau_stats(self) -> BinStats:
-        return bin_stats(self.tau_grid, self.theta, occupancy=self.occupancy)
+        return bin_stats(self.tau_grid, self.theta)
+
+    @cached_property
+    def eta_perm_deduction(self) -> float:
+        """Sum of log2(k_b!) over eta bins 2..A, read by ub1, ub3 and c1."""
+        return _perm_deduction_sum(self.eta_stats, self.eta_stats.counts, 2, self.eta_grid.A)
+
+    @cached_property
+    def xi_perm_deduction(self) -> float:
+        """Sum of log2(kappa_b!) over xi bins 1..A, read by lb2a and lb4's b1 S1."""
+        return _perm_deduction_sum(self.xi_stats, self.xi_stats.counts, 1, self.xi_grid.A)
+
+    @cached_property
+    def xi_overlap_perm_deduction(self) -> float:
+        """Sum of log2(kappa'_b!) over xi bins 1..A, read by lb2b and lb4's b2 S1."""
+        return _perm_deduction_sum(self.xi_stats, self.xi_stats.overlap(), 1, self.xi_grid.A)
 
     @cached_property
     def low(self) -> _LowStats:
@@ -217,12 +232,9 @@ def epsilon_n(n: int, epsilon: float) -> float:
     return math.exp(-0.1 * float(n) ** epsilon + (2.0 - epsilon) * math.log(n))
 
 
-def _perm_deduction_sum(bins: np.ndarray, counts: np.ndarray, lo: int, hi: int) -> float:
-    """Sum of log2(count!) over the occupied bins lo..hi inclusive.
-
-    ``counts`` is aligned with ``bins``, the ascending occupied-bin indices.
-    """
-    window = counts[(bins >= lo) & (bins <= hi)]
+def _perm_deduction_sum(stats: BinStats, counts: np.ndarray, lo: int, hi: int) -> float:
+    """Sum of log2(count!) over the occupied bins lo..hi of ``stats``, one count per bin."""
+    window = counts[slice(*np.searchsorted(stats.bins, (lo, hi + 1)).tolist())]
     return float(math.fsum(log2_factorial(int(m)) for m in window[window > 1]))
 
 
@@ -230,8 +242,6 @@ def ub_theorem1(analysis: SourceAnalysis, tighten: bool = False) -> BoundReport:
     """Upper bound for bounded-away probabilities: block entropy minus the
     discounted log permutation count within eta bins 2..A."""
     theta, n, epsilon = analysis.theta, analysis.n, analysis.epsilon
-    stats = analysis.eta_stats
-    perm = _perm_deduction_sum(stats.bins, stats.counts, 2, analysis.eta_grid.A)
     notes: list[str] = []
     eps_used = epsilon
     if tighten:
@@ -244,7 +254,7 @@ def ub_theorem1(analysis: SourceAnalysis, tighten: bool = False) -> BoundReport:
         name="ub_theorem1_tightened" if tighten else "ub_theorem1",
         terms=(
             ("block_entropy", n * analysis.h_x),
-            ("permutation_deduction", -(1.0 - eps_used) * perm),
+            ("permutation_deduction", -(1.0 - eps_used) * analysis.eta_perm_deduction),
         ),
         residual_flags=("o(k)",),
         valid=valid,
@@ -259,16 +269,13 @@ def lb_theorem2(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
     deducts the overlap-counter permutation count instead.
     """
     theta, n = analysis.theta, analysis.n
-    stats, A = analysis.xi_stats, analysis.xi_grid.A
     h_block = n * analysis.h_x
-    sum_a = _perm_deduction_sum(stats.bins, stats.counts, 1, A)
-    sum_b = _perm_deduction_sum(stats.bins, stats.kappa_prime, 1, A)
     valid = bool(theta.values[0] > analysis.low.thr2)
     rep_a = BoundReport(
         name="lb_theorem2_a",
         terms=(
             ("block_entropy", h_block),
-            ("permutation_deduction", -sum_a),
+            ("permutation_deduction", -analysis.xi_perm_deduction),
             ("bin_adjacency_deduction", -theta.k * math.log2(3.0)),
         ),
         residual_flags=("o(1)",),
@@ -278,7 +285,7 @@ def lb_theorem2(analysis: SourceAnalysis) -> tuple[BoundReport, BoundReport]:
         name="lb_theorem2_b",
         terms=(
             ("block_entropy", h_block),
-            ("overlap_permutation_deduction", -sum_b),
+            ("overlap_permutation_deduction", -analysis.xi_overlap_perm_deduction),
         ),
         residual_flags=("o(1)",),
         valid=valid,
@@ -294,10 +301,12 @@ def distinct_count_pmf(analysis: SourceAnalysis, b: int) -> np.ndarray:
     letters contribute binomial blocks convolved together.  This is a
     documented approximation (true occurrence indicators are weakly dependent);
     see the verification suite for the Monte Carlo / exact cross-checks.
-    The bin's groups and their occupancy are read from ``analysis``
-    (``tau_stats.group_bin``, ``occupancy`` and its complement ``absent``).
+    The bin's groups, a slice of the ascending groups found from
+    ``tau_stats``, and their occupancy are read from ``analysis``
+    (``occupancy`` and its complement ``absent``).
     """
-    sel = analysis.tau_stats.group_bin == b
+    stats = analysis.tau_stats
+    sel = slice(*stats.starts[np.searchsorted(stats.bins, (b, b + 1))].tolist())
     c = analysis.theta.counts[sel]
     total = int(c.sum())
     if total + 1 > PMF_CAP:
@@ -424,8 +433,6 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str) -> BoundReport:
     flags: tuple[str, ...] = ()
 
     if variant in ("ub3", "c1"):
-        stats = analysis.eta_stats
-        perm = _perm_deduction_sum(stats.bins, stats.counts, 2, analysis.eta_grid.A)
         flags = ("o-terms absorbed by the epsilon discount",)
         if variant == "ub3":
             t_reocc, t_h2, note1 = _bin1_packing_terms(low.phi1, low.L1, low.ell1, n, "bin1")
@@ -433,7 +440,7 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str) -> BoundReport:
             notes += note1 + note0
             terms = [
                 ("packed01_block_entropy", n * packed.h0_1),
-                ("permutation_deduction", -(1.0 - epsilon) * perm),
+                ("permutation_deduction", -(1.0 - epsilon) * analysis.eta_perm_deduction),
                 ("bin1_reoccurrence_cost", t_reocc),
                 ("bin1_occupancy_cost", t_h2),
                 ("bin0_packing_cost", t_bin0),
@@ -443,7 +450,7 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str) -> BoundReport:
             notes += note1
             terms = [
                 ("packed01merged_block_entropy", n * packed.h01),
-                ("permutation_deduction", -(1.0 - epsilon) * perm),
+                ("permutation_deduction", -(1.0 - epsilon) * analysis.eta_perm_deduction),
                 ("bin01_reoccurrence_cost", t_reocc),
                 ("bin01_occupancy_cost", t_h2),
             ]
@@ -456,21 +463,18 @@ def ub_theorem3_family(analysis: SourceAnalysis, variant: str) -> BoundReport:
                 ("bin0_packing_cost", t_bin0),
             ]
         else:
-            tstats, A = analysis.tau_stats, analysis.tau_grid.A
+            tstats = analysis.tau_stats
+            inside = slice(*np.searchsorted(tstats.bins, (1, analysis.tau_grid.A + 1)).tolist())
             gain = 0.0
-            for b, cb, Lb in zip(tstats.bins.tolist(), tstats.counts.tolist(), tstats.L.tolist()):
-                if not 1 <= b <= A:
-                    continue
-                if variant == "c2_loosened":
+            if variant == "c2_loosened":
+                for Lb in tstats.sums(analysis.theta.counts * analysis.occupancy)[inside].tolist():
                     gain += Lb * math.log2(Lb / math.e)
-                else:
+            else:
+                for b, cb in zip(tstats.bins[inside].tolist(), tstats.counts[inside].tolist()):
                     pmf = distinct_count_pmf(analysis, b)
                     lf_cb = log2_factorial(cb)
-                    gain += math.fsum(
-                        float(pmf[m]) * (lf_cb - log2_factorial(cb - m))
-                        for m in range(len(pmf))
-                        if pmf[m] > 0.0
-                    )
+                    gain += math.fsum(float(pmf[m]) * (lf_cb - log2_factorial(cb - m))
+                                      for m in range(len(pmf)) if pmf[m] > 0.0)
             big = (tstats.bins >= 1) & (tstats.counts > 1)
             crowd = float(np.sum(tstats.counts[big]))
             divergence = 9.0 * LOG2E / float(n) ** epsilon * crowd
@@ -520,14 +524,13 @@ def lb_theorem4(analysis: SourceAnalysis,
         raise ValueError("variants must be 'b1' or 'b2'")
     theta, n, epsilon = analysis.theta, analysis.n, analysis.epsilon
     low = analysis.low
-    xstats, A = analysis.xi_stats, analysis.xi_grid.A
 
     if s1_variant == "b1":
+        xstats = analysis.xi_stats
         kappa0 = int(xstats.counts[xstats.bins == 0].sum())
-        s1 = (_perm_deduction_sum(xstats.bins, xstats.counts, 1, A)
-              + (theta.k - kappa0) * math.log2(3.0))
+        s1 = analysis.xi_perm_deduction + (theta.k - kappa0) * math.log2(3.0)
     else:
-        s1 = _perm_deduction_sum(xstats.bins, xstats.kappa_prime, 1, A)
+        s1 = analysis.xi_overlap_perm_deduction
 
     s2 = 0.0
     s3 = 0.0

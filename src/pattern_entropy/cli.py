@@ -38,7 +38,7 @@ from .bounds import (
     ub_theorem1,
     ub_theorem3_family,
 )
-from .coder import CoderModel, roundtrip
+from .coder import CoderModel, _check_cap, roundtrip
 from .distributions import FAMILY_PARAMS, SourceSpec, make_distribution, sample_sequence
 from .grids import build_grid
 from .oracle import exact_entropies, mc_pattern_entropy
@@ -422,12 +422,13 @@ def run_region_sweep(cfg: RunConfig) -> list[dict]:
 def run_code(cfg: RunConfig) -> tuple[list[dict], bool]:
     """Round-trip sampled sequences through the coder; returns (rows, all_ok)."""
     theta = _theta(cfg, "code", "code")
-    rng = np.random.default_rng(cfg.code["seed"])
-    grid = build_grid("eta", cfg.n, cfg.epsilon)
-    model = CoderModel.from_source(theta, grid, cfg.n)
+    _check_cap(cfg.n)  # both caps before the grid and the model are built
     if cfg.code["count"] * cfg.n > CODE_SYMBOLS_CAP:
         raise ResourceCapError(f"{cfg.code['count']} streams of {cfg.n} symbols exceed "
                                f"CODE_SYMBOLS_CAP ({CODE_SYMBOLS_CAP})")
+    rng = np.random.default_rng(cfg.code["seed"])
+    grid = build_grid("eta", cfg.n, cfg.epsilon)
+    model = CoderModel.from_source(theta, grid, cfg.n)
     rows = []
     all_ok = True
     for trial in range(cfg.code["count"]):

@@ -56,7 +56,7 @@ import numpy as np
 
 from ._common import ResourceCapError
 from .distributions import ParamVector
-from .grids import Grid, bin_stats
+from .grids import Grid, absent_probability, bin_stats
 
 __all__ = [
     "CoderModel", "CoderState", "Bitstring", "DecodeError",
@@ -80,21 +80,18 @@ class CoderModel:
     """Frozen per-bin parameters of the probability assignment.
 
     The per-bin fields take any sequence or array and are stored as tuples of
-    Python numbers (floats for ``phi``, ``rho`` and ``L``, ints for ``kbins``
-    and ``ell``), built once; a coder step indexes them directly.
+    Python numbers (floats for ``phi`` and ``rho``, ints for ``kbins``), built
+    once; a coder step indexes them directly.  ell_b = min(k_b, n) is derived.
     """
 
     n: int
     phi: tuple[float, ...]
     rho: tuple[float, ...]
     kbins: tuple[int, ...]
-    ell: tuple[int, ...]
-    L: tuple[float, ...]
     num_bins: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, dtype in (("phi", float), ("rho", float), ("kbins", np.int64),
-                            ("ell", np.int64), ("L", float)):
+        for name, dtype in (("phi", float), ("rho", float), ("kbins", np.int64)):
             values = np.asarray(getattr(self, name), dtype=dtype)
             object.__setattr__(self, name, tuple(values.tolist()))
         phi, rho = self.phi, self.rho
@@ -102,7 +99,7 @@ class CoderModel:
             raise ValueError("per-letter rates must be non-negative")
         for b in (0, 1):
             if b < len(phi) and self.kbins[b] > 0:
-                remaining = phi[b] - (self.ell[b] - 1) * rho[b]
+                remaining = phi[b] - (min(self.kbins[b], self.n) - 1) * rho[b]
                 if remaining <= 0.0:
                     raise ValueError(
                         f"bin {b}: rate leaves no first-occurrence mass ({remaining})"
@@ -143,23 +140,23 @@ class CoderModel:
             raise ValueError(f"grid was built for n={grid.n}, not {n}")
         _check_cap(n)
         stats = bin_stats(grid, theta)
-        occupied = stats.bins
-        total_num, total_shift = _dyadic_sum(stats.phi.tolist())
+        occupied, counts = stats.bins, stats.counts
+        mass = stats.sums(theta.counts * theta.values)
+        L = stats.sums(theta.counts * (1.0 - absent_probability(theta.values, n)))
+        total_num, total_shift = _dyadic_sum(mass.tolist())
         if total_num <= 1 << total_shift:
-            scale, exact = 1.0 - 2.0**-50, (occupied >= 2) & (stats.counts == 1)
+            scale, exact = 1.0 - 2.0**-50, (occupied >= 2) & (counts == 1)
         else:
             scale, exact = (1.0 - 2.0**-50) / (total_num / (1 << total_shift)), False
         phi = np.zeros(grid.num_bins, dtype=float)
         kbins = np.zeros(grid.num_bins, dtype=np.int64)
-        L = np.zeros(grid.num_bins, dtype=float)
         rho = np.zeros(grid.num_bins, dtype=float)
-        phi_occ = np.where(exact, stats.phi, stats.phi * scale)
-        phi[occupied], kbins[occupied], L[occupied] = phi_occ, stats.counts, stats.L
-        ell = np.minimum(kbins, n)
-        reserve = n * phi_occ - stats.L
-        rho[occupied] = np.where((occupied <= 1) & (reserve > 0.0), reserve / (n * ell[occupied]),
-                                 phi_occ / stats.counts)
-        return cls(n=n, phi=phi, rho=rho, kbins=kbins, ell=ell, L=L)
+        phi_occ = np.where(exact, mass, mass * scale)
+        phi[occupied], kbins[occupied] = phi_occ, counts
+        reserve = n * phi_occ - L
+        rho[occupied] = np.where((occupied <= 1) & (reserve > 0.0),
+                                 reserve / (n * np.minimum(counts, n)), phi_occ / counts)
+        return cls(n=n, phi=phi, rho=rho, kbins=kbins)
 
 
 @dataclass

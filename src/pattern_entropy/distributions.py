@@ -146,7 +146,8 @@ def make_distribution(spec: SourceSpec) -> ParamVector:
     """Construct the ParamVector described by ``spec``.
 
     Each family reads the parameter names ``FAMILY_PARAMS`` lists for it; any
-    other name, and a missing or out-of-range value, raises ValueError.
+    other name, a missing or out-of-range value, and a ``k`` that is not a
+    whole number (2000.0 is one), raises ValueError.
     n-relative families round letter counts to integers and rescale the second
     level's per-letter mass so the total is exactly 1.  A rescaling factor off
     by more than 10% is treated as a parameter error.
@@ -158,12 +159,12 @@ def make_distribution(spec: SourceSpec) -> ParamVector:
                              f"expected one of {FAMILY_PARAMS[family]}")
     if family == "explicit":
         probs = params.get("probs")
-        if not probs:
+        if probs is None or np.size(probs) == 0:
             raise ValueError("explicit family requires a 'probs' list")
         return ParamVector.from_probs(probs)
     if family == "uniform":
         if "k" in params:
-            k = int(params["k"])
+            k = _letter_count(params, family)
         elif "nu" in params:
             if n is None:
                 raise ValueError("uniform family with 'nu' requires the horizon n")
@@ -177,7 +178,7 @@ def make_distribution(spec: SourceSpec) -> ParamVector:
     if family == "two-level":
         return _two_level(params, n)
     # geometric and zipf, the last families SourceSpec admits, list every letter
-    k = int(_required(params, "k", family))
+    k = _letter_count(params, family)
     if k > MATERIALIZE_CAP:
         raise ResourceCapError(f"{family} k = {k} letters exceed the materialization cap "
                                f"MATERIALIZE_CAP ({MATERIALIZE_CAP})")
@@ -196,6 +197,15 @@ def _required(params: dict, name: str, family: str):
     if name not in params:
         raise ValueError(f"{family} family requires {name!r}")
     return params[name]
+
+
+def _letter_count(params: dict, family: str) -> int:
+    """The parameter ``k`` as an int; a bool, a string or a fraction raises."""
+    k = _required(params, "k", family)
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer))
+                                   or isinstance(k, float) and k.is_integer()):
+        raise ValueError(f"{family} family parameter 'k' must be a whole number, got {k!r}")
+    return int(k)
 
 
 def _n_power(n, exponent: float, what: str) -> float:

@@ -1,4 +1,5 @@
-"""Probability-space grids, bin statistics, and per-letter occurrence formulas.
+"""Probability-space grids, the split of a source's groups by bin, and per-letter
+occurrence formulas.
 
 Three square-law point sets partition (0, 1]: ``tau`` (point b is b^2/n^(1+eps)),
 ``eta`` ((b+s)^2/n^(1+2*eps) above two low points, s = floor(n^(1.5*eps)) - 2) and
@@ -173,25 +174,33 @@ def bin_index(grid: Grid, theta):
 
 @dataclass(frozen=True)
 class BinStats:
-    """Counts, masses and occupancy means of one source over one grid,
-    one row per occupied bin.
+    """The split of one source's ascending groups by the occupied bins of a grid.
 
-    ``group_bin`` is the bin of each (value, count) group of the source, and
-    ``bins`` the ascending indices of the bins holding at least one group.
-    The rows are aligned with ``bins``: ``counts`` are distinct-letter counts
-    (the c/k/kappa counters, depending on the grid kind), ``phi`` the total
-    probability mass and ``L`` the expected number of distinct bin letters
-    appearing in n draws.  xi grids also carry the overlap counters
-    ``kappa_prime``: the letters of bins b-1..b+1 (of bins 1..2 for bin 1, 0 on
-    bin 0).
+    ``bins`` are the ascending bins holding a group, ``starts[r]:starts[r + 1]``
+    the groups of bin ``bins[r]`` (the last entry is the group count) and
+    ``counts[r]`` its letters (the c/k/kappa counters of the grid kind); a
+    reader takes any other per-bin sum with :meth:`sums`.
     """
 
-    group_bin: np.ndarray
     bins: np.ndarray
+    starts: np.ndarray
     counts: np.ndarray
-    phi: np.ndarray
-    L: np.ndarray
-    kappa_prime: np.ndarray | None = None
+
+    def sums(self, per_group: np.ndarray) -> np.ndarray:
+        """Sum of ``per_group`` over each occupied bin's groups, one entry per bin;
+        ``np.bincount`` adds them in group order, as a sequential sum does."""
+        row = np.repeat(np.arange(len(self.bins)), np.diff(self.starts))
+        return np.bincount(row, weights=per_group)
+
+    def overlap(self) -> np.ndarray:
+        """The xi overlap counters kappa'_b, one per occupied bin: the letters
+        of bins b-1..b+1 (of bins 1..2 for bin 1, none for bin 0), a difference
+        of cumulative counts over the occupied bins."""
+        bins = self.bins
+        cum = np.concatenate([[0], np.cumsum(self.counts)])
+        window = (cum[np.searchsorted(bins, bins + 1, side="right")]
+                  - cum[np.searchsorted(bins, np.maximum(bins - 1, 1))])
+        return np.where(bins >= 1, window, 0)
 
 
 def absent_probability(theta: np.ndarray, n: int) -> np.ndarray:
@@ -210,42 +219,21 @@ def absent_lower_bound(theta: np.ndarray, n: int) -> np.ndarray:
     return np.where(theta <= 0.6, bound, 0.0)
 
 
-def bin_stats(grid: Grid, theta: ParamVector, *, occupancy: np.ndarray | None = None) -> BinStats:
-    """Aggregate counts / masses / occupancy means of ``theta`` over the occupied
-    bins of ``grid``.
+def bin_stats(grid: Grid, theta: ParamVector) -> BinStats:
+    """Split the groups of ``theta`` by the occupied bins of ``grid``.
 
-    ``occupancy`` is the per-group 1 - (1 - theta)^n for n = grid.n; pass it
-    when it is already at hand so several grids share one evaluation.  Nothing
-    of the grid's length is allocated: a source of G groups gives at most G rows.
+    Nothing of the grid's length is allocated: a source of G groups gives at
+    most G bins.
     """
-    n = grid.n
-    values, mult = theta.values, theta.counts
-    group_bin = bin_index(grid, values)
+    group_bin = bin_index(grid, theta.values)
     # values ascend and bin_index is monotone, so group_bin is sorted: each
-    # run of equal bins is one occupied bin, and row is the run number
+    # run of equal bins is one occupied bin
     run_start = np.empty(len(group_bin), dtype=bool)
     run_start[0] = True
     np.not_equal(group_bin[1:], group_bin[:-1], out=run_start[1:])
-    bins = group_bin[run_start]
-    row = np.cumsum(run_start) - 1
-    occ = occupancy
-    if occ is None:
-        occ = 1.0 - absent_probability(values, n)
-    counts = np.add.reduceat(mult, np.flatnonzero(run_start))
-    # bincount adds each row's groups in group order, as a sequential sum does
-    phi = np.bincount(row, weights=mult * values)
-    L = np.bincount(row, weights=mult * occ)
-
-    kappa_prime = None
-    if grid.kind == "xi":
-        # kappa'_b counts the letters of bins b-1..b+1 (bins 1..2 for bin 1, none
-        # for bin 0): a difference of cumulative counts over the occupied bins
-        cum = np.concatenate([[0], np.cumsum(counts)])
-        window = (cum[np.searchsorted(bins, bins + 1, side="right")]
-                  - cum[np.searchsorted(bins, np.maximum(bins - 1, 1))])
-        kappa_prime = np.where(bins >= 1, window, 0)
-    return BinStats(group_bin=group_bin, bins=bins, counts=counts, phi=phi, L=L,
-                    kappa_prime=kappa_prime)
+    starts = np.flatnonzero(run_start)
+    return BinStats(bins=group_bin[starts], starts=np.append(starts, len(group_bin)),
+                    counts=np.add.reduceat(theta.counts, starts))
 
 
 @dataclass(frozen=True)

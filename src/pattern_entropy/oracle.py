@@ -33,7 +33,7 @@ import numpy as np
 from ._common import LN2, ResourceCapError, exact_sum
 from .coder import CoderModel, CoderState, next_symbol_prob
 from .distributions import ParamVector, iid_entropy, sample_sequence
-from .grids import Grid, bin_index
+from .grids import Grid, bin_stats
 from .patterns import ENUMERATION_CAP, ProfileProbability, _partition_counts, enumerate_partitions
 
 # cells n * min(n, k) of one call's occupancy chains (occupancy_pmf), plus
@@ -239,9 +239,9 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     """
     if model is None:
         model = CoderModel.from_source(theta, grid, n)
-    bins, starts = np.unique(bin_index(grid, theta.values), return_index=True)
+    stats = bin_stats(grid, theta)
     groups = [(theta.values[lo:hi].tolist(), theta.counts[lo:hi].tolist())
-              for lo, hi in zip(starts, [*starts[1:], len(theta.values)])]
+              for lo, hi in zip(stats.starts.tolist(), stats.starts[1:].tolist())]
     phis = [math.fsum(k * v for v, k in zip(*group)) for group in groups]
     laws = [(*group, phi, math.fsum(p for j, p in enumerate(phis) if j != i))
             for i, (group, phi) in enumerate(zip(groups, phis))]
@@ -253,7 +253,7 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     h_pattern = math.fsum(terms)
     results = [(weights, terms)] if one_bin else [_bin_law(n, *law, log_p) for law in laws]
     code, zero_at = [], math.inf
-    for b, (_, counts, _, _), (weights, _) in zip(bins.tolist(), laws, results):
+    for b, (_, counts, _, _), (weights, _) in zip(stats.bins.tolist(), laws, results):
         top = min(n, sum(counts))
         bits = _step_bits(model, b, top)[:weights.size]
         # a re-occurrence's earliest position is 1

@@ -354,7 +354,7 @@ def check_example_reproduction() -> CheckResult:
     for n_tv in (10**3, 10**4):
         theta = make_distribution(SourceSpec("uniform", {"nu": nu}, n_tv))
         analysis = SourceAnalysis(theta, n_tv, eps)
-        surrogate = distinct_count_pmf(analysis, int(analysis.tau_stats.group_bin[0]))
+        surrogate = distinct_count_pmf(analysis, int(analysis.tau_stats.bins[0]))
         occupancy_tv[n_tv] = 0.5 * exact_sum(np.abs(surrogate - occupancy_pmf(theta.k, n_tv)))
 
     # two levels: low mass at 1/n^(1+mu), second level at 1/n^(1-nu)

@@ -204,6 +204,19 @@ class TestUbTheorem3Family:
 
 
 class TestDistinctCountPmf:
+    def test_unoccupied_bin_holds_no_letter(self):
+        # tau(n = 100, eps = 0) has points b^2/100: the letters sit in bins 1, 3
+        # and 9, so bin 2 lies between two occupied bins and takes neither's groups
+        pv = ParamVector.from_probs([0.02, 0.1, 0.88])
+        analysis = SourceAnalysis(pv, 100, 0.0)
+        assert analysis.tau_stats.bins.tolist() == [1, 3, 9]
+        for b in range(analysis.tau_grid.num_bins):
+            pmf = distinct_count_pmf(analysis, b).tolist()
+            if b in (1, 3, 9):
+                assert len(pmf) == 2
+            else:
+                assert pmf == [1.0]
+
     def test_surrogate_close_to_exact(self):
         pv = ParamVector.from_probs([0.1, 0.12, 0.38, 0.4])
         n = 12
@@ -224,7 +237,7 @@ class TestDistinctCountPmf:
         n = 9
         analysis = SourceAnalysis(pv, n, 0.0)
         st = analysis.tau_stats
-        for b, Lb in zip(st.bins, st.L):
+        for b, Lb in zip(st.bins, st.sums(pv.counts * analysis.occupancy)):
             pmf = distinct_count_pmf(analysis, int(b))
             mean = float(np.dot(np.arange(len(pmf)), pmf))
             assert abs(mean - Lb) <= 1e-9
@@ -237,7 +250,7 @@ class TestDistinctCountPmf:
         k, n = 50, 1000
         pv = ParamVector.from_probs([1 / k] * k)
         analysis = SourceAnalysis(pv, n, 0.4)
-        pmf = distinct_count_pmf(analysis, int(analysis.tau_stats.group_bin[0]))
+        pmf = distinct_count_pmf(analysis, int(analysis.tau_stats.bins[0]))
         with localcontext() as ctx:
             ctx.prec = 50
             q = (1 - Decimal(float(pv.values[0]))) ** n

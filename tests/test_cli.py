@@ -341,7 +341,10 @@ class TestBoundsCommand:
             raise AssertionError("work started past the cap")
         for name in ("arange", "geomspace", "linspace"):
             monkeypatch.setattr(np, name, refuse)
-        monkeypatch.setattr(cli, "sample_sequence", refuse)
+        # nor the code run's grid and coder model
+        for owner, name in ((cli, "sample_sequence"), (cli, "build_grid"),
+                            (cli.CoderModel, "from_source")):
+            monkeypatch.setattr(owner, name, refuse)
         for command in commands:
             cfg = write_config(tmp_path, {**NEEDS.get(command, {}), **doc})
             assert cli.main([command, "--config", cfg]) == 3, command

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,11 @@ from pattern_entropy.oracle import exact_entropies
 from pattern_entropy.patterns import bin_sequence, extract_pattern
 
 
+def _occupancy(pv, n):
+    """Per-group probability 1 - (1 - theta)^n that a letter occurs in n draws."""
+    return 1.0 - grids.absent_probability(pv.values, n)
+
+
 def three_letter_single_bin_model():
     """Synthetic model: one bin (index 2) holding three letters of total mass 1."""
     return CoderModel(
@@ -32,8 +38,6 @@ def three_letter_single_bin_model():
         phi=np.array([0.0, 0.0, 1.0]),
         rho=np.array([0.0, 0.0, 1.0 / 3.0]),
         kbins=np.array([0, 0, 3]),
-        ell=np.array([0, 0, 3]),
-        L=np.array([0.0, 0.0, 3.0]),
     )
 
 
@@ -154,7 +158,7 @@ class TestDescriptionLengthDecomposition:
                 else:
                     # low-bin cost: re-occurrences at rho, first occurrences at
                     # the remaining mass
-                    Lb = float(model.L[b])
+                    Lb = math.fsum(1.0 - (1.0 - p) ** n for p in members)
                     phi_b, rho_b = float(model.phi[b]), float(model.rho[b])
                     total += -(n * phi_b - Lb) * math.log2(rho_b) if rho_b > 0 else 0.0
                     total += -math.fsum(
@@ -350,23 +354,21 @@ class TestBitstring:
 class TestModelValidation:
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
-            CoderModel(n=4, phi=np.array([1.0]), rho=np.array([-0.1]),
-                       kbins=np.array([2]), ell=np.array([2]), L=np.array([1.0]))
+            CoderModel(n=4, phi=np.array([1.0]), rho=np.array([-0.1]), kbins=np.array([2]))
 
     def test_first_occurrence_mass_must_stay_positive(self):
         with pytest.raises(ValueError):
             CoderModel(n=4, phi=np.array([0.0, 1.0]), rho=np.array([0.0, 0.5]),
-                       kbins=np.array([0, 4]), ell=np.array([0, 4]),
-                       L=np.array([0.0, 2.0]))
+                       kbins=np.array([0, 4]))
 
     def test_from_source_rho_values(self):
         pv = ParamVector.from_groups([1e-4, 0.249, 0.25], [10, 1, 3])
         n = 100
         grid = build_grid("eta", n, 0.25)
         model = CoderModel.from_source(pv, grid, n)
-        from pattern_entropy.grids import bin_stats
-        st = bin_stats(grid, pv)
-        rows = dict(zip(st.bins.tolist(), zip(st.counts.tolist(), st.phi.tolist(), st.L.tolist())))
+        st = grids.bin_stats(grid, pv)
+        phi, L = st.sums(pv.counts * pv.values), st.sums(pv.counts * _occupancy(pv, n))
+        rows = dict(zip(st.bins.tolist(), zip(st.counts.tolist(), phi.tolist(), L.tolist())))
         for b in range(model.num_bins):
             if b not in rows:
                 assert model.rho[b] == 0.0 and model.kbins[b] == 0
@@ -377,7 +379,8 @@ class TestModelValidation:
                 assert model.rho[b] == pytest.approx(phi_b / kb)
             else:
                 assert model.rho[b] == pytest.approx((n * phi_b - L_b) / (n * min(kb, n)))
-        assert np.array_equal(model.ell, np.minimum(model.kbins, n))
+        # ell_b = min(k_b, n) and L_b are derived, not stored
+        assert [f.name for f in fields(model) if f.init] == ["n", "phi", "rho", "kbins"]
         assert model.num_bins == len(model.phi) and type(model.num_bins) is int
         with pytest.raises(TypeError):
             model.phi[0] = 0.5
@@ -388,11 +391,14 @@ class TestModelValidation:
         # the rare letter's bin is noise, often <= 0; such a bin takes phi_b / k_b
         grid = build_grid("eta", n, 0.3)
         for theta in np.geomspace(5.6e-18, 1e-9, 200).tolist():
-            model = CoderModel.from_source(ParamVector.from_probs([theta, 1.0 - theta]), grid, n)
+            pv = ParamVector.from_probs([theta, 1.0 - theta])
+            model = CoderModel.from_source(pv, grid, n)
+            st = grids.bin_stats(grid, pv)
+            L = dict(zip(st.bins.tolist(), st.sums(pv.counts * _occupancy(pv, n)).tolist()))
             for b in range(min(2, model.num_bins)):
-                phi_b, k_b, ell_b = model.phi[b], model.kbins[b], model.ell[b]
+                phi_b, k_b, ell_b = model.phi[b], model.kbins[b], min(model.kbins[b], n)
                 if k_b:
-                    reserve = n * phi_b - model.L[b]
+                    reserve = n * phi_b - L[b]
                     assert model.rho[b] == (reserve / (n * ell_b) if reserve > 0.0 else phi_b / k_b)
                     assert model.rho[b] > 0.0
 
@@ -530,7 +536,8 @@ class TestPowerOfTwoSteps:
                          (ParamVector.from_probs([1e-17, 0.5, 0.5]), 10)):
             model = CoderModel.from_source(theta, build_grid("eta", n, 0.3), n)
             worst = Fraction(0)
-            for phi_b, rho_b, ell_b in zip(model.phi, model.rho, model.ell):
+            for phi_b, rho_b, k_b in zip(model.phi, model.rho, model.kbins):
+                ell_b = min(k_b, n)
                 if phi_b > 0.0:
                     worst += max(seen * Fraction(rho_b) + Fraction(max(phi_b - seen * rho_b, 0.0))
                                  for seen in range(ell_b + 1))

@@ -175,8 +175,7 @@ def _synthetic_streams(count, seed):
         kbins = rng.integers(1, 6, size=nbins) * (phi > 0)
         rho = np.where(rng.random(nbins) < 0.35, 0.0, phi / np.maximum(kbins, 1))
         rho = np.where(phi == 0.0, rng.random(nbins) * (rng.random(nbins) < 0.5), rho)
-        model = CoderModel(n=16, phi=phi, rho=rho, kbins=kbins, ell=kbins,
-                           L=np.zeros(nbins))
+        model = CoderModel(n=16, phi=phi, rho=rho, kbins=kbins)
         psi, beta = _walk(model, int(rng.integers(1, 25)),
                           lambda events: events[int(rng.integers(0, len(events)))])
         if psi:
@@ -200,7 +199,7 @@ def _general_streams(count, seed):
         top = np.where(np.arange(nbins) < 2, 1.0, 1.7)
         rho = np.where(rng.random(nbins) < 0.15, 0.0,
                        phi / np.maximum(kbins, 1) * rng.uniform(0.2, top))
-        model = CoderModel(n=32, phi=phi, rho=rho, kbins=kbins, ell=kbins, L=np.zeros(nbins))
+        model = CoderModel(n=32, phi=phi, rho=rho, kbins=kbins)
         psi, beta = _walk(model, int(rng.integers(1, 33)),
                           lambda events: events[int(rng.integers(0, len(events)))])
         out.append((model, psi, beta))
@@ -239,11 +238,10 @@ def _edge_streams():
     theta = ParamVector.from_probs([0.3, 0.25, 0.2, 0.12, 0.08, 0.05])
     source = CoderModel.from_source(theta, build_grid("eta", n, 0.3), n)
     # one bin whose only letter always has probability 1
-    certain = CoderModel(n=8, phi=np.array([1.0]), rho=np.array([1.0]),
-                         kbins=np.array([1]), ell=np.array([1]), L=np.zeros(1))
+    certain = CoderModel(n=8, phi=np.array([1.0]), rho=np.array([1.0]), kbins=np.array([1]))
     # phi sums to 1.3, so a step's weights total more than 2**s
     over_one = CoderModel(n=16, phi=np.array([0.7, 0.6]), rho=np.array([0.2, 0.15]),
-                          kbins=np.array([3, 4]), ell=np.array([3, 4]), L=np.zeros(2))
+                          kbins=np.array([3, 4]))
     rng = np.random.default_rng(22)
     return {
         "first_event": (source, *_walk(source, n, lambda events: events[0])),
@@ -322,8 +320,7 @@ def test_impossible_steps_match_reference():
 
 
 def test_model_without_events_is_rejected_like_reference():
-    model = CoderModel(n=4, phi=np.zeros(3), rho=np.zeros(3), kbins=np.zeros(3, int),
-                       ell=np.zeros(3, int), L=np.zeros(3))
+    model = CoderModel(n=4, phi=np.zeros(3), rho=np.zeros(3), kbins=np.zeros(3, int))
     assert _verdict(encode, model, (1,), (0,)) == _verdict(reference_encode, model, (1,), (0,))
     bits = Bitstring.from01("1")
     assert _verdict(decode, model, bits, 1) == _verdict(reference_decode, model, bits, 1)

@@ -245,9 +245,24 @@ def _two_level(params, n=100):
     # 4 low letters of 1/9 leave 5/9 to 2 letters, 0.83 of the nominal 1/3 each
     (lambda: _two_level({"phi0": 0.5, "mu": 1.0, "level1": "unit"}, 3), "renormalization factor 0.8333"),
     (lambda: _two_level({"phi0": 0.5, "mu": 0.2, "nu": 0.5, "level1": "above"}), "the two levels collide"),
+    # a letter count is a whole number: no fraction is dropped, no bool or string read as one
+    (lambda: make_distribution(SourceSpec("uniform", {"k": 2.5})), "'k' must be a whole number, got 2.5"),
+    (lambda: make_distribution(SourceSpec("zipf", {"k": 3.9, "exponent": 1.1})), "'k' must be a whole"),
+    (lambda: make_distribution(SourceSpec("uniform", {"k": True})), "'k' must be a whole number, got True"),
+    (lambda: make_distribution(SourceSpec("geometric", {"k": "4", "decay": 0.5})), "got '4'"),
+    (lambda: make_distribution(SourceSpec("explicit", {"probs": np.array([])})), "requires a 'probs' list"),
 ], ids=["shape", "count", "order", "empty", "unknown_param", "explicit", "uniform_nu", "uniform",
         "uniform_k0", "mass", "two_level_n", "level1", "phi0", "all_mass", "no_second_level",
-        "renormalization", "collide"])
+        "renormalization", "collide", "uniform_k_fraction", "zipf_k_fraction", "uniform_k_bool",
+        "geometric_k_string", "explicit_empty_array"])
 def test_validation_raises(build, words):
     with pytest.raises(ValueError, match=words):
         build()
+
+
+def test_whole_number_counts_and_array_probs_are_taken():
+    # JSON configs pass integral floats; an array of probabilities is a list too
+    assert make_distribution(SourceSpec("uniform", {"k": 2000.0})).k == 2000
+    assert make_distribution(SourceSpec("zipf", {"k": np.int64(5), "exponent": 1.0})).k == 5
+    pv = make_distribution(SourceSpec("explicit", {"probs": np.array([0.25, 0.75])}))
+    assert pv.values.tolist() == [0.25, 0.75]

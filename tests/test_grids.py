@@ -115,7 +115,8 @@ class TestBinStats:
         pv = ParamVector.from_probs([0.25] * 4)
         st_ = bin_stats(g, pv)
         assert list(st_.bins) == [0] and st_.counts[0] == 4
-        assert abs(st_.L[0] - 2.734375) <= 1e-12
+        L = st_.sums(pv.counts * (1.0 - absent_probability(pv.values, 4)))
+        assert abs(L[0] - 2.734375) <= 1e-12
 
     def test_recount_matches(self):
         rng = np.random.default_rng(5)
@@ -124,13 +125,13 @@ class TestBinStats:
         g = build_grid("xi", 50, 0.2)
         st_ = bin_stats(g, pv)
         assert st_.counts.sum() == pv.k
-        assert abs(st_.phi.sum() - 1.0) <= 1e-12
+        assert abs(st_.sums(pv.counts * pv.values).sum() - 1.0) <= 1e-12
         recount = np.zeros(g.num_bins, dtype=int)
         for v, c in pv.groups():
             recount[bin_index(g, v)] += c
         assert np.array_equal(np.flatnonzero(recount), st_.bins)
         assert np.array_equal(recount[st_.bins], st_.counts)
-        for b, kp in zip(st_.bins.tolist(), st_.kappa_prime.tolist()):
+        for b, kp in zip(st_.bins.tolist(), st_.overlap().tolist()):
             lo = g.point(b - 1) if b >= 2 else g.point(1)
             hi = g.point(min(b + 2, g.num_bins))
             assert kp == (sum(c for v, c in pv.groups() if lo < v <= hi) if b >= 1 else 0)
@@ -143,15 +144,17 @@ class TestBinStats:
             st_ = bin_stats(g, pv)
             rows = len(pv.values)
             assert len(st_.bins) <= rows < g.num_bins
-            assert all(len(a) == len(st_.bins) for a in (st_.counts, st_.phi, st_.L))
+            assert len(st_.counts) == len(st_.starts) - 1 == len(st_.bins)
+            assert len(st_.sums(pv.counts * pv.values)) == len(st_.bins)
             assert np.all(np.diff(st_.bins) > 0)
             assert set(st_.bins.tolist()) == {bin_index(g, v) for v, _ in pv.groups()}
-            assert [bin_index(g, v) for v, _ in pv.groups()] == st_.group_bin.tolist()
+            group_bin = np.repeat(st_.bins, np.diff(st_.starts))
+            assert [bin_index(g, v) for v, _ in pv.groups()] == group_bin.tolist()
 
     @pytest.mark.parametrize("kind", ["tau", "eta", "xi"])
     def test_runs_match_unique(self, kind):
-        # bins and the group-to-row map equal np.unique's, and every sum keeps
-        # the bits of a sequential np.add.at accumulation: on random tied
+        # bins and the group-to-row map equal np.unique's, and the counts and
+        # every per-bin sum keep the bits of a sequential np.add.at accumulation: on random tied
         # sources, and on zipf k = 2000, whose largest bins sum ~2000 groups
         rng = np.random.default_rng(12)
         cases = []
@@ -165,11 +168,14 @@ class TestBinStats:
         for pv, n, eps in cases:
             g = build_grid(kind, n, eps)
             st_ = bin_stats(g, pv)
-            bins, row = np.unique(st_.group_bin, return_inverse=True)
+            bins, first, row = np.unique(bin_index(g, pv.values), return_index=True,
+                                         return_inverse=True)
             assert np.array_equal(st_.bins, bins)
+            assert np.array_equal(st_.starts, [*first, len(pv.values)])
             occ = 1.0 - absent_probability(pv.values, n)
-            for got, weight in ((st_.counts, pv.counts), (st_.phi, pv.counts * pv.values),
-                                (st_.L, pv.counts * occ)):
+            for got, weight in ((st_.counts, pv.counts),
+                                (st_.sums(pv.counts * pv.values), pv.counts * pv.values),
+                                (st_.sums(pv.counts * occ), pv.counts * occ)):
                 want = np.zeros(len(bins), dtype=got.dtype)
                 np.add.at(want, row, weight)
                 assert np.array_equal(got, want)
@@ -180,7 +186,7 @@ class TestBinStats:
         pv = ParamVector.from_probs([0.02, 0.2, 0.78])
         st_ = bin_stats(g, pv)
         assert len(st_.bins) == 3
-        assert np.array_equal(st_.kappa_prime, st_.counts)
+        assert np.array_equal(st_.overlap(), st_.counts)
 
     def test_kappa_prime_overlap(self):
         # mass in xi bins 2 and 3 (plus a lone filler): each window picks up the other
@@ -188,7 +194,7 @@ class TestBinStats:
         pv = ParamVector.from_probs([0.05, 0.06, 0.1, 0.79])
         st_ = bin_stats(g, pv)
         counts = dict(zip(st_.bins.tolist(), st_.counts.tolist()))
-        kappa_prime = dict(zip(st_.bins.tolist(), st_.kappa_prime.tolist()))
+        kappa_prime = dict(zip(st_.bins.tolist(), st_.overlap().tolist()))
         assert counts[2] == 2 and counts[3] == 1
         assert kappa_prime[2] == 3 and kappa_prime[3] == 3
         assert kappa_prime[8] == 1  # 0.79 in (0.64, 0.81]
@@ -200,7 +206,7 @@ class TestBinStats:
         st_ = bin_stats(g, pv)
         assert list(st_.bins[:2]) == [0, 1]
         assert st_.counts[0] == 1 and st_.counts[1] == 1
-        assert st_.kappa_prime[1] == 1
+        assert st_.overlap()[1] == 1
 
     def test_eta_low_bin_scalars(self):
         pv = ParamVector.from_probs([0.0001, 0.002, 0.01, 0.9879])
@@ -224,8 +230,9 @@ class TestBinStats:
             st_ = an.eta_stats
             first_two = st_.bins <= 1
             assert an.low.k01 == st_.counts[first_two].sum() == 11
-            assert an.low.phi01 == pytest.approx(st_.phi[first_two].sum(), rel=1e-12)
-            assert an.low.L01 == pytest.approx(st_.L[first_two].sum(), rel=1e-12)
+            phi, L = st_.sums(pv.counts * pv.values), st_.sums(pv.counts * an.occupancy)
+            assert an.low.phi01 == pytest.approx(phi[first_two].sum(), rel=1e-12)
+            assert an.low.L01 == pytest.approx(L[first_two].sum(), rel=1e-12)
 
 
 class TestOccurrenceStats:

@@ -152,7 +152,8 @@ def test_array_sums_are_bit_identical(case):
     occupancy = _ref_occupancy(theta, n)
     assert np.array_equal(analysis.occupancy, occupancy)
     assert np.array_equal(1.0 - absent_probability(theta.values, n), occupancy)
-    assert np.array_equal(bin_stats(analysis.eta_grid, theta).L, analysis.eta_stats.L)
+    assert np.array_equal(bin_stats(analysis.eta_grid, theta).sums(theta.counts * occupancy),
+                          analysis.eta_stats.sums(theta.counts * analysis.occupancy))
 
     low = analysis.low
     packed = packed_entropies(analysis)
@@ -169,7 +170,7 @@ def test_array_sums_are_bit_identical(case):
 
 def _kappa_prime_by_points(grid, theta: ParamVector, bins: np.ndarray) -> list[int]:
     """kappa'_b as the letters in (point(b-1), point(b+2)], from point(1) for
-    bin 1 and 0 on bin 0: the definition ``bin_stats`` used to evaluate."""
+    bin 1 and 0 on bin 0: the definition ``BinStats.overlap`` must match."""
     out = []
     for b in bins.tolist():
         lo, hi = grid.point(max(b - 1, 1)), grid.point(min(b + 2, grid.num_bins))
@@ -183,7 +184,7 @@ def test_kappa_prime_counts_the_letters_between_points(case):
     theta, n, epsilon = case
     grid = grids.build_grid("xi", n, epsilon)
     stats = bin_stats(grid, theta)
-    assert stats.kappa_prime.tolist() == _kappa_prime_by_points(grid, theta, stats.bins)
+    assert stats.overlap().tolist() == _kappa_prime_by_points(grid, theta, stats.bins)
 
 
 # the paper's four example families (ex1-ex4), each with its own epsilon
@@ -201,7 +202,7 @@ def test_family_kappa_prime_counts_the_letters_between_points(family, params, ep
     theta = distributions.make_distribution(distributions.SourceSpec(family, params, n))
     grid = grids.build_grid("xi", n, epsilon)
     stats = bin_stats(grid, theta)
-    assert stats.kappa_prime.tolist() == _kappa_prime_by_points(grid, theta, stats.bins)
+    assert stats.overlap().tolist() == _kappa_prime_by_points(grid, theta, stats.bins)
 
 
 def test_split_branch_is_taken():
@@ -302,6 +303,26 @@ def test_default_table_makes_four_libm_passes(monkeypatch):
     assert len(rows) == 10 and all(r["error"] == "" for r in rows)
     assert sorted(passes) == [("exp", low_groups), ("exp", 50_000), ("log1p", 50_000),
                               ("log2", 50_000)]
+
+
+def test_default_table_makes_one_per_bin_sum(monkeypatch):
+    """The bounds-zipf table splits the groups by three grids and sums over
+    bins once: the tau L of c2_loosened."""
+    cfg = cli.parse_config({
+        "source": {"family": "zipf", "params": {"k": 50_000, "exponent": 1.1}},
+        "n": 10**6, "epsilon": 0.4,
+    })
+    sums = []
+    real = np.bincount
+
+    def recording(x, weights=None, minlength=0):
+        sums.append(np.size(x))
+        return real(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", recording)
+    rows = cli.run_bounds(cfg)
+    assert len(rows) == 10 and all(r["error"] == "" for r in rows)
+    assert sums == [50_000]
 
 
 def test_range_reads_the_analysis_entropy(monkeypatch):

@@ -141,7 +141,7 @@ class TestExactEntropies:
             exact_entropies(ParamVector.from_probs([0.1, 0.2, 0.3, 0.4]), _grid(2000), 2000)
 
     def test_bins_the_alphabet_once(self, monkeypatch):
-        calls = {"bin_index": 0, "bin_sequence": 0}
+        calls = {"bin_stats": 0, "bin_sequence": 0}
 
         def counting(module, name):
             real = getattr(module, name)
@@ -160,7 +160,7 @@ class TestExactEntropies:
         n = 5
         grid = _grid(n)
         ee = exact_entropies(pv, grid, n, model=CoderModel.from_source(pv, grid, n))
-        assert calls == {"bin_index": 1, "bin_sequence": 0}
+        assert calls == {"bin_stats": 1, "bin_sequence": 0}
         assert ee.h_pattern <= ee.h_joint + 1e-9
 
     def test_matches_reference_loop(self):

@@ -420,3 +420,42 @@ def test_silenced_warning_guard_sees_every_form():
             "warnings.simplefilter('error')\n"
             "warnings.filterwarnings('default')\n")
     assert _silenced_warning_sites(text) == [2, 3, 4, 6]
+
+
+def _bincount_sites(text):
+    """(line, enclosing definition as in ``_range_sites``) of every ``bincount``
+    call in ``text`` that passes ``weights``: a per-bin sum."""
+    for where, member in _members(text):
+        for node in ast.walk(member):
+            func = getattr(node, "func", None)
+            if (getattr(func, "id", getattr(func, "attr", None)) == "bincount"
+                    and (len(node.args) > 1 or any(kw.arg == "weights" for kw in node.keywords))):
+                yield node.lineno, where
+
+
+def test_per_bin_sums_are_taken_in_one_place():
+    # BinStats.sums is the one per-bin sum, so each reader takes the sum it
+    # needs and every sum has the same bits; a bincount without weights counts
+    sites = {(p.stem, where) for p in SRC for _, where in _bincount_sites(p.read_text(encoding="utf-8"))}
+    assert sites == {("grids", "BinStats.sums")}
+
+
+def test_bincount_guard_sees_every_form():
+    text = ("class B:\n"
+            "    def sums(self, w):\n"
+            "        return np.bincount(self.row, weights=w)\n"
+            "def f(r, w):\n"
+            "    return np.bincount(r, w) + bincount(r, minlength=3)\n"
+            "x = numpy.bincount(r, weights=w)\n")
+    assert list(_bincount_sites(text)) == [(3, "B.sums"), (5, "f"), (6, None)]
+
+
+def test_groups_are_split_by_bin_in_few_places():
+    # bin_stats splits a source's groups by bin for the bounds, the coder and
+    # the oracle; bin_sequence bins the letters of a sequence, _reference's
+    # slow routes their own letters, and verify's grid check tests bin_index itself
+    sites = {(p.stem, top) for p in SRC
+             for _, top in _call_sites("bin_index", p.read_text(encoding="utf-8")) if top}
+    assert sites == {("grids", "bin_stats"), ("patterns", "bin_sequence"),
+                     ("_reference", "expected_codelength_stepwise"),
+                     ("verify", "check_grid_laws")}
