@@ -65,17 +65,14 @@ class _LowStats:
     The source's values ascend, so bin 0 is its groups [:i1], bin 1 the
     groups [i1:i2] and the whole low region the groups [:i2]."""
 
-    thr1: float
     thr2: float
     i1: int
     i2: int
     k0: int
-    k1: int
     k01: int
     phi0: float
     phi1: float
     phi01: float
-    L0: float
     L1: float
     L01: float
     ell0: int
@@ -181,13 +178,12 @@ class SourceAnalysis:
         k1 = int(c[i1:i2].sum())
         phi0 = exact_sum(c[:i1] * v[:i1])
         phi1 = exact_sum(c[i1:i2] * v[i1:i2])
-        L0 = exact_sum(c[:i1] * occ[:i1])
         L1 = exact_sum(c[i1:i2] * occ[i1:i2])
         return _LowStats(
-            thr1=thr1, thr2=thr2, i1=i1, i2=i2,
-            k0=k0, k1=k1, k01=k0 + k1,
+            thr2=thr2, i1=i1, i2=i2,
+            k0=k0, k01=k0 + k1,
             phi0=phi0, phi1=phi1, phi01=phi0 + phi1,
-            L0=L0, L1=L1, L01=L0 + L1,
+            L1=L1, L01=exact_sum(c[:i1] * occ[:i1]) + L1,
             ell0=min(k0, n), ell1=min(k1, n), ell01=min(k0 + k1, n),
             sq0=exact_sum(c[:i1] * v[:i1] * v[:i1]),
             low_values=v[:i2], low_counts=c[:i2],

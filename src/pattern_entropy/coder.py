@@ -40,9 +40,12 @@ bit lengths, and its code point from a shift and a division by the odd part
 a.  Decode tracks the code point's offset inside the current interval in
 fixed point, with L - clb_j + log2 n + O(1) fractional bits after step j,
 clb_j being a lower bound on the codelength so far, so its step loop costs
-O(sum_j (L - clb_j)) bit operations; it then folds its own maps and accepts
-the stream only if it is the canonical dyadic encode would emit for what it
-decodes to.  Sequences longer than CODER_N_CAP raise ResourceCapError.
+O(sum_j (L - clb_j)) bit operations.  It accepts the stream only if it is the
+canonical dyadic encode would emit for what it decodes to: a stream that
+encode built carries the maps it folded, and when decode's own maps equal
+them the stream is that canonical dyadic already, so decode folds only a
+stream it cannot match that way.  Sequences longer than CODER_N_CAP raise
+ResourceCapError.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 
 from ._common import ResourceCapError
 from .distributions import ParamVector
-from .grids import Grid, absent_probability, bin_stats
+from .grids import BinStats, Grid, absent_probability, bin_stats
 
 __all__ = [
     "CoderModel", "CoderState", "Bitstring", "DecodeError",
@@ -136,10 +139,16 @@ class CoderModel:
         <= 1 - u.  The rates are derived from the scaled masses.  A source of
         probability 1 keeps its 0-bit codelength.
         """
+        return cls._from_bin_stats(theta, grid, n, bin_stats(grid, theta))
+
+    @classmethod
+    def _from_bin_stats(cls, theta: ParamVector, grid: Grid, n: int,
+                        stats: BinStats) -> "CoderModel":
+        """:meth:`from_source` on ``stats``, the split of theta's groups by the
+        bins of ``grid``, for a caller that also reads the split."""
         if n != grid.n:
             raise ValueError(f"grid was built for n={grid.n}, not {n}")
         _check_cap(n)
-        stats = bin_stats(grid, theta)
         occupied, counts = stats.bins, stats.counts
         mass = stats.sums(theta.counts * theta.values)
         L = stats.sums(theta.counts * (1.0 - absent_probability(theta.values, n)))
@@ -238,10 +247,18 @@ def sequence_codelength(model: CoderModel, psi, beta) -> float:
 
 @dataclass(frozen=True)
 class Bitstring:
-    """A bit sequence packed big-endian (first bit = MSB of the first byte)."""
+    """A bit sequence packed big-endian (first bit = MSB of the first byte).
+
+    A stream that :func:`encode` returns also keeps the step maps it folded
+    (``_maps``), so that :func:`decode` can tell it is the canonical encoding
+    of its decode without folding again.  Only encode sets them; equality,
+    hash and repr ignore them, and a stream built from bytes or by
+    :meth:`from01` carries none.
+    """
 
     data: bytes
     nbits: int
+    _maps: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.nbits < 0 or len(self.data) != (self.nbits + 7) // 8:
@@ -469,7 +486,9 @@ def encode(model: CoderModel, psi, beta) -> Bitstring:
             raise ValueError(f"zero-probability step at position {j}: ({p}, {b})")
         maps.append(target)
         steps.update(p, b)
-    return _emit(*_fold(maps))
+    bits = _emit(*_fold(maps))
+    object.__setattr__(bits, "_maps", tuple(maps))
+    return bits
 
 
 def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -477,7 +496,9 @@ def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...],
 
     Raises DecodeError when the stream is not the canonical encoding of any
     length-n (psi, beta) under this model, and ResourceCapError above
-    CODER_N_CAP symbols.
+    CODER_N_CAP symbols.  A stream whose carried maps (see :class:`Bitstring`)
+    equal the decoded steps' is the canonical encoding that encode folded from
+    them; any other stream is folded again and compared with encode's output.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -520,7 +541,7 @@ def decode(model: CoderModel, bits: Bitstring, n: int) -> tuple[tuple[int, ...],
         psi.append(p)
         beta.append(b)
         steps.update(p, b)
-    if _emit(*_fold(maps)) != bits:
+    if tuple(maps) != bits._maps and _emit(*_fold(maps)) != bits:
         raise DecodeError("bitstream is not the canonical encoding of its decode")
     return tuple(psi), tuple(beta)
 

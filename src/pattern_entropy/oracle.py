@@ -237,9 +237,9 @@ def exact_entropies(theta: ParamVector, grid: Grid, n: int,
     sequence of positive probability reaches makes E[-log2 Q] inf, with one
     warning naming the earliest such position.
     """
-    if model is None:
-        model = CoderModel.from_source(theta, grid, n)
     stats = bin_stats(grid, theta)
+    if model is None:
+        model = CoderModel._from_bin_stats(theta, grid, n, stats)
     groups = [(theta.values[lo:hi].tolist(), theta.counts[lo:hi].tolist())
               for lo, hi in zip(stats.starts.tolist(), stats.starts[1:].tolist())]
     phis = [math.fsum(k * v for v, k in zip(*group)) for group in groups]

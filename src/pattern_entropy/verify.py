@@ -34,7 +34,8 @@ from .bounds import (
     ub_theorem1,
     ub_theorem3_family,
 )
-from .coder import CoderModel, CoderState, _dyadic_sum, next_symbol_prob, roundtrip
+from .coder import (Bitstring, CoderModel, CoderState, DecodeError, _dyadic_sum, decode,
+                    next_symbol_prob, roundtrip)
 from .distributions import (ParamVector, SourceSpec, binary_entropy,
                             make_distribution, sample_sequence)
 from .grids import (
@@ -455,7 +456,12 @@ def check_region_sweep() -> CheckResult:
 
 
 def check_coder_roundtrip(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 11: decode inverts encode; emitted bits within [-log2 Q, -log2 Q + 2]."""
+    """Criterion 11: decode inverts encode; emitted bits within [-log2 Q, -log2 Q + 2].
+
+    Decode skips its canonical check's fold on a stream that carries encode's
+    step maps, so each stream is also decoded from a copy of its bytes, which
+    carries none and takes the full check, and must give the same (psi, beta).
+    """
     col = _Collector()
     rng = np.random.default_rng(seed)
     eps = 0.3
@@ -467,9 +473,16 @@ def check_coder_roundtrip(seed: int = DEFAULT_SEED) -> CheckResult:
         grid = build_grid("eta", n, eps)
         model = CoderModel.from_source(theta, grid, n)
         x = sample_sequence(theta, n, rng)
-        cl, bits, ok, within = roundtrip(model, extract_pattern(x), bin_sequence(theta, grid, x))
+        psi, beta = extract_pattern(x), bin_sequence(theta, grid, x)
+        cl, bits, ok, within = roundtrip(model, psi, beta)
         col.expect(ok, f"round trip failed at n={n} k={k}")
         col.expect(within, f"length {len(bits)} outside [{cl}, {cl}+2] at n={n} k={k}")
+        try:
+            copied = decode(model, Bitstring(bits.data, bits.nbits), n)
+        except DecodeError:
+            copied = None
+        col.expect(copied == (tuple(psi), tuple(beta)),
+                   f"the stream's byte copy decodes otherwise at n={n} k={k}")
     return col.result("coder_roundtrip", extra=f"{trials} sampled sequences, n <= 64, k <= 8")
 
 

@@ -85,7 +85,7 @@ class TestPackedEntropies:
         pv = ParamVector.from_probs([0.05, 0.1, 0.35, 0.5])
         analysis = SourceAnalysis(pv, 8, 0.2)
         pk = packed_entropies(analysis)
-        assert analysis.low.k0 == 1 and analysis.low.k1 == 1
+        assert analysis.low.k0 == 1 and analysis.low.k01 == 2
         assert abs(pk.h0_1 - iid_entropy(pv)) <= 1e-12
 
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -349,6 +349,61 @@ class TestBitstring:
     def test_length_consistency(self):
         with pytest.raises(ValueError):
             Bitstring(b"\x00\x00", 3)
+
+
+class TestCarriedMaps:
+    """Encode's stream carries the step maps it folded, so decode folds only a
+    stream whose maps it cannot match."""
+
+    @staticmethod
+    def counted_folds(monkeypatch):
+        """Length of the step list of every ``coder._fold`` call from now on."""
+        folds = []
+        real = coder._fold
+
+        def counting(steps):
+            folds.append(len(steps))
+            return real(steps)
+
+        monkeypatch.setattr(coder, "_fold", counting)
+        return folds
+
+    @staticmethod
+    def stream():
+        return _source_stream(_zipf(40, 1.3), 64, 0.3, 0)
+
+    def test_round_trip_folds_once(self, monkeypatch):
+        folds = self.counted_folds(monkeypatch)
+        model, psi, beta = self.stream()
+        bits = encode(model, psi, beta)
+        assert folds == [64]
+        assert decode(model, bits, 64) == (psi, beta)
+        assert folds == [64]
+        folds.clear()
+        assert coder.roundtrip(model, psi, beta)[2:] == (True, True)
+        assert folds == [64]
+
+    def test_copies_take_the_full_check(self, monkeypatch):
+        model, psi, beta = self.stream()
+        bits = encode(model, psi, beta)
+        folds = self.counted_folds(monkeypatch)
+        for copy in (Bitstring(bits.data, bits.nbits), Bitstring.from01(bits.to01()),
+                     replace(bits)):
+            folds.clear()
+            assert copy._maps is None
+            assert decode(model, copy, 64) == (psi, beta)
+            assert folds == [64]
+
+    def test_maps_are_not_part_of_the_value(self):
+        model, psi, beta = self.stream()
+        bits = encode(model, psi, beta)
+        copy = Bitstring(bits.data, bits.nbits)
+        assert len(bits._maps) == 64 and copy._maps is None
+        assert bits == copy and hash(bits) == hash(copy) and repr(bits) == repr(copy)
+        with pytest.raises(TypeError):
+            Bitstring(bits.data, bits.nbits, bits._maps)
+        with pytest.raises(ValueError):
+            replace(bits, _maps=bits._maps)
 
 
 class TestModelValidation:

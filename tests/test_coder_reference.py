@@ -282,6 +282,23 @@ def test_corrupted_stream_verdicts_match_reference(streams):
     assert 0 < rejected < tried
 
 
+def test_encoded_streams_under_other_models_and_lengths_match_reference():
+    # encode's stream carries its step maps, and decode under another model or
+    # another n must reach the reference's verdict whether or not its own maps
+    # match them; a model with one more empty bin weighs every event alike
+    verdicts = []
+    for (model, psi, beta), (other, _, _) in zip(SOURCE_STREAMS[:60], SOURCE_STREAMS[1:61]):
+        n = len(psi)
+        bits = encode(model, psi, beta)
+        padded = CoderModel(n=model.n, phi=(*model.phi, 0.0), rho=(*model.rho, 0.0),
+                            kbins=(*model.kbins, 0))
+        for m, length in ((other, n), (padded, n), (model, n - 1), (model, n + 1)):
+            got = _verdict(decode, m, bits, length)
+            assert got == _verdict(reference_decode, m, bits, length), (length, bits.to01())
+            verdicts.append(got[0])
+    assert verdicts.count("ok") >= 60 and verdicts.count("DecodeError") >= 60
+
+
 def test_edge_streams_are_at_the_edges():
     first = encode(*EDGE_STREAMS["first_event"])
     assert first.to01() == "0" * len(first)  # low = 0: the code point is 0

@@ -69,7 +69,7 @@ def _ref_s2_s3(analysis: SourceAnalysis, s2_variant: str, s3_from_origin: bool):
         if split_last:
             s2 += (n * last_val - 1.0) * (math.log2(low.phi01) - math.log2(last_val))
     else:
-        bin0 = lv <= low.thr1
+        bin0 = lv <= low_thresholds(n, epsilon)[0]
         head = (1.0 - float(n) ** -epsilon) * (n * n / 2.0) * math.fsum(
             float(cc) * vv * vv * (math.log2(low.phi01) - math.log2(vv))
             for vv, cc in zip(lv[bin0].tolist(), lc[bin0])
@@ -157,7 +157,7 @@ def test_array_sums_are_bit_identical(case):
 
     low = analysis.low
     packed = packed_entropies(analysis)
-    assert packed.h0 == -xlog2x(low.phi0) + _ref_tail(theta, low.thr1)
+    assert packed.h0 == -xlog2x(low.phi0) + _ref_tail(theta, low_thresholds(n, epsilon)[0])
     assert packed.h01 == -xlog2x(low.phi01) + _ref_tail(theta, low.thr2)
 
     for s2_variant in ("b1", "b2"):
@@ -387,21 +387,22 @@ def test_slices_select_what_the_threshold_masks_selected(case):
     theta, n, epsilon, vm, vp = case
     analysis = SourceAnalysis(theta, n, epsilon)
     low = analysis.low
+    thr1 = low_thresholds(n, epsilon)[0]
     v, c, occ, terms = theta.values, theta.counts, analysis.occupancy, analysis.plog2p
-    m0 = v <= low.thr1
-    m1 = (v > low.thr1) & (v <= low.thr2)
+    m0 = v <= thr1
+    m1 = (v > thr1) & (v <= low.thr2)
     mlow = v <= low.thr2
-    assert (low.k0, low.k1) == (int(c[m0].sum()), int(c[m1].sum()))
+    assert (low.k0, low.k01) == (int(c[m0].sum()), int(c[m0].sum()) + int(c[m1].sum()))
     assert low.phi0 == math.fsum((c[m0] * v[m0]).tolist())
     assert low.phi1 == math.fsum((c[m1] * v[m1]).tolist())
     assert low.sq0 == math.fsum((c[m0] * v[m0] * v[m0]).tolist())
-    assert low.L0 == math.fsum((c[m0] * occ[m0]).tolist())
     assert low.L1 == math.fsum((c[m1] * occ[m1]).tolist())
+    assert low.L01 == math.fsum((c[m0] * occ[m0]).tolist()) + low.L1
     assert np.array_equal(low.low_values, v[mlow]) and np.array_equal(low.low_counts, c[mlow])
 
     packed = packed_entropies(analysis)
     assert packed.h01 == -xlog2x(low.phi01) - math.fsum(terms[v > low.thr2].tolist())
-    assert packed.h0 == -xlog2x(low.phi0) - math.fsum(terms[v > low.thr1].tolist())
+    assert packed.h0 == -xlog2x(low.phi0) - math.fsum(terms[v > thr1].tolist())
 
     lo_minus, hi_plus = vm * low.thr2, vp * low.thr2
     k_minus = int(c[(v > lo_minus) & (v <= low.thr2)].sum())

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pattern_entropy import _reference, oracle, patterns, verify
+from pattern_entropy import _reference, coder, oracle, patterns, verify
 from pattern_entropy._common import ResourceCapError, exact_sum, ln_factorial
 from pattern_entropy._reference import (
     brute_force_permutation_count,
@@ -152,16 +152,20 @@ class TestExactEntropies:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (oracle, patterns):
-            for name in calls:
-                if hasattr(module, name):
-                    counting(module, name)
         pv = ParamVector.from_probs([0.1, 0.2, 0.3, 0.4])
         n = 5
         grid = _grid(n)
-        ee = exact_entropies(pv, grid, n, model=CoderModel.from_source(pv, grid, n))
+        model = CoderModel.from_source(pv, grid, n)
+        for module in (oracle, patterns, coder):
+            for name in calls:
+                if hasattr(module, name):
+                    counting(module, name)
+        ee = exact_entropies(pv, grid, n, model=model)
         assert calls == {"bin_stats": 1, "bin_sequence": 0}
         assert ee.h_pattern <= ee.h_joint + 1e-9
+        # without a model, the oracle's own split also builds the coder model
+        assert exact_entropies(pv, grid, n) == ee
+        assert calls == {"bin_stats": 2, "bin_sequence": 0}
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(8)

@@ -459,3 +459,47 @@ def test_groups_are_split_by_bin_in_few_places():
     assert sites == {("grids", "bin_stats"), ("patterns", "bin_sequence"),
                      ("_reference", "expected_codelength_stepwise"),
                      ("verify", "check_grid_laws")}
+
+
+def _attribute_set_sites(attr, text):
+    """(line, enclosing definition as in ``_range_sites``) of every assignment
+    to ``.<attr>`` and every ``setattr`` or ``__setattr__`` call that names
+    ``attr`` in ``text``."""
+    for where, member in _members(text):
+        for node in ast.walk(member):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == attr
+                       for target in targets for t in ast.walk(target)):
+                    yield node.lineno, where
+            func = getattr(node, "func", None)
+            if (getattr(func, "id", getattr(func, "attr", None)) in ("setattr", "__setattr__")
+                    and any(isinstance(a, ast.Constant) and a.value == attr for a in node.args)):
+                yield node.lineno, where
+
+
+def test_streams_are_folded_and_given_maps_in_few_places():
+    # decode skips its fold on a stream whose carried maps equal its own, which
+    # holds only because encode alone sets them, to the maps it has just folded
+    # into that stream's bits; any other stream is folded by decode itself
+    texts = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
+    assert {(module, where) for module, text in texts.items()
+            for _, where in _attribute_set_sites("_maps", text)} == {("coder", "encode")}
+    # patterns' ProfileProbability._fold is a method of its own
+    assert {(module, top) for module, text in texts.items() if module != "patterns"
+            for _, top in _call_sites("_fold", text)} == {("coder", "encode"), ("coder", "decode")}
+
+
+def test_attribute_set_guard_sees_every_form():
+    text = ("class B:\n"
+            "    def f(self, m):\n"
+            "        object.__setattr__(self, '_maps', m)\n"
+            "def encode(b, m):\n"
+            "    b._maps = m\n"
+            "    setattr(b, '_maps', m)\n"
+            "    b._maps += m\n"
+            "    x, b.y._maps = 1, m\n"
+            "_maps = m\n"
+            "ok = b._maps\n")
+    assert sorted(_attribute_set_sites("_maps", text)) == [(3, "B.f"), (5, "encode"), (6, "encode"),
+                                                           (7, "encode"), (8, "encode")]
